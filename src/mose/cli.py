@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .trainer import (Metrics, NonFiniteLossError, TrainConfig, load_checkpoint,
                       metrics_csv, save_checkpoint, train)
 from .util import BudgetError, FormatError, hash_arrays, write_manifest
 from .verify import SUITES, run_suite
-from .walks import WalkConfig, extract_dataset, load_cache, save_cache
+from .walks import SubgraphCache, WalkConfig, extract_dataset, load_cache, save_cache
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -184,6 +185,24 @@ def _model_config(cfg, data: Dataset) -> ModelConfig:
                        task=data.task)
 
 
+def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfig):
+    """Refuse a cache built with other settings (usage error) or for graphs
+    other than the loaded dataset's (format error)."""
+    built = {"dataset": cache.dataset_name} | asdict(cache.cfg)
+    wanted = {"dataset": data.name} | asdict(wcfg)
+    diff = [f"{k}={built[k]} (run: {wanted[k]})" for k in wanted if built[k] != wanted[k]]
+    if diff:
+        raise UsageError(f"{path}: cache was built with other settings: "
+                         + ", ".join(diff) + "; rerun mose extract")
+    if len(cache.records) != len(data.graphs):
+        raise FormatError(f"{path}: cache has {len(cache.records)} graphs, "
+                          f"dataset {data.name} has {len(data.graphs)}")
+    for gi, (recs, g) in enumerate(zip(cache.records, data.graphs)):
+        if len(recs) != g.node_count:
+            raise FormatError(f"{path}: graph {gi} has {len(recs)} cached nodes, "
+                              f"dataset {data.name} has {g.node_count}")
+
+
 # -- commands -----------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -238,6 +257,7 @@ def cmd_train(args) -> int:
     cache_path = args.cache or os.path.join(args.out_dir, f"{args.dataset}.cache")
     if os.path.exists(cache_path):
         cache = load_cache(cache_path)
+        _check_cache(cache, cache_path, data, wcfg)
     else:
         cache = extract_dataset(data.graphs, args.dataset, wcfg,
                                 threads=cfg["threads"])

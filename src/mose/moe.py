@@ -5,7 +5,9 @@ gate_scores, route, combine, readout, forward) are the reference pipeline,
 convenient for inspection and testing. The batched group engine at the
 bottom computes the same quantities for many nodes at once with analytic
 backprop; the trainer is built on it, and tests pin the two paths to each
-other.
+other. The engine evaluates the hidden-graph kernel in one of two orders,
+chosen per group from its array shapes (NodeGroup.fits_moments): through
+subgraph moments shared by all experts, or on the padded tensors.
 """
 
 from __future__ import annotations
@@ -329,6 +331,12 @@ class NodeGroup:
     def count(self) -> int:
         return self.adj.shape[0]
 
+    def fits_moments(self, max_step: int) -> bool:
+        """Whether the group's moments (max_step * f^2 values per node) are no
+        larger than its padded adjacency (nmax^2 values per node)."""
+        nmax, f = self.adj.shape[1], self.feats.shape[2]
+        return max_step * f * f <= nmax * nmax
+
 
 def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeGroup:
     """Assemble padded tensors for the given nodes of one graph."""
@@ -365,44 +373,122 @@ def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeG
     return NodeGroup(adj=adj, feats=feats, sizes=sizes, eta=eta)
 
 
-def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig,
-                           adj: np.ndarray, feats: np.ndarray):
-    """Kernel feature rows for a block of subgraphs against one expert."""
+def group_moments(adj: np.ndarray, feats: np.ndarray, max_step: int) -> np.ndarray:
+    """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step.
+
+    Shape (max_step, B, f, f). They hold no parameter, so one evaluation
+    serves every expert the group is routed to.
+    """
+    xt = feats.transpose(0, 2, 1)
+    out = np.empty((max_step,) + xt.shape[:2] + (feats.shape[2],))
+    y = feats
+    for q in range(max_step):
+        y = np.matmul(adj, y)
+        np.matmul(xt, y, out=out[q])
+    return out
+
+
+def _rectified_powers(expert: Expert, p_max: int) -> np.ndarray:
+    """R^0..R^p_max of the expert's rectified hidden adjacencies, (p+1, N, s, s)."""
+    r = expert.rectified()
+    pows = np.empty((p_max + 1,) + r.shape)
+    pows[0] = np.eye(expert.size)
+    for q in range(p_max):
+        np.matmul(pows[q], r, out=pows[q + 1])
+    return pows
+
+
+def _padded_forward(expert: Expert, r_pows: np.ndarray, adj: np.ndarray,
+                    feats: np.ndarray):
+    """vals[b, i, q-1] = sum(T * R_i^q T A_b^q) with T = Z_i X_b^T, padded."""
     n_hidden, s = expert.hidden_count, expert.size
     b = adj.shape[0]
-    p_max = kcfg.max_step
-    r = expert.rectified()
+    p_max = len(r_pows) - 1
     zf = expert.Z.reshape(n_hidden * s, -1)
     t = np.matmul(zf[None], feats.transpose(0, 2, 1))        # (B, N*s, n)
     v_list = [t]
     for _ in range(p_max):
         v_list.append(np.matmul(v_list[-1], adj))
-    r_pows = [np.broadcast_to(np.eye(s), (n_hidden, s, s)).copy()]
-    for _ in range(p_max):
-        r_pows.append(np.matmul(r_pows[-1], r))
     t4 = t.reshape(b, n_hidden, s, -1)
     vals = np.empty((b, n_hidden, p_max))
     for q in range(1, p_max + 1):
         v4 = v_list[q].reshape(b, n_hidden, s, -1)
         m = np.matmul(r_pows[q][None], v4)
         vals[:, :, q - 1] = (t4 * m).sum(axis=(2, 3))
+    return vals, (t4, v_list)
+
+
+def _padded_backward(r_pows: np.ndarray, feats: np.ndarray, dvals: np.ndarray, state):
+    """Gradients on Z and on each R^q of the padded evaluation."""
+    t4, v_list = state
+    b, n_hidden, s = t4.shape[:3]
+    p_max = len(r_pows) - 1
+    dt4 = np.zeros_like(t4)
+    d_rq = np.empty((p_max, n_hidden, s, s))
+    for q in range(1, p_max + 1):
+        v4 = v_list[q].reshape(b, n_hidden, s, -1)
+        m = np.matmul(r_pows[q][None], v4)
+        dt4 += 2.0 * dvals[:, :, q - 1, None, None] * m
+        c = np.matmul(t4, v4.transpose(0, 1, 3, 2))            # (B, N, s, s)
+        d_rq[q - 1] = (dvals[:, :, q - 1, None, None] * c).sum(axis=0)
+    return np.tensordot(dt4, feats, axes=([0, 3], [0, 1])), d_rq
+
+
+def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray):
+    """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step."""
+    p_max, b, f = moments.shape[:3]
+    z = expert.Z
+    rz = np.matmul(r_pows[1:], z)                               # (p, N, s, f)
+    gram = np.matmul(z.transpose(0, 2, 1), rz).reshape(p_max, -1, f * f)
+    vals = np.matmul(moments.reshape(p_max, b, f * f), gram.transpose(0, 2, 1))
+    return vals.transpose(1, 2, 0), rz
+
+
+def _moment_backward(expert: Expert, moments: np.ndarray, dvals: np.ndarray, rz):
+    """Gradients on Z and on each R^q of the moment evaluation.
+
+    With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z (Mbar_q + Mbar_q^T)
+    summed over q, and Z Mbar_q Z^T; the batch drops out of both.
+    """
+    p_max, b, f = moments.shape[:3]
+    z = expert.Z
+    mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, f * f))
+    mbar = mbar.reshape(p_max, -1, f, f)
+    dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
+    d_rq = np.matmul(np.matmul(z, mbar), z.transpose(0, 2, 1))
+    return dz, d_rq
+
+
+def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
+                           rows: np.ndarray, moments: np.ndarray | None):
+    """Kernel feature rows of the given group rows against one expert.
+
+    ``moments`` (from group_moments, or None) selects the evaluation order;
+    both give the same values up to rounding.
+    """
+    p_max = kcfg.max_step
+    r_pows = _rectified_powers(expert, p_max)
+    if moments is None:
+        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.feats[rows])
+    else:
+        vals, state = _moment_forward(expert, r_pows, moments[:, rows])
     lam = np.array(kcfg.lambdas[1:])
     if kcfg.step_mode == "concat-over-p":
-        phi = (vals * lam).reshape(b, n_hidden * p_max)
+        phi = (vals * lam).reshape(len(rows), -1)
     elif kcfg.step_mode == "sum-over-p":
         phi = (vals * lam).sum(axis=2)
     else:
         phi = kcfg.lambdas[p_max] * vals[:, :, p_max - 1]
-    cache = (t4, v_list, r_pows, r)
-    return phi, cache
+    return phi, (r_pows, state)
 
 
-def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, feats: np.ndarray,
+def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
+                            rows: np.ndarray, moments: np.ndarray | None,
                             dphi: np.ndarray, cache, grads: dict, key: str):
     n_hidden, s = expert.hidden_count, expert.size
     b = dphi.shape[0]
     p_max = kcfg.max_step
-    t4, v_list, r_pows, _ = cache
+    r_pows, state = cache
     lam = np.array(kcfg.lambdas[1:])
     dvals = np.zeros((b, n_hidden, p_max))
     if kcfg.step_mode == "concat-over-p":
@@ -411,17 +497,15 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, feats: np.ndarra
         dvals = dphi[:, :, None] * lam
     else:
         dvals[:, :, p_max - 1] = kcfg.lambdas[p_max] * dphi
-    dt4 = np.zeros_like(t4)
+    if moments is None:
+        dz, d_rq = _padded_backward(r_pows, group.feats[rows], dvals, state)
+    else:
+        dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state)
+    grads[f"{key}.Z"] += dz
     d_r = np.zeros((n_hidden, s, s))
     for q in range(1, p_max + 1):
-        v4 = v_list[q].reshape(b, n_hidden, s, -1)
-        m = np.matmul(r_pows[q][None], v4)
-        dt4 += 2.0 * dvals[:, :, q - 1, None, None] * m
-        c = np.matmul(v4, t4.transpose(0, 1, 3, 2))            # (B, N, s, s)
-        c_tilde = (dvals[:, :, q - 1, None, None] * c).sum(axis=0)
         for k in range(q):
-            d_r += np.matmul(r_pows[k], np.matmul(c_tilde, r_pows[q - 1 - k]))
-    grads[f"{key}.Z"] += np.einsum("bisn,bnf->isf", dt4, feats)
+            d_r += np.matmul(r_pows[k], np.matmul(d_rq[q - 1], r_pows[q - 1 - k]))
     w_sym = 0.5 * (expert.W + expert.W.transpose(0, 2, 1))
     mask = (w_sym > 0).astype(np.float64)
     idx = np.arange(s)
@@ -458,6 +542,7 @@ class GroupRun:
     zeta: np.ndarray         # (B, k) routing weights
     eps: np.ndarray | None
     sig: np.ndarray | None
+    moments: np.ndarray | None = None   # group_moments, when the group fits them
     expert_rows: dict = field(default_factory=dict)
     expert_caches: dict = field(default_factory=dict)
     concat_cache: tuple | None = None
@@ -481,7 +566,7 @@ class GroupRun:
                 dzeta[rows, pos] += (hm * block).sum(axis=1)
             expert = model.bank.experts[m]
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
-            _expert_kernel_backward(expert, model.kernel_cfg, group.feats[rows],
+            _expert_kernel_backward(expert, model.kernel_cfg, group, rows, self.moments,
                                     dphi, kcache, grads, f"expert{m}")
         gate_backward(group.eta, self.eps, self.sig, self.idx, self.zeta,
                       dzeta, model.gating, grads)
@@ -502,8 +587,12 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
+    p_max = model.kernel_cfg.max_step
+    moments = None
+    if group.fits_moments(p_max):
+        moments = group_moments(group.adj, group.feats, p_max)
     run = GroupRun(model=model, group=group, h=np.zeros((group.count, model.embed_dim)),
-                   idx=idx, zeta=zeta, eps=eps, sig=sig)
+                   idx=idx, zeta=zeta, eps=eps, sig=sig, moments=moments)
     d = model.embed_dim
     wide = None
     if model.cfg.combine_mode == "concat":
@@ -513,8 +602,8 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         if len(rows) == 0:
             continue
         expert = model.bank.experts[m]
-        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg,
-                                             group.adj[rows], group.feats[rows])
+        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, group, rows,
+                                             moments)
         hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
                                                  dropout=dropout, rng=rng)
         run.expert_rows[m] = (rows, pos)

@@ -111,8 +111,6 @@ class Mlp:
                     dh = dh * masks[i - 1]
                 dh = dh * (acts[i] > 0)
         dx = dh @ self.weights[0].T if last >= 0 else dh
-        if masks and masks[0] is not None and last == 0:
-            pass  # no hidden layer, nothing to undo
         return dx[0] if squeeze else dx
 
 

@@ -152,11 +152,11 @@ class AnonymousWalkPolicy:
             per_node.append(c)
             counts.update(c)
         selected = set(top_patterns(counts, self.pattern_budget)) if counts else set()
+        nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
         out = []
         for v in range(g.node_count):
             nodes = [v]
             seen = {v}
-            nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
 
             def visit(u, depth, first, pattern):
                 if depth == self.length:

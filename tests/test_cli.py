@@ -104,6 +104,36 @@ class TestTrain:
                     "--dataset", "GraphCycle", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "out")]) == 64
 
+    def test_cache_built_with_other_settings_is_usage_error(self, workspace, tmp_path,
+                                                            capsys):
+        ext = tmp_path / "ext"
+        assert run(["extract", "--data-dir", str(workspace / "data"),
+                    "--dataset", "GraphCycle", *BASE, "--out-dir", str(ext)]) == 0
+        cache = ext / "GraphCycle.cache"
+        capsys.readouterr()
+        code = run(self.train_args(workspace, tmp_path / "t",
+                                   ["--cache", str(cache), "--walk-length", "8"]))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert str(cache) in err and "walk_length=4 (run: 8)" in err
+        assert not (tmp_path / "t" / "checkpoint.npz").exists()
+
+    def test_cache_of_other_graphs_is_format_error(self, workspace, tmp_path, capsys):
+        # same name and settings, other graphs: 4 graphs, then 6 of other sizes
+        for count, seed in (("4", "3"), ("6", "4")):
+            data = tmp_path / f"data{count}"
+            assert run(["gen", "--dataset", "GraphCycle", "--count", count,
+                        "--seed", seed, "--out-dir", str(data)]) == 0
+            ext = tmp_path / f"ext{count}"
+            assert run(["extract", "--data-dir", str(data), "--dataset", "GraphCycle",
+                        *BASE, "--out-dir", str(ext)]) == 0
+            cache = ext / "GraphCycle.cache"
+            capsys.readouterr()
+            code = run(self.train_args(workspace, tmp_path / f"t{count}",
+                                       ["--cache", str(cache)]))
+            assert code == 2
+            assert str(cache) in capsys.readouterr().err
+
     def test_nan_checkpoint_resume_gives_numeric_failure(self, workspace, tmp_path):
         out = workspace / "t3"
         assert run(self.train_args(workspace, out)) == 0

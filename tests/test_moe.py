@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
-from mose.kernel import KernelConfig
+from mose.kernel import STEP_MODES, KernelConfig
 from mose.moe import (ExpertBank, GatingParams, ModelConfig, Route, build_group,
                       combine, forward, gate_aggregate, gate_scores,
-                      group_forward, new_model, node_embedding, readout, route)
+                      group_forward, group_moments, new_model, node_embedding,
+                      readout, route, _expert_kernel_backward,
+                      _expert_kernel_forward)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
@@ -17,10 +21,12 @@ def sub_of(g, nodes):
     return induced_subgraph(g, nodes)
 
 
-def tiny_model(f=4, classes=2, experts=3, k_ept=2, seed=0, **kw):
+def tiny_model(f=4, classes=2, experts=3, k_ept=2, seed=0, step_mode="concat-over-p",
+               **kw):
     mcfg = ModelConfig(feature_dim=f, class_count=classes, experts=experts,
                        hidden_per_expert=2, embed_dim=6, k_ept=k_ept, **kw)
-    return new_model(mcfg, KernelConfig(max_step=2), seed=seed)
+    kcfg = KernelConfig(max_step=2, lambdas=(1.0, 0.7, 0.4), step_mode=step_mode)
+    return new_model(mcfg, kcfg, seed=seed)
 
 
 class TestGateAggregate:
@@ -160,30 +166,67 @@ class TestForward:
         assert logits.shape == (3,)
         assert len(r.indices) == 2
 
+    # f = 2 puts the group on the moment side of the rule p*f^2 <= nmax^2,
+    # f = 6 on the padded side
     def test_engine_matches_reference(self):
-        model = tiny_model(experts=4, k_ept=2, seed=3)
-        rng = np.random.default_rng(5)
-        n = 6
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.5]
-        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 4)))
-        records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
-        group = build_group(g, records, range(n))
-        run = group_forward(model, group)
-        for v in range(n):
-            h_ref, r_ref = node_embedding(model, sub_of(g, records[v]))
-            assert np.allclose(run.h[v], h_ref, atol=1e-12)
-            assert tuple(run.idx[v]) == r_ref.indices
+        for step_mode, (f, moments) in itertools.product(STEP_MODES,
+                                                         [(2, True), (6, False)]):
+            model = tiny_model(f=f, experts=4, k_ept=2, seed=3, step_mode=step_mode)
+            rng = np.random.default_rng(5)
+            n = 6
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.5]
+            g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+            records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
+            group = build_group(g, records, range(n))
+            assert group.fits_moments(model.kernel_cfg.max_step) == moments
+            run = group_forward(model, group)
+            assert (run.moments is not None) == moments
+            for v in range(n):
+                h_ref, r_ref = node_embedding(model, sub_of(g, records[v]))
+                assert np.allclose(run.h[v], h_ref, atol=1e-12)
+                assert tuple(run.idx[v]) == r_ref.indices
 
     def test_concat_combine_engine_matches_reference(self):
-        model = tiny_model(experts=3, k_ept=2, seed=9, combine_mode="concat")
-        rng = np.random.default_rng(6)
-        g = cycle_graph(5).with_features(rng.normal(size=(5, 4)))
-        records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(5)]
-        run = group_forward(model, build_group(g, records, range(5)))
-        for v in range(5):
-            h_ref, _ = node_embedding(model, sub_of(g, records[v]))
-            assert np.allclose(run.h[v], h_ref, atol=1e-12)
+        for step_mode, (f, moments) in itertools.product(STEP_MODES,
+                                                         [(2, True), (4, False)]):
+            model = tiny_model(f=f, experts=3, k_ept=2, seed=9, combine_mode="concat",
+                               step_mode=step_mode)
+            rng = np.random.default_rng(6)
+            g = cycle_graph(5).with_features(rng.normal(size=(5, f)))
+            records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(5)]
+            group = build_group(g, records, range(5))
+            assert group.fits_moments(model.kernel_cfg.max_step) == moments
+            run = group_forward(model, group)
+            for v in range(5):
+                h_ref, _ = node_embedding(model, sub_of(g, records[v]))
+                assert np.allclose(run.h[v], h_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("step_mode", STEP_MODES)
+    def test_kernel_paths_agree(self, step_mode):
+        rng = np.random.default_rng(11)
+        n, f = 9, 3
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
+        group = build_group(g, records, range(n))
+        model = tiny_model(f=f, experts=3, seed=4, step_mode=step_mode)
+        kcfg = model.kernel_cfg
+        expert = model.bank.experts[2]
+        rows = np.array([0, 2, 3, 5, 8])
+        moments = group_moments(group.adj, group.feats, kcfg.max_step)
+        out = {}
+        for name, m in (("padded", None), ("moments", moments)):
+            phi, cache = _expert_kernel_forward(expert, kcfg, group, rows, m)
+            grads = {"e.W": np.zeros_like(expert.W), "e.Z": np.zeros_like(expert.Z)}
+            dphi = np.random.default_rng(12).normal(size=phi.shape)
+            _expert_kernel_backward(expert, kcfg, group, rows, m, dphi, cache,
+                                    grads, "e")
+            out[name] = (phi, grads["e.W"], grads["e.Z"])
+        for a, b in zip(out["padded"], out["moments"]):
+            assert np.any(a != 0)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_unselected_expert_gets_zero_gradient(self):
         rng = np.random.default_rng(2)

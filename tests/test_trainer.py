@@ -4,7 +4,7 @@ import pytest
 from mose.datasets import Dataset
 from mose.graph import Graph, degree_features
 from mose.kernel import KernelConfig
-from mose.moe import ModelConfig, Route, new_model
+from mose.moe import ModelConfig, Route, build_group, new_model
 from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig,
                           accuracy_score, cross_validate, evaluate, grad_check,
                           importance_loss, load_checkpoint, macro_f1_score,
@@ -223,12 +223,23 @@ class TestNodeTask:
 
 class TestGradCheck:
     def test_small_model_passes(self):
-        data = toy_dataset(2)
-        cache = toy_cache(data)
-        model = toy_model(data, max_step=2)
-        err = grad_check(model, data, cache, [0, 1, 2],
-                         TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
-        assert err < 1e-4
+        # degree one-hot features (f = 4) keep every group on the padded
+        # kernel path; 2-wide features put every group on the moment path
+        rng = np.random.default_rng(8)
+        for width, moments in ((None, False), (2, True)):
+            data = toy_dataset(2)
+            if width is not None:
+                graphs = [g.with_features(rng.normal(size=(g.node_count, width)))
+                          for g in data.graphs]
+                data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
+            cache = toy_cache(data)
+            model = toy_model(data, max_step=2)
+            for g, recs in zip(data.graphs[:3], cache.records):
+                group = build_group(g, recs, range(g.node_count))
+                assert group.fits_moments(2) == moments
+            err = grad_check(model, data, cache, [0, 1, 2],
+                             TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+            assert err < 1e-4
 
     def test_eval_mode_noise_matrix_has_no_gradient(self):
         from mose.trainer import frozen_loss
