@@ -68,7 +68,7 @@ DEFAULTS = {
     "adam_eps": 1e-8,
     "folds": 10,
     "fold_index": 0,
-    "threads": os.cpu_count() or 1,
+    "threads": 1,
     "lambda_decay": 1.0,
 }
 
@@ -185,12 +185,15 @@ def _model_config(cfg, data: Dataset) -> ModelConfig:
                        task=data.task)
 
 
+def _differences(built: dict, wanted: dict) -> list[str]:
+    return [f"{k}={built[k]} (run: {wanted[k]})" for k in wanted if built[k] != wanted[k]]
+
+
 def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfig):
     """Refuse a cache built with other settings (usage error) or for graphs
     other than the loaded dataset's (format error)."""
-    built = {"dataset": cache.dataset_name} | asdict(cache.cfg)
-    wanted = {"dataset": data.name} | asdict(wcfg)
-    diff = [f"{k}={built[k]} (run: {wanted[k]})" for k in wanted if built[k] != wanted[k]]
+    diff = _differences({"dataset": cache.dataset_name} | asdict(cache.cfg),
+                        {"dataset": data.name} | asdict(wcfg))
     if diff:
         raise UsageError(f"{path}: cache was built with other settings: "
                          + ", ".join(diff) + "; rerun mose extract")
@@ -201,6 +204,15 @@ def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfi
         if len(recs) != g.node_count:
             raise FormatError(f"{path}: graph {gi} has {len(recs)} cached nodes, "
                               f"dataset {data.name} has {g.node_count}")
+
+
+def _check_checkpoint(model, path: str, mcfg: ModelConfig, kcfg: KernelConfig):
+    """Refuse to resume a checkpoint whose model or kernel differs from the run's."""
+    diff = _differences(asdict(model.cfg) | asdict(model.kernel_cfg),
+                        asdict(mcfg) | asdict(kcfg))
+    if diff:
+        raise UsageError(f"{path}: checkpoint was trained with other settings: "
+                         + ", ".join(diff) + "; use another --out-dir to start afresh")
 
 
 # -- commands -----------------------------------------------------------------
@@ -226,8 +238,11 @@ def cmd_extract(args) -> int:
     wcfg = _walk_config(cfg)
     cache_path = args.cache_out or os.path.join(args.out_dir, f"{args.dataset}.cache")
     if os.path.exists(cache_path):
-        cache = load_cache(cache_path)
-        if cache.cfg == wcfg and cache.dataset_name == args.dataset:
+        try:
+            _check_cache(load_cache(cache_path), cache_path, data, wcfg)
+        except (UsageError, FormatError) as problem:
+            print(f"recomputing: {problem}")
+        else:
             print(f"cache {cache_path} is up to date; skipping recompute")
             write_manifest(args.out_dir, "extract", cfg, cfg["seed"],
                            dataset_hash(data))
@@ -269,6 +284,7 @@ def cmd_train(args) -> int:
     start_state = None
     if os.path.exists(ckpt_path):
         model, start_state, _ = load_checkpoint(ckpt_path)
+        _check_checkpoint(model, ckpt_path, mcfg, kcfg)
         print(f"resuming from {ckpt_path} at epoch {start_state['epoch_next']}")
     else:
         model = new_model(mcfg, kcfg, seed=cfg["seed"])

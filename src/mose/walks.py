@@ -96,20 +96,36 @@ def extract_subgraph(g: Graph, v: int, walks: list[tuple[int, ...]],
     it are dropped. Falls back to the singleton subgraph when no walk
     matches.
     """
+    if any(walk[0] != v for walk in walks):
+        raise ValueError("all walks must start at the center")
     pattern_set = set(patterns)
-    ordered = [v]
-    seen = {v}
-    for walk in walks:
-        if walk[0] != v:
-            raise ValueError("all walks must start at the center")
-        if to_anonymous(walk) in pattern_set:
-            for node in walk:
-                if node not in seen:
-                    seen.add(node)
-                    ordered.append(node)
+    visits = np.array([node for walk in walks if to_anonymous(walk) in pattern_set
+                       for node in walk], dtype=np.int64)
+    center = np.array([v], dtype=np.int64)
+    nodes = _first_visits(g.node_count, center, np.full(len(visits), v), visits, cap)
+    return induced_subgraph(g, nodes[0])
+
+
+def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
+                  visit_node: np.ndarray, cap: int | None) -> list[list[int]]:
+    """Each center's record: itself, then the nodes it visits, first visits only.
+
+    ``centers`` is ascending; visits are listed in order within each center.
+    A record keeps at most ``cap`` nodes, the earliest visited.
+    """
+    c = np.concatenate([centers, visit_center])
+    x = np.concatenate([centers, visit_node])
+    order = np.argsort(c, kind="stable")       # (center, visit order), center itself first
+    c, x = c[order], x[order]
+    _, first = np.unique(c * n + x, return_index=True)
+    first.sort()
+    c, x = c[first], x[first]
+    starts = np.searchsorted(c, centers, side="left")
+    ends = np.searchsorted(c, centers, side="right")
     if cap is not None:
-        ordered = ordered[:cap]
-    return induced_subgraph(g, ordered)
+        ends = np.minimum(ends, starts + cap)
+    flat = x.tolist()
+    return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def enumerate_anonymous_walks(g: Graph, v: int, length: int,
@@ -186,32 +202,107 @@ class SubgraphCache:
         return induced_subgraph(g, self.records[graph_idx][v])
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _uint32_stream(words: np.ndarray) -> np.ndarray:
+    """Rows of raw PCG64 words as the uint32 values ``next_uint32`` yields:
+    each word's low half, then its high half."""
+    halves = np.stack([words & _LOW32, words >> np.uint64(32)], axis=-1)
+    return halves.reshape(len(words), -1)
+
+
+def _replay_bounded(stream: np.ndarray, ptr: np.ndarray, high: np.ndarray):
+    """Replay ``Generator.integers(0, high)`` for each row of ``high`` (r, c).
+
+    numpy draws each value below a bound d < 2^32 by Lemire's method from
+    the uint32 stream: d = 1 consumes nothing; otherwise one value u gives
+    (u·d) >> 32, unless the low 32 bits of u·d fall below (2^32 - d) mod d,
+    where numpy rejects u and draws again. ``ptr`` (r,) is each row's next
+    unread index into ``stream`` (r, k). Returns the draws, the advanced
+    pointers, and which rows hit a rejection (their draws are then wrong
+    from that value on).
+    """
+    used = high > 1
+    idx = ptr[:, None] + np.cumsum(used, axis=1) - used
+    # a d = 1 position may point one past the end; its value is never used
+    u = np.take_along_axis(stream, np.minimum(idx, stream.shape[1] - 1), axis=1)
+    d = high.astype(np.uint64)
+    m = u * d
+    threshold = (np.uint64(2**32) - d) % d
+    rejected = np.any(used & ((m & _LOW32) < threshold), axis=1)
+    return (m >> np.uint64(32)).astype(np.int64), ptr + used.sum(axis=1), rejected
+
+
+def _walks_from_words(g: Graph, graph_idx: int, cfg: WalkConfig, nodes: np.ndarray,
+                      words: np.ndarray) -> np.ndarray:
+    """The (len(nodes), w, L + 1) walks that ``sample_walks`` draws for each
+    node from ``substream(cfg.seed, graph_idx, node)``, replayed from the
+    rows of raw words that stream starts with. A node whose draws hit a
+    rejection is resampled with ``sample_walks`` itself."""
+    stream = _uint32_stream(words)
+    walks = np.empty((len(nodes), cfg.walks_per_node, cfg.walk_length + 1), dtype=np.int64)
+    walks[:, :, 0] = nodes[:, None]
+    ptr = np.zeros(len(nodes), dtype=np.int64)
+    rejected = np.zeros(len(nodes), dtype=bool)
+    deg = g.degrees
+    for step in range(1, cfg.walk_length + 1):
+        pos = walks[:, :, step - 1]
+        pick, ptr, hit = _replay_bounded(stream, ptr, deg[pos])
+        rejected |= hit
+        walks[:, :, step] = g.neighbors[g.offsets[pos] + pick]
+    for i in np.nonzero(rejected)[0]:
+        v = int(nodes[i])
+        walks[i] = sample_walks(g, v, cfg, substream(cfg.seed, graph_idx, v))
+    return walks
+
+
+def _anonymize(walks: np.ndarray) -> np.ndarray:
+    """``to_anonymous`` of every row of a (m, L + 1) walk array."""
+    first = (walks[:, :, None] == walks[:, None, :]).argmax(axis=2)
+    fresh = first == np.arange(walks.shape[1])
+    rank = np.cumsum(fresh, axis=1) - 1
+    return np.take_along_axis(rank, first, axis=1)
+
+
+def _count_patterns(patterns: np.ndarray):
+    """``np.unique(patterns, axis=0)`` with the inverse and the counts.
+
+    Each row is packed into one big-endian byte string first: their byte
+    order is the rows' lexicographic order, and they sort ~15x faster than
+    the per-column records ``axis=0`` compares. Any walk length fits.
+    """
+    width = patterns.shape[1]
+    packed = np.ascontiguousarray(patterns, dtype=">u4").view(f"V{4 * width}").ravel()
+    keys, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
+    return keys.view(">u4").reshape(-1, width).astype(np.int64), inverse.ravel(), counts
+
+
 def _extract_one_graph(g: Graph, graph_idx: int, cfg: WalkConfig):
-    walks_by_node = []
-    counts: Counter = Counter()
-    for v in range(g.node_count):
-        rng = substream(cfg.seed, graph_idx, v)
-        walks = sample_walks(g, v, cfg, rng)
-        walks_by_node.append(walks)
-        for w in walks:
-            counts[to_anonymous(w)] += 1
-    if counts:
-        selected = top_patterns(counts, cfg.pattern_budget)
-    else:
-        selected = []
-    records = []
-    for v in range(g.node_count):
-        sub_nodes = [v]
-        seen = {v}
-        pattern_set = set(selected)
-        for walk in walks_by_node[v]:
-            if to_anonymous(walk) in pattern_set:
-                for node in walk:
-                    if node not in seen:
-                        seen.add(node)
-                        sub_nodes.append(node)
-        records.append(sub_nodes[:cfg.subgraph_cap])
-    table = [(pat, counts[pat]) for pat in selected]
+    """Records and the selected pattern table of one graph, all nodes at once.
+
+    Equal, byte for byte once saved, to running ``sample_walks`` per node,
+    counting ``to_anonymous`` patterns, taking ``top_patterns`` and
+    ``extract_subgraph``'s record rule.
+    """
+    length = cfg.walk_length
+    centers = np.arange(g.node_count)
+    nodes = centers[g.degrees > 0]
+    hits = np.zeros((0, length + 1), dtype=np.int64)
+    table = []
+    if len(nodes):
+        count = -(-length * cfg.walks_per_node // 2)
+        words = np.stack([substream(cfg.seed, graph_idx, v).bit_generator.random_raw(count)
+                          for v in nodes.tolist()])
+        walks = _walks_from_words(g, graph_idx, cfg, nodes, words).reshape(-1, length + 1)
+        pats, inverse, counts = _count_patterns(_anonymize(walks))
+        # patterns come in lexicographic order, so a stable sort by count
+        # breaks ties as top_patterns does
+        top = np.argsort(-counts, kind="stable")[:cfg.pattern_budget]
+        hits = walks[np.isin(inverse, top)]
+        table = [(tuple(pats[i].tolist()), int(counts[i])) for i in top]
+    records = _first_visits(g.node_count, centers, np.repeat(hits[:, 0], length + 1),
+                            hits.ravel(), cfg.subgraph_cap)
     return records, table
 
 

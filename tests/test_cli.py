@@ -54,6 +54,22 @@ class TestExtract:
         assert run(args) == 0
         assert "up to date" in capsys.readouterr().out
 
+    def test_cache_of_regenerated_dataset_is_recomputed(self, tmp_path, capsys):
+        # same name and settings, but the set was regenerated with another seed
+        data, fresh = tmp_path / "data", tmp_path / "fresh"
+        args = ["extract", "--data-dir", str(data), "--dataset", "GraphCycle", *BASE]
+        printed = []
+        for seed, out in (("3", tmp_path / "ext"), ("4", tmp_path / "ext"), ("4", fresh)):
+            assert run(["gen", "--dataset", "GraphCycle", "--count", "6", "--seed", seed,
+                        "--out-dir", str(data)]) == 0
+            capsys.readouterr()
+            assert run([*args, "--out-dir", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "up to date" not in printed[1] and "recomputing" in printed[1]
+        # the second extract into ext recomputed: its cache is a fresh one
+        assert (tmp_path / "ext" / "GraphCycle.cache").read_bytes() == \
+            (fresh / "GraphCycle.cache").read_bytes()
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         assert run(["extract", "--data-dir", str(tmp_path), "--dataset", "Gone",
                     "--out-dir", str(tmp_path)]) == 2
@@ -133,6 +149,23 @@ class TestTrain:
                                        ["--cache", str(cache)]))
             assert code == 2
             assert str(cache) in capsys.readouterr().err
+
+    def test_checkpoint_with_other_settings_is_usage_error(self, workspace, tmp_path,
+                                                           capsys):
+        out = tmp_path / "t"
+        assert run(self.train_args(workspace, out)) == 0
+        ckpt = out / "checkpoint.npz"
+        before = ckpt.read_bytes()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=2\n")
+        capsys.readouterr()
+        code = run(self.train_args(workspace, out, ["--epochs", "4", "--experts", "4",
+                                                    "--config", str(cfg)]))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        assert "experts=3 (run: 4)" in err and "max_step=3 (run: 2)" in err
+        assert ckpt.read_bytes() == before
 
     def test_nan_checkpoint_resume_gives_numeric_failure(self, workspace, tmp_path):
         out = workspace / "t3"

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from mose.util import BudgetError, substream
-from mose.walks import (WalkConfig, enumerate_anonymous_walks, extract_dataset,
-                        extract_subgraph, load_cache, sample_walks, save_cache,
-                        to_anonymous, top_patterns,
+from mose.walks import (WalkConfig, _count_patterns, _replay_bounded,
+                        _uint32_stream, _walks_from_words, enumerate_anonymous_walks,
+                        extract_dataset, extract_subgraph, load_cache, sample_walks,
+                        save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
 
 
@@ -234,3 +237,168 @@ class TestDatasetExtraction:
         path.write_text("not a cache\n")
         with pytest.raises(ValueError):
             load_cache(str(path))
+
+
+def _node_task_graph() -> Graph:
+    """One labelled 240-node community graph, as a node-level task uses."""
+    rng = np.random.default_rng(2024)
+    labels = np.sort(np.arange(240) % 4)
+    edges = []
+    for c in range(4):
+        ids = np.nonzero(labels == c)[0]
+        for i in range(1, len(ids)):
+            for j in rng.integers(0, i, size=min(i, 2)):
+                edges.append((int(ids[i]), int(ids[j])))
+    for u in np.nonzero(rng.random(240) < 0.1)[0]:
+        edges.append((int(u), int(rng.integers(0, 240))))
+    return Graph.from_edges(240, edges, node_labels=labels)
+
+
+def _edge_case_graphs() -> list[Graph]:
+    """Isolated nodes, degree-1 leaves, a 300-leaf star hub, empty graphs."""
+    rng = np.random.default_rng(11)
+    sparse = [(i, j) for i in range(40) for j in range(i + 1, 40) if rng.random() < 0.04]
+    return [Graph.from_edges(6, [(1, 2), (2, 3)]),
+            star_graph(300),
+            path_graph(7),
+            Graph.from_edges(40, sparse),
+            Graph.from_edges(1, []),
+            Graph.from_edges(0, []),
+            disjoint_union(cycle_graph(3), star_graph(4))]
+
+
+GOLDEN_CONFIGS = {
+    "default": WalkConfig(),
+    # 17-position patterns: a base-17 integer code of them overflows int64
+    "long": WalkConfig(walk_length=16, walks_per_node=7, pattern_budget=2,
+                       subgraph_cap=5, seed=1),
+}
+
+# sha256 of save_cache output, computed with the per-node scalar extraction
+# (sample_walks, to_anonymous, top_patterns, extract_subgraph's record rule)
+GOLDEN_SHA256 = {
+    ("edge-cases", "default"): "35ae2b6888837228c844e2829a1446d77530e6e393188aa328bad0efe42aad10",
+    ("edge-cases", "long"): "e3bbefb49e76d38376170ef6a5e1e583959abcda2697d16ecfe4fa21e7a802ee",
+    ("graph-cycle", "default"): "664459d79f06ce193c9ef8dc5e4a91b957fa20d52a05d6105f16ae03e46d02fb",
+    ("graph-cycle", "long"): "6689e531b63e2b5bbc857aac61811ba39966a6c1988a39f0ff44ca5bf56372f3",
+    ("graph-five", "default"): "c79cb1b741ec10d7e7bd046b45ecdc3e5fa6eb1d75406f54a9b7cca314a6a948",
+    ("graph-five", "long"): "3923d4fc66ebd4835690a50538fc722df91e1c644a1073ab20ecfeb6325d0374",
+    ("node-task", "default"): "238a37c0aed4ee73a31faae1d27a297a9a2adfaf2ceaf57e468a4062db627bf7",
+    ("node-task", "long"): "d53ff3162ef27cab1118ed93815fc69a3d89fba938a9ef5b926925aec49d5535",
+}
+
+
+class TestGoldenCache:
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {"graph-cycle": gen_graph_cycle(4, 3).graphs,
+                "graph-five": gen_graph_five(5, 1).graphs,
+                "node-task": [_node_task_graph()],
+                "edge-cases": _edge_case_graphs()}
+
+    @pytest.mark.parametrize("data_name,cfg_name", sorted(GOLDEN_SHA256))
+    def test_cache_bytes_match_scalar_reference(self, datasets, tmp_path,
+                                                data_name, cfg_name):
+        cache = extract_dataset(datasets[data_name], data_name,
+                                GOLDEN_CONFIGS[cfg_name])
+        path = tmp_path / "golden.cache"
+        save_cache(str(path), cache)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[(data_name, cfg_name)]
+
+
+def _scalar_extraction(g: Graph, graph_idx: int, c: WalkConfig):
+    """The definition the batched path must reproduce, one node at a time."""
+    walks = [sample_walks(g, v, c, substream(c.seed, graph_idx, v))
+             for v in range(g.node_count)]
+    counts = Counter(to_anonymous(w) for ws in walks for w in ws)
+    selected = top_patterns(counts, c.pattern_budget) if counts else []
+    records = [extract_subgraph(g, v, walks[v], selected, c.subgraph_cap)
+               .parent_ids.tolist() for v in range(g.node_count)]
+    return records, [(pat, counts[pat]) for pat in selected]
+
+
+class TestBatchedExtraction:
+    def test_replayed_draws_match_generator_integers(self):
+        # several calls per row, odd lengths so calls share a raw word,
+        # degree 1 (no value consumed) and degrees above 2**16
+        degrees = np.array([1, 2, 3, 5, 300, 2**16 + 3, 2**20 + 7, 2**31 - 1])
+        for seed in range(30):
+            meta = np.random.default_rng(seed)
+            rows = 3
+            calls = [degrees[meta.integers(0, len(degrees), size=(rows, meta.integers(1, 8)))]
+                     for _ in range(6)]
+            total = sum(c.shape[1] for c in calls)
+            gens = [substream(seed, r) for r in range(rows)]
+            words = np.stack([substream(seed, r).bit_generator.random_raw(-(-total // 2))
+                              for r in range(rows)])
+            stream, ptr = _uint32_stream(words), np.zeros(rows, dtype=np.int64)
+            for high in calls:
+                got, ptr, rejected = _replay_bounded(stream, ptr, high)
+                assert not rejected.any()
+                want = np.stack([gen.integers(0, h) for gen, h in zip(gens, high)])
+                np.testing.assert_array_equal(got, want)
+            assert ptr.tolist() == [sum(int((c[r] > 1).sum()) for c in calls)
+                                    for r in range(rows)]
+
+    def test_rejection_flag_matches_numpy_redraw(self):
+        # d = 2**31 + 1 rejects about half of all values: numpy's draw is the
+        # replay of the first value the replay does not flag
+        d = np.array([[2**31 + 1]])
+        rejections = 0
+        for seed in range(64):
+            stream = _uint32_stream(substream(seed, 9).bit_generator.random_raw(8)[None])
+            for i in range(stream.shape[1]):
+                got, _, rejected = _replay_bounded(stream[:, i:i + 1],
+                                                   np.zeros(1, dtype=np.int64), d)
+                if not rejected[0]:
+                    break
+                rejections += 1
+            assert got[0, 0] == substream(seed, 9).integers(0, d[0, 0])
+        assert rejections > 10
+
+    def test_rejected_node_falls_back_to_sample_walks(self):
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        c = cfg(walk_length=4, walks_per_node=3, seed=5)
+        nodes = np.arange(5)
+        words = np.stack([substream(5, 7, v).bit_generator.random_raw(6) for v in range(5)])
+        # node 0 has degree 3: its first value u = 0 gives u*3 mod 2**32 = 0,
+        # below the threshold (2**32 - 3) mod 3 = 1, so numpy would redraw
+        words[0, 0] &= ~np.uint64(0xFFFFFFFF)
+        _, _, rejected = _replay_bounded(_uint32_stream(words[:1]), np.zeros(1, dtype=np.int64),
+                                         np.full((1, 3), 3))
+        assert rejected[0]
+        walks = _walks_from_words(g, 7, c, nodes, words)
+        for v in range(5):
+            assert [tuple(w) for w in walks[v].tolist()] == \
+                sample_walks(g, v, c, substream(5, 7, v))
+
+    def test_pattern_counts_are_unique_rows(self):
+        rng = np.random.default_rng(3)
+        for width in (1, 2, 9, 17, 300):
+            rows = rng.integers(0, 3, size=(200, width)) * rng.integers(0, 2, size=(1, width))
+            pats, inverse, counts = _count_patterns(rows)
+            ref, ref_inv, ref_counts = np.unique(rows, axis=0, return_inverse=True,
+                                                 return_counts=True)
+            np.testing.assert_array_equal(pats, ref)
+            np.testing.assert_array_equal(inverse, ref_inv.ravel())
+            np.testing.assert_array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("c", [cfg(walk_length=1, walks_per_node=1, pattern_budget=1),
+                                   cfg(walk_length=2, walks_per_node=3, pattern_budget=2,
+                                       subgraph_cap=2, seed=3),
+                                   cfg(walk_length=3, walks_per_node=7, pattern_budget=2,
+                                       subgraph_cap=5, seed=1),
+                                   cfg(walk_length=16, walks_per_node=4, pattern_budget=9,
+                                       seed=8)])
+    def test_matches_scalar_definition(self, c):
+        rng = np.random.default_rng(c.seed)
+        graphs = [star_graph(6), Graph.from_edges(3, [])]
+        for n in (5, 12, 30):
+            graphs.append(Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                               if rng.random() < 3 / n]))
+        cache = extract_dataset(graphs, "t", c)
+        for gi, g in enumerate(graphs):
+            records, table = _scalar_extraction(g, gi, c)
+            assert cache.records[gi] == records
+            assert cache.pattern_tables[gi] == table
