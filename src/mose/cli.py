@@ -3,7 +3,7 @@
 Configuration precedence is defaults < config file < flags; the config
 file is plain ``key=value`` lines (hyphens and underscores both accepted),
 and unknown keys are rejected. Exit codes: 0 ok, 1 verification failure,
-2 runtime/numeric failure, 64 usage error.
+2 runtime/numeric failure (any unexpected exception included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -409,6 +409,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (BudgetError, FormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as e:
+        # exit 1 means a verification failed, so a fault never exits with it
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

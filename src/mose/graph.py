@@ -65,16 +65,19 @@ class Graph:
         if len(self.neighbors):
             if self.neighbors.min() < 0 or self.neighbors.max() >= n:
                 raise ValueError("neighbor id out of range")
-        for v in range(n):
-            nbrs = self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-            if np.any(nbrs == v):
-                raise ValueError(f"self-loop at node {v}")
-            if np.any(np.diff(nbrs) <= 0):
-                raise ValueError(f"neighbor list of node {v} not strictly sorted")
-        # symmetry: (u, v) present iff (v, u) present
         src = np.repeat(np.arange(n), np.diff(self.offsets))
-        fwd = {(int(u), int(v)) for u, v in zip(src, self.neighbors)}
-        if any((v, u) not in fwd for u, v in fwd):
+        nbrs = self.neighbors
+        # the lowest node with a defect is reported, a self-loop before its order
+        loops = src[nbrs == src]
+        unsorted = src[1:][(src[1:] == src[:-1]) & (np.diff(nbrs) <= 0)]
+        if len(loops) or len(unsorted):
+            v = int(min(loops.min(initial=n), unsorted.min(initial=n)))
+            if v in loops:
+                raise ValueError(f"self-loop at node {v}")
+            raise ValueError(f"neighbor list of node {v} not strictly sorted")
+        # symmetry: with rows strictly sorted the (u, v) keys are sorted and
+        # distinct, so the (v, u) keys must sort to the same array
+        if not np.array_equal(np.sort(nbrs * n + src), src * n + nbrs):
             raise ValueError("adjacency is not symmetric")
 
     # -- accessors -----------------------------------------------------
@@ -105,8 +108,7 @@ class Graph:
 
     def adjacency_dense(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.node_count, self.node_count), dtype=dtype)
-        for u in range(self.node_count):
-            a[u, self.neighbors_of(u)] = 1
+        a[np.repeat(np.arange(self.node_count), self.degrees), self.neighbors] = 1
         return a
 
     def with_features(self, features: np.ndarray) -> "Graph":

@@ -13,14 +13,13 @@ from .graph import (Graph, cycle_graph, degree_features, disjoint_union,
                     induced_subgraph, relabel)
 from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_discrete,
                      rwk_hidden, rwk_hidden_grad, _oracle_counts)
-from .moe import ModelConfig, new_model
+from .moe import GATE_ACTIVATIONS, ModelConfig, build_group, new_model
 from .trainer import TrainConfig, grad_check
 from .util import BudgetError, substream
 from .walks import (WalkConfig, enumerate_anonymous_walks, extract_dataset,
                     sample_walks, to_anonymous, walk_distributions_distinguish)
-from .wl import (EgoPolicy, are_isomorphic, canonical_form, embed_graph,
-                 graph_corpus, same_size_pairs, swl_refine_many,
-                 wl1_refine_many)
+from .wl import (EgoPolicy, canonical_form, embed_group, graph_corpus,
+                 same_size_pairs, swl_refine_many, wl1_refine_many)
 
 
 @dataclass
@@ -364,34 +363,33 @@ def wl_suite(seed: int = 0, inits: int = 100, required: int = 99,
             wl_set <= swl_set,
             f"{len(wl_set)} vs {len(swl_set)} of {len(pairs)} pairs")
 
-    c6 = cycle_graph(6)
-    c3c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
-    wit = None
-    for i, j in pairs:
-        gi, gj = corpus[i], corpus[j]
-        if ((are_isomorphic(gi, c6) and are_isomorphic(gj, c3c3)) or
-                (are_isomorphic(gi, c3c3) and are_isomorphic(gj, c6))):
-            wit = (i, j)
-            break
+    # the corpus holds one graph per isomorphism class, so a canonical form
+    # names at most one index; only graphs of a target's size are canonicalized
+    targets = (cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)))
+    sizes = {(t.node_count, t.edge_count) for t in targets}
+    index = {canonical_form(g): i for i, g in enumerate(corpus)
+             if (g.node_count, g.edge_count) in sizes}
+    found = [index.get(canonical_form(t)) for t in targets]
+    wit = tuple(sorted(found)) if None not in found else None
     strict = wit is not None and wit in swl_set and wit not in wl_set
     rep.add("6-cycle vs two-triangles separated only by subgraph hashing", strict)
 
+    # the groups hold no model parameter: build them once for all inits
     cap = max(int(g.degrees.max()) if g.node_count else 0 for g in corpus)
-    node_sets = [policy.node_sets(g) for g in corpus]
+    mcfg = ModelConfig(feature_dim=cap + 1, class_count=2, experts=3,
+                       hidden_per_expert=4, embed_dim=16, k_ept=2)
+    act = GATE_ACTIVATIONS[mcfg.gate_activation]
+    groups = [build_group(g.with_features(degree_features(g, cap)),
+                          policy.node_sets(g), range(g.node_count), act=act)
+              for g in corpus]
     kcfg = KernelConfig(max_step=3)
-    target_pairs = sorted(swl_set)
-    successes = np.zeros(len(target_pairs), dtype=np.int64)
+    first, second = np.array(sorted(swl_set), dtype=np.int64).reshape(-1, 2).T
+    successes = np.zeros(len(first), dtype=np.int64)
     for trial in range(inits):
-        mcfg = ModelConfig(feature_dim=cap + 1, class_count=2, experts=3,
-                           hidden_per_expert=4, embed_dim=16, k_ept=2)
         model = new_model(mcfg, kcfg, seed=int(
             np.random.SeedSequence(seed, spawn_key=(7, trial)).generate_state(1)[0]))
-        embeds = np.stack([
-            embed_graph(model, g.with_features(degree_features(g, cap)), ns)
-            for g, ns in zip(corpus, node_sets)])
-        for t, (i, j) in enumerate(target_pairs):
-            if np.abs(embeds[i] - embeds[j]).max() > 1e-8:
-                successes[t] += 1
+        embeds = np.stack([embed_group(model, group) for group in groups])
+        successes += np.abs(embeds[first] - embeds[second]).max(axis=1) > 1e-8
     worst = successes.min() if len(successes) else inits
     rep.add(f"random-init embeddings separate subgraph-hash-separated pairs "
             f"(>= {required}/{inits} inits each)", worst >= required,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, NodeSubgraph, induced_subgraph
-from .util import BudgetError, substream
+from .util import BudgetError, FormatError, substream
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,8 @@ def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
 # -- whole-dataset extraction and the on-disk cache ----------------------
 
 CACHE_MAGIC = "mose-subgraphs v1"
+_HEADER_KEYS = ("dataset", "seed", "walk_length", "walks_per_node", "pattern_budget",
+                "cap")
 
 
 @dataclass
@@ -344,11 +346,18 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
 
 
 def load_cache(path: str) -> SubgraphCache:
+    """Read a cache written by save_cache; a malformed file raises
+    FormatError naming ``path:line``."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a subgraph cache file")
-    header = dict(kv.split("=", 1) for kv in lines[1].split())
+        raise FormatError(f"{path}:1: not a subgraph cache file")
+    if len(lines) < 2:
+        raise FormatError(f"{path}:2: missing header line")
+    header = dict(kv.split("=", 1) for kv in lines[1].split() if "=" in kv)
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise FormatError(f"{path}:2: header lacks {', '.join(missing)}")
     cfg = WalkConfig(walk_length=int(header["walk_length"]),
                      walks_per_node=int(header["walks_per_node"]),
                      pattern_budget=int(header["pattern_budget"]),
@@ -356,16 +365,18 @@ def load_cache(path: str) -> SubgraphCache:
                      seed=int(header["seed"]))
     records: list[list[list[int]]] = []
     tables: list[list[tuple[tuple[int, ...], int]]] = []
-    for line in lines[2:]:
+    for ln, line in enumerate(lines[2:], start=3):
         if line.startswith("g "):
             records.append([])
             tables.append([])
+        elif line.startswith(("p ", "v ")) and not records:
+            raise FormatError(f"{path}:{ln}: {line[0]!r} line before the first graph line")
         elif line.startswith("p "):
             _, pat, cnt = line.split(" ")
             tables[-1].append((tuple(int(x) for x in pat.split(",")), int(cnt)))
         elif line.startswith("v "):
             records[-1].append([int(x) for x in line[2:].split()])
         elif line:
-            raise ValueError(f"{path}: unrecognized cache line {line!r}")
+            raise FormatError(f"{path}:{ln}: unrecognized cache line {line!r}")
     return SubgraphCache(dataset_name=header["dataset"], cfg=cfg,
                          records=records, pattern_tables=tables)

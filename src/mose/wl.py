@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degree_features
-from .moe import MoseModel, build_group, group_forward
+from .moe import MoseModel, NodeGroup, build_group, group_forward
 from .util import BudgetError
 from .walks import enumerate_anonymous_walks, top_patterns
 
@@ -289,7 +289,16 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
     """Eval-mode whole-graph embedding under a fixed extraction policy."""
     if g.feature_dim != model.cfg.feature_dim:
         g = g.with_features(degree_features(g, model.cfg.feature_dim - 1))
-    group = build_group(g, node_sets, range(g.node_count), act=model.gate_act())
+    return embed_group(model, build_group(g, node_sets, range(g.node_count),
+                                          act=model.gate_act()))
+
+
+def embed_group(model: MoseModel, group: NodeGroup) -> np.ndarray:
+    """Eval-mode readout of a group holding every node of one graph.
+
+    The group holds no parameter (only the gate activation enters it), so
+    one group serves every model that shares the activation.
+    """
     run = group_forward(model, group)
     if model.cfg.readout_mode == "mean":
         return run.h.mean(axis=0)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mose import cli
 from mose.cli import main
 
 
@@ -167,6 +168,20 @@ class TestTrain:
         assert "experts=3 (run: 4)" in err and "max_step=3 (run: 2)" in err
         assert ckpt.read_bytes() == before
 
+    @pytest.mark.parametrize("body", [
+        "",
+        "dataset=GraphCycle seed=3\n",
+        "dataset=GraphCycle seed=3 walk_length=4 walks_per_node=5 pattern_budget=3 "
+        "cap=12\nv 0 1\n",
+    ], ids=["magic-only", "partial-header", "record-before-graph"])
+    def test_malformed_cache_is_format_error(self, workspace, tmp_path, capsys, body):
+        cache = tmp_path / "bad.cache"
+        cache.write_text("mose-subgraphs v1\n" + body)
+        capsys.readouterr()
+        code = run(self.train_args(workspace, tmp_path / "t", ["--cache", str(cache)]))
+        assert code == 2
+        assert f"error: {cache}:" in capsys.readouterr().err
+
     def test_nan_checkpoint_resume_gives_numeric_failure(self, workspace, tmp_path):
         out = workspace / "t3"
         assert run(self.train_args(workspace, out)) == 0
@@ -205,3 +220,12 @@ class TestVerifyAndExport:
     def test_missing_checkpoint(self, tmp_path):
         assert run(["export-hidden", "--checkpoint", str(tmp_path / "no.npz"),
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def test_unexpected_exception_is_runtime_error(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("walk_length")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    assert run(["gen", "--dataset", "GraphCycle", "--count", "2"]) == 2
+    assert capsys.readouterr().err == "internal error: KeyError: 'walk_length'\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mose.graph import (Graph, complete_graph, cycle_graph, degree_features,
                         direct_product, disjoint_union, induced_subgraph,
@@ -48,6 +50,111 @@ class TestGraphConstruction:
         g = path_graph(3)
         with pytest.raises(ValueError):
             g.neighbors[0] = 5
+
+
+def csr(rows):
+    """Offsets and neighbors of a CSR built row by row, exactly as given."""
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    neighbors = np.array([v for r in rows for v in r], dtype=np.int64)
+    return offsets, neighbors
+
+
+def loop_validate(n, offsets, neighbors):
+    """Reference validator: one Python pass per node and a set for symmetry."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    if offsets.shape != (n + 1,):
+        raise ValueError("offsets must have length node_count + 1")
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise ValueError("offsets must be monotone starting at 0")
+    if offsets[-1] != len(neighbors):
+        raise ValueError("offsets[-1] must equal the neighbor-list length")
+    if len(neighbors):
+        if neighbors.min() < 0 or neighbors.max() >= n:
+            raise ValueError("neighbor id out of range")
+    for v in range(n):
+        nbrs = neighbors[offsets[v]:offsets[v + 1]]
+        if np.any(nbrs == v):
+            raise ValueError(f"self-loop at node {v}")
+        if np.any(np.diff(nbrs) <= 0):
+            raise ValueError(f"neighbor list of node {v} not strictly sorted")
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    fwd = {(int(u), int(v)) for u, v in zip(src, neighbors)}
+    if any((v, u) not in fwd for u, v in fwd):
+        raise ValueError("adjacency is not symmetric")
+
+
+def outcome(check, n, offsets, neighbors):
+    try:
+        check(n, offsets, neighbors)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def graph_validate(n, offsets, neighbors):
+    Graph(n, offsets, neighbors, np.zeros((n, 0)))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("rows, message", [
+        ([[1], [0, 1, 2], [1]], "self-loop at node 1"),
+        ([[1, 2], [2, 0], [0, 1]], "neighbor list of node 1 not strictly sorted"),
+        ([[1, 2], [0, 2, 2], [0, 1]], "neighbor list of node 1 not strictly sorted"),
+        ([[1], [0, 3], []], "neighbor id out of range"),
+        ([[1], [0, -1], []], "neighbor id out of range"),
+        ([[1], [0, 2], []], "adjacency is not symmetric"),
+        # the lowest offending node wins; at one node a self-loop comes first
+        ([[2, 1], [0], [2, 0]], "neighbor list of node 0 not strictly sorted"),
+        ([[], [1, 0], []], "self-loop at node 1"),
+    ])
+    def test_defect_names_its_node(self, rows, message):
+        offsets, neighbors = csr(rows)
+        with pytest.raises(ValueError) as err:
+            Graph(len(rows), offsets, neighbors, np.zeros((len(rows), 0)))
+        assert str(err.value) == message
+
+    def test_non_monotone_offsets(self):
+        with pytest.raises(ValueError) as err:
+            Graph(3, np.array([0, 2, 1, 2]), np.array([1, 2]), np.zeros((3, 0)))
+        assert str(err.value) == "offsets must be monotone starting at 0"
+
+    def test_dense_adjacency_of_valid_csr(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        a = np.zeros((4, 4))
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1
+        assert np.array_equal(g.adjacency_dense(), a)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_array_checks_match_per_node_loop(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                                  max_size=len(pairs)))
+        edges = [p for p, k in zip(pairs, keep) if k]
+        rows = [sorted([v for u, v in edges if u == w] + [u for u, v in edges if v == w])
+                for w in range(n)]
+        for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+            kind = data.draw(st.sampled_from(["set", "insert", "delete", "swap"]))
+            row = rows[data.draw(st.integers(0, n - 1))]
+            value = data.draw(st.integers(-1, n))
+            if kind == "insert":
+                row.insert(data.draw(st.integers(0, len(row))), value)
+            elif row and kind == "set":
+                row[data.draw(st.integers(0, len(row) - 1))] = value
+            elif row and kind == "delete":
+                del row[data.draw(st.integers(0, len(row) - 1))]
+            elif len(row) > 1 and kind == "swap":
+                i = data.draw(st.integers(0, len(row) - 2))
+                row[i], row[i + 1] = row[i + 1], row[i]
+        offsets, neighbors = csr(rows)
+        if n and data.draw(st.booleans()):
+            # a non-monotone or misaligned offset vector
+            offsets = offsets.copy()
+            offsets[data.draw(st.integers(0, n))] += data.draw(st.sampled_from([-1, 1]))
+        assert outcome(graph_validate, n, offsets, neighbors) == \
+            outcome(loop_validate, n, offsets, neighbors)
 
 
 class TestInducedSubgraph:

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
-from mose.util import BudgetError, substream
-from mose.walks import (WalkConfig, _count_patterns, _replay_bounded,
+from mose.util import BudgetError, FormatError, substream
+from mose.walks import (CACHE_MAGIC, WalkConfig, _count_patterns, _replay_bounded,
                         _uint32_stream, _walks_from_words, enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
+
+
+HEADER = "dataset=t seed=0 walk_length=4 walks_per_node=5 pattern_budget=3 cap=8\n"
 
 
 def cfg(**kw):
@@ -237,6 +240,22 @@ class TestDatasetExtraction:
         path.write_text("not a cache\n")
         with pytest.raises(ValueError):
             load_cache(str(path))
+
+    @pytest.mark.parametrize("body, where, what", [
+        ("", 2, "missing header line"),
+        ("dataset=t seed=0 walks_per_node=5 pattern_budget=3 cap=8\n", 2,
+         "header lacks walk_length"),
+        (HEADER + "v 0 1\ng 0\n", 3, "'v' line before the first graph line"),
+        (HEADER + "p 0,1 4\n", 3, "'p' line before the first graph line"),
+        (HEADER + "g 0\nv 0\nq 1\n", 5, "unrecognized cache line"),
+    ])
+    def test_malformed_cache_names_path_and_line(self, tmp_path, body, where, what):
+        path = tmp_path / "bad.cache"
+        path.write_text(CACHE_MAGIC + "\n" + body)
+        with pytest.raises(FormatError) as err:
+            load_cache(str(path))
+        assert str(err.value).startswith(f"{path}:{where}: ")
+        assert what in str(err.value)
 
 
 def _node_task_graph() -> Graph:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import mose.verify
+import mose.wl
 from mose.graph import (Graph, complete_graph, cycle_graph, disjoint_union,
                         path_graph, relabel, star_graph)
 from mose.kernel import KernelConfig
 from mose.moe import ModelConfig, new_model
 from mose.util import BudgetError
+from mose.verify import wl_suite
 from mose.wl import (AnonymousWalkPolicy, EgoPolicy, all_nonisomorphic_graphs,
                      are_isomorphic, canonical_form, distinguish, graph_corpus,
                      lemma1_check, mose_distinguish, same_size_pairs, swl_refine,
@@ -180,3 +183,32 @@ class TestMoseDistinguish:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         h = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
         assert mose_distinguish(g, h, self.make_model(seed=1))
+
+
+@pytest.fixture(scope="module")
+def counted_wl_suite():
+    """A two-init wl suite run with canonical_form counted where it is looked up."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return canonical_form(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mose.wl, "canonical_form", counted)
+        mp.setattr(mose.verify, "canonical_form", counted)
+        rep = wl_suite(inits=2, required=2)
+    return rep, calls
+
+
+class TestWlSuite:
+    def test_all_cases_pass(self, counted_wl_suite):
+        rep, _ = counted_wl_suite
+        assert len(rep.cases) == 3
+        assert rep.ok, rep.lines()
+
+    def test_canonicalizes_only_graphs_of_the_witness_size(self, counted_wl_suite):
+        _, calls = counted_wl_suite
+        same_size = sum(1 for g in graph_corpus(6)
+                        if (g.node_count, g.edge_count) == (6, 6))
+        assert len(calls) <= 2 + same_size
