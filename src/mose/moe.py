@@ -545,15 +545,14 @@ class GroupRun:
     moments: np.ndarray | None = None   # group_moments, when the group fits them
     expert_rows: dict = field(default_factory=dict)
     expert_caches: dict = field(default_factory=dict)
-    concat_cache: tuple | None = None
+    concat_cache: tuple | None = None   # combine MLP cache, concat mode only
 
     def backward(self, dh: np.ndarray, grads: dict):
         model, group = self.model, self.group
         d = model.embed_dim
         dzeta = np.zeros_like(self.zeta)
         if model.cfg.combine_mode == "concat":
-            wide, wide_cache, hm_store = self.concat_cache
-            dwide = model.combine_mlp.backward(dh, wide_cache, grads)
+            dwide = model.combine_mlp.backward(dh, self.concat_cache, grads)
         for m in sorted(self.expert_rows):
             rows, pos = self.expert_rows[m]
             phi, kcache, mlp_cache, hm = self.expert_caches[m]
@@ -613,7 +612,26 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         else:
             wide[rows, m * d:(m + 1) * d] = zeta[rows, pos][:, None] * hm
     if model.cfg.combine_mode == "concat":
-        out, wide_cache = model.combine_mlp.forward(wide)
-        run.h = out
-        run.concat_cache = (wide, wide_cache, None)
+        run.h, run.concat_cache = model.combine_mlp.forward(wide)
     return run
+
+
+def pool_rows(h: np.ndarray, mode: str):
+    """Graph readout of a group's node rows: (1, d) plus the max positions."""
+    if mode == "mean":
+        return h.mean(axis=0, keepdims=True), None
+    if mode == "sum":
+        return h.sum(axis=0, keepdims=True), None
+    arg = h.argmax(axis=0)[None]
+    return np.take_along_axis(h, arg, axis=0), arg
+
+
+def pool_rows_backward(dpooled: np.ndarray, h_shape, mode: str, arg) -> np.ndarray:
+    """Spread the gradient on a pooled (1, d) row back over the node rows."""
+    if mode == "mean":
+        return np.broadcast_to(dpooled / h_shape[0], h_shape).copy()
+    if mode == "sum":
+        return np.broadcast_to(dpooled, h_shape).copy()
+    dh = np.zeros(h_shape)
+    np.put_along_axis(dh, arg, dpooled, axis=0)
+    return dh

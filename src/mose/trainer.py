@@ -1,11 +1,12 @@
 """Training loop: balance-aware loss, Adam updates, evaluation, CV, grad checks.
 
 Graph tasks take minibatch steps over graphs; node tasks take one
-full-batch step per epoch (processed in memory-bounded chunks). The
-expert-balance penalty is accumulated per batch so its gradient reaches
-the gating network at every step. All randomness is keyed by
-(seed, purpose, epoch, item), so results are independent of batch layout,
-thread count, and resume points.
+full-batch step per epoch. Training, evaluation and gradient checks share
+one loss pass over engine units: a whole graph, pooled to one row, or a
+chunk of NODE_CHUNK nodes. The expert-balance penalty is accumulated per
+batch so its gradient reaches the gating network at every step. All
+randomness is keyed by (seed, purpose, epoch, item), so results are
+independent of batch layout, thread count, and resume points.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import numpy as np
 
 from .datasets import Dataset
 from .kernel import KernelConfig
-from .moe import (ModelConfig, MoseModel, NodeGroup, Route, build_group,
-                  gate_backward, group_forward, new_model)
+from .moe import (ModelConfig, MoseModel, Route, build_group, gate_backward,
+                  group_forward, new_model, pool_rows, pool_rows_backward)
 from .nn import Adam, RecordingRng, ReplayMismatch, ReplayRng, log_softmax, softmax
 from .util import substream
 from .walks import SubgraphCache
 
 CV_GUARD = 1e-10
+NODE_CHUNK = 512   # nodes per engine unit in node tasks
 
 
 class NonFiniteLossError(RuntimeError):
@@ -122,27 +124,7 @@ def macro_f1_score(pred: np.ndarray, truth: np.ndarray, class_count: int) -> flo
     return float(np.mean(f1s))
 
 
-# -- shared forward helpers ------------------------------------------------
-
-def _graph_readout(h: np.ndarray, mode: str):
-    if mode == "mean":
-        return h.mean(axis=0), None
-    if mode == "sum":
-        return h.sum(axis=0), None
-    arg = h.argmax(axis=0)
-    return h[arg, np.arange(h.shape[1])], arg
-
-
-def _graph_readout_backward(dhg: np.ndarray, h_shape, mode: str, arg):
-    b = h_shape[0]
-    if mode == "mean":
-        return np.broadcast_to(dhg / b, h_shape).copy()
-    if mode == "sum":
-        return np.broadcast_to(dhg, h_shape).copy()
-    dh = np.zeros(h_shape)
-    dh[arg, np.arange(h_shape[1])] = dhg
-    return dh
-
+# -- the loss pass ------------------------------------------------------------
 
 class _RouteStash:
     """Per-batch routing state kept for the balance-penalty backward pass."""
@@ -165,55 +147,81 @@ class _RouteStash:
             gate_backward(eta, eps, sig, idx, zeta, d_totals[idx], gating, grads)
 
 
-def routes_of(run) -> list[Route]:
-    return [Route(indices=tuple(int(i) for i in run.idx[b]), weights=run.zeta[b])
-            for b in range(run.idx.shape[0])]
+def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
+    """Engine units of the items: (stream key, graph, records, nodes, labels).
+
+    A graph task's unit is one graph, keyed by its id; a node task's unit
+    is a chunk of NODE_CHUNK items, keyed by the chunk index.
+    """
+    if data.task == "graph":
+        for gi in item_ids:
+            g = data.graphs[gi]
+            yield int(gi), g, cache.records[gi], range(g.node_count), [g.graph_label]
+        return
+    g = data.graphs[0]
+    for ci, lo in enumerate(range(0, len(item_ids), NODE_CHUNK)):
+        chunk = item_ids[lo:lo + NODE_CHUNK]
+        yield ci, g, cache.records[0], chunk, g.node_labels[chunk]
+
+
+def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
+               rng_of=None, dropout: float = 0.0, grads: dict | None = None):
+    """Forward the items one engine unit at a time; returns (logits, labels, stash).
+
+    ``rng_of(key)`` gives a unit's routing-noise and dropout stream and
+    turns on train mode. With ``grads``, each unit also backpropagates its
+    share of the items' mean cross-entropy before the next unit is built.
+    """
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    if len(item_ids) == 0:
+        raise ValueError("empty split part")
+    train_mode = rng_of is not None
+    pooled = data.task == "graph"
+    mode = model.cfg.readout_mode
+    stash = _RouteStash(model.expert_count)
+    logits, labels = [], []
+    for key, g, records, nodes, y in _units(data, cache, item_ids):
+        rng = rng_of(key) if train_mode else None
+        run = group_forward(model, build_group(g, records, nodes, act=model.gate_act()),
+                            train_mode=train_mode, rng=rng, dropout=dropout)
+        stash.add(run)
+        h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
+        out, head_cache = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
+        logits.append(out)
+        labels.append(y)
+        if grads is not None:
+            dout = softmax(out)
+            dout[np.arange(len(y)), y] -= 1.0
+            dout /= len(item_ids)
+            dh = model.head.backward(dout, head_cache, grads)
+            if pooled:
+                dh = pool_rows_backward(dh, run.h.shape, mode, arg)
+            run.backward(dh, grads)
+    return np.concatenate(logits), np.concatenate(labels), stash
+
+
+def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float(-log_softmax(logits)[np.arange(len(labels)), labels].mean())
+
+
+def _apply_importance(stash: _RouteStash, beta: float, model, grads: dict | None):
+    totals = stash.totals()
+    imp = _cv_squared(totals)
+    if beta != 0.0 and grads is not None:
+        stash.backward(beta * _cv_squared_grad(totals), model.gating, grads)
+    return imp, totals
 
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate(model: MoseModel, data: Dataset, cache: SubgraphCache, part) -> Metrics:
-    """Eval-mode metrics on a split part (graph ids, or a node mask)."""
-    if data.task == "graph":
-        ids = np.asarray(list(part), dtype=np.int64)
-        if len(ids) == 0:
-            raise ValueError("empty split part")
-        logits = np.zeros((len(ids), model.head.out_dim))
-        truth = np.zeros(len(ids), dtype=np.int64)
-        stash = _RouteStash(model.expert_count)
-        loss = 0.0
-        for i, gi in enumerate(ids):
-            g = data.graphs[gi]
-            group = build_group(g, cache.records[gi], range(g.node_count),
-                                act=model.gate_act())
-            run = group_forward(model, group)
-            stash.add(run)
-            hg, _ = _graph_readout(run.h, model.cfg.readout_mode)
-            logits[i], _ = model.head.forward(hg)
-            truth[i] = g.graph_label
-        loss = float(-log_softmax(logits)[np.arange(len(ids)), truth].mean())
-        totals = stash.totals()
-    else:
-        mask = np.asarray(part, dtype=bool)
-        ids = np.nonzero(mask)[0]
-        if len(ids) == 0:
-            raise ValueError("empty split part")
-        g = data.graphs[0]
-        logits = np.zeros((len(ids), model.head.out_dim))
-        stash = _RouteStash(model.expert_count)
-        for lo in range(0, len(ids), 512):
-            chunk = ids[lo:lo + 512]
-            group = build_group(g, cache.records[0], chunk, act=model.gate_act())
-            run = group_forward(model, group)
-            stash.add(run)
-            logits[lo:lo + len(chunk)], _ = model.head.forward(run.h)
-        truth = g.node_labels[ids]
-        loss = float(-log_softmax(logits)[np.arange(len(ids)), truth].mean())
-        totals = stash.totals()
+def evaluate(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids) -> Metrics:
+    """Eval-mode metrics on the given items: graph ids, or node ids."""
+    logits, truth, stash = _loss_pass(model, data, cache, item_ids)
+    totals = stash.totals()
     pred = logits.argmax(axis=1)
     return Metrics(accuracy=accuracy_score(pred, truth),
                    macro_f1=macro_f1_score(pred, truth, data.class_count),
-                   loss_task=loss,
+                   loss_task=_mean_ce(logits, truth),
                    loss_importance=_cv_squared(totals),
                    expert_load=totals)
 
@@ -237,73 +245,6 @@ def _carve_validation(train_ids, labels, fraction: float, seed: int):
     val = sorted(val)
     keep = sorted(set(train_ids.tolist()) - set(val))
     return np.asarray(keep, dtype=np.int64), np.asarray(val, dtype=np.int64)
-
-
-def _graph_batch_step(model, data, cache, batch_ids, cfg, epoch, grads):
-    """Forward+backward the task loss for one batch of graphs; returns
-    (mean CE, #correct, RouteStash) with kernel caches freed per graph."""
-    stash = _RouteStash(model.expert_count)
-    ce_sum = 0.0
-    correct = 0
-    nb = len(batch_ids)
-    for gi in batch_ids:
-        g = data.graphs[gi]
-        rng = substream(cfg.seed, 200, epoch, int(gi))
-        group = build_group(g, cache.records[gi], range(g.node_count),
-                            act=model.gate_act())
-        run = group_forward(model, group, train_mode=True, rng=rng,
-                            dropout=cfg.dropout_rate)
-        stash.add(run)
-        hg, arg = _graph_readout(run.h, model.cfg.readout_mode)
-        logits, head_cache = model.head.forward(hg, train=True,
-                                                dropout=cfg.dropout_rate, rng=rng)
-        y = g.graph_label
-        logp = log_softmax(logits)
-        ce_sum += -float(logp[y])
-        correct += int(np.argmax(logits) == y)
-        dlogits = softmax(logits)
-        dlogits[y] -= 1.0
-        dlogits /= nb
-        dhg = model.head.backward(dlogits, head_cache, grads)
-        dh = _graph_readout_backward(dhg, run.h.shape, model.cfg.readout_mode, arg)
-        run.backward(dh, grads)
-    return ce_sum / nb, correct, stash
-
-
-def _node_epoch_step(model, data, cache, train_ids, cfg, epoch, grads):
-    """Full-batch forward+backward over train nodes, chunked for memory."""
-    g = data.graphs[0]
-    stash = _RouteStash(model.expert_count)
-    ce_sum = 0.0
-    correct = 0
-    n_train = len(train_ids)
-    for ci, lo in enumerate(range(0, n_train, 512)):
-        chunk = train_ids[lo:lo + 512]
-        rng = substream(cfg.seed, 200, epoch, ci)
-        group = build_group(g, cache.records[0], chunk, act=model.gate_act())
-        run = group_forward(model, group, train_mode=True, rng=rng,
-                            dropout=cfg.dropout_rate)
-        stash.add(run)
-        logits, head_cache = model.head.forward(run.h, train=True,
-                                                dropout=cfg.dropout_rate, rng=rng)
-        y = g.node_labels[chunk]
-        logp = log_softmax(logits)
-        ce_sum += -float(logp[np.arange(len(chunk)), y].sum())
-        correct += int((logits.argmax(axis=1) == y).sum())
-        dlogits = softmax(logits)
-        dlogits[np.arange(len(chunk)), y] -= 1.0
-        dlogits /= n_train
-        dh = model.head.backward(dlogits, head_cache, grads)
-        run.backward(dh, grads)
-    return ce_sum / n_train, correct, stash
-
-
-def _apply_importance(stash: _RouteStash, beta: float, model, grads):
-    totals = stash.totals()
-    imp = _cv_squared(totals)
-    if beta != 0.0:
-        stash.backward(beta * _cv_squared_grad(totals), model.gating, grads)
-    return imp, totals
 
 
 def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
@@ -334,24 +275,14 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
 
     if data.task == "graph":
         train_ids, test_ids = np.asarray(split[0]), np.asarray(split[1])
-        labels = np.array([g.graph_label for g in data.graphs])
         val_ids = np.zeros(0, dtype=np.int64)
         if cfg.patience > 0 and cfg.val_fraction > 0:
+            labels = np.array([g.graph_label for g in data.graphs])
             train_ids, val_ids = _carve_validation(train_ids, labels,
                                                    cfg.val_fraction, cfg.seed)
-            if len(val_ids) == 0:
-                val_ids = np.zeros(0, dtype=np.int64)
-        test_part, val_part = test_ids, val_ids
     else:
-        train_mask, val_mask, test_mask = split
-        train_ids = np.nonzero(np.asarray(train_mask, dtype=bool))[0]
-        val_part = np.asarray(val_mask, dtype=bool)
-        test_part = np.asarray(test_mask, dtype=bool)
-
-    def has_val():
-        if data.task == "graph":
-            return len(val_part) > 0
-        return bool(np.any(val_part))
+        train_ids, val_ids, test_ids = (np.nonzero(np.asarray(m, dtype=bool))[0]
+                                        for m in split)
 
     for epoch in range(start_epoch, cfg.epochs):
         order = substream(cfg.seed, 100, epoch).permutation(train_ids)
@@ -364,12 +295,10 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
         load = np.zeros(model.expert_count)
         for bi, batch in enumerate(batches):
             grads = model.zero_grads()
-            if data.task == "graph":
-                ce, correct, stash = _graph_batch_step(model, data, cache, batch,
-                                                       cfg, epoch, grads)
-            else:
-                ce, correct, stash = _node_epoch_step(model, data, cache, batch,
-                                                      cfg, epoch, grads)
+            logits, truth, stash = _loss_pass(
+                model, data, cache, batch,
+                lambda key: substream(cfg.seed, 200, epoch, key), cfg.dropout_rate, grads)
+            ce = _mean_ce(logits, truth)
             imp, totals = _apply_importance(stash, cfg.beta, model, grads)
             loss = total_loss(ce, imp, cfg.beta)
             if not np.isfinite(loss):
@@ -377,7 +306,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
             adam.step(params, grads)
             ep_task += ce * len(batch)
             ep_imp += imp
-            ep_correct += correct
+            ep_correct += int((logits.argmax(axis=1) == truth).sum())
             load += totals
         n_items = len(train_ids)
         rows.append({"epoch": epoch, "split": "train",
@@ -386,8 +315,8 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
                      "accuracy": ep_correct / max(1, n_items),
                      "macro_f1": float("nan"),
                      "expert_load": load.tolist()})
-        if has_val():
-            vm = evaluate(model, data, cache, val_part)
+        if len(val_ids) > 0:
+            vm = evaluate(model, data, cache, val_ids)
             rows.append({"epoch": epoch, "split": "val",
                          "loss_task": vm.loss_task,
                          "loss_importance": vm.loss_importance,
@@ -405,9 +334,8 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     trajectory = model.snapshot()
     if best["snapshot"] is not None:
         model.load_snapshot(best["snapshot"])
-    final = evaluate(model, data, cache, test_part)
-    train_load = evaluate(model, data, cache,
-                          train_ids if data.task == "graph" else split[0])
+    final = evaluate(model, data, cache, test_ids)
+    train_load = evaluate(model, data, cache, train_ids)
     final.curves = rows
     final.expert_load = train_load.expert_load
     rows.append({"epoch": cfg.epochs, "split": "test",
@@ -525,57 +453,19 @@ def load_checkpoint(path: str):
 def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 item_ids, cfg: TrainConfig, rng, grads: dict | None,
                 train_mode: bool = True):
-    """Loss (and optionally grads) for a fixed batch under a fixed noise tape.
+    """Loss (and, given ``grads``, its gradients) for a fixed batch under a
+    fixed noise tape: every unit draws from the one ``rng``.
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.
     """
-    sink = grads if grads is not None else model.zero_grads()
-    stash = _RouteStash(model.expert_count)
-    picks = []
     dropout = cfg.dropout_rate if train_mode else 0.0
-    if data.task == "graph":
-        nb = len(item_ids)
-        ce_sum = 0.0
-        for gi in item_ids:
-            g = data.graphs[gi]
-            group = build_group(g, cache.records[gi], range(g.node_count),
-                                act=model.gate_act())
-            run = group_forward(model, group, train_mode=train_mode, rng=rng,
-                                dropout=dropout)
-            stash.add(run)
-            picks.append(run.idx.copy())
-            hg, arg = _graph_readout(run.h, model.cfg.readout_mode)
-            logits, head_cache = model.head.forward(hg, train=train_mode,
-                                                    dropout=dropout, rng=rng)
-            y = g.graph_label
-            ce_sum += -float(log_softmax(logits)[y])
-            dlogits = softmax(logits)
-            dlogits[y] -= 1.0
-            dlogits /= nb
-            dhg = model.head.backward(dlogits, head_cache, sink)
-            dh = _graph_readout_backward(dhg, run.h.shape, model.cfg.readout_mode, arg)
-            run.backward(dh, sink)
-        ce = ce_sum / nb
-    else:
-        g = data.graphs[0]
-        chunk = np.asarray(item_ids, dtype=np.int64)
-        group = build_group(g, cache.records[0], chunk, act=model.gate_act())
-        run = group_forward(model, group, train_mode=train_mode, rng=rng,
-                            dropout=dropout)
-        stash.add(run)
-        picks.append(run.idx.copy())
-        logits, head_cache = model.head.forward(run.h, train=train_mode,
-                                                dropout=dropout, rng=rng)
-        y = g.node_labels[chunk]
-        ce = -float(log_softmax(logits)[np.arange(len(chunk)), y].mean())
-        dlogits = softmax(logits)
-        dlogits[np.arange(len(chunk)), y] -= 1.0
-        dlogits /= len(chunk)
-        dh = model.head.backward(dlogits, head_cache, sink)
-        run.backward(dh, sink)
-    imp, _ = _apply_importance(stash, cfg.beta, model, sink)
-    return total_loss(ce, imp, cfg.beta), picks
+    logits, truth, stash = _loss_pass(model, data, cache, item_ids,
+                                      (lambda key: rng) if train_mode else None,
+                                      dropout, grads)
+    imp, _ = _apply_importance(stash, cfg.beta, model, grads)
+    picks = [idx for _, _, _, idx, _ in stash.items]
+    return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
 
 
 def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,

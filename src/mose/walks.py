@@ -358,24 +358,31 @@ def load_cache(path: str) -> SubgraphCache:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise FormatError(f"{path}:2: header lacks {', '.join(missing)}")
-    cfg = WalkConfig(walk_length=int(header["walk_length"]),
-                     walks_per_node=int(header["walks_per_node"]),
-                     pattern_budget=int(header["pattern_budget"]),
-                     subgraph_cap=int(header["cap"]),
-                     seed=int(header["seed"]))
+    try:
+        cfg = WalkConfig(walk_length=int(header["walk_length"]),
+                         walks_per_node=int(header["walks_per_node"]),
+                         pattern_budget=int(header["pattern_budget"]),
+                         subgraph_cap=int(header["cap"]),
+                         seed=int(header["seed"]))
+    except ValueError as e:
+        raise FormatError(f"{path}:2: bad header: {e}") from None
     records: list[list[list[int]]] = []
     tables: list[list[tuple[tuple[int, ...], int]]] = []
     for ln, line in enumerate(lines[2:], start=3):
         if line.startswith("g "):
             records.append([])
             tables.append([])
-        elif line.startswith(("p ", "v ")) and not records:
-            raise FormatError(f"{path}:{ln}: {line[0]!r} line before the first graph line")
-        elif line.startswith("p "):
-            _, pat, cnt = line.split(" ")
-            tables[-1].append((tuple(int(x) for x in pat.split(",")), int(cnt)))
-        elif line.startswith("v "):
-            records[-1].append([int(x) for x in line[2:].split()])
+        elif line.startswith(("p ", "v ")):
+            if not records:
+                raise FormatError(f"{path}:{ln}: {line[0]!r} line before the first graph line")
+            try:
+                if line[0] == "p":
+                    _, pat, cnt = line.split(" ")
+                    tables[-1].append((tuple(int(x) for x in pat.split(",")), int(cnt)))
+                else:
+                    records[-1].append([int(x) for x in line[2:].split()])
+            except ValueError:
+                raise FormatError(f"{path}:{ln}: malformed {line[0]!r} line {line!r}") from None
         elif line:
             raise FormatError(f"{path}:{ln}: unrecognized cache line {line!r}")
     return SubgraphCache(dataset_name=header["dataset"], cfg=cfg,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degree_features
-from .moe import MoseModel, NodeGroup, build_group, group_forward
+from .moe import MoseModel, NodeGroup, build_group, group_forward, pool_rows
 from .util import BudgetError
 from .walks import enumerate_anonymous_walks, top_patterns
 
@@ -299,12 +299,7 @@ def embed_group(model: MoseModel, group: NodeGroup) -> np.ndarray:
     The group holds no parameter (only the gate activation enters it), so
     one group serves every model that shares the activation.
     """
-    run = group_forward(model, group)
-    if model.cfg.readout_mode == "mean":
-        return run.h.mean(axis=0)
-    if model.cfg.readout_mode == "sum":
-        return run.h.sum(axis=0)
-    return run.h.max(axis=0)
+    return pool_rows(group_forward(model, group).h, model.cfg.readout_mode)[0][0]
 
 
 def mose_distinguish(g: Graph, h: Graph, model: MoseModel, policy=None,

@@ -182,6 +182,16 @@ class TestTrain:
         assert code == 2
         assert f"error: {cache}:" in capsys.readouterr().err
 
+    def test_cache_with_non_integer_field_names_path_and_line(self, workspace, tmp_path,
+                                                               capsys):
+        cache = tmp_path / "bad.cache"
+        cache.write_text("mose-subgraphs v1\ndataset=GraphCycle seed=3 walk_length=4 "
+                         "walks_per_node=5 pattern_budget=3 cap=12\ng 0\nv 0 x\n")
+        capsys.readouterr()
+        code = run(self.train_args(workspace, tmp_path / "t", ["--cache", str(cache)]))
+        assert code == 2
+        assert f"error: {cache}:4: malformed 'v' line" in capsys.readouterr().err
+
     def test_nan_checkpoint_resume_gives_numeric_failure(self, workspace, tmp_path):
         out = workspace / "t3"
         assert run(self.train_args(workspace, out)) == 0

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mose.datasets import Dataset
+from mose.datasets import Dataset, gen_graph_cycle, make_folds, make_node_splits
 from mose.graph import Graph, degree_features
 from mose.kernel import KernelConfig
 from mose.moe import ModelConfig, Route, build_group, new_model
@@ -220,6 +222,18 @@ class TestNodeTask:
         assert 0.0 <= metrics.accuracy <= 1.0
         assert len(metrics.expert_load) == 2
 
+    def test_evaluate_reads_node_ids(self):
+        # each item's routing weights sum to 1, so the load counts the items;
+        # reading the ids as a mask would drop node 0 and count two
+        data, cache = self.make()
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2,
+                           experts=2, hidden_per_expert=2, embed_dim=6,
+                           k_ept=2, task="node")
+        model = new_model(mcfg, KernelConfig(max_step=2), seed=0)
+        ids = [0, 3, 5]
+        metrics = evaluate(model, data, cache, ids)
+        assert metrics.expert_load.sum() == pytest.approx(len(ids), rel=1e-12)
+
 
 class TestGradCheck:
     def test_small_model_passes(self):
@@ -240,6 +254,24 @@ class TestGradCheck:
             err = grad_check(model, data, cache, [0, 1, 2],
                              TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
             assert err < 1e-4
+
+    def test_one_backward_per_unit_of_the_analytic_pass(self, monkeypatch):
+        # the perturbed evaluations run forward only
+        import mose.moe
+        calls = []
+        backward = mose.moe.GroupRun.backward
+
+        def counted(run, dh, grads):
+            calls.append(run.group.count)
+            return backward(run, dh, grads)
+
+        monkeypatch.setattr(mose.moe.GroupRun, "backward", counted)
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        grad_check(model, data, cache, [0, 1, 2],
+                   TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+        assert calls == [g.node_count for g in data.graphs[:3]]
 
     def test_eval_mode_noise_matrix_has_no_gradient(self):
         from mose.trainer import frozen_loss
@@ -314,3 +346,78 @@ class TestCheckpoint:
         assert lines[0].split(",")[:2] == ["epoch", "split"]
         assert lines[0].endswith("expert_load_0,expert_load_1")
         assert len(lines) == 2
+
+
+# -- golden training runs ---------------------------------------------------------
+
+GOLDEN_WALKS = WalkConfig(walk_length=4, walks_per_node=6, pattern_budget=3,
+                          subgraph_cap=8, seed=1)
+GOLDEN_TRAIN = TrainConfig(epochs=2, learning_rate=5e-3, beta=0.3, batch_size=3,
+                           dropout_rate=0.2, seed=4, patience=3, val_fraction=0.25)
+
+# (sha256 of the trained parameters, test accuracy, test loss_task); they pin
+# every routing-noise and dropout draw and the order of the arithmetic
+GOLDEN_RUNS = {
+    ("mean", "weighted-sum"): ("19b89fb6a4d86755971037c50eab9a0a4be69f1ee79a74cac3102c466224ec99",
+                               0.3333333333333333, 0.7017995326840248),
+    ("mean", "concat"): ("fbf8417c388eccef259e87c1a698ec6e8b8e439e62ab0bc1da696fc8482600de",
+                         0.3333333333333333, 0.7214245817306107),
+    ("max", "weighted-sum"): ("a6aecffb54ff086e3bb0ed65a3cda933c22227a192d972289f2361d3bba76a74",
+                              0.6666666666666666, 0.7132389552046083),
+    ("max", "concat"): ("cd4518a5c93577b051cb567b6320f4520df4c92c2f882f0ae9d988fd00293c7e",
+                        0.3333333333333333, 0.7545383790849186),
+    "node": ("86c65e64a9f7c2f379f0b62b03f158e2618c57de1df11ac63bc460f4dfb39d35",
+             0.3333333333333333, 2.0721758385709013),
+}
+
+
+def golden_node_dataset(n=900, classes=3, width=5, seed=0):
+    """One graph whose 630 training nodes span two 512-node engine chunks."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % classes
+    edges = [(i, (i + classes) % n) for i in range(n)]
+    edges += [(int(u), int(rng.integers(n))) for u in rng.integers(0, n, n // 2)]
+    edges = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
+    feats = 0.3 * rng.normal(size=(n, width)) + 0.2 * labels[:, None]
+    g = Graph.from_edges(n, edges, features=feats, node_labels=labels)
+    return Dataset(graphs=[g], task="node", class_count=classes, name="golden-node")
+
+
+def parameter_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, v in sorted(model.parameters().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenTraining:
+    @pytest.fixture(scope="class")
+    def graph_task(self):
+        data = gen_graph_cycle(12, 2)
+        cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
+        return data, cache, make_folds(data, 4, seed=0).folds[0]
+
+    @pytest.mark.parametrize("readout,combine", [k for k in GOLDEN_RUNS if k != "node"])
+    def test_graph_task_matches_golden(self, graph_task, readout, combine):
+        data, cache, fold = graph_task
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2, experts=3,
+                           hidden_per_expert=2, embed_dim=6, k_ept=2,
+                           readout_mode=readout, combine_mode=combine)
+        model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
+        model, metrics, _ = train(model, data, cache, fold, GOLDEN_TRAIN)
+        assert [r["split"] for r in metrics.curves] == ["train", "val"] * 2 + ["test"]
+        assert (parameter_digest(model), metrics.accuracy, metrics.loss_task) == \
+            GOLDEN_RUNS[(readout, combine)]
+
+    def test_node_task_matches_golden(self):
+        data = golden_node_dataset()
+        cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
+        masks = make_node_splits(data, (0.7, 0.15, 0.15), 0).masks
+        assert int(masks[0].sum()) > 512
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=3, experts=3,
+                           hidden_per_expert=2, embed_dim=6, k_ept=2, task="node")
+        model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
+        model, metrics, _ = train(model, data, cache, masks, GOLDEN_TRAIN)
+        assert (parameter_digest(model), metrics.accuracy, metrics.loss_task) == \
+            GOLDEN_RUNS["node"]

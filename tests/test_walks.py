@@ -248,6 +248,13 @@ class TestDatasetExtraction:
         (HEADER + "v 0 1\ng 0\n", 3, "'v' line before the first graph line"),
         (HEADER + "p 0,1 4\n", 3, "'p' line before the first graph line"),
         (HEADER + "g 0\nv 0\nq 1\n", 5, "unrecognized cache line"),
+        (HEADER.replace("walk_length=4", "walk_length=x"), 2,
+         "bad header: invalid literal for int()"),
+        (HEADER.replace("walk_length=4", "walk_length=0"), 2,
+         "bad header: walk_length must be >= 1"),
+        (HEADER + "g 0\np 0,1 many\n", 4, "malformed 'p' line 'p 0,1 many'"),
+        (HEADER + "g 0\nv 0 one\n", 4, "malformed 'v' line 'v 0 one'"),
+        (HEADER + "g 0\np 0,1\n", 4, "malformed 'p' line 'p 0,1'"),
     ])
     def test_malformed_cache_names_path_and_line(self, tmp_path, body, where, what):
         path = tmp_path / "bad.cache"
