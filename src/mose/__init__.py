@@ -20,7 +20,7 @@ from .walks import (SubgraphCache, WalkConfig, enumerate_anonymous_walks,
 from .kernel import (HiddenGraph, KernelConfig, KernelGrad, expert_embed,
                      hidden_graph_to_dot, kernel_features, load_hidden_graph,
                      rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
-                     rwk_oracle, save_hidden_graph)
+                     rwk_oracle, save_hidden_graph, walk_pair_counts)
 from .moe import (Expert, ExpertBank, GatingParams, ModelConfig, MoseModel,
                   Route, combine, forward, gate_aggregate, gate_scores,
                   new_model, node_embedding, readout, route)

@@ -113,19 +113,29 @@ class KernelGrad:
 
 # -- discrete kernel and its enumeration oracle -------------------------
 
-def rwk_discrete(g: Graph, h: Graph, cfg: KernelConfig) -> float:
-    """Sum over p of lambda_p times the total p-step walk-pair count.
-
-    Uses integer powers of the product adjacency, so values are exact
-    whenever the weights are exact.
-    """
+def walk_pair_counts(g: Graph, h: Graph, max_p: int) -> list[int]:
+    """Total p-step walk-pair counts for p = 0..max_p, from one chain of
+    integer powers of the product adjacency."""
     prod = direct_product(g, h)
     a = prod.adjacency_dense(dtype=np.int64)
     power = np.eye(prod.node_count, dtype=np.int64)
-    total = cfg.lambdas[0] * float(prod.node_count)
-    for p in range(1, cfg.max_step + 1):
+    counts = [prod.node_count]
+    for _ in range(max_p):
         power = power @ a
-        total += cfg.lambdas[p] * float(power.sum())
+        counts.append(int(power.sum()))
+    return counts
+
+
+def rwk_discrete(g: Graph, h: Graph, cfg: KernelConfig) -> float:
+    """Sum over p of lambda_p times the total p-step walk-pair count.
+
+    The counts are exact integers, so values are exact whenever the
+    weights are exact.
+    """
+    counts = walk_pair_counts(g, h, cfg.max_step)
+    total = cfg.lambdas[0] * float(counts[0])
+    for p in range(1, cfg.max_step + 1):
+        total += cfg.lambdas[p] * float(counts[p])
     return total
 
 

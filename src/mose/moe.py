@@ -13,6 +13,7 @@ subgraph moments shared by all experts, or on the padded tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -320,10 +321,12 @@ def forward(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False,
 
 @dataclass
 class NodeGroup:
-    """Padded subgraph tensors for a group of nodes processed together."""
+    """Padded subgraph adjacencies for a group of nodes processed together,
+    with each distinct node's features stored once and gathered through ``local``."""
 
     adj: np.ndarray     # (B, nmax, nmax) zero-padded dense adjacencies
-    feats: np.ndarray   # (B, nmax, f) zero-padded features
+    xu: np.ndarray      # (U + 1, f) features of the U distinct nodes, then a zero row
+    local: np.ndarray   # (B, nmax) rows of xu; padding points at the zero row
     sizes: np.ndarray   # (B,) true subgraph sizes
     eta: np.ndarray     # (B, f) gate aggregates
 
@@ -331,46 +334,55 @@ class NodeGroup:
     def count(self) -> int:
         return self.adj.shape[0]
 
+    @cached_property
+    def feats(self) -> np.ndarray:
+        """(B, nmax, f) zero-padded features, gathered on first use (moment path)."""
+        return np.take(self.xu, self.local, axis=0)
+
     def fits_moments(self, max_step: int) -> bool:
         """Whether the group's moments (max_step * f^2 values per node) are no
         larger than its padded adjacency (nmax^2 values per node)."""
-        nmax, f = self.adj.shape[1], self.feats.shape[2]
+        nmax, f = self.adj.shape[1], self.xu.shape[1]
         return max_step * f * f <= nmax * nmax
 
 
 def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeGroup:
-    """Assemble padded tensors for the given nodes of one graph."""
+    """Assemble the group tensors for the given nodes of one graph."""
     node_ids = list(node_ids)
     b = len(node_ids)
     nmax = max(len(records[v]) for v in node_ids)
-    f = g.feature_dim
     adj = np.zeros((b, nmax, nmax))
-    feats = np.zeros((b, nmax, f))
+    parent = np.zeros((b, nmax), dtype=np.int64)
     dense = g.adjacency_dense() if g.node_count <= 6000 else None
-    local = None if dense is not None else np.full(g.node_count, -1, dtype=np.int64)
+    slot = None if dense is not None else np.full(g.node_count, -1, dtype=np.int64)
     sizes = np.zeros(b, dtype=np.int64)
     for i, v in enumerate(node_ids):
         ids = np.asarray(records[v], dtype=np.int64)
         k = len(ids)
         sizes[i] = k
-        feats[i, :k] = g.features[ids]
+        parent[i, :k] = ids
         if dense is not None:
             adj[i, :k, :k] = dense[np.ix_(ids, ids)]
         else:
-            local[ids] = np.arange(k)
+            slot[ids] = np.arange(k)
             for li, pid in enumerate(ids):
                 for nb in g.neighbors_of(int(pid)):
-                    lj = local[nb]
+                    lj = slot[nb]
                     if lj >= 0:
                         adj[i, li, lj] = 1.0
-            local[ids] = -1
-    xv = feats[:, 0, :]
-    scores = np.einsum("bnf,bf->bn", feats, xv)
-    col = np.arange(nmax)
-    scores = np.where(col[None, :] < sizes[:, None], scores, -np.inf)
-    alpha = softmax(scores, axis=1)
-    eta = act(xv + np.einsum("bn,bnf->bf", alpha, feats))
-    return NodeGroup(adj=adj, feats=feats, sizes=sizes, eta=eta)
+            slot[ids] = -1
+    valid = np.arange(nmax)[None, :] < sizes[:, None]
+    uniq, inv = np.unique(parent[valid], return_inverse=True)
+    xu = np.zeros((len(uniq) + 1, g.feature_dim))
+    xu[:-1] = g.features[uniq]
+    local = np.full((b, nmax), len(uniq))
+    local[valid] = inv
+    xv = xu[local[:, 0]]
+    scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
+    weights = np.zeros((b, len(xu)))
+    np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
+    eta = act(xv + weights @ xu)
+    return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, eta=eta)
 
 
 def group_moments(adj: np.ndarray, feats: np.ndarray, max_step: int) -> np.ndarray:
@@ -399,13 +411,19 @@ def _rectified_powers(expert: Expert, p_max: int) -> np.ndarray:
 
 
 def _padded_forward(expert: Expert, r_pows: np.ndarray, adj: np.ndarray,
-                    feats: np.ndarray):
-    """vals[b, i, q-1] = sum(T * R_i^q T A_b^q) with T = Z_i X_b^T, padded."""
+                    xu: np.ndarray, local: np.ndarray):
+    """vals[b, i, q-1] = sum(T * R_i^q T A_b^q) with T = Z_i X_b^T, padded.
+
+    X_b is never formed: P = X_u Z_i^T is projected once for the distinct
+    nodes and T gathered from it through ``local``, whose padding reads the
+    zero row of ``xu`` and so leaves exact zeros.
+    """
     n_hidden, s = expert.hidden_count, expert.size
     b = adj.shape[0]
     p_max = len(r_pows) - 1
-    zf = expert.Z.reshape(n_hidden * s, -1)
-    t = np.matmul(zf[None], feats.transpose(0, 2, 1))        # (B, N*s, n)
+    proj = xu @ expert.Z.reshape(n_hidden * s, -1).T            # (U+1, N*s)
+    # (B, N*s, n), made contiguous for the per-step contractions
+    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
     v_list = [t]
     for _ in range(p_max):
         v_list.append(np.matmul(v_list[-1], adj))
@@ -418,12 +436,17 @@ def _padded_forward(expert: Expert, r_pows: np.ndarray, adj: np.ndarray,
     return vals, (t4, v_list)
 
 
-def _padded_backward(r_pows: np.ndarray, feats: np.ndarray, dvals: np.ndarray, state):
-    """Gradients on Z and on each R^q of the padded evaluation."""
+def _padded_backward(r_pows: np.ndarray, xu: np.ndarray, local: np.ndarray,
+                     dvals: np.ndarray, state):
+    """Gradients on Z and on each R^q of the padded evaluation.
+
+    dT is summed per distinct node (a sort and a segment sum over
+    ``local``) into dP, so dZ = dP^T X_u is one product.
+    """
     t4, v_list = state
     b, n_hidden, s = t4.shape[:3]
     p_max = len(r_pows) - 1
-    dt4 = np.zeros_like(t4)
+    dt4 = np.zeros(t4.shape)
     d_rq = np.empty((p_max, n_hidden, s, s))
     for q in range(1, p_max + 1):
         v4 = v_list[q].reshape(b, n_hidden, s, -1)
@@ -431,7 +454,13 @@ def _padded_backward(r_pows: np.ndarray, feats: np.ndarray, dvals: np.ndarray, s
         dt4 += 2.0 * dvals[:, :, q - 1, None, None] * m
         c = np.matmul(t4, v4.transpose(0, 1, 3, 2))            # (B, N, s, s)
         d_rq[q - 1] = (dvals[:, :, q - 1, None, None] * c).sum(axis=0)
-    return np.tensordot(dt4, feats, axes=([0, 3], [0, 1])), d_rq
+    keys = local.ravel()
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    dt = dt4.transpose(1, 2, 0, 3).reshape(n_hidden * s, len(keys))
+    dproj = np.add.reduceat(np.take(dt, order, axis=1), starts, axis=1)   # (N*s, U')
+    dz = dproj @ xu[keys[order[starts]]]
+    return dz.reshape(n_hidden, s, -1), d_rq
 
 
 def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray):
@@ -469,7 +498,8 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
     p_max = kcfg.max_step
     r_pows = _rectified_powers(expert, p_max)
     if moments is None:
-        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.feats[rows])
+        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
+                                      group.local[rows])
     else:
         vals, state = _moment_forward(expert, r_pows, moments[:, rows])
     lam = np.array(kcfg.lambdas[1:])
@@ -498,7 +528,7 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup
     else:
         dvals[:, :, p_max - 1] = kcfg.lambdas[p_max] * dphi
     if moments is None:
-        dz, d_rq = _padded_backward(r_pows, group.feats[rows], dvals, state)
+        dz, d_rq = _padded_backward(r_pows, group.xu, group.local[rows], dvals, state)
     else:
         dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state)
     grads[f"{key}.Z"] += dz

@@ -197,6 +197,7 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
             if pooled:
                 dh = pool_rows_backward(dh, run.h.shape, mode, arg)
             run.backward(dh, grads)
+        del run   # free this unit's group and expert caches before the next build
     return np.concatenate(logits), np.concatenate(labels), stash
 
 

@@ -11,8 +11,8 @@ import numpy as np
 from .datasets import Dataset
 from .graph import (Graph, cycle_graph, degree_features, disjoint_union,
                     induced_subgraph, relabel)
-from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_discrete,
-                     rwk_hidden, rwk_hidden_grad, _oracle_counts)
+from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_hidden,
+                     rwk_hidden_grad, walk_pair_counts, _oracle_counts)
 from .moe import GATE_ACTIVATIONS, ModelConfig, build_group, new_model
 from .trainer import TrainConfig, grad_check
 from .util import BudgetError, substream
@@ -83,12 +83,9 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
         for j in range(i, len(corpus)):
             g, h = corpus[i], corpus[j]
             counts = _oracle_counts(g, h, max_p, budget)
-            for p in range(1, max_p + 1):
-                lam = tuple(1.0 if q == p else 0.0 for q in range(max_p + 1))
-                val = rwk_discrete(g, h, KernelConfig(max_p, lam))
-                checked += 1
-                if val != counts[p]:
-                    mismatches += 1
+            got = walk_pair_counts(g, h, max_p)
+            checked += max_p
+            mismatches += sum(got[p] != counts[p] for p in range(1, max_p + 1))
     rep.add(f"exhaustive <=5-node pairs, p=1..{max_p}", mismatches == 0,
             f"{checked} checks, {mismatches} mismatches")
 
@@ -104,10 +101,8 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
             counts = _oracle_counts(g, h, max_p, budget)
         except BudgetError:
             continue
-        for p in range(1, max_p + 1):
-            lam = tuple(1.0 if q == p else 0.0 for q in range(max_p + 1))
-            if rwk_discrete(g, h, KernelConfig(max_p, lam)) != counts[p]:
-                bad += 1
+        got = walk_pair_counts(g, h, max_p)
+        bad += sum(got[p] != counts[p] for p in range(1, max_p + 1))
         done += 1
     rep.add(f"{random_pairs} random <= {max_nodes}-node pairs", bad == 0 and done == random_pairs,
             f"{done} pairs checked, {bad} mismatches")

@@ -6,8 +6,9 @@ from mose.graph import (Graph, cycle_graph, induced_subgraph, path_graph,
 from mose.kernel import (HiddenGraph, KernelConfig, expert_embed,
                          hidden_graph_to_dot, kernel_features, load_hidden_graph,
                          rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
-                         rwk_oracle, save_hidden_graph)
+                         rwk_oracle, save_hidden_graph, walk_pair_counts)
 from mose.util import BudgetError
+from mose.wl import graph_corpus
 
 
 def count_walk_pairs(g, h, p):
@@ -45,6 +46,15 @@ class TestDiscreteKernel:
         for p in (1, 2, 3):
             assert rwk_discrete(cycle_graph(4), edgeless,
                                 KernelConfig(3, lam_basis(3, p))) == 0.0
+
+    def test_one_hot_weights_read_the_count_vector(self):
+        corpus = graph_corpus(5)
+        for i, g in enumerate(corpus):
+            for h in corpus[i:]:
+                counts = walk_pair_counts(g, h, 4)
+                assert counts[0] == g.node_count * h.node_count
+                for p in range(1, 5):
+                    assert rwk_discrete(g, h, KernelConfig(4, lam_basis(4, p))) == counts[p]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
 from mose.kernel import STEP_MODES, KernelConfig
-from mose.moe import (ExpertBank, GatingParams, ModelConfig, Route, build_group,
-                      combine, forward, gate_aggregate, gate_scores,
+from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig, Route,
+                      build_group, combine, forward, gate_aggregate, gate_scores,
                       group_forward, group_moments, new_model, node_embedding,
                       readout, route, _expert_kernel_backward,
-                      _expert_kernel_forward)
+                      _expert_kernel_forward, _padded_backward, _padded_forward,
+                      _rectified_powers)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
@@ -274,6 +277,126 @@ class TestForward:
         _, r = forward(model, sub)
         assert sorted(set(calls)) == list(r.indices)
         assert len(calls) == len(r.indices)
+
+
+def loop_group(g, records, node_ids, act=relu):
+    """Reference build: one record at a time, the padded tensors filled entry
+    by entry from the parent graph; returns (adj, sizes, feats, eta)."""
+    node_ids = list(node_ids)
+    nmax = max(len(records[v]) for v in node_ids)
+    b, f = len(node_ids), g.feature_dim
+    adj, feats = np.zeros((b, nmax, nmax)), np.zeros((b, nmax, f))
+    sizes, eta = np.zeros(b, dtype=np.int64), np.zeros((b, f))
+    for i, v in enumerate(node_ids):
+        ids = records[v]
+        sizes[i] = len(ids)
+        for a, u in enumerate(ids):
+            feats[i, a] = g.features[u]
+            nbrs = set(int(w) for w in g.neighbors_of(u))
+            for c, w in enumerate(ids):
+                adj[i, a, c] = float(w in nbrs)
+        x = feats[i, :len(ids)]
+        eta[i] = act(x[0] + softmax(x @ x[0]) @ x)
+    return adj, sizes, feats, eta
+
+
+def padded_tensor_kernel(expert, r_pows, adj, feats, dvals):
+    """Reference padded kernel on an explicit (B, nmax, f) feature tensor:
+    T = Z X_b^T per row, then dZ = sum_b dT_b X_b; returns (vals, dZ, dR^q)."""
+    n_hidden, s = expert.hidden_count, expert.size
+    b, p_max = adj.shape[0], len(r_pows) - 1
+    t = np.matmul(expert.Z.reshape(n_hidden * s, -1)[None], feats.transpose(0, 2, 1))
+    v_list = [t]
+    for _ in range(p_max):
+        v_list.append(np.matmul(v_list[-1], adj))
+    t4 = t.reshape(b, n_hidden, s, -1)
+    vals = np.empty((b, n_hidden, p_max))
+    dt4 = np.zeros_like(t4)
+    d_rq = np.empty((p_max, n_hidden, s, s))
+    for q in range(1, p_max + 1):
+        v4 = v_list[q].reshape(b, n_hidden, s, -1)
+        m = np.matmul(r_pows[q][None], v4)
+        vals[:, :, q - 1] = (t4 * m).sum(axis=(2, 3))
+        dt4 += 2.0 * dvals[:, :, q - 1, None, None] * m
+        c = np.matmul(t4, v4.transpose(0, 1, 3, 2))
+        d_rq[q - 1] = (dvals[:, :, q - 1, None, None] * c).sum(axis=0)
+    return vals, np.tensordot(dt4, feats, axes=([0, 3], [0, 1])), d_rq
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestGroupBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_matches_per_node_loop(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        f = data.draw(st.integers(1, 4))
+        # isolated extra nodes push the graph past the dense-adjacency limit
+        extra = data.draw(st.sampled_from([0, 6000]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        g = Graph.from_edges(n + extra, [p for p, k in zip(pairs, keep) if k],
+                             features=rng.normal(size=(n + extra, f)))
+        records = []
+        for v in range(n):
+            others = data.draw(st.permutations([u for u in range(n) if u != v]))
+            records.append([v] + others[:data.draw(st.integers(0, n - 1))])
+        node_ids = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        act = GATE_ACTIVATIONS[data.draw(st.sampled_from(sorted(GATE_ACTIVATIONS)))]
+        group = build_group(g, records, node_ids, act=act)
+        adj, sizes, feats, eta = loop_group(g, records, node_ids, act)
+        assert np.array_equal(group.adj, adj)
+        assert np.array_equal(group.sizes, sizes)
+        assert np.array_equal(group.feats, feats)
+        assert np.abs(group.eta - eta).max() <= 1e-12 * max(1.0, np.abs(eta).max())
+
+
+class TestGatheredKernel:
+    @staticmethod
+    def wide_group(f=64):
+        # f = 64 is far wider than any record (nmax = 5)
+        rng = np.random.default_rng(21)
+        n = 10
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        records = [[v] + [int(u) for u in g.neighbors_of(v)][:4] for v in range(n)]
+        records[3] = [3]
+        records[6] = [6, 9, 1, 4]
+        return g, records
+
+    @pytest.mark.parametrize("rows", [np.arange(10), np.array([0, 3, 6, 7])])
+    def test_matches_padded_tensor_reference(self, rows):
+        g, records = self.wide_group()
+        node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
+        group = build_group(g, records, node_ids)
+        _, _, feats, eta = loop_group(g, records, node_ids)
+        assert len(set(group.sizes.tolist())) > 2
+        assert rel_err(group.eta, eta) <= 1e-12
+        model = tiny_model(f=64, experts=3, seed=5)
+        assert not group.fits_moments(model.kernel_cfg.max_step)
+        expert = model.bank.experts[2]
+        r_pows = _rectified_powers(expert, model.kernel_cfg.max_step)
+        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
+                                      group.local[rows])
+        dvals = np.random.default_rng(22).normal(size=vals.shape)
+        dz, d_rq = _padded_backward(r_pows, group.xu, group.local[rows], dvals, state)
+        ref = padded_tensor_kernel(expert, r_pows, group.adj[rows], feats[rows], dvals)
+        for got, want in zip((vals, dz, d_rq), ref):
+            assert np.any(want != 0)
+            assert rel_err(got, want) <= 1e-12
+
+    def test_only_the_moment_path_builds_the_padded_features(self):
+        for f, moments in ((64, False), (2, True)):
+            g, records = self.wide_group(f)
+            group = build_group(g, records, range(g.node_count))
+            model = tiny_model(f=f, experts=3, seed=5)
+            run = group_forward(model, group, train_mode=True, rng=substream(0, 1),
+                                dropout=0.1)
+            run.backward(np.ones_like(run.h), model.zero_grads())
+            assert (run.moments is not None) == moments
+            assert ("feats" in vars(group)) == moments
 
 
 class TestBankValidation:

@@ -235,6 +235,37 @@ class TestNodeTask:
         assert metrics.expert_load.sum() == pytest.approx(len(ids), rel=1e-12)
 
 
+class TestUnitLifetime:
+    def test_previous_group_is_freed_before_the_next_build(self, monkeypatch):
+        import weakref
+        import mose.trainer
+        built, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in built))
+            group = build_group(*args, **kwargs)
+            built.append(weakref.ref(group))
+            return group
+
+        monkeypatch.setattr(mose.trainer, "build_group", tracked)
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        ids = np.arange(len(data.graphs))
+        cfg = TrainConfig(epochs=1, batch_size=len(ids), seed=0, patience=0)
+        for phase in ("train", "evaluate", "grad_check"):
+            built.clear()
+            alive.clear()
+            if phase == "train":
+                train(model, data, cache, (ids, ids), cfg)
+            elif phase == "evaluate":
+                evaluate(model, data, cache, ids)
+            else:
+                grad_check(model, data, cache, [0, 1, 2],
+                           TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+            assert len(alive) >= len(ids) and alive == [0] * len(alive), phase
+
+
 class TestGradCheck:
     def test_small_model_passes(self):
         # degree one-hot features (f = 4) keep every group on the padded
@@ -358,16 +389,16 @@ GOLDEN_TRAIN = TrainConfig(epochs=2, learning_rate=5e-3, beta=0.3, batch_size=3,
 # (sha256 of the trained parameters, test accuracy, test loss_task); they pin
 # every routing-noise and dropout draw and the order of the arithmetic
 GOLDEN_RUNS = {
-    ("mean", "weighted-sum"): ("19b89fb6a4d86755971037c50eab9a0a4be69f1ee79a74cac3102c466224ec99",
+    ("mean", "weighted-sum"): ("4692789d9bca3f350a86d31b55d0c21d4cb1400b3297bb7c821d4cdb0a7a1c9f",
                                0.3333333333333333, 0.7017995326840248),
-    ("mean", "concat"): ("fbf8417c388eccef259e87c1a698ec6e8b8e439e62ab0bc1da696fc8482600de",
+    ("mean", "concat"): ("b27c266832d9197bad581d7a77fcfcdaf30ab7f84ffc84d5126dff099807de9b",
                          0.3333333333333333, 0.7214245817306107),
-    ("max", "weighted-sum"): ("a6aecffb54ff086e3bb0ed65a3cda933c22227a192d972289f2361d3bba76a74",
+    ("max", "weighted-sum"): ("70cf6c9be39924ae4fd1cf72d269da59cc4c366bd87264a04b5813a5de6b5c41",
                               0.6666666666666666, 0.7132389552046083),
-    ("max", "concat"): ("cd4518a5c93577b051cb567b6320f4520df4c92c2f882f0ae9d988fd00293c7e",
+    ("max", "concat"): ("d618b29d2acd198b2f1233f54cb443ad0d1a29fef09f7456c806caf82d729fb0",
                         0.3333333333333333, 0.7545383790849186),
-    "node": ("86c65e64a9f7c2f379f0b62b03f158e2618c57de1df11ac63bc460f4dfb39d35",
-             0.3333333333333333, 2.0721758385709013),
+    "node": ("d688bdf8b651d0d818c9fb2e990ae2b66eb1d7e9027e1067bd0bb4e467873e5f",
+             0.3333333333333333, 2.0721758385709017),
 }
 
 
