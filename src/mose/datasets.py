@@ -91,7 +91,7 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     for i, line in enumerate(ind_lines):
         try:
             node_graph[i] = int(line.strip())
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(f"{ind_path}:{i + 1}: bad graph indicator {line!r}")
     if len(node_graph) == 0:
         raise FormatError(f"{ind_path}: dataset has no nodes")
@@ -120,23 +120,31 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         for i in range(n_total):
             try:
                 node_labels[i] = int(nl_lines[i].strip())
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise FormatError(f"{nl_path}:{i + 1}: bad node label")
 
     attributes = None
     if na_lines is not None:
         if len(na_lines) < n_total:
             raise FormatError(f"{na_path}: expected {n_total} attribute rows")
-        rows = []
-        for i in range(n_total):
-            try:
-                rows.append([float(x) for x in na_lines[i].replace(",", " ").split()])
-            except ValueError:
-                raise FormatError(f"{na_path}:{i + 1}: bad attribute row")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise FormatError(f"{na_path}: inconsistent attribute widths {sorted(widths)}")
-        attributes = np.array(rows)
+        text = [line.replace(",", " ") for line in na_lines[:n_total]]
+        try:
+            # loadtxt would skip a blank row, which the scan below must see
+            if not all(map(str.strip, text)):
+                raise ValueError
+            attributes = np.loadtxt(text, ndmin=2, comments=None)
+        except ValueError:
+            # the per-value scan runs only on rows loadtxt refuses; it names the bad line
+            rows = []
+            for i, line in enumerate(text):
+                try:
+                    rows.append([float(x) for x in line.split()])
+                except ValueError:
+                    raise FormatError(f"{na_path}:{i + 1}: bad attribute row")
+            widths = {len(r) for r in rows}
+            if len(widths) != 1:
+                raise FormatError(f"{na_path}: inconsistent attribute widths {sorted(widths)}")
+            attributes = np.array(rows)
 
     # edges, grouped per graph with local 0-based ids
     first_node = np.zeros(graph_count + 1, dtype=np.int64)
@@ -148,10 +156,10 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     for ln, line in enumerate(a_lines):
         if not line.strip():
             continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
+        try:
+            u, v = map(int, line.replace(",", " ").split())
+        except ValueError:
             raise FormatError(f"{a_path}:{ln + 1}: expected 'i, j', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
         if not (1 <= u <= n_total and 1 <= v <= n_total):
             raise FormatError(f"{a_path}:{ln + 1}: node id out of range")
         gu, gv = node_graph[u - 1], node_graph[v - 1]

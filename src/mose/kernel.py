@@ -27,9 +27,9 @@ class KernelConfig:
     """Step count, per-step weights, and how steps enter the feature map.
 
     ``lambdas`` has length ``max_step + 1`` (index p weighs the p-step
-    term); the step-0 term is used only by the discrete kernel and by
-    sum-over-p aggregation, never by the per-step feature map, which runs
-    over p = 1..max_step.
+    term); the step-0 term is used only by the discrete kernel, never by
+    the per-step feature map, which runs over p = 1..max_step in every
+    step mode.
     """
 
     max_step: int = 3
@@ -59,6 +59,15 @@ class KernelConfig:
     def feature_width(self) -> int:
         """Kernel features contributed per hidden graph."""
         return self.max_step if self.step_mode == "concat-over-p" else 1
+
+    @property
+    def step_weights(self) -> np.ndarray:
+        """(max_step, feature_width) map from the step values p = 1..max_step of
+        one hidden graph to its features, built from ``lambdas[1:]``."""
+        lam = np.diag(self.lambdas[1:])
+        if self.step_mode == "sum-over-p":
+            return lam.sum(axis=1, keepdims=True)
+        return lam if self.step_mode == "concat-over-p" else lam[:, -1:]
 
 
 @dataclass

@@ -12,6 +12,7 @@ subgraph moments shared by all experts, or on the padded tensors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -347,36 +348,35 @@ class NodeGroup:
 
 
 def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeGroup:
-    """Assemble the group tensors for the given nodes of one graph."""
-    node_ids = list(node_ids)
-    b = len(node_ids)
-    nmax = max(len(records[v]) for v in node_ids)
+    """Assemble the group tensors for the given nodes of one graph. The
+    adjacencies come from the record nodes' CSR rows, with no n x n array."""
+    recs = list(map(records.__getitem__, node_ids))
+    sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
+    b, nmax = len(recs), int(sizes.max())
+    # allocated before the neighbour-length temporaries: allocated after them it cost
+    # graph-cycle training ~10 % in page faults (glibc's dynamic mmap threshold)
     adj = np.zeros((b, nmax, nmax))
-    parent = np.zeros((b, nmax), dtype=np.int64)
-    dense = g.adjacency_dense() if g.node_count <= 6000 else None
-    slot = None if dense is not None else np.full(g.node_count, -1, dtype=np.int64)
-    sizes = np.zeros(b, dtype=np.int64)
-    for i, v in enumerate(node_ids):
-        ids = np.asarray(records[v], dtype=np.int64)
-        k = len(ids)
-        sizes[i] = k
-        parent[i, :k] = ids
-        if dense is not None:
-            adj[i, :k, :k] = dense[np.ix_(ids, ids)]
-        else:
-            slot[ids] = np.arange(k)
-            for li, pid in enumerate(ids):
-                for nb in g.neighbors_of(int(pid)):
-                    lj = slot[nb]
-                    if lj >= 0:
-                        adj[i, li, lj] = 1.0
-            slot[ids] = -1
     valid = np.arange(nmax)[None, :] < sizes[:, None]
-    uniq, inv = np.unique(parent[valid], return_inverse=True)
+    flat = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
+                       count=int(sizes.sum()))
+    uniq, inv = np.unique(flat, return_inverse=True)
     xu = np.zeros((len(uniq) + 1, g.feature_dim))
     xu[:-1] = g.features[uniq]
     local = np.full((b, nmax), len(uniq))
     local[valid] = inv
+    row, pos = np.nonzero(valid)
+    where = np.full((b, len(uniq) + 1), -1)
+    where[row, inv] = pos
+    # the CSR rows of the record nodes, concatenated
+    starts, deg = g.offsets[flat], g.degrees[flat]
+    ends = np.cumsum(deg)
+    nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
+    col = np.searchsorted(uniq, nbr)
+    col[np.take(uniq, col, mode="clip") != nbr] = len(uniq)
+    # per neighbour: its record, the position of its source there, and its own
+    row, pos = np.repeat(row, deg), np.repeat(pos, deg)
+    other = where[row, col]
+    np.put(adj, ((row * nmax + pos) * nmax + other)[other >= 0], 1.0)
     xv = xu[local[:, 0]]
     scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
     weights = np.zeros((b, len(xu)))
@@ -495,20 +495,13 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
     ``moments`` (from group_moments, or None) selects the evaluation order;
     both give the same values up to rounding.
     """
-    p_max = kcfg.max_step
-    r_pows = _rectified_powers(expert, p_max)
+    r_pows = _rectified_powers(expert, kcfg.max_step)
     if moments is None:
         vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
     else:
         vals, state = _moment_forward(expert, r_pows, moments[:, rows])
-    lam = np.array(kcfg.lambdas[1:])
-    if kcfg.step_mode == "concat-over-p":
-        phi = (vals * lam).reshape(len(rows), -1)
-    elif kcfg.step_mode == "sum-over-p":
-        phi = (vals * lam).sum(axis=2)
-    else:
-        phi = kcfg.lambdas[p_max] * vals[:, :, p_max - 1]
+    phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
 
@@ -516,17 +509,10 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup
                             rows: np.ndarray, moments: np.ndarray | None,
                             dphi: np.ndarray, cache, grads: dict, key: str):
     n_hidden, s = expert.hidden_count, expert.size
-    b = dphi.shape[0]
     p_max = kcfg.max_step
     r_pows, state = cache
-    lam = np.array(kcfg.lambdas[1:])
-    dvals = np.zeros((b, n_hidden, p_max))
-    if kcfg.step_mode == "concat-over-p":
-        dvals = dphi.reshape(b, n_hidden, p_max) * lam
-    elif kcfg.step_mode == "sum-over-p":
-        dvals = dphi[:, :, None] * lam
-    else:
-        dvals[:, :, p_max - 1] = kcfg.lambdas[p_max] * dphi
+    weights = kcfg.step_weights
+    dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(len(dphi), n_hidden, -1)
     if moments is None:
         dz, d_rq = _padded_backward(r_pows, group.xu, group.local[rows], dvals, state)
     else:

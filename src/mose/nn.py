@@ -190,6 +190,3 @@ class ReplayRng:
 
     def random(self, size=None):
         return self._next(size)
-
-    def rewind(self):
-        self._i = 0

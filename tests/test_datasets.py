@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mose.datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
                            load_tu_dataset, make_folds, make_node_splits,
@@ -111,6 +116,88 @@ class TestLoader:
         for a, b in zip(data.graphs, back.graphs):
             assert a.edges() == b.edges()
             assert np.array_equal(a.features, b.features)
+
+    def test_non_integer_edge_field_reports_line(self, tmp_path):
+        d = write_tu(tmp_path, "field", ["1, 2", "2, x"], ["1", "1"], ["1"])
+        with pytest.raises(FormatError, match=r"field_A.txt:2: expected 'i, j', got '2, x'"):
+            load_tu_dataset(d, "field")
+
+    def test_oversized_indicator_reports_line(self, tmp_path):
+        d = write_tu(tmp_path, "huge", ["1, 2"], ["1", "9" * 25], ["1"])
+        with pytest.raises(FormatError, match=r"huge_graph_indicator.txt:2: bad graph"):
+            load_tu_dataset(d, "huge")
+
+    def test_non_numeric_attribute_reports_line(self, tmp_path):
+        d = write_tu(tmp_path, "word", ["1, 2"], ["1", "1", "1"], ["1"],
+                     attrs=["0.5, 1", "1.5, 2", "2.5, x"])
+        with pytest.raises(FormatError, match=r"word_node_attributes.txt:3: bad attribute row"):
+            load_tu_dataset(d, "word")
+
+    @pytest.mark.parametrize("attrs, widths", [(["1, 2", "3"], r"\[1, 2\]"),
+                                               (["1, 2", ""], r"\[0, 2\]"),
+                                               (["1, 2", " , "], r"\[0, 2\]")])
+    def test_mixed_attribute_widths_refused(self, tmp_path, attrs, widths):
+        d = write_tu(tmp_path, "mixed", ["1, 2"], ["1", "1"], ["1"], attrs=attrs)
+        with pytest.raises(FormatError, match=r"mixed_node_attributes.txt: inconsistent "
+                                              r"attribute widths " + widths):
+            load_tu_dataset(d, "mixed")
+
+    def test_attributes_read_back_exactly(self, tmp_path):
+        rng = np.random.default_rng(4)
+        feats = rng.normal(size=(60, 9)) * np.logspace(-300, 300, 9)
+        g = Graph.from_edges(60, [(i, i + 1) for i in range(59)], features=feats,
+                             node_labels=np.arange(60) % 3)
+        out = str(tmp_path / "exact")
+        save_tu_dataset(Dataset(graphs=[g], task="node", class_count=3, name="exact"), out)
+        assert np.array_equal(load_tu_dataset(out, "exact").graphs[0].features, feats)
+
+    def test_attributes_float_spellings(self, tmp_path):
+        # float() reads these; the array parser alone refuses some of them
+        d = write_tu(tmp_path, "spell", ["1, 2"], ["1", "1"], ["1"],
+                     attrs=["1_0, inf, -0.5", "\u0661, nan, 2e3"])
+        x = load_tu_dataset(d, "spell").graphs[0].features
+        assert np.array_equal(x, [[10.0, np.inf, -0.5], [1.0, np.nan, 2000.0]],
+                              equal_nan=True)
+
+
+FUZZ_FILES = {
+    "A": ["1, 2", "2, 1", "2, 3", "3, 2", "4, 5", "5, 4"],
+    "graph_indicator": ["1", "1", "1", "2", "2"],
+    "graph_labels": ["0", "1"],
+    "node_labels": ["3", "1", "3", "2", "1"],
+    "node_attributes": ["0.5, 1", "-2, 3e-2", "0, 0", "1.25, inf", "7, -1"],
+}
+
+fuzz_text = st.one_of(
+    st.text(st.characters(codec="utf-8"), max_size=12),
+    st.integers(-2**70, 2**70).map(str),
+    st.lists(st.integers(-3, 8).map(str), max_size=4).map(", ".join),
+    st.lists(st.floats(), max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_FILES)), st.sampled_from(["replace", "drop", "dup"]),
+           st.integers(0, 5), fuzz_text)
+    def test_one_bad_line_is_a_dataset_or_format_error(self, suffix, op, at, text):
+        lines = {k: list(v) for k, v in FUZZ_FILES.items()}
+        edit = lines[suffix]
+        at %= len(edit)
+        if op == "replace":
+            edit[at] = text
+        elif op == "drop":
+            del edit[at]
+        else:
+            edit.insert(at, edit[at])
+        with tempfile.TemporaryDirectory() as d:
+            for k, v in lines.items():
+                Path(d, f"fz_{k}.txt").write_text("\n".join(v) + "\n", encoding="utf-8")
+            try:
+                data = load_tu_dataset(d, "fz")
+            except FormatError:
+                return
+        assert isinstance(data, Dataset)
 
 
 class TestGenerators:

@@ -334,7 +334,7 @@ class TestGroupBuild:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         f = data.draw(st.integers(1, 4))
-        # isolated extra nodes push the graph past the dense-adjacency limit
+        # isolated extra nodes make a large sparse graph around the records
         extra = data.draw(st.sampled_from([0, 6000]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         g = Graph.from_edges(n + extra, [p for p, k in zip(pairs, keep) if k],
@@ -351,6 +351,30 @@ class TestGroupBuild:
         assert np.array_equal(group.sizes, sizes)
         assert np.array_equal(group.feats, feats)
         assert np.abs(group.eta - eta).max() <= 1e-12 * max(1.0, np.abs(eta).max())
+
+    @pytest.mark.parametrize("n", [12, 6500])
+    def test_one_construction_at_every_size(self, n, monkeypatch):
+        def refuse(self, dtype=np.float64):
+            raise AssertionError("build_group formed an n x n adjacency")
+
+        monkeypatch.setattr(Graph, "adjacency_dense", refuse)
+        rng = np.random.default_rng(n)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [tuple(rng.integers(0, n, 2)) for _ in range(n // 2)]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 3)))
+        records = [[v] + [int(u) for u in rng.choice(n, 9, replace=False) if u != v]
+                   for v in range(n)]
+        records[1] = [1]
+        for v in range(0, n, max(1, n // 40)):
+            records[v] = [v] + [int(u) for u in g.neighbors_of(v)]
+        node_ids = rng.permutation(n)[:min(n, 300)]
+        group = build_group(g, records, node_ids)
+        adj, sizes, feats, eta = loop_group(g, records, node_ids)
+        assert adj.sum() > 0
+        assert np.array_equal(group.adj, adj)
+        assert np.array_equal(group.sizes, sizes)
+        assert np.array_equal(group.feats, feats)
+        assert rel_err(group.eta, eta) <= 1e-12
 
 
 class TestGatheredKernel:
