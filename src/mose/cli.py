@@ -22,7 +22,8 @@ from .kernel import KernelConfig, hidden_graph_to_dot
 from .moe import ModelConfig, new_model
 from .trainer import (Metrics, NonFiniteLossError, TrainConfig, load_checkpoint,
                       metrics_csv, save_checkpoint, train)
-from .util import BudgetError, FormatError, hash_arrays, write_manifest
+from .util import (BudgetError, FormatError, hash_arrays, read_text_lines,
+                   write_manifest)
 from .verify import SUITES, run_suite
 from .walks import SubgraphCache, WalkConfig, extract_dataset, load_cache, save_cache
 
@@ -72,32 +73,26 @@ DEFAULTS = {
     "lambda_decay": 1.0,
 }
 
-_INT_KEYS = {"seed", "walk_length", "walks_per_node", "k_walk", "subgraph_cap",
-             "steps", "experts", "hidden_graphs", "k_ept", "embed_dim",
-             "epochs", "batch_size", "patience", "folds", "fold_index", "threads"}
-_FLOAT_KEYS = {"beta", "lr", "dropout", "val_fraction", "adam_beta1",
-               "adam_beta2", "adam_eps", "lambda_decay"}
-
 
 def _parse_config_file(path: str) -> dict:
     out = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in DEFAULTS:
-                raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+    for ln, line in enumerate(read_text_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in DEFAULTS:
+            raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
+        kind = type(DEFAULTS[key])
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            article = "an" if kind is int else "a"
+            raise UsageError(f"{path}:{ln}: {key} must be {article} "
+                             f"{kind.__name__}, got {value!r}") from None
     return out
 
 

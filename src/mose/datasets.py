@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, degree_features
-from .util import FormatError, substream
+from .util import FormatError, read_text_lines, substream
 
 
 @dataclass
@@ -66,8 +66,7 @@ def _read_lines(directory: str, name: str, suffix: str, required: bool):
         if required:
             raise FileNotFoundError(f"required dataset file missing: {path}")
         return None, path
-    with open(path) as f:
-        return f.read().splitlines(), path
+    return read_text_lines(path), path
 
 
 def load_tu_dataset(directory: str, name: str) -> Dataset:

@@ -565,20 +565,20 @@ class GroupRun:
 
     def backward(self, dh: np.ndarray, grads: dict):
         model, group = self.model, self.group
-        d = model.embed_dim
-        dzeta = np.zeros_like(self.zeta)
+        # the gradient on the (B, E, d) blocks that group_forward combined
         if model.cfg.combine_mode == "concat":
-            dwide = model.combine_mlp.backward(dh, self.concat_cache, grads)
+            dwide = model.combine_mlp.backward(dh, self.concat_cache, grads).reshape(
+                group.count, model.expert_count, -1)
+        else:
+            dwide = np.broadcast_to(dh[:, None, :], (group.count, model.expert_count,
+                                                     model.embed_dim))
+        dzeta = np.zeros_like(self.zeta)
         for m in sorted(self.expert_rows):
             rows, pos = self.expert_rows[m]
             phi, kcache, mlp_cache, hm = self.expert_caches[m]
-            if model.cfg.combine_mode == "weighted-sum":
-                dhm = self.zeta[rows, pos][:, None] * dh[rows]
-                dzeta[rows, pos] += (hm * dh[rows]).sum(axis=1)
-            else:
-                block = dwide[rows, m * d:(m + 1) * d]
-                dhm = self.zeta[rows, pos][:, None] * block
-                dzeta[rows, pos] += (hm * block).sum(axis=1)
+            block = dwide[rows, m]
+            dhm = self.zeta[rows, pos][:, None] * block
+            dzeta[rows, pos] += (hm * block).sum(axis=1)
             expert = model.bank.experts[m]
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
             _expert_kernel_backward(expert, model.kernel_cfg, group, rows, self.moments,
@@ -606,12 +606,9 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     moments = None
     if group.fits_moments(p_max):
         moments = group_moments(group.adj, group.feats, p_max)
-    run = GroupRun(model=model, group=group, h=np.zeros((group.count, model.embed_dim)),
-                   idx=idx, zeta=zeta, eps=eps, sig=sig, moments=moments)
-    d = model.embed_dim
-    wide = None
-    if model.cfg.combine_mode == "concat":
-        wide = np.zeros((group.count, model.expert_count * d))
+    expert_rows, expert_caches = {}, {}
+    # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
+    wide = np.zeros((group.count, model.expert_count, model.embed_dim))
     for m in range(model.expert_count):
         rows, pos = np.nonzero(idx == m)
         if len(rows) == 0:
@@ -621,15 +618,17 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
                                              moments)
         hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
                                                  dropout=dropout, rng=rng)
-        run.expert_rows[m] = (rows, pos)
-        run.expert_caches[m] = (phi, kcache, mlp_cache, hm)
-        if model.cfg.combine_mode == "weighted-sum":
-            run.h[rows] += zeta[rows, pos][:, None] * hm
-        else:
-            wide[rows, m * d:(m + 1) * d] = zeta[rows, pos][:, None] * hm
+        expert_rows[m] = (rows, pos)
+        expert_caches[m] = (phi, kcache, mlp_cache, hm)
+        wide[rows, m] = zeta[rows, pos][:, None] * hm
+    concat_cache = None
     if model.cfg.combine_mode == "concat":
-        run.h, run.concat_cache = model.combine_mlp.forward(wide)
-    return run
+        h, concat_cache = model.combine_mlp.forward(wide.reshape(group.count, -1))
+    else:
+        h = wide.sum(axis=1)
+    return GroupRun(model=model, group=group, h=h, idx=idx, zeta=zeta, eps=eps, sig=sig,
+                    moments=moments, expert_rows=expert_rows, expert_caches=expert_caches,
+                    concat_cache=concat_cache)
 
 
 def pool_rows(h: np.ndarray, mode: str):

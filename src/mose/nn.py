@@ -1,6 +1,4 @@
-"""Minimal dense-layer machinery: MLPs with hand-written backprop, Adam,
-and a record/replay wrapper that freezes stochastic draws for gradient
-checking."""
+"""Minimal dense-layer machinery: MLPs with hand-written backprop and Adam."""
 
 from __future__ import annotations
 
@@ -140,53 +138,3 @@ class Adam:
             vh = self.v[name] / (1 - b2 ** self.t)
             params[name] -= self.learning_rate * mh / (np.sqrt(vh) + self.eps)
 
-
-class RecordingRng:
-    """Wraps a Generator, remembering every draw so it can be replayed."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.tape: list[np.ndarray] = []
-
-    def standard_normal(self, size=None):
-        out = self._rng.standard_normal(size)
-        self.tape.append(np.array(out, copy=True))
-        return out
-
-    def random(self, size=None):
-        out = self._rng.random(size)
-        self.tape.append(np.array(out, copy=True))
-        return out
-
-
-class ReplayMismatch(RuntimeError):
-    """A replayed draw was requested with a different shape or past the tape."""
-
-
-class ReplayRng:
-    """Replays a RecordingRng tape in order; draws must match in sequence."""
-
-    def __init__(self, tape: list[np.ndarray]):
-        self.tape = tape
-        self._i = 0
-
-    def _next(self, size):
-        if self._i >= len(self.tape):
-            raise ReplayMismatch("ran past the recorded tape")
-        out = self.tape[self._i]
-        self._i += 1
-        if size is None:
-            expected = ()
-        elif np.isscalar(size):
-            expected = (int(size),)
-        else:
-            expected = tuple(int(s) for s in size)
-        if out.shape != expected:
-            raise ReplayMismatch("replayed draw shape mismatch")
-        return out
-
-    def standard_normal(self, size=None):
-        return self._next(size)
-
-    def random(self, size=None):
-        return self._next(size)

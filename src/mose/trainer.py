@@ -12,6 +12,7 @@ independent of batch layout, thread count, and resume points.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,8 @@ from .datasets import Dataset
 from .kernel import KernelConfig
 from .moe import (ModelConfig, MoseModel, Route, build_group, gate_backward,
                   group_forward, new_model, pool_rows, pool_rows_backward)
-from .nn import Adam, RecordingRng, ReplayMismatch, ReplayRng, log_softmax, softmax
-from .util import substream
+from .nn import Adam, log_softmax, softmax
+from .util import FormatError, substream
 from .walks import SubgraphCache
 
 CV_GUARD = 1e-10
@@ -419,10 +420,28 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
 
 
 def load_checkpoint(path: str):
-    data = np.load(path, allow_pickle=False)
+    """(model, state, TrainConfig) from a save_checkpoint file; any other
+    file raises FormatError naming ``path``."""
+    try:
+        return _read_checkpoint(path)
+    except FileNotFoundError:
+        raise
+    except KeyError as e:
+        raise FormatError(f"{path}: not a mose checkpoint: missing {e}") from None
+    except (OSError, ValueError, TypeError, zipfile.BadZipFile) as e:
+        raise FormatError(f"{path}: not a mose checkpoint: {e}") from None
+
+
+def _read_checkpoint(path: str):
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        raise ValueError("not an npz archive") from None
+    if "meta" not in getattr(data, "files", ()):
+        raise ValueError("no meta record")
     meta = json.loads(str(data["meta"]))
     if meta["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        raise ValueError(f"unsupported version {meta['version']}")
     mcfg_d = dict(meta["model_config"])
     mcfg_d["sizes"] = tuple(mcfg_d["sizes"])
     mcfg = ModelConfig(**mcfg_d)
@@ -454,8 +473,8 @@ def load_checkpoint(path: str):
 def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 item_ids, cfg: TrainConfig, rng, grads: dict | None,
                 train_mode: bool = True):
-    """Loss (and, given ``grads``, its gradients) for a fixed batch under a
-    fixed noise tape: every unit draws from the one ``rng``.
+    """Loss (and, given ``grads``, its gradients) for a fixed batch: every
+    unit draws its routing noise and dropout masks in turn from the one ``rng``.
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.
@@ -474,28 +493,20 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
                train_mode: bool = True) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Routing noise and dropout are recorded once and replayed for every
-    perturbed evaluation; if a perturbation flips a top-k selection the
+    Each evaluation re-keys its routing noise and dropout from
+    ``substream(seed, 500)``. A unit draws the noise (B x E), then one mask
+    per routed expert in expert-id order, then the head's mask, so the
+    shapes depend only on the top-k picks: an evaluation with the base picks
+    draws the base values. If a perturbation flips a top-k selection the
     step shrinks, and a persistent flip is an error. Returns the max
     relative error over every entry of every parameter tensor.
     """
-    recorder = RecordingRng(substream(cfg.seed, 500))
-    recorded = False
+    def run(grads=None):
+        rng = substream(cfg.seed, 500) if train_mode else None
+        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode)
 
-    def run(with_grads):
-        nonlocal recorded
-        if train_mode:
-            local = ReplayRng(recorder.tape) if recorded else recorder
-        else:
-            local = None
-        grads = model.zero_grads() if with_grads else None
-        loss, picks = frozen_loss(model, data, cache, item_ids, cfg,
-                                  local, grads, train_mode)
-        if train_mode:
-            recorded = True
-        return loss, picks, grads
-
-    base_loss, base_picks, grads = run(with_grads=True)
+    grads = model.zero_grads()
+    base_loss, base_picks = run(grads)
     if not np.isfinite(base_loss):
         raise NonFiniteLossError(0, 0, _param_norms(model))
     params = model.parameters()
@@ -510,18 +521,13 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
             for _attempt in range(3):
                 try:
                     arr[ix] = orig + h
-                    lp, picks_p, _ = run(with_grads=False)
+                    lp, picks_p = run()
                     arr[ix] = orig - h
-                    lm, picks_m, _ = run(with_grads=False)
-                    flipped = any(not np.array_equal(a, b)
-                                  for a, b in zip(base_picks, picks_p)) or \
-                              any(not np.array_equal(a, b)
-                                  for a, b in zip(base_picks, picks_m))
-                except ReplayMismatch:
-                    flipped = True  # routing changed the draw sequence
+                    lm, picks_m = run()
                 finally:
                     arr[ix] = orig
-                if not flipped:
+                if all(np.array_equal(a, b) for picks in (picks_p, picks_m)
+                       for a, b in zip(base_picks, picks)):
                     break
                 h /= 10.0
             else:

@@ -18,6 +18,18 @@ class FormatError(ValueError):
     """Raised on malformed dataset files; message carries file and line."""
 
 
+def read_text_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; an undecodable byte raises FormatError
+    naming ``path:line``."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key) so workers never share state.
 

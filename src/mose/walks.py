@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, NodeSubgraph, induced_subgraph
-from .util import BudgetError, FormatError, substream
+from .util import BudgetError, FormatError, read_text_lines, substream
 
 
 @dataclass(frozen=True)
@@ -341,15 +341,14 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
         for nodes in recs:
             buf.write("v " + " ".join(str(x) for x in nodes) + "\n")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(buf.getvalue())
 
 
 def load_cache(path: str) -> SubgraphCache:
     """Read a cache written by save_cache; a malformed file raises
     FormatError naming ``path:line``."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text_lines(path)
     if not lines or lines[0] != CACHE_MAGIC:
         raise FormatError(f"{path}:1: not a subgraph cache file")
     if len(lines) < 2:

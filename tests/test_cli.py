@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -230,6 +232,65 @@ class TestVerifyAndExport:
     def test_missing_checkpoint(self, tmp_path):
         assert run(["export-hidden", "--checkpoint", str(tmp_path / "no.npz"),
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+CACHE_HEAD = (b"mose-subgraphs v1\ndataset=GraphCycle seed=3 walk_length=4 "
+              b"walks_per_node=5 pattern_budget=3 cap=12\n")
+NO_META = _npz(x=np.zeros(2))
+
+# (file the run reads, its bytes, exit code, what stderr says after the path)
+FAILURES = {
+    "config-int": ("config", b"epochs = x\n", 64, ":1: epochs must be an int, got 'x'"),
+    "config-float": ("config", b"seed=3\nlr = fast\n", 64,
+                     ":2: lr must be a float, got 'fast'"),
+    "config-bytes": ("config", b"epochs=2\nseed=\xff\n", 2, ":2: not UTF-8 text"),
+    "tu-field": ("tu-A", b"1, 2\n2, x\n", 2, ":2: expected 'i, j', got '2, x'"),
+    "tu-bytes": ("tu-labels", b"0\n1\xff\n", 2, ":2: not UTF-8 text"),
+    "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),
+    "resume-no-meta": ("checkpoint", NO_META, 2, ": not a mose checkpoint: no meta record"),
+    "export-no-meta": ("export", NO_META, 2, ": not a mose checkpoint: no meta record"),
+    "export-junk": ("export", b"junk\n", 2, ": not a mose checkpoint: not an npz archive"),
+    "export-meta-not-json": ("export", _npz(meta="{version"), 2,
+                             ": not a mose checkpoint: Expecting property name"),
+    "export-meta-lacks-key": ("export", _npz(meta=json.dumps({"version": 1})), 2,
+                              ": not a mose checkpoint: missing 'model_config'"),
+    "export-version": ("export", _npz(meta=json.dumps({"version": 99})), 2,
+                       ": not a mose checkpoint: unsupported version 99"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_malformed_input_exit_code_names_file(workspace, tmp_path, capsys, case):
+    target, body, code, message = FAILURES[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(workspace / "data" / "GraphCycle", data / "GraphCycle")
+    args = ["train", "--data-dir", str(data), "--dataset", "GraphCycle", *BASE,
+            "--epochs", "1", "--folds", "3", "--experts", "3", "--hidden-graphs", "2",
+            "--out-dir", str(out)]
+    path = {"config": tmp_path / "run.cfg",
+            "tu-A": data / "GraphCycle" / "GraphCycle_A.txt",
+            "tu-labels": data / "GraphCycle" / "GraphCycle_graph_labels.txt",
+            "cache": tmp_path / "bad.cache",
+            "checkpoint": out / "checkpoint.npz",
+            "export": tmp_path / "bad.npz"}[target]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(body)
+    if target == "config":
+        args += ["--config", str(path)]
+    elif target == "cache":
+        args += ["--cache", str(path)]
+    elif target == "export":
+        args = ["export-hidden", "--checkpoint", str(path), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run(args) == code
+    prefix = "usage error: " if code == 64 else "error: "
+    assert capsys.readouterr().err.startswith(f"{prefix}{path}{message}")
 
 
 def test_unexpected_exception_is_runtime_error(monkeypatch, capsys):

@@ -127,6 +127,12 @@ class TestLoader:
         with pytest.raises(FormatError, match=r"huge_graph_indicator.txt:2: bad graph"):
             load_tu_dataset(d, "huge")
 
+    def test_undecodable_byte_reports_line(self, tmp_path):
+        d = write_tu(tmp_path, "bytes", ["1, 2"], ["1", "1", "2"], ["0", "1"])
+        (Path(d) / "bytes_graph_labels.txt").write_bytes(b"0\n1\xff\n")
+        with pytest.raises(FormatError, match=r"bytes_graph_labels.txt:2: not UTF-8 text"):
+            load_tu_dataset(d, "bytes")
+
     def test_non_numeric_attribute_reports_line(self, tmp_path):
         d = write_tu(tmp_path, "word", ["1, 2"], ["1", "1", "1"], ["1"],
                      attrs=["0.5, 1", "1.5, 2", "2.5, x"])

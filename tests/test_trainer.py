@@ -42,9 +42,10 @@ def toy_cache(data, seed=1):
                                       seed=seed))
 
 
-def toy_model(data, experts=3, seed=0, max_step=3):
+def toy_model(data, experts=3, seed=0, max_step=3, combine_mode="weighted-sum"):
     mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=data.class_count,
-                       experts=experts, hidden_per_expert=2, embed_dim=8, k_ept=2)
+                       experts=experts, hidden_per_expert=2, embed_dim=8, k_ept=2,
+                       combine_mode=combine_mode)
     return new_model(mcfg, KernelConfig(max_step=max_step), seed=seed)
 
 
@@ -286,6 +287,14 @@ class TestGradCheck:
                              TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
             assert err < 1e-4
 
+    def test_concat_combine_passes(self):
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2, combine_mode="concat")
+        err = grad_check(model, data, cache, [0, 1, 2],
+                         TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+        assert err < 1e-4
+
     def test_one_backward_per_unit_of_the_analytic_pass(self, monkeypatch):
         # the perturbed evaluations run forward only
         import mose.moe
@@ -314,6 +323,39 @@ class TestGradCheck:
                     None, grads, train_mode=False)
         assert np.all(grads["gating.W_n"] == 0)
         assert np.any(grads["gating.W_g"] != 0)
+
+    def test_near_tied_pick_shrinks_the_step(self, monkeypatch):
+        # expert 0 leads every node; expert 2 beats expert 1 for the second
+        # pick by 3e-7 of the node's gate mass, which a 1e-5 step on a column
+        # of W_g overturns and a 1e-7 step does not
+        import mose.trainer
+        calls = []
+        frozen = mose.trainer.frozen_loss
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return frozen(*args, **kwargs)
+
+        monkeypatch.setattr(mose.trainer, "frozen_loss", counted)
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        w_g = model.gating.W_g
+        w_g[:, 0], w_g[:, 1], w_g[:, 2] = 1.0, 0.0, 3e-7
+        err = grad_check(model, data, cache, [0, 1, 2], TrainConfig(seed=4, beta=0.2),
+                         train_mode=False)
+        assert err < 1e-4
+        size = sum(v.size for v in model.parameters().values())
+        assert len(calls) > 1 + 2 * size   # some entries were evaluated again
+
+    def test_exact_tie_keeps_flipping(self):
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        model.gating.W_g[...] = 0.0
+        with pytest.raises(RuntimeError, match=r"top-k selection keeps flipping at gating\.W_g"):
+            grad_check(model, data, cache, [0, 1, 2], TrainConfig(seed=4, beta=0.2),
+                       train_mode=False)
 
     def test_zero_learning_rate_fixes_parameters(self):
         data = toy_dataset(2)

@@ -264,6 +264,12 @@ class TestDatasetExtraction:
         assert str(err.value).startswith(f"{path}:{where}: ")
         assert what in str(err.value)
 
+    def test_undecodable_byte_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.cache"
+        path.write_bytes((CACHE_MAGIC + "\n" + HEADER + "g 0\n").encode() + b"v 0 \xff1\n")
+        with pytest.raises(FormatError, match=r"bad.cache:4: not UTF-8 text$"):
+            load_cache(str(path))
+
 
 def _node_task_graph() -> Graph:
     """One labelled 240-node community graph, as a node-level task uses."""
