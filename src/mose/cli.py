@@ -75,7 +75,9 @@ DEFAULTS = {
 
 
 def _parse_config_file(path: str) -> dict:
-    out = {}
+    """The typed settings of a ``key=value`` file. Over the defaults they must
+    build every config, or the line where they stop doing so is a usage error."""
+    typed = []
     for ln, line in enumerate(read_text_lines(path), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -88,12 +90,31 @@ def _parse_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
         kind = type(DEFAULTS[key])
         try:
-            out[key] = kind(value)
+            typed.append((ln, key, kind(value)))
         except ValueError:
             article = "an" if kind is int else "a"
             raise UsageError(f"{path}:{ln}: {key} must be {article} "
                              f"{kind.__name__}, got {value!r}") from None
+    out = {key: value for _, key, value in typed}
+    if _settings_error(DEFAULTS | out):
+        settings = dict(DEFAULTS)
+        for ln, key, value in typed:
+            settings[key] = value
+            if error := _settings_error(settings):
+                raise UsageError(f"{path}:{ln}: {error}")
     return out
+
+
+def _settings_error(cfg: dict) -> str | None:
+    """The message of the first config the settings cannot build, if any."""
+    try:
+        _walk_config(cfg)
+        _kernel_config(cfg)
+        _train_config(cfg)
+        _model_config(cfg, feature_dim=1, class_count=2)
+    except ValueError as e:
+        return str(e)
+    return None
 
 
 def _merged_config(args) -> dict:
@@ -170,14 +191,13 @@ def _load_dataset(cfg, args) -> Dataset:
     return load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
 
 
-def _model_config(cfg, data: Dataset) -> ModelConfig:
-    return ModelConfig(feature_dim=data.feature_dim, class_count=data.class_count,
+def _model_config(cfg, feature_dim: int, class_count: int, task="graph") -> ModelConfig:
+    return ModelConfig(feature_dim=feature_dim, class_count=class_count,
                        experts=cfg["experts"], hidden_per_expert=cfg["hidden_graphs"],
                        embed_dim=cfg["embed_dim"], k_ept=cfg["k_ept"],
                        combine_mode=cfg["combine_mode"],
                        readout_mode=cfg["readout_mode"],
-                       gate_activation=cfg["gate_activation"],
-                       task=data.task)
+                       gate_activation=cfg["gate_activation"], task=task)
 
 
 def _differences(built: dict, wanted: dict) -> list[str]:
@@ -274,7 +294,7 @@ def cmd_train(args) -> int:
         save_cache(cache_path, cache)
     kcfg = _kernel_config(cfg)
     tcfg = _train_config(cfg)
-    mcfg = _model_config(cfg, data)
+    mcfg = _model_config(cfg, data.feature_dim, data.class_count, data.task)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
     start_state = None
     if os.path.exists(ckpt_path):

@@ -69,6 +69,48 @@ def _read_lines(directory: str, name: str, suffix: str, required: bool):
     return read_text_lines(path), path
 
 
+def _read_table(path: str, lines: list[str], kind: type, what: str, width: int | None = None,
+                skip_blank: bool = False, commas: bool = False) -> np.ndarray:
+    """The values of a TU file's lines as a (rows, width) array of ``kind``.
+
+    One ``np.loadtxt`` pass reads the file. Where it refuses, ``kind`` (int or
+    float) rescans each line: every spelling it accepts loads unchanged, and
+    the first line it refuses, or an int outside int64, raises FormatError
+    ``path:line: what``, with ``{!r}`` in ``what`` formatting the line. Blank
+    lines are skipped with ``skip_blank``, else refused, and counted either way.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    text = "\n".join(lines).replace(",", " ").split("\n") if commas else lines
+    filled = sum(map(bool, map(str.strip, lines)))
+    try:
+        # loadtxt skips blank lines (a comma-only one too) and warns on none; numpy's
+        # integer parser misreads some non-ASCII text (U+6CC98 as 445544) or crashes
+        if filled == 0 or not (skip_blank or filled == len(lines)) \
+                or not all(map(str.isascii, lines)):
+            raise ValueError
+        table = np.loadtxt(text, dtype=dtype, ndmin=2, comments=None)
+        if table.shape[0] != filled or width not in (None, table.shape[1]):
+            raise ValueError
+        return table
+    except (ValueError, OverflowError):
+        # the per-line scan runs only on files loadtxt refuses; it names the bad line
+        rows = []
+        for ln, (line, values) in enumerate(zip(lines, text), start=1):
+            if skip_blank and not line.strip():
+                continue
+            try:
+                row = np.array([kind(x) for x in values.split()], dtype=dtype)
+                if width is not None and len(row) != width:
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise FormatError(f"{path}:{ln}: " + what.format(line)) from None
+            rows.append(row)
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:     # only attribute rows leave the width open
+            raise FormatError(f"{path}: inconsistent attribute widths {sorted(widths)}")
+        return np.array(rows, dtype=dtype).reshape(len(rows), width or widths.pop())
+
+
 def load_tu_dataset(directory: str, name: str) -> Dataset:
     """Load a TU-layout dataset directory.
 
@@ -86,12 +128,7 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     nl_lines, nl_path = _read_lines(directory, name, "node_labels", required=False)
     na_lines, na_path = _read_lines(directory, name, "node_attributes", required=False)
 
-    node_graph = np.zeros(len(ind_lines), dtype=np.int64)
-    for i, line in enumerate(ind_lines):
-        try:
-            node_graph[i] = int(line.strip())
-        except (ValueError, OverflowError):
-            raise FormatError(f"{ind_path}:{i + 1}: bad graph indicator {line!r}")
+    node_graph = _read_table(ind_path, ind_lines, int, "bad graph indicator {!r}", 1)[:, 0]
     if len(node_graph) == 0:
         raise FormatError(f"{ind_path}: dataset has no nodes")
     graph_count = int(node_graph.max())
@@ -99,106 +136,62 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
         raise FormatError(f"{ind_path}: graph ids must be 1-based")
     n_total = len(node_graph)
 
-    raw_graph_labels = []
-    for i, line in enumerate(gl_lines):
-        if not line.strip():
-            continue
-        try:
-            raw_graph_labels.append(int(line.strip()))
-        except ValueError:
-            raise FormatError(f"{gl_path}:{i + 1}: bad graph label {line!r}")
+    raw_graph_labels = _read_table(gl_path, gl_lines, int, "bad graph label {!r}", 1,
+                                   skip_blank=True)[:, 0]
     if len(raw_graph_labels) != graph_count:
         raise FormatError(f"{gl_path}: expected {graph_count} labels, "
                           f"got {len(raw_graph_labels)}")
 
     node_labels = None
     if nl_lines is not None:
-        node_labels = np.zeros(n_total, dtype=np.int64)
         if len(nl_lines) < n_total:
             raise FormatError(f"{nl_path}: expected {n_total} node labels")
-        for i in range(n_total):
-            try:
-                node_labels[i] = int(nl_lines[i].strip())
-            except (ValueError, OverflowError):
-                raise FormatError(f"{nl_path}:{i + 1}: bad node label")
+        node_labels = _read_table(nl_path, nl_lines[:n_total], int, "bad node label", 1)[:, 0]
 
     attributes = None
     if na_lines is not None:
         if len(na_lines) < n_total:
             raise FormatError(f"{na_path}: expected {n_total} attribute rows")
-        text = [line.replace(",", " ") for line in na_lines[:n_total]]
-        try:
-            # loadtxt would skip a blank row, which the scan below must see
-            if not all(map(str.strip, text)):
-                raise ValueError
-            attributes = np.loadtxt(text, ndmin=2, comments=None)
-        except ValueError:
-            # the per-value scan runs only on rows loadtxt refuses; it names the bad line
-            rows = []
-            for i, line in enumerate(text):
-                try:
-                    rows.append([float(x) for x in line.split()])
-                except ValueError:
-                    raise FormatError(f"{na_path}:{i + 1}: bad attribute row")
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise FormatError(f"{na_path}: inconsistent attribute widths {sorted(widths)}")
-            attributes = np.array(rows)
+        attributes = _read_table(na_path, na_lines[:n_total], float, "bad attribute row",
+                                 commas=True)
 
-    # edges, grouped per graph with local 0-based ids
-    first_node = np.zeros(graph_count + 1, dtype=np.int64)
-    counts = np.bincount(node_graph, minlength=graph_count + 1)
-    np.cumsum(counts[1:], out=first_node[1:])
+    # edges; node blocks are contiguous, so sorting by the first end groups them per graph
     if np.any(np.diff(node_graph) < 0):
         raise FormatError(f"{ind_path}: node blocks must be contiguous per graph")
-    edges_per_graph: list[list[tuple[int, int]]] = [[] for _ in range(graph_count)]
-    for ln, line in enumerate(a_lines):
-        if not line.strip():
-            continue
-        try:
-            u, v = map(int, line.replace(",", " ").split())
-        except ValueError:
-            raise FormatError(f"{a_path}:{ln + 1}: expected 'i, j', got {line!r}")
-        if not (1 <= u <= n_total and 1 <= v <= n_total):
-            raise FormatError(f"{a_path}:{ln + 1}: node id out of range")
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise FormatError(f"{a_path}:{ln + 1}: edge crosses graphs {gu} and {gv}")
-        base = first_node[gu - 1]
-        edges_per_graph[gu - 1].append((u - 1 - base, v - 1 - base))
+    first_node = np.searchsorted(node_graph, np.arange(1, graph_count + 2))
+    edges = _read_table(a_path, a_lines, int, "expected 'i, j', got {!r}", 2,
+                        skip_blank=True, commas=True) - 1
+    outside = ((edges < 0) | (edges >= n_total)).any(axis=1)
+    ends = node_graph[np.where(outside[:, None], 0, edges)]
+    bad = np.flatnonzero(outside | (ends[:, 0] != ends[:, 1]))
+    if len(bad):
+        ln = [i for i, line in enumerate(a_lines, start=1) if line.strip()][bad[0]]
+        if outside[bad[0]]:
+            raise FormatError(f"{a_path}:{ln}: node id out of range")
+        gu, gv = ends[bad[0]]
+        raise FormatError(f"{a_path}:{ln}: edge crosses graphs {gu} and {gv}")
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    edge_bounds = np.searchsorted(edges[:, 0], first_node)
 
     task = "node" if (graph_count == 1 and node_labels is not None) else "graph"
-
-    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_graph_labels)))}
-    node_label_map = None
+    label_names, graph_labels = np.unique(raw_graph_labels, return_inverse=True)
+    feats = [np.zeros((n_total, 0)) if attributes is None else attributes]
     if node_labels is not None:
-        node_label_map = {lab: i for i, lab in
-                          enumerate(sorted(set(node_labels.tolist())))}
+        node_label_names, node_labels = np.unique(node_labels, return_inverse=True)
+        if task == "graph":
+            feats.append(np.eye(len(node_label_names))[node_labels])
+    features = np.hstack(feats)
     graphs = []
     for gi in range(graph_count):
-        n = counts[gi + 1]
-        lo = first_node[gi]
-        feats = []
-        if attributes is not None:
-            feats.append(attributes[lo:lo + n])
-        if node_labels is not None and task == "graph":
-            onehot = np.zeros((n, len(node_label_map)))
-            for i in range(n):
-                onehot[i, node_label_map[node_labels[lo + i]]] = 1.0
-            feats.append(onehot)
-        features = np.hstack(feats) if feats else None
-        nl = None
-        if task == "node":
-            nl = np.array([node_label_map[x] for x in node_labels[lo:lo + n]],
-                          dtype=np.int64)
-        graphs.append(Graph.from_edges(int(n), edges_per_graph[gi],
-                                       features=features,
-                                       graph_label=label_map[raw_graph_labels[gi]],
-                                       node_labels=nl))
+        lo, hi = first_node[gi], first_node[gi + 1]
+        graphs.append(Graph.from_edges(
+            int(hi - lo), edges[edge_bounds[gi]:edge_bounds[gi + 1]] - lo,
+            features=features[lo:hi],
+            graph_label=int(graph_labels[gi]),
+            node_labels=node_labels if task == "node" else None))
     if graphs and graphs[0].feature_dim == 0:
         graphs = _with_degree_features(graphs)
-    class_count = (len(label_map) if task == "graph"
-                   else len(set(graphs[0].node_labels.tolist())))
+    class_count = len(label_names) if task == "graph" else len(node_label_names)
     return Dataset(graphs=graphs, task=task, class_count=class_count, name=name)
 
 

@@ -99,12 +99,9 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v."""
-        out = []
-        for u in range(self.node_count):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        src = np.repeat(np.arange(self.node_count), self.degrees)
+        keep = src < self.neighbors
+        return list(zip(src[keep].tolist(), self.neighbors[keep].tolist()))
 
     def adjacency_dense(self, dtype=np.float64) -> np.ndarray:
         a = np.zeros((self.node_count, self.node_count), dtype=dtype)
@@ -126,27 +123,24 @@ class Graph:
                    features: np.ndarray | None = None,
                    graph_label: int | None = None,
                    node_labels: np.ndarray | None = None) -> "Graph":
-        """Build a graph from an edge list.
+        """Build a graph from an iterable of (u, v) pairs or an (m, 2) array.
 
         Edges are symmetrized and deduplicated; self-loops are dropped.
         """
-        pairs = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u < 0 or u >= node_count or v < 0 or v >= node_count:
-                raise ValueError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            if u == v:
-                continue
-            pairs.add((u, v))
-            pairs.add((v, u))
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = dst = np.zeros(0, dtype=np.int64)
-        offsets = np.zeros(node_count + 1, dtype=np.int64)
-        np.add.at(offsets, src + 1, 1)
-        offsets = np.cumsum(offsets)
+        n = node_count
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                         dtype=np.int64)
+        pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+            u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+        u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+        # u·n + v keys sort by node, then by neighbor: the distinct keys are the CSR
+        src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         if features is None:
             features = np.zeros((node_count, 0))
         return Graph(node_count, offsets, dst, features, graph_label, node_labels)
@@ -191,13 +185,11 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> NodeSubgraph:
         raise ValueError("node id out of range")
     local = np.full(g.node_count, -1, dtype=np.int64)
     local[ids] = np.arange(len(ids))
-    edges = []
-    for li, pid in enumerate(ids):
-        for nb in g.neighbors_of(int(pid)):
-            lj = local[nb]
-            if lj >= 0:
-                edges.append((li, int(lj)))
-    sub = Graph.from_edges(len(ids), edges, features=g.features[ids].copy())
+    deg = g.degrees[ids]
+    # where each member's neighbor slice sits in g.neighbors, slice after slice
+    at = np.arange(deg.sum()) + np.repeat(g.offsets[ids] - np.cumsum(deg) + deg, deg)
+    pairs = np.stack([np.repeat(np.arange(len(ids)), deg), local[g.neighbors[at]]], axis=1)
+    sub = Graph.from_edges(len(ids), pairs[pairs[:, 1] >= 0], features=g.features[ids].copy())
     return NodeSubgraph(center=0, graph=sub, parent_ids=ids)
 
 
@@ -241,14 +233,10 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     perm = np.asarray(perm, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(g.node_count)):
         raise ValueError("perm must be a permutation of the node ids")
-    edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
-    feats = np.zeros_like(g.features)
-    feats[perm] = g.features
-    labels = None
-    if g.node_labels is not None:
-        labels = np.zeros_like(g.node_labels)
-        labels[perm] = g.node_labels
-    return Graph.from_edges(g.node_count, edges, feats, g.graph_label, labels)
+    edges = perm[np.array(g.edges(), dtype=np.int64).reshape(-1, 2)]
+    old = np.argsort(perm)      # the old id of each new node
+    labels = None if g.node_labels is None else g.node_labels[old]
+    return Graph.from_edges(g.node_count, edges, g.features[old], g.graph_label, labels)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -337,9 +337,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     if best["snapshot"] is not None:
         model.load_snapshot(best["snapshot"])
     final = evaluate(model, data, cache, test_ids)
-    train_load = evaluate(model, data, cache, train_ids)
     final.curves = rows
-    final.expert_load = train_load.expert_load
     rows.append({"epoch": cfg.epochs, "split": "test",
                  "loss_task": final.loss_task,
                  "loss_importance": final.loss_importance,

@@ -123,6 +123,16 @@ class TestTrain:
                     "--dataset", "GraphCycle", "--config", str(cfg),
                     "--out-dir", str(tmp_path / "out")]) == 64
 
+    @pytest.mark.parametrize("body", ["experts = 1\nk_ept = 1\n", "k_ept = 1\nexperts = 1\n"])
+    def test_config_values_are_checked_together(self, tmp_path, body):
+        # experts = 1 next to the default k_ept = 2 is invalid; the file as a whole is not
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(body)
+        assert run(["gen", "--dataset", "GraphCycle", "--count", "2", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["config"]["experts"], manifest["config"]["k_ept"]) == (1, 1)
+
     def test_cache_built_with_other_settings_is_usage_error(self, workspace, tmp_path,
                                                             capsys):
         ext = tmp_path / "ext"
@@ -250,6 +260,10 @@ FAILURES = {
     "config-float": ("config", b"seed=3\nlr = fast\n", 64,
                      ":2: lr must be a float, got 'fast'"),
     "config-bytes": ("config", b"epochs=2\nseed=\xff\n", 2, ":2: not UTF-8 text"),
+    "config-choice": ("config", b"step_mode = bogus\n", 64,
+                      ":1: step_mode must be one of ('single-p', 'sum-over-p', 'concat-over-p')"),
+    "config-range": ("config", b"seed=3\nexperts = 0\n", 64,
+                     ":2: k_ept must lie in 1..experts"),
     "tu-field": ("tu-A", b"1, 2\n2, x\n", 2, ":2: expected 'i, j', got '2, x'"),
     "tu-bytes": ("tu-labels", b"0\n1\xff\n", 2, ":2: not UTF-8 text"),
     "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),

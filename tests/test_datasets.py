@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mose.cli import dataset_hash
 from mose.datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
                            load_tu_dataset, make_folds, make_node_splits,
                            save_tu_dataset)
@@ -181,6 +182,107 @@ fuzz_text = st.one_of(
     st.lists(st.floats(), max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
 )
 
+
+# spellings of a non-negative integer that int() reads; the array parser
+# refuses the first two, and the scan that names a bad line must read them
+INT_SPELLINGS = {
+    "underscore": lambda s: "0_" + s,
+    "arabic-indic": lambda s: s.translate(str.maketrans("0123456789",
+                                                        "\u0660\u0661\u0662\u0663\u0664"
+                                                        "\u0665\u0666\u0667\u0668\u0669")),
+    "plus": lambda s: "+" + s,
+    "padded": lambda s: f" \t{s}  ",
+}
+
+
+def spelled_files(suffix, spell):
+    lines = {k: list(v) for k, v in FUZZ_FILES.items()}
+    lines[suffix] = [", ".join(map(spell, line.split(", "))) for line in lines[suffix]]
+    return lines
+
+
+def write_files(directory, lines):
+    for k, v in lines.items():
+        Path(directory, f"fz_{k}.txt").write_text("\n".join(v) + "\n", encoding="utf-8")
+    return str(directory)
+
+
+class TestLoaderSpellingsAndLines:
+    @pytest.mark.parametrize("spelling", sorted(INT_SPELLINGS))
+    @pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels"])
+    def test_int_spellings_load_as_plain(self, tmp_path, suffix, spelling):
+        plain = write_files(tmp_path, FUZZ_FILES)
+        (tmp_path / "s").mkdir()
+        spelled = write_files(tmp_path / "s", spelled_files(suffix, INT_SPELLINGS[spelling]))
+        assert Path(spelled, f"fz_{suffix}.txt").read_text() != \
+            Path(plain, f"fz_{suffix}.txt").read_text()
+        assert dataset_hash(load_tu_dataset(spelled, "fz")) == \
+            dataset_hash(load_tu_dataset(plain, "fz"))
+
+    @pytest.mark.parametrize("suffix, edit, message", [
+        ("A", ["1, 2", "", "", "2, x"], r"fz_A.txt:4: expected 'i, j', got '2, x'"),
+        ("A", ["", "1, 2", " ", "1, 9"], r"fz_A.txt:4: node id out of range"),
+        ("A", ["1, 2", "", "3, 4"], r"fz_A.txt:3: edge crosses graphs 1 and 2"),
+        ("A", ["1, 2", "", ", "], r"fz_A.txt:3: expected 'i, j', got ', '"),
+        ("graph_labels", ["0", "", "1", "", "z"], r"fz_graph_labels.txt:5: bad graph label 'z'"),
+        ("graph_indicator", ["1", "1", "1.0", "2", "2"],
+         r"fz_graph_indicator.txt:3: bad graph indicator '1.0'"),
+        # numpy's array parser reads this unassigned code point as the integer 445544
+        ("node_labels", ["3", "1", "\U0006cc98", "2", "1"], r"fz_node_labels.txt:3: bad node label"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, suffix, edit, message):
+        # blank lines count in the line named, and integer files take int() spellings only
+        d = write_files(tmp_path, FUZZ_FILES | {suffix: edit})
+        with pytest.raises(FormatError, match=message):
+            load_tu_dataset(d, "fz")
+
+    def test_graph_label_outside_int64_reports_line(self, tmp_path):
+        d = write_files(tmp_path, FUZZ_FILES | {"graph_labels": ["0", "", "9" * 25]})
+        with pytest.raises(FormatError, match=r"fz_graph_labels.txt:3: bad graph label '9+'"):
+            load_tu_dataset(d, "fz")
+
+
+def attributed_node_task():
+    rng = np.random.default_rng(7)
+    n = 150
+    edges = [(i, (i + 1) % n) for i in range(n)] + [tuple(rng.integers(0, n, 2))
+                                                    for _ in range(60)]
+    feats = rng.normal(size=(n, 4)) * np.array([1e-3, 1.0, 1e3, 1e12])
+    labels = np.array([3, 7, 11])[np.arange(n) % 3]
+    g = Graph.from_edges(n, edges, features=feats, node_labels=labels)
+    return Dataset(graphs=[g], task="node", class_count=3, name="attrnode")
+
+
+def write_golden_case(case, directory):
+    """Write one TU directory of the loader golden; returns the dataset name."""
+    data = {"graph-cycle": lambda: gen_graph_cycle(12, 2),
+            "graph-five": lambda: gen_graph_five(10, 3),
+            "node-labels": lambda: gen_graph_cycle(6, 5),
+            "attributed-node": attributed_node_task}[case]()
+    save_tu_dataset(data, directory)
+    if case == "node-labels":
+        # a graph task whose node labels (-2..2) become one-hot features
+        n = sum(g.node_count for g in data.graphs)
+        labels = np.random.default_rng(1).integers(-2, 3, size=n)
+        Path(directory, f"{data.name}_node_labels.txt").write_text(
+            "\n".join(map(str, labels)) + "\n")
+    return data.name
+
+
+# dataset_hash of each case loaded back, pinned with the per-line parser that
+# the array loader replaced, so any change to a loaded array fails the test
+LOADER_GOLDEN = {
+    "graph-cycle": "1f2a6263603b0c1e9819297491c07a10119f1a448fbc3665efc9786414bfd83d",
+    "graph-five": "501a4b64e59023679c143ee74141f75f60c7f5ab9677986b425e6ba2ffee33d3",
+    "node-labels": "435391122025f04865f95fecbde6de6b2e4e03ba40890a19e1b6869e567a7c7e",
+    "attributed-node": "9420d566c26adf99525973e184e59a9dcd366a72e4ef6ddd872356771669b804",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_GOLDEN))
+def test_loaded_dataset_matches_golden(tmp_path, case):
+    name = write_golden_case(case, str(tmp_path))
+    assert dataset_hash(load_tu_dataset(str(tmp_path), name)) == LOADER_GOLDEN[case]
 
 class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)

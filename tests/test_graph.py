@@ -52,6 +52,69 @@ class TestGraphConstruction:
             g.neighbors[0] = 5
 
 
+def set_from_edges(n, edges):
+    """CSR arrays of an edge list built with a set, the reference for from_edges."""
+    pairs = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+        if u != v:
+            pairs |= {(u, v), (v, u)}
+    rows = [sorted(v for u, v in pairs if u == node) for node in range(n)]
+    return np.cumsum([0] + [len(r) for r in rows]), [v for r in rows for v in r]
+
+
+class TestFromEdgesMatchesSetReference:
+    # pairs may repeat, come reversed, be self-loops or leave nodes isolated
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40) if n else st.just([]))),
+           st.booleans())
+    def test_same_csr(self, n_edges, as_array):
+        n, edges = n_edges
+        offsets, neighbors = set_from_edges(n, edges)
+        g = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+                             if as_array else edges)
+        assert g.offsets.tolist() == offsets.tolist()
+        assert g.neighbors.tolist() == neighbors
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.lists(st.tuples(st.integers(-3, 15), st.integers(-3, 15)),
+                                        min_size=1, max_size=12), st.booleans())
+    def test_first_out_of_range_edge_named(self, n, edges, as_array):
+        try:
+            set_from_edges(n, edges)
+        except ValueError as e:
+            expected = str(e)
+        else:
+            return
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(n, np.array(edges) if as_array else iter(edges))
+        assert str(err.value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=30),
+        st.permutations(range(n)), st.integers(1, n))))
+    def test_edges_induced_subgraph_and_relabel_match_loops(self, case):
+        n, edges, perm, k = case
+        g = Graph.from_edges(n, edges)
+        loop_edges = [(u, int(v)) for u in range(n) for v in g.neighbors_of(u) if u < v]
+        assert g.edges() == loop_edges
+        nodes = perm[:k]        # distinct members in a random order
+        local = {p: i for i, p in enumerate(nodes)}
+        sub = induced_subgraph(g, nodes).graph
+        offsets, neighbors = set_from_edges(k, [(local[u], local[v]) for u, v in loop_edges
+                                                if u in local and v in local])
+        assert (sub.offsets.tolist(), sub.neighbors.tolist()) == (offsets.tolist(), neighbors)
+        moved = relabel(g.with_features(np.arange(n * 2.0).reshape(n, 2)), perm)
+        offsets, neighbors = set_from_edges(n, [(perm[u], perm[v]) for u, v in loop_edges])
+        assert (moved.offsets.tolist(), moved.neighbors.tolist()) == (offsets.tolist(), neighbors)
+        assert all(moved.features[perm[i]].tolist() == [2.0 * i, 2.0 * i + 1] for i in range(n))
+
+
 def csr(rows):
     """Offsets and neighbors of a CSR built row by row, exactly as given."""
     offsets = np.cumsum([0] + [len(r) for r in rows])
