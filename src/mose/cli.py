@@ -22,7 +22,7 @@ from .kernel import KernelConfig, hidden_graph_to_dot
 from .moe import ModelConfig, new_model
 from .trainer import (Metrics, NonFiniteLossError, TrainConfig, load_checkpoint,
                       metrics_csv, save_checkpoint, train)
-from .util import (BudgetError, FormatError, hash_arrays, read_text_lines,
+from .util import (BudgetError, FormatError, atomic_write, hash_arrays, read_text_lines,
                    write_manifest)
 from .verify import SUITES, run_suite
 from .walks import SubgraphCache, WalkConfig, extract_dataset, load_cache, save_cache
@@ -320,14 +320,14 @@ def cmd_train(args) -> int:
                                     start_state=start_state)
         except NonFiniteLossError as e:
             os.makedirs(args.out_dir, exist_ok=True)
-            with open(os.path.join(args.out_dir, "failure-dump.json"), "w") as f:
+            with atomic_write(os.path.join(args.out_dir, "failure-dump.json")) as f:
                 json.dump(e.dump(), f, indent=2)
             print(f"numeric failure: {e}", file=sys.stderr)
             return EXIT_RUNTIME
         save_checkpoint(ckpt_path, model, state, tcfg)
         rows = state["rows"]
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "metrics.csv"), "w") as f:
+    with atomic_write(os.path.join(args.out_dir, "metrics.csv")) as f:
         f.write(metrics_csv(rows, model.expert_count))
     write_manifest(args.out_dir, "train", cfg, cfg["seed"], dataset_hash(data))
     test_rows = [r for r in rows if r["split"] == "test"]
@@ -352,7 +352,7 @@ def cmd_verify(args) -> int:
             print(line)
             report_lines.append(line)
         all_ok = all_ok and rep.ok
-    with open(os.path.join(args.out_dir, "verify-report.txt"), "w") as f:
+    with atomic_write(os.path.join(args.out_dir, "verify-report.txt")) as f:
         f.write("\n".join(report_lines) + "\n")
     write_manifest(args.out_dir, "verify", cfg | {"suites": suites}, cfg["seed"])
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
@@ -366,7 +366,7 @@ def cmd_export_hidden(args) -> int:
     for k, expert in enumerate(model.bank.experts):
         for i, hg in enumerate(expert.hidden):
             path = os.path.join(args.out_dir, f"expert{k}_hg{i}.dot")
-            with open(path, "w") as f:
+            with atomic_write(path) as f:
                 f.write(hidden_graph_to_dot(hg, name=f"expert{k}_hg{i}",
                                             prune_threshold=args.prune_threshold))
             count += 1

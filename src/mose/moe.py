@@ -412,52 +412,54 @@ def _rectified_powers(expert: Expert, p_max: int) -> np.ndarray:
 
 def _padded_forward(expert: Expert, r_pows: np.ndarray, adj: np.ndarray,
                     xu: np.ndarray, local: np.ndarray):
-    """vals[b, i, q-1] = sum(T * R_i^q T A_b^q) with T = Z_i X_b^T, padded.
+    """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T.
 
-    X_b is never formed: P = X_u Z_i^T is projected once for the distinct
-    nodes and T gathered from it through ``local``, whose padding reads the
-    zero row of ``xu`` and so leaves exact zeros.
+    A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
+    takes ceil(p/2) propagations. P = X_u Z_i^T is projected once for the
+    distinct nodes and T gathered from it through ``local``, whose padding
+    reads the zero row of ``xu``. Only P and the (p, B, N, s, s) C are kept.
     """
     n_hidden, s = expert.hidden_count, expert.size
-    b = adj.shape[0]
-    p_max = len(r_pows) - 1
+    b, p_max = adj.shape[0], len(r_pows) - 1
     proj = xu @ expert.Z.reshape(n_hidden * s, -1).T            # (U+1, N*s)
-    # (B, N*s, n), made contiguous for the per-step contractions
-    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
-    v_list = [t]
-    for _ in range(p_max):
-        v_list.append(np.matmul(v_list[-1], adj))
-    t4 = t.reshape(b, n_hidden, s, -1)
-    vals = np.empty((b, n_hidden, p_max))
+    # T as (B, N*s, n), contiguous for the propagations; two Y_k live at a time
+    y = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
+    c, blocks = np.empty((p_max, b, n_hidden, s, s)), (b, n_hidden, s, -1)
     for q in range(1, p_max + 1):
-        v4 = v_list[q].reshape(b, n_hidden, s, -1)
-        m = np.matmul(r_pows[q][None], v4)
-        vals[:, :, q - 1] = (t4 * m).sum(axis=(2, 3))
-    return vals, (t4, v_list)
+        left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
+        if q % 2:
+            y = np.matmul(y, adj)
+        np.matmul(left.reshape(blocks), y.reshape(blocks).transpose(0, 1, 3, 2),
+                  out=c[q - 1])
+    vals = (c * r_pows[1:, None]).sum(axis=(3, 4)).transpose(1, 2, 0)
+    return vals, (proj, c)
 
 
-def _padded_backward(r_pows: np.ndarray, xu: np.ndarray, local: np.ndarray,
-                     dvals: np.ndarray, state):
+def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
+                     local: np.ndarray, dvals: np.ndarray, state):
     """Gradients on Z and on each R^q of the padded evaluation.
 
-    dT is summed per distinct node (a sort and a segment sum over
-    ``local``) into dP, so dZ = dP^T X_u is one product.
+    dR^q = sum_b dvals[b, :, q] C_q[b]. With T regathered from P, the adjoint
+    chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T, ends at dT;
+    summed per distinct node (a sort and a segment sum over ``local``) into
+    dP, it gives dZ = dP^T X_u in one product.
     """
-    t4, v_list = state
-    b, n_hidden, s = t4.shape[:3]
-    p_max = len(r_pows) - 1
-    dt4 = np.zeros(t4.shape)
-    d_rq = np.empty((p_max, n_hidden, s, s))
-    for q in range(1, p_max + 1):
-        v4 = v_list[q].reshape(b, n_hidden, s, -1)
-        m = np.matmul(r_pows[q][None], v4)
-        dt4 += 2.0 * dvals[:, :, q - 1, None, None] * m
-        c = np.matmul(t4, v4.transpose(0, 1, 3, 2))            # (B, N, s, s)
-        d_rq[q - 1] = (dvals[:, :, q - 1, None, None] * c).sum(axis=0)
+    proj, c = state
+    p_max, b, n_hidden, s = c.shape[:4]
+    dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
+    d_rq = (dq * c).sum(axis=1)
+    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
+    w, blocks = 2.0 * dq * r_pows[1:, None], (b, n_hidden, s, -1)
+    g, dt = np.empty(t.shape), np.zeros(t.shape)
+    for q in range(p_max, 0, -1):
+        np.matmul(w[q - 1], t.reshape(blocks), out=g.reshape(blocks))
+        g += dt
+        np.matmul(g, adj, out=dt)
+    del t, g    # before the sort's two copies of dT
     keys = local.ravel()
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    dt = dt4.transpose(1, 2, 0, 3).reshape(n_hidden * s, len(keys))
+    dt = dt.transpose(1, 0, 2).reshape(n_hidden * s, len(keys))
     dproj = np.add.reduceat(np.take(dt, order, axis=1), starts, axis=1)   # (N*s, U')
     dz = dproj @ xu[keys[order[starts]]]
     return dz.reshape(n_hidden, s, -1), d_rq
@@ -508,25 +510,23 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
 def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
                             rows: np.ndarray, moments: np.ndarray | None,
                             dphi: np.ndarray, cache, grads: dict, key: str):
-    n_hidden, s = expert.hidden_count, expert.size
     p_max = kcfg.max_step
     r_pows, state = cache
     weights = kcfg.step_weights
-    dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(len(dphi), n_hidden, -1)
+    dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
+        len(dphi), expert.hidden_count, -1)
     if moments is None:
-        dz, d_rq = _padded_backward(r_pows, group.xu, group.local[rows], dvals, state)
+        dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
+                                    dvals, state)
     else:
         dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state)
     grads[f"{key}.Z"] += dz
-    d_r = np.zeros((n_hidden, s, s))
+    d_r = np.zeros(expert.W.shape)
     for q in range(1, p_max + 1):
         for k in range(q):
             d_r += np.matmul(r_pows[k], np.matmul(d_rq[q - 1], r_pows[q - 1 - k]))
-    w_sym = 0.5 * (expert.W + expert.W.transpose(0, 2, 1))
-    mask = (w_sym > 0).astype(np.float64)
-    idx = np.arange(s)
-    mask[:, idx, idx] = 0.0
-    g_sym = d_r * mask
+    # the rectified entries that are positive: off the diagonal, with W + W^T > 0
+    g_sym = d_r * (expert.rectified() > 0)
     grads[f"{key}.W"] += 0.5 * (g_sym + g_sym.transpose(0, 2, 1))
 
 

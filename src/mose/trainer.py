@@ -22,7 +22,7 @@ from .kernel import KernelConfig
 from .moe import (ModelConfig, MoseModel, Route, build_group, gate_backward,
                   group_forward, new_model, pool_rows, pool_rows_backward)
 from .nn import Adam, log_softmax, softmax
-from .util import FormatError, substream
+from .util import FormatError, atomic_write, substream
 from .walks import SubgraphCache
 
 CV_GUARD = 1e-10
@@ -414,7 +414,9 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
                           "step_mode": model.kernel_cfg.step_mode},
         "train_config": vars(train_cfg),
     }
-    np.savez(path, meta=json.dumps(meta, default=float), **arrays)
+    # a file object, so np.savez writes exactly ``path`` (given a name, it adds ".npz")
+    with atomic_write(path, binary=True) as f:
+        np.savez(f, meta=json.dumps(meta, default=float), **arrays)
 
 
 def load_checkpoint(path: str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -28,6 +29,22 @@ def read_text_lines(path: str) -> list[str]:
     except UnicodeDecodeError as e:
         line = raw.count(b"\n", 0, e.start) + 1
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Open a temporary file beside ``path`` for writing; it replaces ``path``
+    (``os.replace``) when the block exits cleanly and is removed when it
+    raises, so ``path`` holds either its old bytes or all of the new ones."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -62,7 +79,7 @@ def write_manifest(out_dir: str, command: str, config: dict, seed: int,
     }
     if dataset_hash is not None:
         payload["dataset_hash"] = dataset_hash
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

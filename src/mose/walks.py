@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, NodeSubgraph, induced_subgraph
-from .util import BudgetError, FormatError, read_text_lines, substream
+from .util import BudgetError, FormatError, atomic_write, read_text_lines, substream
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
         for nodes in recs:
             buf.write("v " + " ".join(str(x) for x in nodes) + "\n")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(buf.getvalue())
 
 

@@ -12,8 +12,8 @@ from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig, R
                       build_group, combine, forward, gate_aggregate, gate_scores,
                       group_forward, group_moments, new_model, node_embedding,
                       readout, route, _expert_kernel_backward,
-                      _expert_kernel_forward, _padded_backward, _padded_forward,
-                      _rectified_powers)
+                      _expert_kernel_forward, _moment_backward, _moment_forward,
+                      _padded_backward, _padded_forward, _rectified_powers)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
@@ -323,6 +323,33 @@ def padded_tensor_kernel(expert, r_pows, adj, feats, dvals):
     return vals, np.tensordot(dt4, feats, axes=([0, 3], [0, 1])), d_rq
 
 
+def longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals):
+    """Loop reference in np.longdouble on the unpadded records: per row b, hidden
+    graph i and step q, T = Z_i X_b^T, vals = <R^q, T A^q T^T>, and the sums
+    dZ_i += dvals 2 R^q T A^q X_b and dR^q_i += dvals T A^q T^T."""
+    ld = np.longdouble
+    z, r = expert.Z.astype(ld), r_pows.astype(ld)
+    b, n_hidden, p_max = dvals.shape
+    s = expert.size
+    vals = np.zeros(dvals.shape, dtype=ld)
+    dz = np.zeros(z.shape, dtype=ld)
+    d_rq = np.zeros((p_max, n_hidden, s, s), dtype=ld)
+    for row in range(b):
+        k = sizes[row]
+        x, a = feats[row, :k].astype(ld), adj[row, :k, :k].astype(ld)
+        for i in range(n_hidden):
+            t = z[i] @ x.T
+            ta = t
+            for q in range(1, p_max + 1):
+                ta = ta @ a
+                c = ta @ t.T
+                d = ld(dvals[row, i, q - 1])
+                vals[row, i, q - 1] = (r[q, i] * c).sum()
+                dz[i] += d * 2 * (r[q, i] @ ta @ x)
+                d_rq[q - 1, i] += d * c
+    return vals, dz, d_rq
+
+
 def rel_err(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
@@ -405,11 +432,67 @@ class TestGatheredKernel:
         vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
         dvals = np.random.default_rng(22).normal(size=vals.shape)
-        dz, d_rq = _padded_backward(r_pows, group.xu, group.local[rows], dvals, state)
+        dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
+                                     dvals, state)
         ref = padded_tensor_kernel(expert, r_pows, group.adj[rows], feats[rows], dvals)
         for got, want in zip((vals, dz, d_rq), ref):
             assert np.any(want != 0)
             assert rel_err(got, want) <= 1e-12
+
+    # p = 1..4 runs both block cases, C_q = Y_k Y_k^T (even q) and Y_{k-1} Y_k^T (odd q)
+    @pytest.mark.parametrize("p_max", [1, 2, 3, 4])
+    def test_both_orders_match_longdouble_loops(self, p_max):
+        g, records = self.wide_group()
+        node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
+        group = build_group(g, records, node_ids)
+        adj, sizes, feats, _ = loop_group(g, records, node_ids)
+        assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
+        model = tiny_model(f=64, experts=3, seed=5)
+        moments = group_moments(group.adj, group.feats, p_max)
+        for m, expert in enumerate(model.bank.experts):
+            r_pows = _rectified_powers(expert, p_max)
+            dvals = np.random.default_rng(30 + m).normal(
+                size=(group.count, expert.hidden_count, p_max))
+            want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
+            vals, state = _padded_forward(expert, r_pows, group.adj, group.xu, group.local)
+            padded = (vals,) + _padded_backward(r_pows, group.adj, group.xu, group.local,
+                                                dvals, state)
+            vals, state = _moment_forward(expert, r_pows, moments)
+            moment = (vals,) + _moment_backward(expert, moments, dvals, state)
+            for got in (padded, moment):
+                for a, b in zip(got, want):
+                    assert np.any(b != 0)
+                    assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    def test_padded_order_keeps_no_padded_tensor(self):
+        # records of up to 12 nodes, so that nmax exceeds p * s and the kept
+        # (p, rows, N, s, s) blocks stay below one padded (rows, N, s, nmax) tensor
+        rng = np.random.default_rng(23)
+        n, f = 16, 64
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
+                   for v in range(n)]
+        records[5] = [5]
+        group = build_group(g, records, range(n))
+        model = tiny_model(f=f, experts=3, seed=5)
+        assert not group.fits_moments(model.kernel_cfg.max_step)
+        run = group_forward(model, group, train_mode=True, rng=substream(0, 1), dropout=0.1)
+        nmax = group.adj.shape[1]
+        assert nmax > model.kernel_cfg.max_step * max(model.cfg.sizes)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        assert run.expert_caches
+        for m, cache in run.expert_caches.items():
+            expert = model.bank.experts[m]
+            padded = len(run.expert_rows[m][0]) * expert.hidden_count * expert.size * nmax
+            assert max(a.size for a in arrays(cache)) < padded
 
     def test_only_the_moment_path_builds_the_padded_features(self):
         for f, moments in ((64, False), (2, True)):

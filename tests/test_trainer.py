@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -410,6 +411,29 @@ class TestCheckpoint:
         assert bstate["epoch_next"] == 2
         assert bcfg.epochs == 2
 
+    def test_write_is_atomic_and_keeps_the_given_name(self, tmp_path):
+        data = toy_dataset(3)
+        model = toy_model(data)
+        ids = np.arange(len(data.graphs))
+        cfg = TrainConfig(epochs=1, seed=0, patience=0)
+        model, _, state = train(model, data, toy_cache(data), (ids, ids), cfg)
+        path = tmp_path / "ckpt"          # np.savez given this name would write ckpt.npz
+        save_checkpoint(str(path), model, state, cfg)
+        assert os.listdir(tmp_path) == ["ckpt"]
+        before = path.read_bytes()
+        assert load_checkpoint(str(path))[1]["epoch_next"] == 1
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("failed partway")
+
+        # the last array fails after the others are in the new zip
+        broken = state | {"adam_v": state["adam_v"] | {"zz": Unwritable()}}
+        with pytest.raises(RuntimeError, match="partway"):
+            save_checkpoint(str(path), model, broken, cfg)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt"]
+
     def test_metrics_csv_shape(self):
         rows = [{"epoch": 0, "split": "train", "loss_task": 1.0,
                  "loss_importance": 0.1, "accuracy": 0.5, "macro_f1": float("nan"),
@@ -431,13 +455,13 @@ GOLDEN_TRAIN = TrainConfig(epochs=2, learning_rate=5e-3, beta=0.3, batch_size=3,
 # (sha256 of the trained parameters, test accuracy, test loss_task); they pin
 # every routing-noise and dropout draw and the order of the arithmetic
 GOLDEN_RUNS = {
-    ("mean", "weighted-sum"): ("4692789d9bca3f350a86d31b55d0c21d4cb1400b3297bb7c821d4cdb0a7a1c9f",
+    ("mean", "weighted-sum"): ("d3fad904fbdff07c9584ad1ed612326e5d002417ba9d48a7360c3ea02d4b5a76",
                                0.3333333333333333, 0.7017995326840248),
-    ("mean", "concat"): ("b27c266832d9197bad581d7a77fcfcdaf30ab7f84ffc84d5126dff099807de9b",
+    ("mean", "concat"): ("c2f71c2c33506c704e9ad7cdd6416d4dcd41e325eb8feb295b17342d8be72d2f",
                          0.3333333333333333, 0.7214245817306107),
-    ("max", "weighted-sum"): ("70cf6c9be39924ae4fd1cf72d269da59cc4c366bd87264a04b5813a5de6b5c41",
+    ("max", "weighted-sum"): ("13e23a9573ef459edf86e9227dc62349a36aabc1802eab271f7db67b9ae22070",
                               0.6666666666666666, 0.7132389552046083),
-    ("max", "concat"): ("d618b29d2acd198b2f1233f54cb443ad0d1a29fef09f7456c806caf82d729fb0",
+    ("max", "concat"): ("25dbd5b0531411405bb7b7688aa131803988906fe0b0ba36b9cb847bbc46af55",
                         0.3333333333333333, 0.7545383790849186),
     "node": ("d688bdf8b651d0d818c9fb2e990ae2b66eb1d7e9027e1067bd0bb4e467873e5f",
              0.3333333333333333, 2.0721758385709017),
