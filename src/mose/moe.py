@@ -371,8 +371,9 @@ def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeG
     starts, deg = g.offsets[flat], g.degrees[flat]
     ends = np.cumsum(deg)
     nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
-    col = np.searchsorted(uniq, nbr)
-    col[np.take(uniq, col, mode="clip") != nbr] = len(uniq)
+    pos_of = np.full(g.node_count, len(uniq))       # outside every record: the pad column
+    pos_of[uniq] = np.arange(len(uniq))
+    col = pos_of[nbr]
     # per neighbour: its record, the position of its source there, and its own
     row, pos = np.repeat(row, deg), np.repeat(pos, deg)
     other = where[row, col]

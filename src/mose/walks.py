@@ -128,41 +128,115 @@ def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
     return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
+_BLOCK = 1 << 13     # walk rows expanded at a time
+_MERGE = 1 << 14     # completed walks gathered before they merge into the table
+
+
+def _label_bits(g: Graph, length: int) -> int:
+    """Bits per packed pattern label: a length-l walk has at most
+    min(n, l + 1) distinct nodes, labelled from 0."""
+    return max(1, (min(g.node_count, length + 1) - 1).bit_length())
+
+
+def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int):
+    """Sorted distinct pattern keys and their counts over all length-l walks from v.
+
+    Walks are expanded level by level through the CSR, depth-first over
+    blocks of at most ``_BLOCK`` rows. A row holds its node, its first-visit
+    table (``seen[r, j]`` is the node labelled j) and its labels after the
+    leading 0, packed most significant first, ``bits`` each, into uint64
+    words. Keys are one word, or big-endian byte rows of several; either way
+    they sort in lexicographic pattern order. Every prefix from a non-isolated
+    root extends to a full walk, so completed plus pending rows bound the
+    walk count from below: BudgetError is raised once that exceeds ``budget``.
+    """
+    if not (0 <= v < g.node_count):
+        raise ValueError("start node out of range")
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    per_word = 64 // bits
+    node = np.min_scalar_type(-g.node_count - 1)  # holds -1 and every node id and count
+    seen = np.full((1, min(g.node_count, length + 1)), -1, dtype=node)
+    seen[0, 0] = v
+    words = np.zeros((1, max(1, -(-length // per_word))), dtype=np.uint64)
+    table, stack, leaves = (_as_keys(words[:0]), np.zeros(0, dtype=np.int64)), [], []
+    done = pending = 0
+    if length > 0 and g.degrees[v] == 0:
+        return table
+
+    def add(block, depth):
+        nonlocal table, done, pending
+        if depth < length:
+            stack.append((depth, block, np.cumsum(g.degrees[block[0]]), 0))
+            pending += len(block[0])
+        else:
+            leaves.append(_as_keys(block[3]))
+            done += len(block[0])
+            if sum(map(len, leaves)) >= max(_MERGE, len(table[0]) // 2):
+                table = _merge(table, leaves)
+        if done + pending > budget:
+            raise BudgetError("walk enumeration exceeded its budget")
+
+    add((seen[:, 0].copy(), seen, np.ones(1, dtype=node), words), 0)
+    while stack:
+        depth, block, cum, lo = stack.pop()
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + _BLOCK, side="right")))
+        if hi < len(cum):
+            stack.append((depth, block, cum, hi))
+        pending -= hi - lo
+        deg = g.degrees[block[0][lo:hi]]
+        src = np.repeat(np.arange(lo, hi), deg)
+        nxt = g.neighbors[np.arange(len(src)) + np.repeat(
+            g.offsets[block[0][lo:hi]] - (cum[lo:hi] - base - deg), deg)].astype(node)
+        seen, nseen, words = block[1][src], block[2][src], block[3][src]
+        hit = seen == nxt[:, None]
+        fresh = ~hit.any(axis=1)
+        label = np.where(fresh, nseen, hit.argmax(axis=1)).astype(np.uint64)
+        new = np.flatnonzero(fresh)
+        seen[new, nseen[new]] = nxt[new]
+        nseen += fresh
+        word, slot = divmod(depth, per_word)
+        words[:, word] |= label << np.uint64(bits * (per_word - 1 - slot))
+        add((nxt, seen, nseen, words), depth + 1)
+    return _merge(table, leaves) if leaves else table
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """Rows of packed uint64 words as 1-d keys that sort like the rows."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words, dtype=">u8").view(f"V{8 * words.shape[1]}").ravel()
+
+
+def _merge(table, leaves: list) -> tuple[np.ndarray, np.ndarray]:
+    """Count the keys of ``leaves`` (emptied) into the sorted (key, count) table.
+    The table is copied once to insert the new keys, never sorted again."""
+    keys, counts = np.unique(np.concatenate(leaves), return_counts=True)
+    leaves.clear()
+    at = np.searchsorted(table[0], keys)
+    old = at < np.searchsorted(table[0], keys, side="right")
+    table[1][at[old]] += counts[old]
+    at, keys, counts = at[~old], keys[~old], counts[~old]
+    return np.insert(table[0], at, keys), np.insert(table[1], at, counts)
+
+
 def enumerate_anonymous_walks(g: Graph, v: int, length: int,
                               budget: int = 10**7) -> Counter:
     """Exact anonymous-pattern multiset over all length-l walks from v.
 
-    Exhaustive depth-first enumeration; raises BudgetError when the walk
-    count would exceed ``budget``.
+    Exhaustive enumeration in array passes; raises BudgetError when the
+    walk count would exceed ``budget``.
     """
-    if not (0 <= v < g.node_count):
-        raise ValueError("start node out of range")
-    nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
-    counts: Counter = Counter()
-    remaining = budget
-    first = {v: 0}
-    pattern = [0]
-
-    def visit(u: int, depth: int):
-        nonlocal remaining
-        if depth == length:
-            counts[tuple(pattern)] += 1
-            remaining -= 1
-            if remaining < 0:
-                raise BudgetError("walk enumeration exceeded its budget")
-            return
-        for w in nbrs[u]:
-            fresh = w not in first
-            if fresh:
-                first[w] = len(first)
-            pattern.append(first[w])
-            visit(w, depth + 1)
-            pattern.pop()
-            if fresh:
-                del first[w]
-
-    visit(v, 0)
-    return counts
+    bits = _label_bits(g, length)
+    keys, counts = _pattern_table(g, v, length, budget, bits)
+    words = (keys.view(">u8") if keys.dtype.kind == "V" else keys).reshape(
+        len(keys), keys.dtype.itemsize // 8)          # a byte-row key is big-endian words
+    t, per_word = np.arange(length), 64 // bits
+    shift = (bits * (per_word - 1 - t % per_word)).astype(np.uint64)
+    labels = (words[:, t // per_word] >> shift) & np.uint64((1 << bits) - 1)
+    patterns = map(tuple, np.pad(labels, ((0, 0), (1, 0))).tolist())
+    return Counter(dict(zip(patterns, counts.tolist())))
 
 
 def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
@@ -172,15 +246,19 @@ def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
     Compares by integer cross-multiplication, so there is no tolerance to
     tune; isomorphic rooted graphs always compare equal.
     """
-    c1 = enumerate_anonymous_walks(g, v, length, budget)
-    c2 = enumerate_anonymous_walks(h, vp, length, budget)
-    t1, t2 = sum(c1.values()), sum(c2.values())
+    bits = max(_label_bits(g, length), _label_bits(h, length))
+    k1, c1 = _pattern_table(g, v, length, budget, bits)
+    k2, c2 = _pattern_table(h, vp, length, budget, bits)
+    t1, t2 = int(c1.sum()), int(c2.sum())
     if t1 == 0 or t2 == 0:
         return (t1 == 0) != (t2 == 0)
-    for pat in set(c1) | set(c2):
-        if c1.get(pat, 0) * t2 != c2.get(pat, 0) * t1:
-            return True
-    return False
+    # both tables are sorted and hold only positive counts, so the
+    # distributions agree only where the keys agree one for one
+    if not np.array_equal(k1, k2):
+        return True
+    if max(t1, t2) ** 2 < 2**63:
+        return bool(np.any(c1 * t2 != c2 * t1))
+    return any(a * t2 != b * t1 for a, b in zip(c1.tolist(), c2.tolist()))
 
 
 # -- whole-dataset extraction and the on-disk cache ----------------------

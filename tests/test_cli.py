@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -21,6 +22,8 @@ def workspace(tmp_path_factory):
                 "--out-dir", str(root / "data")]) == 0
     return root
 
+
+WALKS_REPORT_SHA256 = "b3df4a3a646c984c54f57c1a4b5744d8e648b3072292a38d46f28496f74d8471"
 
 BASE = ["--walk-length", "4", "--walks-per-node", "5", "--k-walk", "3",
         "--subgraph-cap", "12", "--seed", "3"]
@@ -227,6 +230,14 @@ class TestVerifyAndExport:
         assert code == 0
         assert "[PASS]" in printed
         assert (workspace / "v" / "verify-report.txt").exists()
+
+    def test_verify_walks_suite_report_is_pinned(self, tmp_path):
+        # the full walks suite at seed 0: every check's verdict and detail,
+        # including the rooted-pair line "distinguished (193/200)"
+        assert run(["verify", "--suite", "walks", "--seed", "0",
+                    "--out-dir", str(tmp_path)]) == 0
+        report = (tmp_path / "verify-report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == WALKS_REPORT_SHA256
 
     def test_export_hidden(self, workspace):
         out = workspace / "t1"

@@ -1,15 +1,19 @@
 import hashlib
+import sys
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mose import walks
 from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from mose.util import BudgetError, FormatError, substream
-from mose.walks import (CACHE_MAGIC, WalkConfig, _count_patterns, _replay_bounded,
+from mose.walks import (CACHE_MAGIC, WalkConfig, _count_patterns, _label_bits, _replay_bounded,
                         _uint32_stream, _walks_from_words, enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
@@ -202,6 +206,155 @@ class TestDistributionDistinguish:
         g = cycle_graph(5)
         for length in (1, 2, 3, 4):
             assert not walk_distributions_distinguish(g, 0, g, 3, length)
+
+
+def dfs_anonymous_walks(g: Graph, v: int, length: int, budget: int = 10**7) -> Counter:
+    """Reference enumeration: one recursive depth-first pass, one tuple per walk."""
+    if not (0 <= v < g.node_count):
+        raise ValueError("start node out of range")
+    nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
+    counts: Counter = Counter()
+    remaining = budget
+    first = {v: 0}
+    pattern = [0]
+
+    def visit(u: int, depth: int):
+        nonlocal remaining
+        if depth == length:
+            counts[tuple(pattern)] += 1
+            remaining -= 1
+            if remaining < 0:
+                raise BudgetError("walk enumeration exceeded its budget")
+            return
+        for w in nbrs[u]:
+            fresh = w not in first
+            if fresh:
+                first[w] = len(first)
+            pattern.append(first[w])
+            visit(w, depth + 1)
+            pattern.pop()
+            if fresh:
+                del first[w]
+
+    visit(v, 0)
+    return counts
+
+
+def dfs_distinguish(g: Graph, v: int, h: Graph, vp: int, length: int,
+                    budget: int = 10**7) -> bool:
+    """Reference comparison of two reference multisets by cross-multiplication."""
+    c1 = dfs_anonymous_walks(g, v, length, budget)
+    c2 = dfs_anonymous_walks(h, vp, length, budget)
+    t1, t2 = sum(c1.values()), sum(c2.values())
+    if t1 == 0 or t2 == 0:
+        return (t1 == 0) != (t2 == 0)
+    return any(c1.get(pat, 0) * t2 != c2.get(pat, 0) * t1 for pat in set(c1) | set(c2))
+
+
+def outcome(fn, *args):
+    """The function's result, or BudgetError when it raised that."""
+    try:
+        return fn(*args)
+    except BudgetError:
+        return BudgetError
+
+
+@st.composite
+def rooted_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k]), draw(st.integers(0, n - 1))
+
+
+class TestArrayEnumeration:
+    """The array enumeration against the depth-first reference, exactly."""
+
+    @given(rooted_graphs(), st.integers(0, 8),
+           st.sampled_from([(3, 2), (64, 40), (walks._BLOCK, walks._MERGE)]))
+    @example((Graph.from_edges(3, [(1, 2)]), 0), 4, (3, 2))        # isolated root
+    @example((Graph.from_edges(1, []), 0), 0, (3, 2))              # 1-node graph
+    @example((Graph.from_edges(1, []), 0), 5, (3, 2))
+    @example((star_graph(9), 0), 6, (64, 40))                      # star hub
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, rooted, length, sizes):
+        g, v = rooted
+        # small blocks and merge thresholds split the walks over many blocks and merges
+        with mock.patch.object(walks, "_BLOCK", sizes[0]), \
+                mock.patch.object(walks, "_MERGE", sizes[1]):
+            got = outcome(enumerate_anonymous_walks, g, v, length, 3000)
+        assert got == outcome(dfs_anonymous_walks, g, v, length, 3000)
+
+    @given(rooted_graphs(), rooted_graphs(), st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_distinguish_matches_reference(self, a, b, length):
+        # node counts mostly differ, so the two graphs alone would pick other key widths
+        got = outcome(walk_distributions_distinguish, *a, *b, length, 3000)
+        assert got == outcome(dfs_distinguish, *a, *b, length, 3000)
+
+    def test_one_key_width_for_both_graphs(self):
+        c5 = cycle_graph(5)
+        padded = disjoint_union(cycle_graph(5), path_graph(12))
+        assert (_label_bits(c5, 16), _label_bits(padded, 16)) == (3, 5)
+        assert not walk_distributions_distinguish(c5, 0, padded, 0, 16)
+        assert walk_distributions_distinguish(c5, 0, padded, 5, 16)
+
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_byte_row_keys_match_reference(self, v):
+        g = path_graph(17)
+        assert _label_bits(g, 16) * 16 > 64            # past one uint64 word
+        with mock.patch.object(walks, "_MERGE", 64):   # byte keys merge into the table
+            assert enumerate_anonymous_walks(g, v, 16) == dfs_anonymous_walks(g, v, 16)
+        assert walk_distributions_distinguish(g, v, g, 16 - v, 16) is False
+        assert walk_distributions_distinguish(g, 0, g, 1, 16) == dfs_distinguish(g, 0, g, 1, 16)
+
+    def test_walk_longer_than_the_recursion_limit(self):
+        length = 2000
+        assert length > sys.getrecursionlimit()
+        assert enumerate_anonymous_walks(path_graph(2), 0, length) == \
+            Counter({tuple(t % 2 for t in range(length + 1)): 1})
+        with pytest.raises(RecursionError):
+            dfs_anonymous_walks(path_graph(2), 0, length)
+
+    @pytest.mark.parametrize("length", [-1, -2])
+    def test_negative_length_is_rejected(self, length):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=f"got {length}$"):
+            enumerate_anonymous_walks(g, 0, length)
+        with pytest.raises(ValueError, match=f"got {length}$"):
+            walk_distributions_distinguish(g, 0, g, 1, length)
+
+    @pytest.mark.parametrize("g, v, length", [
+        (path_graph(2), 0, 0), (cycle_graph(5), 0, 6), (star_graph(9), 0, 6),
+        (star_graph(9), 1, 5),
+        (Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i)]), 0, 9)])  # 4^9 walks
+    def test_budget_is_exact(self, g, v, length):
+        count = int(np.linalg.matrix_power(g.adjacency_dense(), length)[v].sum())
+        assert sum(enumerate_anonymous_walks(g, v, length, budget=count).values()) == count
+        assert walk_distributions_distinguish(g, v, g, v, length, budget=count) is False
+        with pytest.raises(BudgetError):
+            enumerate_anonymous_walks(g, v, length, budget=count - 1)
+        with pytest.raises(BudgetError):
+            walk_distributions_distinguish(g, v, g, v, length, budget=count - 1)
+
+    def test_comparison_holds_no_pattern_tuples(self):
+        g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 6), (2, 3), (2, 5), (4, 6)])
+        counts = enumerate_anonymous_walks(g, 0, 13)
+        assert (sum(counts.values()), len(counts)) == (242903, 134369)
+        tuples = sys.getsizeof(counts) + sum(map(sys.getsizeof, counts))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert not walk_distributions_distinguish(g, 0, g, 0, 13)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # Measured with numpy 2.4: the comparison peaks at 7.5 MB, while one Counter
+        # of pattern tuples takes 24.5 MB; comparing through two such Counters peaked at 65 MB.
+        assert peak < tuples / 2
 
 
 class TestDatasetExtraction:
