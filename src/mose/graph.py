@@ -205,13 +205,10 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     counts = np.repeat(deg_g, m) * np.tile(deg_h, n)
     offsets = np.zeros(n * m + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    nbrs = np.empty(offsets[-1], dtype=np.int64)
-    for u in range(n):
-        gu = g.neighbors_of(u) * m
-        for up in range(m):
-            z = u * m + up
-            block = (gu[:, None] + h.neighbors_of(up)[None, :]).ravel()
-            nbrs[offsets[z]:offsets[z + 1]] = block
+    # entry k of node (u, u')'s slice pairs neighbor k // deg(u') of u with k % deg(u') of u'
+    u, up = np.divmod(np.repeat(np.arange(n * m), counts), m)
+    i, j = np.divmod(np.arange(offsets[-1]) - offsets[:-1].repeat(counts), deg_h[up])
+    nbrs = g.neighbors[g.offsets[u] + i] * m + h.neighbors[h.offsets[up] + j]
     return Graph(n * m, offsets, nbrs, np.zeros((n * m, 0)))
 
 
@@ -239,17 +236,16 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph.from_edges(g.node_count, edges, g.features[old], g.graph_label, labels)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union with h's node ids shifted past g's."""
-    n = g.node_count
-    edges = g.edges() + [(u + n, v + n) for u, v in h.edges()]
-    f = max(g.feature_dim, h.feature_dim)
-
-    def pad(x):
-        return np.pad(x, ((0, 0), (0, f - x.shape[1])))
-
-    feats = np.vstack([pad(g.features), pad(h.features)])
-    return Graph.from_edges(n + h.node_count, edges, feats)
+def disjoint_union(g: Graph, *rest: Graph) -> Graph:
+    """Disjoint union, each graph's node ids shifted past those before it.
+    Features are zero-padded to the widest graph's."""
+    graphs = (g,) + rest
+    shift = np.cumsum([0] + [x.node_count for x in graphs])
+    edges = np.concatenate([np.array(x.edges(), dtype=np.int64).reshape(-1, 2) + s
+                            for x, s in zip(graphs, shift)])
+    f = max(x.feature_dim for x in graphs)
+    feats = np.vstack([np.pad(x.features, ((0, 0), (0, f - x.feature_dim))) for x in graphs])
+    return Graph.from_edges(int(shift[-1]), edges, feats)
 
 
 # -- small named graphs used across tests and demos ---------------------

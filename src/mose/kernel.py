@@ -148,33 +148,46 @@ def rwk_discrete(g: Graph, h: Graph, cfg: KernelConfig) -> float:
     return total
 
 
+_BLOCK = 1 << 13     # walk-pair rows expanded at a time
+
+
 def _oracle_counts(g: Graph, h: Graph, max_p: int, budget: int) -> list[int]:
     """Counts of simultaneous walk pairs for every length 0..max_p.
 
-    Walks both graphs in tandem, one neighbor pair at a time; no adjacency
-    powers anywhere. Aborts with BudgetError once the enumeration would
-    visit more than ``budget`` walk pairs.
+    Walks both graphs in tandem: every walk pair is a row (u, u') that
+    expands to its children in nbr_g[u] x nbr_h[u'] through the two CSRs,
+    level by level, depth-first over blocks of at most ``_BLOCK`` children.
+    No product graph, adjacency or power anywhere. Raises BudgetError once
+    the rows made over all depths exceed ``budget``; pending rows bound
+    nothing, since a pair with an isolated factor node has no children.
     """
-    nbr_g = [tuple(int(x) for x in g.neighbors_of(v)) for v in range(g.node_count)]
-    nbr_h = [tuple(int(x) for x in h.neighbors_of(v)) for v in range(h.node_count)]
-    counts = [0] * (max_p + 1)
-    remaining = budget
+    n, m = g.node_count, h.node_count
+    deg_g, deg_h = g.degrees, h.degrees
+    counts = [n * m] + [0] * max_p
+    if n * m > budget:
+        raise BudgetError("walk-pair enumeration exceeded its budget")
+    stack = []
 
-    def visit(u: int, up: int, depth: int):
-        nonlocal remaining
-        counts[depth] += 1
-        remaining -= 1
-        if remaining < 0:
+    def push(u, up, depth):
+        if depth < max_p and len(u):
+            stack.append((depth, u, up, np.cumsum(deg_g[u] * deg_h[up]), 0))
+
+    push(np.repeat(np.arange(n), m), np.tile(np.arange(m), n), 0)
+    while stack:
+        depth, u, up, cum, lo = stack.pop()
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + _BLOCK, side="right")))
+        if hi < len(cum):
+            stack.append((depth, u, up, cum, hi))
+        kids = np.diff(cum[lo:hi], prepend=base)
+        src = np.repeat(np.arange(lo, hi), kids)
+        # child k of row r steps to neighbor k // deg_h(u'_r) of u_r and k % deg_h(u'_r) of u'_r
+        k = np.arange(len(src)) - np.repeat(cum[lo:hi] - base - kids, kids)
+        i, j = np.divmod(k, deg_h[up[src]])
+        counts[depth + 1] += len(src)
+        if sum(counts) > budget:
             raise BudgetError("walk-pair enumeration exceeded its budget")
-        if depth == max_p:
-            return
-        for v in nbr_g[u]:
-            for vp in nbr_h[up]:
-                visit(v, vp, depth + 1)
-
-    for u in range(g.node_count):
-        for up in range(h.node_count):
-            visit(u, up, 0)
+        push(g.neighbors[g.offsets[u[src]] + i], h.neighbors[h.offsets[up[src]] + j], depth + 1)
     return counts
 
 

@@ -369,21 +369,23 @@ def wl_suite(seed: int = 0, inits: int = 100, required: int = 99,
     strict = wit is not None and wit in swl_set and wit not in wl_set
     rep.add("6-cycle vs two-triangles separated only by subgraph hashing", strict)
 
-    # the groups hold no model parameter: build them once for all inits
+    # the group holds no model parameter: the whole corpus is one group, built
+    # once for all inits, with each graph's rows from its first node on
     cap = max(int(g.degrees.max()) if g.node_count else 0 for g in corpus)
     mcfg = ModelConfig(feature_dim=cap + 1, class_count=2, experts=3,
                        hidden_per_expert=4, embed_dim=16, k_ept=2)
-    act = GATE_ACTIVATIONS[mcfg.gate_activation]
-    groups = [build_group(g.with_features(degree_features(g, cap)),
-                          policy.node_sets(g), range(g.node_count), act=act)
-              for g in corpus]
+    union = disjoint_union(*corpus)
+    union = union.with_features(degree_features(union, cap))
+    group = build_group(union, policy.node_sets(union), range(union.node_count),
+                        act=GATE_ACTIVATIONS[mcfg.gate_activation])
+    starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
     kcfg = KernelConfig(max_step=3)
     first, second = np.array(sorted(swl_set), dtype=np.int64).reshape(-1, 2).T
     successes = np.zeros(len(first), dtype=np.int64)
     for trial in range(inits):
         model = new_model(mcfg, kcfg, seed=int(
             np.random.SeedSequence(seed, spawn_key=(7, trial)).generate_state(1)[0]))
-        embeds = np.stack([embed_group(model, group) for group in groups])
+        embeds = embed_group(model, group, starts)
         successes += np.abs(embeds[first] - embeds[second]).max(axis=1) > 1e-8
     worst = successes.min() if len(successes) else inits
     rep.add(f"random-init embeddings separate subgraph-hash-separated pairs "

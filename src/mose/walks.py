@@ -138,7 +138,8 @@ def _label_bits(g: Graph, length: int) -> int:
     return max(1, (min(g.node_count, length + 1) - 1).bit_length())
 
 
-def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int):
+def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
+                   keep: list | None = None):
     """Sorted distinct pattern keys and their counts over all length-l walks from v.
 
     Walks are expanded level by level through the CSR, depth-first over
@@ -149,6 +150,8 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int):
     they sort in lexicographic pattern order. Every prefix from a non-isolated
     root extends to a full walk, so completed plus pending rows bound the
     walk count from below: BudgetError is raised once that exceeds ``budget``.
+    Given ``keep``, each block of completed walks appends its (keys, first-visit
+    table) to it, so the nodes on the walks of a pattern can be read back.
     """
     if not (0 <= v < g.node_count):
         raise ValueError("start node out of range")
@@ -171,6 +174,8 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int):
             pending += len(block[0])
         else:
             leaves.append(_as_keys(block[3]))
+            if keep is not None:
+                keep.append((leaves[-1], block[1]))
             done += len(block[0])
             if sum(map(len, leaves)) >= max(_MERGE, len(table[0]) // 2):
                 table = _merge(table, leaves)

@@ -19,7 +19,7 @@ import numpy as np
 from .graph import Graph, degree_features
 from .moe import MoseModel, NodeGroup, build_group, group_forward, pool_rows
 from .util import BudgetError
-from .walks import enumerate_anonymous_walks, top_patterns
+from .walks import _label_bits, _pattern_table, top_patterns
 
 CANON_CAP = 8
 
@@ -145,40 +145,21 @@ class AnonymousWalkPolicy:
         self.budget = budget
 
     def node_sets(self, g: Graph) -> list[list[int]]:
+        bits = _label_bits(g, self.length)
+        kept = [[] for _ in range(g.node_count)]
         counts = Counter()
-        per_node = []
         for v in range(g.node_count):
-            c = enumerate_anonymous_walks(g, v, self.length, self.budget)
-            per_node.append(c)
-            counts.update(c)
-        selected = set(top_patterns(counts, self.pattern_budget)) if counts else set()
-        nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
+            keys, c = _pattern_table(g, v, self.length, self.budget, bits, kept[v])
+            counts.update(dict(zip(keys.tolist(), c.tolist())))
+        # packed keys (ints, or bytes when wider than a word) order like patterns
+        selected = top_patterns(counts, self.pattern_budget) if counts else []
         out = []
         for v in range(g.node_count):
-            nodes = [v]
-            seen = {v}
-
-            def visit(u, depth, first, pattern):
-                if depth == self.length:
-                    if tuple(pattern) in selected:
-                        for w in list(first):
-                            if w not in seen:
-                                seen.add(w)
-                                nodes.append(w)
-                    return
-                for w in nbrs[u]:
-                    fresh = w not in first
-                    if fresh:
-                        first[w] = len(first)
-                    pattern.append(first[w])
-                    visit(w, depth + 1, first, pattern)
-                    pattern.pop()
-                    if fresh:
-                        del first[w]
-
-            if g.offsets[v] != g.offsets[v + 1]:
-                visit(v, 0, {v: 0}, [0])
-            out.append(sorted(seen, key=lambda w: (w != v, w)))
+            nodes = {v}
+            for keys, seen in kept[v]:
+                rows = seen[np.isin(keys, np.array(selected, dtype=keys.dtype))]
+                nodes.update(rows[rows >= 0].tolist())
+            out.append(sorted(nodes, key=lambda w: (w != v, w)))
         return out
 
 
@@ -290,16 +271,20 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
     if g.feature_dim != model.cfg.feature_dim:
         g = g.with_features(degree_features(g, model.cfg.feature_dim - 1))
     return embed_group(model, build_group(g, node_sets, range(g.node_count),
-                                          act=model.gate_act()))
+                                          act=model.gate_act()), [0])[0]
 
 
-def embed_group(model: MoseModel, group: NodeGroup) -> np.ndarray:
-    """Eval-mode readout of a group holding every node of one graph.
+def embed_group(model: MoseModel, group: NodeGroup, starts) -> np.ndarray:
+    """Eval-mode readouts, one row per graph, of a group holding every node
+    of several graphs in turn; graph i's rows begin at ``starts[i]``.
 
     The group holds no parameter (only the gate activation enters it), so
     one group serves every model that shares the activation.
     """
-    return pool_rows(group_forward(model, group).h, model.cfg.readout_mode)[0][0]
+    h = group_forward(model, group).h
+    ends = list(starts[1:]) + [len(h)]
+    return np.concatenate([pool_rows(h[a:b], model.cfg.readout_mode)[0]
+                           for a, b in zip(starts, ends)])
 
 
 def mose_distinguish(g: Graph, h: Graph, model: MoseModel, policy=None,

@@ -24,6 +24,8 @@ def workspace(tmp_path_factory):
 
 
 WALKS_REPORT_SHA256 = "b3df4a3a646c984c54f57c1a4b5744d8e648b3072292a38d46f28496f74d8471"
+KERNEL_ORACLE_REPORT_SHA256 = "002abb4fce31cd9e054d38b55df3567edd018ea8486e67e9564cfbfa0dd5aea5"
+WL_REPORT_SHA256 = "da7ae9b7fbf8ad1a0d5e9f4b810104a28e53227badbff8a0d99395500647d6be"
 
 BASE = ["--walk-length", "4", "--walks-per-node", "5", "--k-walk", "3",
         "--subgraph-cap", "12", "--seed", "3"]
@@ -238,6 +240,17 @@ class TestVerifyAndExport:
                     "--out-dir", str(tmp_path)]) == 0
         report = (tmp_path / "verify-report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == WALKS_REPORT_SHA256
+
+    @pytest.mark.parametrize("suite, digest", [
+        # the oracles' check counts and mismatches, and the worst pair's
+        # count of separating inits "(100/100)"
+        ("kernel-oracle", KERNEL_ORACLE_REPORT_SHA256),
+        ("wl", WL_REPORT_SHA256)])
+    def test_verify_oracle_suite_report_is_pinned(self, tmp_path, suite, digest):
+        assert run(["verify", "--suite", suite, "--seed", "0",
+                    "--out-dir", str(tmp_path)]) == 0
+        report = (tmp_path / "verify-report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
 
     def test_export_hidden(self, workspace):
         out = workspace / "t1"

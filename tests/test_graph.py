@@ -338,6 +338,15 @@ class TestHelpers:
         assert u.edge_count == 4
         assert (3, 4) in u.edges()
 
+    def test_disjoint_union_of_many_graphs(self):
+        a = cycle_graph(3).with_features(np.ones((3, 2)))
+        b, c = Graph.from_edges(2, []), path_graph(3).with_features(np.full((3, 1), 5.0))
+        u, nested = disjoint_union(a, b, c), disjoint_union(disjoint_union(a, b), c)
+        for field in ("offsets", "neighbors", "features"):
+            assert np.array_equal(getattr(u, field), getattr(nested, field))
+        assert u.features[5:].tolist() == [[5.0, 0.0]] * 3
+        assert disjoint_union(a).edges() == a.edges()
+
     def test_relabel_preserves_structure(self):
         g = star_graph(3)
         r = relabel(g, [3, 0, 1, 2])

@@ -1,9 +1,16 @@
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mose.graph import (Graph, cycle_graph, induced_subgraph, path_graph,
-                        relabel, star_graph)
-from mose.kernel import (HiddenGraph, KernelConfig, expert_embed,
+import mose.kernel
+from mose.graph import (Graph, complete_graph, cycle_graph, induced_subgraph,
+                        path_graph, relabel, star_graph)
+from mose.kernel import (HiddenGraph, _oracle_counts, KernelConfig, expert_embed,
                          hidden_graph_to_dot, kernel_features, load_hidden_graph,
                          rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
                          rwk_oracle, save_hidden_graph, walk_pair_counts)
@@ -96,6 +103,95 @@ class TestOracle:
         for p in (1, 2, 3):
             assert rwk_discrete(g, h, KernelConfig(3, lam_basis(3, p))) == \
                 rwk_oracle(g, h, p)
+
+
+def dfs_oracle_counts(g: Graph, h: Graph, max_p: int, budget: int) -> list[int]:
+    """Reference walk-pair enumeration: one recursive depth-first visit per pair."""
+    nbr_g = [tuple(int(x) for x in g.neighbors_of(v)) for v in range(g.node_count)]
+    nbr_h = [tuple(int(x) for x in h.neighbors_of(v)) for v in range(h.node_count)]
+    counts = [0] * (max_p + 1)
+    remaining = budget
+
+    def visit(u: int, up: int, depth: int):
+        nonlocal remaining
+        counts[depth] += 1
+        remaining -= 1
+        if remaining < 0:
+            raise BudgetError("walk-pair enumeration exceeded its budget")
+        if depth == max_p:
+            return
+        for v in nbr_g[u]:
+            for vp in nbr_h[up]:
+                visit(v, vp, depth + 1)
+
+    for u in range(g.node_count):
+        for up in range(h.node_count):
+            visit(u, up, 0)
+    return counts
+
+
+def outcome(fn, *args):
+    """The function's result, or BudgetError when it raised that."""
+    try:
+        return fn(*args)
+    except BudgetError:
+        return BudgetError
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 6 nodes, edgeless and 1-node graphs and isolated nodes included."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestLevelOracle:
+    """The level-by-level walk-pair enumeration against the depth-first reference."""
+
+    @given(small_graphs(), small_graphs(), st.integers(0, 5), st.integers(1, 5000),
+           st.sampled_from([1, 7, mose.kernel._BLOCK]))
+    @example(Graph.from_edges(3, [(1, 2)]), path_graph(3), 4, 5000, 7)   # isolated node
+    @example(Graph.from_edges(1, []), cycle_graph(3), 3, 5000, 7)         # 1-node factor
+    @example(Graph.from_edges(4, []), cycle_graph(3), 5, 5000, 1)         # edgeless factor
+    @example(complete_graph(5), Graph.from_edges(2, [(0, 1)]), 0, 9, 1)   # node pairs alone
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, g, h, p, budget, block):
+        # small blocks split every level over many blocks
+        with mock.patch.object(mose.kernel, "_BLOCK", block):
+            ref = outcome(dfs_oracle_counts, g, h, p, budget)
+            assert outcome(_oracle_counts, g, h, p, budget) == ref
+            if ref is not BudgetError:
+                # the budget bounds the walk pairs over all depths, exactly
+                assert _oracle_counts(g, h, p, sum(ref)) == ref
+                with pytest.raises(BudgetError):
+                    _oracle_counts(g, h, p, sum(ref) - 1)
+
+    def test_walk_longer_than_the_recursion_limit(self):
+        p = 2000
+        assert p > sys.getrecursionlimit()
+        assert rwk_oracle(path_graph(2), path_graph(2), p) == 4
+        with pytest.raises(RecursionError):
+            dfs_oracle_counts(path_graph(2), path_graph(2), p, 10**7)
+
+    def test_suites_largest_pair_holds_no_whole_level(self):
+        # K5 x K5 is the kernel-oracle suite's largest pair: 1,747,625 walk pairs
+        # over p = 0..4, 1,638,400 of them at the last level (13 MB per int64 array)
+        k5 = complete_graph(5)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            counts = _oracle_counts(k5, k5, 4, 10**7)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert counts == [25 * 16 ** q for q in range(5)]
+        # Measured with numpy 2.4: the enumeration peaks at 0.82 MB.
+        assert peak < 2 * 2**20
 
 
 class TestFeatureWeightedKernel:

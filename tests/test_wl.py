@@ -1,18 +1,27 @@
+import sys
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mose.verify
+import mose.walks as walks
 import mose.wl
-from mose.graph import (Graph, complete_graph, cycle_graph, disjoint_union,
-                        path_graph, relabel, star_graph)
+from mose.graph import (Graph, complete_graph, cycle_graph, degree_features,
+                        disjoint_union, path_graph, relabel, star_graph)
 from mose.kernel import KernelConfig
-from mose.moe import ModelConfig, new_model
+from mose.moe import ModelConfig, build_group, group_forward, new_model, pool_rows
 from mose.util import BudgetError
 from mose.verify import wl_suite
+from mose.walks import enumerate_anonymous_walks, top_patterns
 from mose.wl import (AnonymousWalkPolicy, EgoPolicy, all_nonisomorphic_graphs,
-                     are_isomorphic, canonical_form, distinguish, graph_corpus,
-                     lemma1_check, mose_distinguish, same_size_pairs, swl_refine,
-                     swl_refine_many, wl1_refine, wl1_refine_many)
+                     are_isomorphic, canonical_form, distinguish, embed_graph,
+                     embed_group, graph_corpus, lemma1_check, mose_distinguish,
+                     same_size_pairs, swl_refine, swl_refine_many, wl1_refine,
+                     wl1_refine_many)
 
 C6 = cycle_graph(6)
 TRI2 = disjoint_union(cycle_graph(3), cycle_graph(3))
@@ -88,6 +97,72 @@ class TestSwl:
 
     def test_walk_policy_distinguishes_triangles(self):
         assert distinguish(C6, TRI2, "swl", AnonymousWalkPolicy(3, 4))
+
+
+def dfs_walk_node_sets(policy: AnonymousWalkPolicy, g: Graph) -> list[list[int]]:
+    """Reference walk-policy node sets: a recursive depth-first walk per node."""
+    counts = Counter()
+    for v in range(g.node_count):
+        counts.update(enumerate_anonymous_walks(g, v, policy.length, policy.budget))
+    selected = set(top_patterns(counts, policy.pattern_budget)) if counts else set()
+    nbrs = [tuple(int(x) for x in g.neighbors_of(u)) for u in range(g.node_count)]
+    out = []
+    for v in range(g.node_count):
+        seen = {v}
+
+        def visit(u, depth, first, pattern):
+            if depth == policy.length:
+                if tuple(pattern) in selected:
+                    seen.update(first)
+                return
+            for w in nbrs[u]:
+                fresh = w not in first
+                if fresh:
+                    first[w] = len(first)
+                pattern.append(first[w])
+                visit(w, depth + 1, first, pattern)
+                pattern.pop()
+                if fresh:
+                    del first[w]
+
+        if g.offsets[v] != g.offsets[v + 1]:
+            visit(v, 0, {v: 0}, [0])
+        out.append(sorted(seen, key=lambda w: (w != v, w)))
+    return out
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+class TestWalkPolicyNodeSets:
+    """Node sets read from the enumeration's completed walks, against the reference."""
+
+    @given(small_graphs(), st.integers(0, 6), st.integers(1, 6),
+           st.sampled_from([64, walks._BLOCK]))
+    @example(Graph.from_edges(3, [(1, 2)]), 2, 4, 64)     # isolated node
+    @example(Graph.from_edges(1, []), 0, 1, 64)           # 1-node graph, length 0
+    @example(path_graph(9), 6, 2, 64)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, g, length, pattern_budget, block):
+        pol = AnonymousWalkPolicy(length, pattern_budget)
+        with mock.patch.object(walks, "_BLOCK", block):   # walks span many blocks
+            got = pol.node_sets(g)
+        assert got == dfs_walk_node_sets(pol, g)
+
+    def test_byte_row_keys_match_reference(self):
+        g, pol = path_graph(3), AnonymousWalkPolicy(length=33, pattern_budget=3)
+        assert walks._label_bits(g, 33) * 33 > 64      # past one uint64 word
+        assert pol.node_sets(g) == dfs_walk_node_sets(pol, g)
+
+    def test_walk_longer_than_the_recursion_limit(self):
+        pol = AnonymousWalkPolicy(length=1500)
+        assert pol.length > sys.getrecursionlimit()
+        assert pol.node_sets(path_graph(2)) == [[0, 1], [1, 0]]
 
 
 class TestCanonicalForm:
@@ -183,6 +258,34 @@ class TestMoseDistinguish:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         h = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
         assert mose_distinguish(g, h, self.make_model(seed=1))
+
+
+class TestEmbedGroup:
+    def test_segments_of_a_union_group_embed_each_graph(self):
+        corpus = graph_corpus(5)
+        mcfg = ModelConfig(feature_dim=5, class_count=2, experts=3,
+                           hidden_per_expert=4, embed_dim=16, k_ept=2)
+        model = new_model(mcfg, KernelConfig(max_step=3), seed=3)
+        union = disjoint_union(*corpus)
+        union = union.with_features(degree_features(union, 4))
+        group = build_group(union, EgoPolicy(1).node_sets(union), range(union.node_count),
+                            act=model.gate_act())
+        starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
+        got = embed_group(model, group, starts)
+        want = np.stack([embed_graph(model, g, EgoPolicy(1).node_sets(g)) for g in corpus])
+        assert got.shape == want.shape
+        # only the padding and the batch of the engine's products differ
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_segment_is_the_whole_group_readout(self):
+        mcfg = ModelConfig(feature_dim=4, class_count=2, experts=3,
+                           hidden_per_expert=4, embed_dim=16, k_ept=2, readout_mode="max")
+        model = new_model(mcfg, KernelConfig(max_step=3), seed=5)
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+        g = g.with_features(degree_features(g, 3))
+        group = build_group(g, EgoPolicy(1).node_sets(g), range(6), act=model.gate_act())
+        whole = pool_rows(group_forward(model, group).h, "max")[0][0]
+        assert np.array_equal(embed_group(model, group, [0])[0], whole)
 
 
 @pytest.fixture(scope="module")
