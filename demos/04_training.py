@@ -13,7 +13,6 @@ import numpy as np
 from mose import (KernelConfig, ModelConfig, TrainConfig, WalkConfig,
                   extract_dataset, gen_graph_cycle, hidden_graph_to_dot,
                   make_folds, new_model, train)
-from mose.trainer import _cv_squared
 
 data = gen_graph_cycle(40, seed=0)
 print(f"dataset: {len(data.graphs)} graphs, {data.class_count} classes, "
@@ -34,7 +33,7 @@ model, metrics, _ = train(model, data, cache, fold, cfg)
 
 print(f"\nheld-out accuracy {metrics.accuracy:.3f}, macro-F1 {metrics.macro_f1:.3f}")
 print("expert load:", np.round(metrics.expert_load, 1),
-      " squared CV %.3f" % _cv_squared(metrics.expert_load))
+      " squared CV %.3f" % metrics.loss_importance)
 
 out = os.path.join(tempfile.mkdtemp(prefix="hidden-graphs-"), "expert0_hg0.dot")
 with open(out, "w") as f:

@@ -17,16 +17,14 @@ from .walks import (SubgraphCache, WalkConfig, enumerate_anonymous_walks,
                     extract_dataset, extract_subgraph, load_cache, sample_walks,
                     save_cache, to_anonymous, top_patterns,
                     walk_distributions_distinguish)
-from .kernel import (HiddenGraph, KernelConfig, KernelGrad, expert_embed,
-                     hidden_graph_to_dot, kernel_features, load_hidden_graph,
+from .kernel import (HiddenGraph, KernelConfig, KernelGrad, hidden_graph_to_dot,
                      rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
-                     rwk_oracle, save_hidden_graph, walk_pair_counts)
+                     rwk_oracle, walk_pair_counts)
 from .moe import (Expert, ExpertBank, GatingParams, ModelConfig, MoseModel,
-                  Route, combine, forward, gate_aggregate, gate_scores,
-                  new_model, node_embedding, readout, route)
-from .trainer import (Metrics, NonFiniteLossError, TrainConfig, cross_validate,
-                      evaluate, grad_check, importance_loss, load_checkpoint,
-                      metrics_csv, save_checkpoint, total_loss, train)
+                  new_model)
+from .trainer import (Metrics, NonFiniteLossError, TrainConfig, evaluate,
+                      grad_check, load_checkpoint, metrics_csv, save_checkpoint,
+                      total_loss, train)
 from .wl import (AnonymousWalkPolicy, Coloring, EgoPolicy, all_nonisomorphic_graphs,
                  are_isomorphic, canonical_form, distinguish, graph_corpus,
                  lemma1_check, mose_distinguish, swl_refine, wl1_refine)

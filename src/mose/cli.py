@@ -20,8 +20,8 @@ from .datasets import (Dataset, gen_graph_cycle, gen_graph_five, load_tu_dataset
                        make_folds, make_node_splits, save_tu_dataset)
 from .kernel import KernelConfig, hidden_graph_to_dot
 from .moe import ModelConfig, new_model
-from .trainer import (Metrics, NonFiniteLossError, TrainConfig, load_checkpoint,
-                      metrics_csv, save_checkpoint, train)
+from .trainer import (NonFiniteLossError, TrainConfig, load_checkpoint, metrics_csv,
+                      save_checkpoint, train)
 from .util import (BudgetError, FormatError, atomic_write, hash_arrays, read_text_lines,
                    write_manifest)
 from .verify import SUITES, run_suite
@@ -114,6 +114,9 @@ def _settings_error(cfg: dict) -> str | None:
         _model_config(cfg, feature_dim=1, class_count=2)
     except ValueError as e:
         return str(e)
+    if not 0 <= cfg["fold_index"] < cfg["folds"]:
+        return (f"fold_index must lie in 0..{cfg['folds'] - 1} (folds = {cfg['folds']}), "
+                f"got {cfg['fold_index']}")
     return None
 
 
@@ -281,6 +284,9 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
+    if not 0 <= cfg["fold_index"] < cfg["folds"]:
+        raise UsageError(f"--fold-index must lie in 0..{cfg['folds'] - 1} "
+                         f"(--folds {cfg['folds']}), got {cfg['fold_index']}")
     data = _load_dataset(cfg, args)
     wcfg = _walk_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)

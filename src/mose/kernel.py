@@ -12,7 +12,7 @@ All kernel math runs in double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,56 +271,7 @@ def rwk_hidden_grad(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> KernelGra
     return KernelGrad(value=value, d_W=d_w, d_Z=d_z)
 
 
-def kernel_features(sub: NodeSubgraph, hidden_graphs: list[HiddenGraph],
-                    cfg: KernelConfig) -> np.ndarray:
-    """Per-step kernel values against each hidden graph, flattened per mode.
-
-    concat-over-p keeps one weighted value per (hidden graph, step);
-    sum-over-p and single-p reduce the step axis to one value per hidden
-    graph. Step 0 is excluded: it ignores structure.
-    """
-    vals = []
-    for hg in hidden_graphs:
-        per_step = [rwk_hidden(sub, hg, p) for p in range(1, cfg.max_step + 1)]
-        if cfg.step_mode == "concat-over-p":
-            vals.extend(cfg.lambdas[p] * per_step[p - 1] for p in range(1, cfg.max_step + 1))
-        elif cfg.step_mode == "sum-over-p":
-            vals.append(sum(cfg.lambdas[p] * per_step[p - 1] for p in range(1, cfg.max_step + 1)))
-        else:  # single-p
-            vals.append(cfg.lambdas[cfg.max_step] * per_step[-1])
-    return np.array(vals)
-
-
-def expert_embed(sub: NodeSubgraph, hidden_graphs: list[HiddenGraph],
-                 cfg: KernelConfig, transform) -> np.ndarray:
-    """Kernel feature vector against an expert's hidden graphs, transformed.
-
-    ``transform`` is the expert's feed-forward map (anything callable on a
-    1-d vector; identity is allowed).
-    """
-    sizes = {hg.size for hg in hidden_graphs}
-    dims = {hg.feature_dim for hg in hidden_graphs}
-    if len(sizes) != 1 or len(dims) != 1:
-        raise ValueError("an expert's hidden graphs must share size and feature dim")
-    return np.asarray(transform(kernel_features(sub, hidden_graphs, cfg)))
-
-
-# -- serialization and export -------------------------------------------
-
-HIDDEN_GRAPH_VERSION = 1
-
-
-def save_hidden_graph(path: str, hidden: HiddenGraph) -> None:
-    np.savez(path, version=HIDDEN_GRAPH_VERSION,
-             s=hidden.size, f=hidden.feature_dim, W=hidden.W, Z=hidden.Z)
-
-
-def load_hidden_graph(path: str) -> HiddenGraph:
-    data = np.load(path)
-    if int(data["version"]) != HIDDEN_GRAPH_VERSION:
-        raise ValueError(f"unsupported hidden-graph record version {int(data['version'])}")
-    return HiddenGraph(W=data["W"], Z=data["Z"])
-
+# -- DOT export ------------------------------------------------------------
 
 def hidden_graph_to_dot(hidden: HiddenGraph, name: str = "hidden",
                         prune_threshold: float = 0.01) -> str:

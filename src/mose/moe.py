@@ -1,13 +1,12 @@
 """Subgraph-aware expert routing: gating, expert bank, combination, readout.
 
-Two layers of API live here. The single-node functions (gate_aggregate,
-gate_scores, route, combine, readout, forward) are the reference pipeline,
-convenient for inspection and testing. The batched group engine at the
-bottom computes the same quantities for many nodes at once with analytic
-backprop; the trainer is built on it, and tests pin the two paths to each
-other. The engine evaluates the hidden-graph kernel in one of two orders,
-chosen per group from its array shapes (NodeGroup.fits_moments): through
-subgraph moments shared by all experts, or on the padded tensors.
+The batched group engine here gates, routes and embeds many nodes at once
+with analytic backprop; the trainer is built on it. The tests pin it to a
+single-node reference pipeline (tests/reference.py) that computes the same
+quantities one subgraph at a time. The engine evaluates the hidden-graph
+kernel in one of two orders, chosen per group from its array shapes
+(NodeGroup.fits_moments): through subgraph moments shared by all experts,
+or on the padded tensors.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, NodeSubgraph
-from .kernel import HiddenGraph, KernelConfig, kernel_features
+from .graph import Graph
+from .kernel import HiddenGraph, KernelConfig
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
 
@@ -48,25 +47,6 @@ class GatingParams:
     @property
     def expert_count(self) -> int:
         return self.W_g.shape[1]
-
-
-@dataclass(frozen=True)
-class Route:
-    """Chosen expert ids (sorted) and their positive softmax weights."""
-
-    indices: tuple
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if len(self.indices) != len(w):
-            raise ValueError("indices and weights must align")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be sorted and distinct")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be positive and sum to 1")
 
 
 @dataclass
@@ -216,106 +196,6 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
     head = Mlp("head", (head_in, d, cfg.class_count), rng)
     return MoseModel(gating=gating, bank=ExpertBank(experts), head=head,
                      kernel_cfg=kernel_cfg, cfg=cfg, combine_mlp=combine_mlp, seed=seed)
-
-
-# -- single-node reference pipeline --------------------------------------
-
-def gate_aggregate(sub: NodeSubgraph, parent_features: np.ndarray | None = None,
-                   act=relu) -> np.ndarray:
-    """Feature summary of a subgraph: center plus attention-weighted nodes.
-
-    Attention weights are the softmax of feature dot products with the
-    center (the center itself participates in the sum).
-    """
-    x = sub.graph.features if parent_features is None else parent_features[sub.parent_ids]
-    xv = x[sub.center]
-    scores = x @ xv
-    alpha = softmax(scores)
-    return act(xv + alpha @ x)
-
-
-def gate_scores(eta: np.ndarray, gating: GatingParams, train_mode: bool,
-                rng=None) -> np.ndarray:
-    """Pre-selection logits: clean scores plus softplus-scaled noise.
-
-    Noise is a fresh standard-normal draw per coordinate when training;
-    evaluation uses the clean scores exactly.
-    """
-    psi = eta @ gating.W_g
-    if train_mode:
-        eps = rng.standard_normal(gating.expert_count)
-        psi = psi + eps * softplus(eta @ gating.W_n)
-    return psi
-
-
-def route(psi: np.ndarray, k_ept: int) -> Route:
-    """Keep the top-k logits (ties to the lower index) and softmax them."""
-    k = min(k_ept, len(psi))
-    if k < 1:
-        raise ValueError("k_ept must be >= 1")
-    order = np.argsort(-psi, kind="stable")
-    idx = np.sort(order[:k])
-    return Route(indices=tuple(int(i) for i in idx), weights=softmax(psi[idx]))
-
-
-def combine(embeddings: dict, r: Route, mode: str = "weighted-sum",
-            combine_mlp: Mlp | None = None, expert_count: int | None = None) -> np.ndarray:
-    """Merge selected expert embeddings under the routing weights.
-
-    weighted-sum adds them; concat scales each block by its weight, places
-    it at the expert's fixed offset (absent experts contribute zeros), and
-    applies the combine transform.
-    """
-    missing = [m for m in r.indices if m not in embeddings]
-    if missing:
-        raise RuntimeError(f"missing embeddings for experts {missing}")
-    if mode == "weighted-sum":
-        return sum(w * embeddings[m] for m, w in zip(r.indices, r.weights))
-    d = len(next(iter(embeddings.values())))
-    wide = np.zeros(expert_count * d)
-    for m, w in zip(r.indices, r.weights):
-        wide[m * d:(m + 1) * d] = w * embeddings[m]
-    out, _ = combine_mlp.forward(wide)
-    return out
-
-
-def readout(node_embeddings, mode: str = "mean") -> np.ndarray:
-    """Permutation-invariant pooling over node embeddings."""
-    stack = np.asarray(list(node_embeddings))
-    if stack.size == 0:
-        raise ValueError("readout needs at least one node embedding")
-    if mode == "mean":
-        return stack.mean(axis=0)
-    if mode == "sum":
-        return stack.sum(axis=0)
-    if mode == "max":
-        return stack.max(axis=0)
-    raise ValueError(f"unknown readout mode {mode}")
-
-
-def node_embedding(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False,
-                   rng=None, dropout: float = 0.0):
-    """Reference per-node pipeline up to the combined embedding h(v)."""
-    eta = gate_aggregate(sub, act=model.gate_act())
-    psi = gate_scores(eta, model.gating, train_mode, rng)
-    r = route(psi, model.cfg.k_ept)
-    embeddings = {}
-    for m in r.indices:
-        expert = model.bank.experts[m]
-        phi = kernel_features(sub, expert.hidden, model.kernel_cfg)
-        h_m, _ = expert.transform.forward(phi, train=train_mode, dropout=dropout, rng=rng)
-        embeddings[m] = h_m
-    h = combine(embeddings, r, model.cfg.combine_mode, model.combine_mlp,
-                model.expert_count)
-    return h, r
-
-
-def forward(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False,
-            rng=None, dropout: float = 0.0):
-    """Full per-node pipeline; returns class logits and the route taken."""
-    h, r = node_embedding(model, sub, train_mode, rng, dropout)
-    logits, _ = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
-    return logits, r
 
 
 # -- batched group engine -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training loop: balance-aware loss, Adam updates, evaluation, CV, grad checks.
+"""Training loop: balance-aware loss, Adam updates, evaluation, grad checks.
 
 Graph tasks take minibatch steps over graphs; node tasks take one
 full-batch step per epoch. Training, evaluation and gradient checks share
@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .kernel import KernelConfig
-from .moe import (ModelConfig, MoseModel, Route, build_group, gate_backward,
+from .moe import (ModelConfig, MoseModel, build_group, gate_backward,
                   group_forward, new_model, pool_rows, pool_rows_backward)
 from .nn import Adam, log_softmax, softmax
 from .util import FormatError, atomic_write, substream
@@ -88,21 +88,6 @@ def _cv_squared_grad(totals: np.ndarray) -> np.ndarray:
     m = mu + CV_GUARD
     var = totals.var()
     return (2.0 / k) * ((totals - mu) / m**2 - var / m**3)
-
-
-def importance_loss(routes: list[Route], expert_count: int) -> float:
-    """Squared coefficient of variation of aggregate routing mass.
-
-    Unselected experts contribute zero mass; the standard deviation is the
-    population one.
-    """
-    if not routes:
-        raise ValueError("importance needs a non-empty batch")
-    totals = np.zeros(expert_count)
-    for r in routes:
-        for m, w in zip(r.indices, r.weights):
-            totals[m] += w
-    return _cv_squared(totals)
 
 
 def total_loss(task_loss: float, imp_loss: float, beta: float) -> float:
@@ -346,26 +331,6 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     state = {"params": trajectory, "adam_t": adam.t, "adam_m": adam.m,
              "adam_v": adam.v, "epoch_next": cfg.epochs, "rows": rows, "best": best}
     return model, final, state
-
-
-def cross_validate(data: Dataset, cache: SubgraphCache, folds,
-                   mcfg: ModelConfig, kcfg: KernelConfig, cfg: TrainConfig):
-    """Train one model per fold; summary is mean and population std of
-    fold test accuracies."""
-    accs = []
-    per_fold = []
-    for fi, fold in enumerate(folds):
-        seed_fold = int(np.random.SeedSequence(cfg.seed, spawn_key=(400, fi))
-                        .generate_state(1)[0])
-        model = new_model(mcfg, kcfg, seed=seed_fold)
-        _, metrics, _ = train(model, data, cache, fold, cfg)
-        accs.append(metrics.accuracy)
-        per_fold.append(metrics)
-    accs = np.array(accs)
-    return {"mean_accuracy": float(accs.mean()),
-            "std_accuracy": float(accs.std()),
-            "fold_accuracies": accs.tolist(),
-            "fold_metrics": per_fold}
 
 
 # -- metrics CSV --------------------------------------------------------------

@@ -283,9 +283,6 @@ class SubgraphCache:
     records: list[list[list[int]]]
     pattern_tables: list[list[tuple[tuple[int, ...], int]]]
 
-    def subgraph(self, g: Graph, graph_idx: int, v: int) -> NodeSubgraph:
-        return induced_subgraph(g, self.records[graph_idx][v])
-
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 

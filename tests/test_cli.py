@@ -138,6 +138,19 @@ class TestTrain:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert (manifest["config"]["experts"], manifest["config"]["k_ept"]) == (1, 1)
 
+    @pytest.mark.parametrize("fold_index", ["-1", "10"])
+    def test_fold_index_out_of_range_is_usage_error(self, workspace, tmp_path, capsys,
+                                                    fold_index):
+        out = tmp_path / "t"
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                    *BASE, "--folds", "10", "--fold-index", fold_index,
+                    "--out-dir", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err == ("usage error: --fold-index must lie in 0..9 "
+                                           f"(--folds 10), got {fold_index}\n")
+        assert not out.exists()
+
     def test_cache_built_with_other_settings_is_usage_error(self, workspace, tmp_path,
                                                             capsys):
         ext = tmp_path / "ext"
@@ -288,6 +301,8 @@ FAILURES = {
                       ":1: step_mode must be one of ('single-p', 'sum-over-p', 'concat-over-p')"),
     "config-range": ("config", b"seed=3\nexperts = 0\n", 64,
                      ":2: k_ept must lie in 1..experts"),
+    "config-fold": ("config", b"folds = 3\nfold_index = -1\n", 64,
+                    ":2: fold_index must lie in 0..2 (folds = 3), got -1"),
     "tu-field": ("tu-A", b"1, 2\n2, x\n", 2, ":2: expected 'i, j', got '2, x'"),
     "tu-bytes": ("tu-labels", b"0\n1\xff\n", 2, ":2: not UTF-8 text"),
     "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),

@@ -1,4 +1,5 @@
-"""Each demo runs to completion in a fresh interpreter against the source tree."""
+"""Each demo runs to completion in a fresh interpreter against the source tree,
+under the suite's rule that a numpy RuntimeWarning is an error."""
 
 import os
 import subprocess
@@ -14,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "04_training"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr

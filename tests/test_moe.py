@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
 from mose.kernel import STEP_MODES, KernelConfig
-from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig, Route,
-                      build_group, combine, forward, gate_aggregate, gate_scores,
-                      group_forward, group_moments, new_model, node_embedding,
-                      readout, route, _expert_kernel_backward,
-                      _expert_kernel_forward, _moment_backward, _moment_forward,
-                      _padded_backward, _padded_forward, _rectified_powers)
+from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig,
+                      build_group, group_forward, group_moments, new_model,
+                      _expert_kernel_backward, _expert_kernel_forward,
+                      _moment_backward, _moment_forward, _padded_backward,
+                      _padded_forward, _rectified_powers)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
 from mose.walks import WalkConfig, extract_dataset
+from reference import (Route, combine, forward, gate_aggregate, gate_scores,
+                       node_embedding, readout, route)
 
 
 def sub_of(g, nodes):
