@@ -1,9 +1,11 @@
 """Command-line surface: gen, extract, train, verify, export-hidden.
 
-Configuration precedence is defaults < config file < flags; the config
-file is plain ``key=value`` lines (hyphens and underscores both accepted),
-and unknown keys are rejected. Exit codes: 0 ok, 1 verification failure,
-2 runtime/numeric failure (any unexpected exception included), 64 usage error.
+Each setting is declared once, in ``SETTINGS``, and checked before a command
+reads or writes any file. Precedence is defaults < config file (``key=value``
+lines, hyphens or underscores, unknown keys rejected) < flags; the first config
+line (named ``path:line``) or flag from which the settings stop building every
+config is a usage error. Exit codes: 0 ok, 1 verification failure, 2
+runtime/numeric failure (any unexpected exception included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datasets import (Dataset, gen_graph_cycle, gen_graph_five, load_tu_dataset,
-                       make_folds, make_node_splits, save_tu_dataset)
+from .datasets import (SHAPE_LAYOUTS, Dataset, gen_graph_cycle, gen_graph_five,
+                       load_tu_dataset, make_folds, make_node_splits, save_tu_dataset)
 from .kernel import KernelConfig, hidden_graph_to_dot
 from .moe import ModelConfig, new_model
 from .trainer import (NonFiniteLossError, TrainConfig, load_checkpoint, metrics_csv,
@@ -42,41 +44,99 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-DEFAULTS = {
-    "seed": 0,
-    "walk_length": 8,
-    "walks_per_node": 20,
-    "k_walk": 5,
-    "subgraph_cap": 64,
-    "steps": 3,
-    "step_mode": "concat-over-p",
-    "experts": 5,
-    "hidden_graphs": 8,
-    "k_ept": 2,
-    "embed_dim": 32,
-    "combine_mode": "weighted-sum",
-    "readout_mode": "mean",
-    "gate_activation": "relu",
-    "beta": 0.1,
-    "epochs": 100,
-    "lr": 1e-3,
-    "dropout": 0.2,
-    "batch_size": 32,
-    "patience": 25,
-    "val_fraction": 0.1,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
+# Every setting once. A key that configures the library names the dataclass
+# fields it sets, whose default (the first field's) and type it takes; a
+# CLI-only key gives its default here.
+SETTINGS = {
+    "seed": ("WalkConfig.seed", "TrainConfig.seed"),
+    "walk_length": ("WalkConfig.walk_length",),
+    "walks_per_node": ("WalkConfig.walks_per_node",),
+    "k_walk": ("WalkConfig.pattern_budget",),
+    "subgraph_cap": ("WalkConfig.subgraph_cap",),
+    "steps": ("KernelConfig.max_step",),
+    "step_mode": ("KernelConfig.step_mode",),
+    "experts": ("ModelConfig.experts",),
+    "hidden_graphs": ("ModelConfig.hidden_per_expert",),
+    "k_ept": ("ModelConfig.k_ept", "TrainConfig.k_ept"),
+    "embed_dim": ("ModelConfig.embed_dim",),
+    "combine_mode": ("ModelConfig.combine_mode",),
+    "readout_mode": ("ModelConfig.readout_mode",),
+    "gate_activation": ("ModelConfig.gate_activation",),
+    "beta": ("TrainConfig.beta",),
+    "epochs": ("TrainConfig.epochs",),
+    "lr": ("TrainConfig.learning_rate",),
+    "dropout": ("TrainConfig.dropout_rate",),
+    "batch_size": ("TrainConfig.batch_size",),
+    "patience": ("TrainConfig.patience",),
+    "val_fraction": ("TrainConfig.val_fraction",),
+    "adam_beta1": ("TrainConfig.adam_beta1",),
+    "adam_beta2": ("TrainConfig.adam_beta2",),
+    "adam_eps": ("TrainConfig.adam_eps",),
     "folds": 10,
     "fold_index": 0,
     "threads": 1,
-    "lambda_decay": 1.0,
+    "lambda_decay": 1.0,     # KernelConfig.geometric's decay
 }
+CONFIGS = {cls.__name__: cls for cls in (WalkConfig, KernelConfig, ModelConfig, TrainConfig)}
+# (config class, field, key) for every dataclass field a setting sets
+TARGETS = [(CONFIGS[cls], field, key) for key, specs in SETTINGS.items()
+           if isinstance(specs, tuple) for cls, field in (s.split(".") for s in specs)]
+DEFAULTS = {key: next((getattr(cls, field) for cls, field, k in TARGETS if k == key), specs)
+            for key, specs in SETTINGS.items()}
+# the settings every command takes as a flag; train adds --fold-index
+FLAGGED = ("seed", "walk_length", "walks_per_node", "k_walk", "subgraph_cap", "steps",
+           "step_mode", "experts", "hidden_graphs", "k_ept", "beta", "epochs", "lr",
+           "dropout", "folds", "threads")
 
 
-def _parse_config_file(path: str) -> dict:
-    """The typed settings of a ``key=value`` file. Over the defaults they must
-    build every config, or the line where they stop doing so is a usage error."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config(cls, cfg: dict, **data):
+    """The ``cls`` config of the settings ``cfg``; ``data`` gives ModelConfig's dataset fields."""
+    if cls is KernelConfig and cfg["lambda_decay"] != 1.0:
+        return KernelConfig.geometric(cfg["steps"], cfg["lambda_decay"], cfg["step_mode"])
+    return cls(**{field: cfg[key] for c, field, key in TARGETS if c is cls}, **data)
+
+
+def _settings_error(cfg: dict, as_flags: bool = False) -> str | None:
+    """Why the settings cannot run, if they cannot: the first config they do not
+    build, or a CLI-only key out of range (named as a flag or a config key)."""
+    try:
+        for cls in (WalkConfig, KernelConfig, TrainConfig):
+            _config(cls, cfg)
+        _config(ModelConfig, cfg, feature_dim=1, class_count=2)
+    except ValueError as e:
+        return str(e)
+    name, eq = (_flag, " ") if as_flags else (str, " = ")
+    folds, fold_index, threads = cfg["folds"], cfg["fold_index"], cfg["threads"]
+    if folds < 2:
+        return f"{name('folds')} must be >= 2, got {folds}"
+    if not 0 <= fold_index < folds:
+        return (f"{name('fold_index')} must lie in 0..{folds - 1} "
+                f"({name('folds')}{eq}{folds}), got {fold_index}")
+    if threads < 1:
+        return f"{name('threads')} must be >= 1, got {threads}"
+    return None
+
+
+def _apply(cfg: dict, changes: list, as_flags: bool) -> dict:
+    """``cfg`` with ``changes`` [(where, key, value)] applied in order. When
+    the result does not run, the first change from which it stops is a usage
+    error named by its ``where`` (unless the message already names the flags)."""
+    out = cfg | {key: value for _, key, value in changes}
+    if _settings_error(out, as_flags):
+        step = dict(cfg)
+        for where, key, value in changes:
+            step[key] = value
+            if error := _settings_error(step, as_flags):
+                raise UsageError(error if error.startswith("--") else f"{where}: {error}")
+    return out
+
+
+def _config_lines(path: str) -> list:
+    """The typed (path:line, key, value) settings of a ``key=value`` file."""
     typed = []
     for ln, line in enumerate(read_text_lines(path), start=1):
         line = line.split("#", 1)[0].strip()
@@ -90,92 +150,32 @@ def _parse_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
         kind = type(DEFAULTS[key])
         try:
-            typed.append((ln, key, kind(value)))
+            typed.append((f"{path}:{ln}", key, kind(value)))
         except ValueError:
             article = "an" if kind is int else "a"
             raise UsageError(f"{path}:{ln}: {key} must be {article} "
                              f"{kind.__name__}, got {value!r}") from None
-    out = {key: value for _, key, value in typed}
-    if _settings_error(DEFAULTS | out):
-        settings = dict(DEFAULTS)
-        for ln, key, value in typed:
-            settings[key] = value
-            if error := _settings_error(settings):
-                raise UsageError(f"{path}:{ln}: {error}")
-    return out
-
-
-def _settings_error(cfg: dict) -> str | None:
-    """The message of the first config the settings cannot build, if any."""
-    try:
-        _walk_config(cfg)
-        _kernel_config(cfg)
-        _train_config(cfg)
-        _model_config(cfg, feature_dim=1, class_count=2)
-    except ValueError as e:
-        return str(e)
-    if not 0 <= cfg["fold_index"] < cfg["folds"]:
-        return (f"fold_index must lie in 0..{cfg['folds'] - 1} (folds = {cfg['folds']}), "
-                f"got {cfg['fold_index']}")
-    return None
+    return typed
 
 
 def _merged_config(args) -> dict:
+    """Defaults < config file < flags, the file checked over the defaults and the
+    flags over both, before the command does any work."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
-    for key in DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            cfg[key] = flag_val
-    return cfg
+        cfg = _apply(cfg, _config_lines(args.config), as_flags=False)
+    flags = [(f"{_flag(key)} {value}", key, value) for key in SETTINGS
+             if (value := getattr(args, key, None)) is not None]
+    return _apply(cfg, flags, as_flags=True)
 
 
 def _add_shared_flags(p: Parser):
     p.add_argument("--data-dir", dest="data_dir")
     p.add_argument("--dataset", dest="dataset")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--walk-length", type=int, dest="walk_length")
-    p.add_argument("--walks-per-node", type=int, dest="walks_per_node")
-    p.add_argument("--k-walk", type=int, dest="k_walk")
-    p.add_argument("--subgraph-cap", type=int, dest="subgraph_cap")
-    p.add_argument("--steps", type=int, dest="steps")
-    p.add_argument("--step-mode", dest="step_mode",
-                   choices=["single-p", "sum-over-p", "concat-over-p"])
-    p.add_argument("--experts", type=int, dest="experts")
-    p.add_argument("--hidden-graphs", type=int, dest="hidden_graphs")
-    p.add_argument("--k-ept", type=int, dest="k_ept")
-    p.add_argument("--beta", type=float, dest="beta")
-    p.add_argument("--epochs", type=int, dest="epochs")
-    p.add_argument("--lr", type=float, dest="lr")
-    p.add_argument("--dropout", type=float, dest="dropout")
-    p.add_argument("--folds", type=int, dest="folds")
-    p.add_argument("--threads", type=int, dest="threads")
+    for key in FLAGGED:
+        p.add_argument(_flag(key), type=type(DEFAULTS[key]), dest=key)
     p.add_argument("--out-dir", dest="out_dir", default="mose-out")
     p.add_argument("--config", dest="config")
-
-
-def _walk_config(cfg) -> WalkConfig:
-    return WalkConfig(walk_length=cfg["walk_length"],
-                      walks_per_node=cfg["walks_per_node"],
-                      pattern_budget=cfg["k_walk"],
-                      subgraph_cap=cfg["subgraph_cap"],
-                      seed=cfg["seed"])
-
-
-def _kernel_config(cfg) -> KernelConfig:
-    if cfg["lambda_decay"] == 1.0:
-        return KernelConfig(max_step=cfg["steps"], step_mode=cfg["step_mode"])
-    return KernelConfig.geometric(cfg["steps"], cfg["lambda_decay"], cfg["step_mode"])
-
-
-def _train_config(cfg) -> TrainConfig:
-    return TrainConfig(epochs=cfg["epochs"], learning_rate=cfg["lr"],
-                       beta=cfg["beta"], batch_size=cfg["batch_size"],
-                       k_ept=cfg["k_ept"], adam_beta1=cfg["adam_beta1"],
-                       adam_beta2=cfg["adam_beta2"], adam_eps=cfg["adam_eps"],
-                       dropout_rate=cfg["dropout"], seed=cfg["seed"],
-                       patience=cfg["patience"], val_fraction=cfg["val_fraction"])
 
 
 def dataset_hash(data: Dataset) -> str:
@@ -188,19 +188,10 @@ def dataset_hash(data: Dataset) -> str:
     return hash_arrays(arrays)
 
 
-def _load_dataset(cfg, args) -> Dataset:
+def _load_dataset(args) -> Dataset:
     if not args.data_dir or not args.dataset:
         raise UsageError("--data-dir and --dataset are required")
     return load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
-
-
-def _model_config(cfg, feature_dim: int, class_count: int, task="graph") -> ModelConfig:
-    return ModelConfig(feature_dim=feature_dim, class_count=class_count,
-                       experts=cfg["experts"], hidden_per_expert=cfg["hidden_graphs"],
-                       embed_dim=cfg["embed_dim"], k_ept=cfg["k_ept"],
-                       combine_mode=cfg["combine_mode"],
-                       readout_mode=cfg["readout_mode"],
-                       gate_activation=cfg["gate_activation"], task=task)
 
 
 def _differences(built: dict, wanted: dict) -> list[str]:
@@ -237,8 +228,12 @@ def _check_checkpoint(model, path: str, mcfg: ModelConfig, kcfg: KernelConfig):
 
 def cmd_gen(args) -> int:
     cfg = _merged_config(args)
-    if not args.dataset or args.dataset not in ("GraphCycle", "GraphFive"):
+    if args.dataset not in SHAPE_LAYOUTS:
         raise UsageError("--dataset must be GraphCycle or GraphFive")
+    classes = len(SHAPE_LAYOUTS[args.dataset])
+    if args.count < classes:
+        raise UsageError(f"--count must be >= {classes}, one graph per {args.dataset} "
+                         f"class, got {args.count}")
     gen = gen_graph_cycle if args.dataset == "GraphCycle" else gen_graph_five
     data = gen(args.count, cfg["seed"])
     out = os.path.join(args.out_dir, args.dataset)
@@ -252,8 +247,8 @@ def cmd_gen(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _merged_config(args)
-    data = _load_dataset(cfg, args)
-    wcfg = _walk_config(cfg)
+    data = _load_dataset(args)
+    wcfg = _config(WalkConfig, cfg)
     cache_path = args.cache_out or os.path.join(args.out_dir, f"{args.dataset}.cache")
     if os.path.exists(cache_path):
         try:
@@ -284,11 +279,8 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
-    if not 0 <= cfg["fold_index"] < cfg["folds"]:
-        raise UsageError(f"--fold-index must lie in 0..{cfg['folds'] - 1} "
-                         f"(--folds {cfg['folds']}), got {cfg['fold_index']}")
-    data = _load_dataset(cfg, args)
-    wcfg = _walk_config(cfg)
+    data = _load_dataset(args)
+    wcfg = _config(WalkConfig, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     cache_path = args.cache or os.path.join(args.out_dir, f"{args.dataset}.cache")
     if os.path.exists(cache_path):
@@ -298,9 +290,10 @@ def cmd_train(args) -> int:
         cache = extract_dataset(data.graphs, args.dataset, wcfg,
                                 threads=cfg["threads"])
         save_cache(cache_path, cache)
-    kcfg = _kernel_config(cfg)
-    tcfg = _train_config(cfg)
-    mcfg = _model_config(cfg, data.feature_dim, data.class_count, data.task)
+    kcfg = _config(KernelConfig, cfg)
+    tcfg = _config(TrainConfig, cfg)
+    mcfg = _config(ModelConfig, cfg, feature_dim=data.feature_dim,
+                   class_count=data.class_count, task=data.task)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
     start_state = None
     if os.path.exists(ckpt_path):
@@ -325,14 +318,12 @@ def cmd_train(args) -> int:
             model, _, state = train(model, data, cache, split, tcfg,
                                     start_state=start_state)
         except NonFiniteLossError as e:
-            os.makedirs(args.out_dir, exist_ok=True)
             with atomic_write(os.path.join(args.out_dir, "failure-dump.json")) as f:
                 json.dump(e.dump(), f, indent=2)
             print(f"numeric failure: {e}", file=sys.stderr)
             return EXIT_RUNTIME
         save_checkpoint(ckpt_path, model, state, tcfg)
         rows = state["rows"]
-    os.makedirs(args.out_dir, exist_ok=True)
     with atomic_write(os.path.join(args.out_dir, "metrics.csv")) as f:
         f.write(metrics_csv(rows, model.expert_count))
     write_manifest(args.out_dir, "train", cfg, cfg["seed"], dataset_hash(data))
@@ -345,6 +336,9 @@ def cmd_train(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _merged_config(args)
+    for flag, value, low in (("--max-nodes", args.max_nodes, 2), ("--max-p", args.max_p, 1)):
+        if value < low:
+            raise UsageError(f"{flag} must be >= {low}, got {value}")
     suites = [args.suite] if args.suite else sorted(SUITES)
     all_ok = True
     os.makedirs(args.out_dir, exist_ok=True)
@@ -401,7 +395,7 @@ def build_parser() -> Parser:
     p_tr = sub.add_parser("train", help="train a model on one split")
     _add_shared_flags(p_tr)
     p_tr.add_argument("--cache", dest="cache")
-    p_tr.add_argument("--fold-index", type=int, dest="fold_index", default=None)
+    p_tr.add_argument("--fold-index", type=int, dest="fold_index")
     p_tr.set_defaults(fn=cmd_train)
 
     p_ver = sub.add_parser("verify", help="run verification suites")

@@ -332,8 +332,12 @@ def _community_graph(layout: str, rng: np.random.Generator,
     return Graph.from_edges(n, edges)
 
 
-def _gen_shapes(name: str, layouts: list[str], count: int, seed: int,
-                size_range: tuple[int, int]) -> Dataset:
+SHAPE_LAYOUTS = {"GraphCycle": ["cycle", "tree"],
+                 "GraphFive": ["caveman", "cycle", "grid", "ladder", "star"]}
+
+
+def _gen_shapes(name: str, count: int, seed: int, size_range: tuple[int, int]) -> Dataset:
+    layouts = SHAPE_LAYOUTS[name]
     if count < len(layouts):
         raise ValueError(f"count must be at least {len(layouts)} for balance")
     graphs = []
@@ -348,18 +352,12 @@ def _gen_shapes(name: str, layouts: list[str], count: int, seed: int,
 
 def gen_graph_cycle(count: int, seed: int) -> Dataset:
     """Two-class community graphs: ring-wired versus tree-wired."""
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    return _gen_shapes("GraphCycle", ["cycle", "tree"], count, seed,
-                       size_range=(10, 20))
+    return _gen_shapes("GraphCycle", count, seed, size_range=(10, 20))
 
 
 def gen_graph_five(count: int, seed: int) -> Dataset:
     """Five-class community graphs: caveman, cycle, grid, ladder, star."""
-    if count < 5:
-        raise ValueError("count must be >= 5")
-    return _gen_shapes("GraphFive", ["caveman", "cycle", "grid", "ladder", "star"],
-                       count, seed, size_range=(10, 20))
+    return _gen_shapes("GraphFive", count, seed, size_range=(10, 20))
 
 
 # -- splits ------------------------------------------------------------------

@@ -59,10 +59,15 @@ class TrainConfig:
     val_fraction: float = 0.1   # carved from graph-task train splits
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("invalid training configuration")
-        if self.beta < 0 or not np.isfinite(self.beta):
-            raise ValueError("beta must be finite and non-negative")
+        checks = {"epochs must be >= 0": self.epochs >= 0,
+                  "learning_rate must be > 0": self.learning_rate > 0,
+                  "batch_size must be >= 1": self.batch_size >= 1,
+                  "beta must be finite and non-negative": 0 <= self.beta < np.inf,
+                  "dropout_rate must lie in [0, 1)": 0 <= self.dropout_rate < 1,
+                  "val_fraction must lie in [0, 1)": 0 <= self.val_fraction < 1}
+        for message, ok in checks.items():
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass

@@ -236,6 +236,82 @@ class TestTrain:
         assert "param_norms" in dump
 
 
+# (command line after the command's own data flags, what stderr says)
+BAD_FLAGS = {
+    "experts": (["train", "--experts", "0"],
+                "usage error: --experts 0: k_ept must lie in 1..experts\n"),
+    "steps": (["train", "--steps", "0"], "usage error: --steps 0: max_step must be >= 1\n"),
+    "walk-length": (["train", "--walk-length", "0"],
+                    "usage error: --walk-length 0: walk_length must be >= 1\n"),
+    "epochs": (["train", "--epochs", "-1"], "usage error: --epochs -1: epochs must be >= 0\n"),
+    "lr": (["train", "--lr", "0"], "usage error: --lr 0.0: learning_rate must be > 0\n"),
+    "folds": (["train", "--folds", "1"], "usage error: --folds must be >= 2, got 1\n"),
+    "dropout": (["train", "--dropout", "1.5"],
+                "usage error: --dropout 1.5: dropout_rate must lie in [0, 1)\n"),
+    "threads": (["train", "--threads", "0"], "usage error: --threads must be >= 1, got 0\n"),
+    "step-mode": (["train", "--step-mode", "bogus"], "usage error: --step-mode bogus: "
+                  "step_mode must be one of ('single-p', 'sum-over-p', 'concat-over-p')\n"),
+    # --experts 2 runs with the default k_ept = 2; --k-ept 3 is where it stops
+    "k-ept": (["train", "--k-ept", "3", "--experts", "2"],
+              "usage error: --k-ept 3: k_ept must lie in 1..experts\n"),
+    "max-p": (["verify", "--suite", "kernel-oracle", "--max-p", "0"],
+              "usage error: --max-p must be >= 1, got 0\n"),
+    "max-nodes": (["verify", "--suite", "kernel-oracle", "--max-nodes", "1"],
+                  "usage error: --max-nodes must be >= 2, got 1\n"),
+    "count": (["gen", "--dataset", "GraphCycle", "--count", "1"],
+              "usage error: --count must be >= 2, one graph per GraphCycle class, got 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flag_is_usage_error_before_any_work(workspace, tmp_path, capsys, case):
+    argv, message = BAD_FLAGS[case]
+    out = tmp_path / "out"
+    data = ["--data-dir", str(workspace / "data"), "--dataset", "GraphCycle"]
+    capsys.readouterr()
+    assert run([*argv, *(data if argv[0] == "train" else []), "--out-dir", str(out)]) == 64
+    assert capsys.readouterr().err == message
+    assert not out.exists()     # no cache, checkpoint, manifest or report
+
+
+def test_flags_are_checked_together(tmp_path):
+    # --experts 1 next to the default k_ept = 2 is invalid; the flags as a whole are not
+    assert run(["gen", "--dataset", "GraphCycle", "--count", "2", "--experts", "1",
+                "--k-ept", "1", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["config"]["experts"], manifest["config"]["k_ept"]) == (1, 1)
+
+
+def test_flags_are_checked_over_the_config_file(workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experts = 2\n")
+    capsys.readouterr()
+    assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                "--config", str(cfg), "--k-ept", "3", "--out-dir", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr().err == "usage error: --k-ept 3: k_ept must lie in 1..experts\n"
+
+
+def test_settings_sharing_a_key_share_its_default():
+    for key, specs in cli.SETTINGS.items():
+        defaults = {getattr(cls, field) for cls, field, k in cli.TARGETS if k == key}
+        assert defaults == ({cli.DEFAULTS[key]} if isinstance(specs, tuple) else set()), key
+
+
+@pytest.mark.filterwarnings("ignore:class . has fewer members")
+def test_default_train_manifest_config_is_pinned(workspace, tmp_path):
+    assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "batch_size": 32,
+        "beta": 0.1, "combine_mode": "weighted-sum", "dropout": 0.2, "embed_dim": 32,
+        "epochs": 100, "experts": 5, "fold_index": 0, "folds": 10,
+        "gate_activation": "relu", "hidden_graphs": 8, "k_ept": 2, "k_walk": 5,
+        "lambda_decay": 1.0, "lr": 0.001, "patience": 25, "readout_mode": "mean",
+        "seed": 0, "step_mode": "concat-over-p", "steps": 3, "subgraph_cap": 64,
+        "threads": 1, "val_fraction": 0.1, "walk_length": 8, "walks_per_node": 20}
+
+
 class TestVerifyAndExport:
     def test_verify_kernel_suite(self, workspace, capsys):
         code = run(["verify", "--suite", "kernel-oracle", "--max-nodes", "4",

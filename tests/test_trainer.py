@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestMetricHelpers:
         model = toy_model(data)
         with pytest.raises(ValueError):
             evaluate(model, data, cache, [])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", -1, "epochs must be >= 0"),
+        ("learning_rate", 0.0, "learning_rate must be > 0"),
+        ("learning_rate", float("nan"), "learning_rate must be > 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("beta", float("inf"), "beta must be finite and non-negative"),
+        ("dropout_rate", 1.0, "dropout_rate must lie in [0, 1)"),
+        ("dropout_rate", -0.5, "dropout_rate must lie in [0, 1)"),
+        ("val_fraction", 1.0, "val_fraction must lie in [0, 1)"),
+        ("val_fraction", -0.1, "val_fraction must lie in [0, 1)")])
+    def test_out_of_range_field_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{field: value})
+
+    def test_range_ends_are_accepted(self):
+        TrainConfig(epochs=0, dropout_rate=0.0, val_fraction=0.0, beta=0.0)
+        TrainConfig(dropout_rate=0.999, val_fraction=0.999)
 
 
 class TestTraining:
