@@ -8,6 +8,7 @@ iteration order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,6 +94,32 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def feature_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, row_of): the lowest node holding each distinct feature row, in
+        ascending order, and each node's index into ``first``.
+
+        Rows compare by their bytes, so rows that differ only in the sign of a
+        zero fall in two classes; a split class costs size, never exactness.
+        Rows whose bytes hash to a value of their own are distinct, and only
+        rows that share a hash are copied and compared, so a graph of distinct
+        wide rows is never copied. Only the two int index arrays are kept.
+        """
+        n, f = self.features.shape
+        if f == 0:      # every row is the empty row
+            return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
+        # wrapping integer dot products: a hash of the row's 64-bit words
+        hashes = self.features.view(np.uint64) @ np.random.default_rng(0).integers(
+            1, 2**63, f, dtype=np.uint64)
+        _, at, counts = np.unique(hashes, return_inverse=True, return_counts=True)
+        shared = np.flatnonzero(counts[at] > 1)
+        keys = self.features[shared].view(np.dtype((np.void, self.features.itemsize * f)))
+        _, lowest, same = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        owner = np.arange(n)        # the lowest node holding each node's row
+        owner[shared] = shared[lowest][same]
+        _, first, row_of = np.unique(owner, return_index=True, return_inverse=True)
+        return first, row_of
 
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]

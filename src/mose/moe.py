@@ -6,7 +6,9 @@ single-node reference pipeline (tests/reference.py) that computes the same
 quantities one subgraph at a time. The engine evaluates the hidden-graph
 kernel in one of two orders, chosen per group from its array shapes
 (NodeGroup.fits_moments): through subgraph moments shared by all experts,
-or on the padded tensors.
+or on the padded tensors. A group stores each distinct feature row once;
+the moments are taken in the basis of those rows when there are fewer of
+them than features, and in the features themselves otherwise.
 """
 
 from __future__ import annotations
@@ -123,6 +125,10 @@ class ModelConfig:
             raise ValueError("task must be graph or node")
         if not (1 <= self.k_ept <= self.experts):
             raise ValueError("k_ept must lie in 1..experts")
+        if self.hidden_per_expert < 1:
+            raise ValueError("hidden_per_expert must be >= 1")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
         sizes = self.sizes
         if sizes is None:
             sizes = tuple(range(2, self.experts + 2))
@@ -203,10 +209,15 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 @dataclass
 class NodeGroup:
     """Padded subgraph adjacencies for a group of nodes processed together,
-    with each distinct node's features stored once and gathered through ``local``."""
+    with each distinct feature row stored once and gathered through ``local``.
+
+    The features of row b are X_b = C_b E, with E = xu[:-1] the U distinct
+    rows and C_b the one-hot of ``local[b]``. The moment order works in the
+    smaller basis: C (width U) when U < f, else X itself (width f).
+    """
 
     adj: np.ndarray     # (B, nmax, nmax) zero-padded dense adjacencies
-    xu: np.ndarray      # (U + 1, f) features of the U distinct nodes, then a zero row
+    xu: np.ndarray      # (U + 1, f) the U distinct feature rows, then a zero row
     local: np.ndarray   # (B, nmax) rows of xu; padding points at the zero row
     sizes: np.ndarray   # (B,) true subgraph sizes
     eta: np.ndarray     # (B, f) gate aggregates
@@ -217,19 +228,39 @@ class NodeGroup:
 
     @cached_property
     def feats(self) -> np.ndarray:
-        """(B, nmax, f) zero-padded features, gathered on first use (moment path)."""
+        """(B, nmax, f) zero-padded features, gathered on first use."""
         return np.take(self.xu, self.local, axis=0)
 
+    @property
+    def class_rows(self) -> np.ndarray | None:
+        """E, the rows the moment basis expands into when U < f; None when
+        the basis is the identity (U >= f)."""
+        u, f = self.xu.shape[0] - 1, self.xu.shape[1]
+        return self.xu[:-1] if u < f else None
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(B, nmax, min(U, f)) slot coordinates in the moment basis: the one-hot
+        C of each slot's row under ``class_rows``, else the features."""
+        if self.class_rows is None:
+            return self.feats
+        u = self.xu.shape[0] - 1
+        c = np.zeros(self.local.shape + (u,))
+        slots = np.flatnonzero(self.local < u)
+        c.reshape(-1)[slots * u + self.local.reshape(-1)[slots]] = 1.0
+        return c
+
     def fits_moments(self, max_step: int) -> bool:
-        """Whether the group's moments (max_step * f^2 values per node) are no
-        larger than its padded adjacency (nmax^2 values per node)."""
-        nmax, f = self.adj.shape[1], self.xu.shape[1]
-        return max_step * f * f <= nmax * nmax
+        """Whether the group's moments (max_step * min(U, f)^2 values per node)
+        are no larger than its padded adjacency (nmax^2 values per node)."""
+        nmax, width = self.adj.shape[1], min(self.xu.shape[0] - 1, self.xu.shape[1])
+        return max_step * width * width <= nmax * nmax
 
 
 def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeGroup:
     """Assemble the group tensors for the given nodes of one graph. The
-    adjacencies come from the record nodes' CSR rows, with no n x n array."""
+    adjacencies come from the record nodes' CSR rows, with no n x n array;
+    the features are the distinct rows of ``g.feature_rows`` the records hold."""
     recs = list(map(records.__getitem__, node_ids))
     sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
     b, nmax = len(recs), int(sizes.max())
@@ -240,10 +271,12 @@ def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeG
     flat = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
                        count=int(sizes.sum()))
     uniq, inv = np.unique(flat, return_inverse=True)
-    xu = np.zeros((len(uniq) + 1, g.feature_dim))
-    xu[:-1] = g.features[uniq]
-    local = np.full((b, nmax), len(uniq))
-    local[valid] = inv
+    first, row_of = g.feature_rows
+    classes, cls_of = np.unique(row_of[uniq], return_inverse=True)
+    xu = np.zeros((len(classes) + 1, g.feature_dim))
+    xu[:-1] = g.features[first[classes]]
+    local = np.full((b, nmax), len(classes))
+    local[valid] = cls_of[inv]
     row, pos = np.nonzero(valid)
     where = np.full((b, len(uniq) + 1), -1)
     where[row, inv] = pos
@@ -266,18 +299,22 @@ def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeG
     return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, eta=eta)
 
 
-def group_moments(adj: np.ndarray, feats: np.ndarray, max_step: int) -> np.ndarray:
-    """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step.
+def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarray:
+    """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step, X_b
+    the (nmax, r) slot coordinates of row b (``NodeGroup.basis``).
 
-    Shape (max_step, B, f, f). They hold no parameter, so one evaluation
-    serves every expert the group is routed to.
+    Shape (max_step, B, r, r). A_b is symmetric, so M_q = Y_{floor(q/2)}^T
+    Y_{ceil(q/2)} with Y_k = A_b^k X_b takes ceil(max_step/2) propagations.
+    They hold no parameter, so one evaluation serves every expert the group
+    is routed to.
     """
-    xt = feats.transpose(0, 2, 1)
-    out = np.empty((max_step,) + xt.shape[:2] + (feats.shape[2],))
-    y = feats
-    for q in range(max_step):
-        y = np.matmul(adj, y)
-        np.matmul(xt, y, out=out[q])
+    out = np.empty((max_step,) + basis.shape[:1] + basis.shape[2:] * 2)
+    y = basis
+    for q in range(1, max_step + 1):
+        left = y                        # odd q: Y_{k-1}^T Y_k, even q: Y_k^T Y_k
+        if q % 2:
+            y = np.matmul(adj, y)
+        np.matmul(left.transpose(0, 2, 1), y, out=out[q - 1])
     return out
 
 
@@ -346,29 +383,41 @@ def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
     return dz.reshape(n_hidden, s, -1), d_rq
 
 
-def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray):
-    """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step."""
-    p_max, b, f = moments.shape[:3]
-    z = expert.Z
-    rz = np.matmul(r_pows[1:], z)                               # (p, N, s, f)
-    gram = np.matmul(z.transpose(0, 2, 1), rz).reshape(p_max, -1, f * f)
-    vals = np.matmul(moments.reshape(p_max, b, f * f), gram.transpose(0, 2, 1))
+def _basis_z(expert: Expert, class_rows: np.ndarray | None) -> np.ndarray:
+    """The hidden features in the moment basis: Z_i E^T for class rows E, else Z."""
+    return expert.Z if class_rows is None else np.matmul(expert.Z, class_rows.T)
+
+
+def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray,
+                    class_rows: np.ndarray | None = None):
+    """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step.
+
+    Moments taken in the basis X = C E (``class_rows`` = E) are K_q = C^T A^q C, and
+    <Z^T R^q Z, E^T K_q E> = <Z'^T R^q Z', K_q> with Z' = Z E^T.
+    """
+    p_max, b, r = moments.shape[:3]
+    z = _basis_z(expert, class_rows)
+    rz = np.matmul(r_pows[1:], z)                               # (p, N, s, r)
+    gram = np.matmul(z.transpose(0, 2, 1), rz).reshape(p_max, -1, r * r)
+    vals = np.matmul(moments.reshape(p_max, b, r * r), gram.transpose(0, 2, 1))
     return vals.transpose(1, 2, 0), rz
 
 
-def _moment_backward(expert: Expert, moments: np.ndarray, dvals: np.ndarray, rz):
+def _moment_backward(expert: Expert, moments: np.ndarray, dvals: np.ndarray, rz,
+                     class_rows: np.ndarray | None = None):
     """Gradients on Z and on each R^q of the moment evaluation.
 
-    With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z (Mbar_q + Mbar_q^T)
-    summed over q, and Z Mbar_q Z^T; the batch drops out of both.
+    With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z' (Mbar_q + Mbar_q^T)
+    summed over q, times E in the basis of ``class_rows``, and Z' Mbar_q Z'^T; the
+    batch drops out of both.
     """
-    p_max, b, f = moments.shape[:3]
-    z = expert.Z
-    mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, f * f))
-    mbar = mbar.reshape(p_max, -1, f, f)
+    p_max, b, r = moments.shape[:3]
+    z = _basis_z(expert, class_rows)
+    mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, r * r))
+    mbar = mbar.reshape(p_max, -1, r, r)
     dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
     d_rq = np.matmul(np.matmul(z, mbar), z.transpose(0, 2, 1))
-    return dz, d_rq
+    return (dz if class_rows is None else np.matmul(dz, class_rows)), d_rq
 
 
 def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
@@ -383,7 +432,7 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
         vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
     else:
-        vals, state = _moment_forward(expert, r_pows, moments[:, rows])
+        vals, state = _moment_forward(expert, r_pows, moments[:, rows], group.class_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
@@ -400,7 +449,8 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup
         dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
                                     dvals, state)
     else:
-        dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state)
+        dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state,
+                                    group.class_rows)
     grads[f"{key}.Z"] += dz
     d_r = np.zeros(expert.W.shape)
     for q in range(1, p_max + 1):
@@ -486,7 +536,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     p_max = model.kernel_cfg.max_step
     moments = None
     if group.fits_moments(p_max):
-        moments = group_moments(group.adj, group.feats, p_max)
+        moments = group_moments(group.adj, group.basis, p_max)
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
     wide = np.zeros((group.count, model.expert_count, model.embed_dim))

@@ -63,6 +63,10 @@ class TrainConfig:
                   "learning_rate must be > 0": self.learning_rate > 0,
                   "batch_size must be >= 1": self.batch_size >= 1,
                   "beta must be finite and non-negative": 0 <= self.beta < np.inf,
+                  "adam_beta1 must lie in [0, 1)": 0 <= self.adam_beta1 < 1,
+                  "adam_beta2 must lie in [0, 1)": 0 <= self.adam_beta2 < 1,
+                  "adam_eps must be > 0": self.adam_eps > 0,
+                  "patience must be >= 0": self.patience >= 0,
                   "dropout_rate must lie in [0, 1)": 0 <= self.dropout_rate < 1,
                   "val_fraction must lie in [0, 1)": 0 <= self.val_fraction < 1}
         for message, ok in checks.items():

@@ -37,6 +37,8 @@ class WalkConfig:
             raise ValueError("pattern_budget must be >= 1")
         if self.subgraph_cap < 1:
             raise ValueError("subgraph_cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def sample_walks(g: Graph, v: int, cfg: WalkConfig,

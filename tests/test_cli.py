@@ -151,6 +151,20 @@ class TestTrain:
                                            f"(--folds 10), got {fold_index}\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:class . has fewer members")
+    def test_fold_with_an_empty_part_is_usage_error_before_extraction(self, workspace,
+                                                                     tmp_path, capsys):
+        # 6 graphs fill only 6 of 20 folds
+        out = tmp_path / "t"
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                    *BASE, "--folds", "20", "--fold-index", "12", "--out-dir", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err == ("usage error: --folds 20 --fold-index 12: the test "
+                                           "part is empty (GraphCycle has 6 graphs)\n")
+        assert not (out / "GraphCycle.cache").exists()
+        assert not out.exists()
+
     def test_cache_built_with_other_settings_is_usage_error(self, workspace, tmp_path,
                                                             capsys):
         ext = tmp_path / "ext"
@@ -260,6 +274,20 @@ BAD_FLAGS = {
                   "usage error: --max-nodes must be >= 2, got 1\n"),
     "count": (["gen", "--dataset", "GraphCycle", "--count", "1"],
               "usage error: --count must be >= 2, one graph per GraphCycle class, got 1\n"),
+    "seed": (["train", "--seed", "-1"], "usage error: --seed -1: seed must be >= 0\n"),
+    "hidden-graphs": (["train", "--hidden-graphs", "0"],
+                      "usage error: --hidden-graphs 0: hidden_per_expert must be >= 1\n"),
+    # settings without a flag go through a config file, written to {cfg}
+    "embed-dim": (["train", "--config", "embed_dim = 0"],
+                  "usage error: {cfg}:1: embed_dim must be >= 1\n"),
+    "adam-eps": (["train", "--config", "adam_eps = 0"],
+                 "usage error: {cfg}:1: adam_eps must be > 0\n"),
+    "adam-beta1": (["train", "--config", "adam_beta1 = 1.5"],
+                   "usage error: {cfg}:1: adam_beta1 must lie in [0, 1)\n"),
+    "adam-beta2": (["train", "--config", "adam_beta2 = -0.1"],
+                   "usage error: {cfg}:1: adam_beta2 must lie in [0, 1)\n"),
+    "patience": (["train", "--config", "patience = -3"],
+                 "usage error: {cfg}:1: patience must be >= 0\n"),
 }
 
 
@@ -268,9 +296,14 @@ def test_bad_flag_is_usage_error_before_any_work(workspace, tmp_path, capsys, ca
     argv, message = BAD_FLAGS[case]
     out = tmp_path / "out"
     data = ["--data-dir", str(workspace / "data"), "--dataset", "GraphCycle"]
+    cfg = tmp_path / "run.cfg"
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        cfg.write_text(argv[at] + "\n")
+        argv = [*argv[:at], str(cfg), *argv[at + 1:]]
     capsys.readouterr()
     assert run([*argv, *(data if argv[0] == "train" else []), "--out-dir", str(out)]) == 64
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.replace("{cfg}", str(cfg))
     assert not out.exists()     # no cache, checkpoint, manifest or report
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,67 @@ class TestDegreeFeatures:
         f = degree_features(star_graph(7), 4)
         assert f[0].tolist() == [0, 0, 0, 0, 1]
         assert f[1].tolist() == [0, 1, 0, 0, 0]
+
+
+class TestFeatureRows:
+    @staticmethod
+    def check(features, want_first, want_row_of):
+        g = Graph.from_edges(len(features), [], features=features)
+        first, row_of = g.feature_rows
+        assert first.tolist() == want_first and row_of.tolist() == want_row_of
+        assert np.array_equal(g.features[first[row_of]], g.features)
+
+    def test_classes_are_numbered_by_first_node(self):
+        self.check(np.array([[2.0, 1], [0, 1], [2, 1], [0, 1], [5, 5]]),
+                   [0, 1, 4], [0, 1, 0, 1, 2])
+
+    def test_distinct_rows_keep_node_order(self):
+        x = np.random.default_rng(0).normal(size=(7, 3))
+        self.check(x, list(range(7)), list(range(7)))
+
+    def test_all_rows_equal(self):
+        self.check(np.ones((4, 3)), [0], [0, 0, 0, 0])
+
+    def test_no_feature_columns(self):
+        self.check(np.zeros((3, 0)), [0], [0, 0, 0])
+
+    def test_no_nodes(self):
+        self.check(np.zeros((0, 0)), [], [])
+        self.check(np.zeros((0, 3)), [], [])
+
+    def test_signed_zeros_may_split_a_class(self):
+        # rows that differ only in the sign of a zero compare by their bytes
+        self.check(np.array([[0.0, 1], [-0.0, 1], [0.0, 1]]), [0, 1], [0, 1, 0])
+
+    def test_rows_that_share_a_hash_are_told_apart_by_their_bytes(self):
+        # the hash multiplies each row's 64-bit words by fixed multipliers r; the
+        # words (r1, -r0) and (0, 0) hash alike, r0 r1 - r1 r0 = 0 (mod 2^64)
+        r = np.random.default_rng(0).integers(1, 2**63, 2, dtype=np.uint64)
+        words = np.zeros((3, 2), dtype=np.uint64)
+        words[1] = words[2] = [r[1], np.negative(r[:1])[0]]
+        assert len(set((words @ r).tolist())) == 1
+        self.check(words.view(np.float64), [0, 1], [0, 1, 1])
+
+    def test_keeps_int_indices_and_no_copy_of_the_rows(self):
+        # 1,500 distinct 512-wide rows: a float copy of them would take 6.1 MB,
+        # kept or transient (sorting the rows by their bytes makes one)
+        n, f = 1500, 512
+        g = Graph.from_edges(n, [], features=np.random.default_rng(1).normal(size=(n, f)))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            first, row_of = g.feature_rows
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert g.feature_rows[0] is first
+        for a in (first, row_of):
+            assert a.dtype.kind == "i" and a.shape == (n,)
+        assert kept <= 2 * (first.nbytes + row_of.nbytes)
+        assert peak < g.features.nbytes / 8
 
 
 class TestHelpers:

@@ -507,6 +507,102 @@ class TestGatheredKernel:
             assert ("feats" in vars(group)) == moments
 
 
+class TestClassBasis:
+    """Moments taken in the basis of a group's distinct feature rows (U < f)."""
+
+    @staticmethod
+    def repeated_group(f=12, distinct=3, seed=31):
+        # 10 nodes share 3 feature rows; records of 1 to 5 nodes
+        rng = np.random.default_rng(seed)
+        n = 10
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        rows = rng.normal(size=(distinct, f))
+        g = Graph.from_edges(n, edges, features=rows[rng.integers(0, distinct, n)])
+        records = [[v] + [int(u) for u in g.neighbors_of(v)][:4] for v in range(n)]
+        records[3] = [3]
+        records[6] = [6, 9, 1, 4]
+        return g, records
+
+    @staticmethod
+    def expert_passes(model, group, p_max):
+        """Per expert: (expert, R powers, dvals, {basis: (vals, dZ, dR^q)}), the
+        moments taken in the group's basis ("class") and in the features."""
+        for m, expert in enumerate(model.bank.experts):
+            r_pows = _rectified_powers(expert, p_max)
+            dvals = np.random.default_rng(40 + m).normal(
+                size=(group.count, expert.hidden_count, p_max))
+            out = {}
+            for name, basis, rows in (("class", group.basis, group.class_rows),
+                                      ("identity", group.feats, None)):
+                moments = group_moments(group.adj, basis, p_max)
+                vals, state = _moment_forward(expert, r_pows, moments, rows)
+                out[name] = (vals,) + _moment_backward(expert, moments, dvals, state, rows)
+            yield expert, r_pows, dvals, out
+
+    @pytest.mark.parametrize("p_max", [1, 2, 3, 4])
+    def test_matches_longdouble_loops(self, p_max):
+        g, records = self.repeated_group()
+        node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
+        group = build_group(g, records, node_ids)
+        adj, sizes, feats, _ = loop_group(g, records, node_ids)
+        assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
+        assert group.class_rows is not None and group.basis.shape[2] == 3
+        model = tiny_model(f=12, experts=3, seed=5)
+        for expert, r_pows, dvals, out in self.expert_passes(model, group, p_max):
+            want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
+            for a, b in zip(out["class"], want):
+                assert np.any(b != 0)
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 5), st.integers(6, 16), st.integers(1, 4))
+    def test_agrees_with_the_identity_basis(self, seed, distinct, f, p_max):
+        g, records = self.repeated_group(f, distinct, seed)
+        rng = np.random.default_rng(seed)
+        group = build_group(g, records, rng.permutation(10)[:rng.integers(1, 11)])
+        assert group.class_rows is not None
+        model = tiny_model(f=f, experts=3, seed=seed % 7)
+        for _, _, _, out in self.expert_passes(model, group, p_max):
+            for a, b in zip(out["class"], out["identity"]):
+                assert rel_err(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("f,distinct,p_max", [(12, 3, 1), (12, 3, 2), (12, 3, 3),
+                                                  (3, 3, 2), (2, 3, 1), (2, 3, 2)])
+    def test_fits_moments_counts_the_smaller_basis(self, f, distinct, p_max):
+        g, records = self.repeated_group(f, distinct)
+        group = build_group(g, records, range(10))
+        u, nmax = len(group.xu) - 1, group.adj.shape[1]
+        assert (u, nmax) == (3, 5)
+        assert group.fits_moments(p_max) == (p_max * min(u, f) ** 2 <= nmax ** 2)
+        assert group.basis.shape[2] == min(u, f)
+        assert (group.class_rows is not None) == (u < f)
+
+    def test_signed_zeros_keep_the_moments_exact(self):
+        # -0.0 and +0.0 split a feature row into two classes; on small integer
+        # features both bases are exact, so the moments agree bit for bit
+        rng = np.random.default_rng(3)
+        n = 8
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        x = np.zeros((n, 6))
+        x[:, 0] = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0, 2.0, 0.0]
+        x[:, 1] = 1.0
+        g = Graph.from_edges(n, edges, features=x)
+        records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
+        group = build_group(g, records, range(n))
+        assert len(group.xu) - 1 == 4     # two classes for the rows (0, 1, 0, ...)
+        e = group.class_rows
+        for q, k in enumerate(group_moments(group.adj, group.basis, 4)):
+            want = group_moments(group.adj, group.feats, 4)[q]
+            assert np.array_equal(e.T @ k @ e, want)
+
+    def test_group_keeps_each_distinct_row_once(self):
+        g, records = self.repeated_group()
+        group = build_group(g, records, range(10))
+        rows = group.xu[:-1]
+        assert len(np.unique(rows, axis=0)) == len(rows) == 3
+        assert not group.xu[-1].any()
+
+
 class TestBankValidation:
     def test_sizes_strictly_increasing(self):
         model = tiny_model(experts=3)

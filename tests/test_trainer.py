@@ -291,15 +291,15 @@ class TestUnitLifetime:
 
 class TestGradCheck:
     def test_small_model_passes(self):
-        # degree one-hot features (f = 4) keep every group on the padded
-        # kernel path; 2-wide features put every group on the moment path
+        # 4-wide features, one distinct row per node (U = 5 >= f), keep every
+        # group on the padded kernel path; 2-wide features put every group on
+        # the moment path
         rng = np.random.default_rng(8)
-        for width, moments in ((None, False), (2, True)):
+        for width, moments in ((4, False), (2, True)):
             data = toy_dataset(2)
-            if width is not None:
-                graphs = [g.with_features(rng.normal(size=(g.node_count, width)))
-                          for g in data.graphs]
-                data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
+            graphs = [g.with_features(rng.normal(size=(g.node_count, width)))
+                      for g in data.graphs]
+            data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
             cache = toy_cache(data)
             model = toy_model(data, max_step=2)
             for g, recs in zip(data.graphs[:3], cache.records):
@@ -308,6 +308,20 @@ class TestGradCheck:
             err = grad_check(model, data, cache, [0, 1, 2],
                              TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
             assert err < 1e-4
+
+    def test_class_basis_passes(self):
+        # degree one-hot features (f = 4) hold 3 distinct rows per graph, so a
+        # group whose records reach 5 nodes takes the moment order in their basis
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        groups = [build_group(g, recs, range(g.node_count))
+                  for g, recs in zip(data.graphs[:3], cache.records)]
+        assert [gr.class_rows is not None and gr.fits_moments(2) for gr in groups] == \
+            [False, True, True]
+        err = grad_check(model, data, cache, [0, 1, 2],
+                         TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+        assert err < 1e-4
 
     def test_concat_combine_passes(self):
         data = toy_dataset(2)
@@ -474,16 +488,16 @@ GOLDEN_TRAIN = TrainConfig(epochs=2, learning_rate=5e-3, beta=0.3, batch_size=3,
 # (sha256 of the trained parameters, test accuracy, test loss_task); they pin
 # every routing-noise and dropout draw and the order of the arithmetic
 GOLDEN_RUNS = {
-    ("mean", "weighted-sum"): ("d3fad904fbdff07c9584ad1ed612326e5d002417ba9d48a7360c3ea02d4b5a76",
+    ("mean", "weighted-sum"): ("7d2c9d2a896224f910a7102c6edbafd245f2385a36e727634f8256364cd7a6cf",
                                0.3333333333333333, 0.7017995326840248),
-    ("mean", "concat"): ("c2f71c2c33506c704e9ad7cdd6416d4dcd41e325eb8feb295b17342d8be72d2f",
+    ("mean", "concat"): ("90f4846ea81977a758dd978ec6052d0755ac785c3f3883fa726192683dbc8943",
                          0.3333333333333333, 0.7214245817306107),
-    ("max", "weighted-sum"): ("13e23a9573ef459edf86e9227dc62349a36aabc1802eab271f7db67b9ae22070",
+    ("max", "weighted-sum"): ("696835c6778e0de097df58ba51e6d09f282048190a14cead8d2e3e7a2911946f",
                               0.6666666666666666, 0.7132389552046083),
-    ("max", "concat"): ("25dbd5b0531411405bb7b7688aa131803988906fe0b0ba36b9cb847bbc46af55",
+    ("max", "concat"): ("0b7abaea115aadfdba5f2a0a8f9bd8382f9a6b3e0cc58fee7f5a2ceaec122e5d",
                         0.3333333333333333, 0.7545383790849186),
-    "node": ("d688bdf8b651d0d818c9fb2e990ae2b66eb1d7e9027e1067bd0bb4e467873e5f",
-             0.3333333333333333, 2.0721758385709017),
+    "node": ("f785c037f00a3a192e52e410384675fc7b6d299fef821512c2727eea94c67807",
+             0.3333333333333333, 2.0721758385709013),
 }
 
 
