@@ -57,7 +57,7 @@ SETTINGS = {
     "step_mode": ("KernelConfig.step_mode",),
     "experts": ("ModelConfig.experts",),
     "hidden_graphs": ("ModelConfig.hidden_per_expert",),
-    "k_ept": ("ModelConfig.k_ept", "TrainConfig.k_ept"),
+    "k_ept": ("ModelConfig.k_ept",),
     "embed_dim": ("ModelConfig.embed_dim",),
     "combine_mode": ("ModelConfig.combine_mode",),
     "readout_mode": ("ModelConfig.readout_mode",),

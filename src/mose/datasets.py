@@ -48,14 +48,8 @@ class Dataset:
 
 @dataclass
 class SplitPlan:
-    kind: str               # "k-fold" or "masks"
-    seed: int
     folds: list = field(default_factory=list)     # [(train ids, test ids), ...]
     masks: tuple | None = None                    # (train, val, test) bool arrays
-
-    def __post_init__(self):
-        if self.kind not in ("k-fold", "masks"):
-            raise ValueError("kind must be 'k-fold' or 'masks'")
 
 
 # -- TU format loader ------------------------------------------------------
@@ -394,7 +388,7 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> SplitPlan:
         test = sorted(fold_members[f])
         train = sorted(all_ids - set(test))
         folds.append((np.array(train, dtype=np.int64), np.array(test, dtype=np.int64)))
-    return SplitPlan(kind="k-fold", seed=seed, folds=folds)
+    return SplitPlan(folds=folds)
 
 
 def make_node_splits(dataset: Dataset, ratios: tuple[float, float, float],
@@ -424,4 +418,4 @@ def make_node_splits(dataset: Dataset, ratios: tuple[float, float, float],
         for mi in range(3):
             masks[mi][members[pos:pos + sizes[mi]]] = True
             pos += sizes[mi]
-    return SplitPlan(kind="masks", seed=seed, masks=tuple(masks))
+    return SplitPlan(masks=tuple(masks))

@@ -6,9 +6,11 @@ single-node reference pipeline (tests/reference.py) that computes the same
 quantities one subgraph at a time. The engine evaluates the hidden-graph
 kernel in one of two orders, chosen per group from its array shapes
 (NodeGroup.fits_moments): through subgraph moments shared by all experts,
-or on the padded tensors. A group stores each distinct feature row once;
-the moments are taken in the basis of those rows when there are fewer of
-them than features, and in the features themselves otherwise.
+or on the padded tensors. A group holds data only: each distinct feature
+row once, and the gate aggregate before the model's activation. The
+moments are taken in the basis of the group's rows E (NodeGroup.basis_rows):
+its distinct rows when there are fewer of them than features, else the
+identity.
 """
 
 from __future__ import annotations
@@ -210,17 +212,18 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 class NodeGroup:
     """Padded subgraph adjacencies for a group of nodes processed together,
     with each distinct feature row stored once and gathered through ``local``.
+    It holds no model parameter, so one group serves every model.
 
-    The features of row b are X_b = C_b E, with E = xu[:-1] the U distinct
-    rows and C_b the one-hot of ``local[b]``. The moment order works in the
-    smaller basis: C (width U) when U < f, else X itself (width f).
+    The moment order works in the smaller of two bases, X_b = C_b E: with
+    E = xu[:-1] the U distinct rows and C_b the one-hot of ``local[b]`` when
+    U < f, else with E the identity and C_b = X_b.
     """
 
     adj: np.ndarray     # (B, nmax, nmax) zero-padded dense adjacencies
     xu: np.ndarray      # (U + 1, f) the U distinct feature rows, then a zero row
     local: np.ndarray   # (B, nmax) rows of xu; padding points at the zero row
     sizes: np.ndarray   # (B,) true subgraph sizes
-    eta: np.ndarray     # (B, f) gate aggregates
+    agg: np.ndarray     # (B, f) gate aggregates, before the gate activation
 
     @property
     def count(self) -> int:
@@ -231,20 +234,20 @@ class NodeGroup:
         """(B, nmax, f) zero-padded features, gathered on first use."""
         return np.take(self.xu, self.local, axis=0)
 
-    @property
-    def class_rows(self) -> np.ndarray | None:
-        """E, the rows the moment basis expands into when U < f; None when
-        the basis is the identity (U >= f)."""
+    @cached_property
+    def basis_rows(self) -> np.ndarray:
+        """E, the (min(U, f), f) rows the moment basis expands into: the
+        distinct rows when U < f, else the identity."""
         u, f = self.xu.shape[0] - 1, self.xu.shape[1]
-        return self.xu[:-1] if u < f else None
+        return self.xu[:-1] if u < f else np.eye(f)
 
     @cached_property
     def basis(self) -> np.ndarray:
         """(B, nmax, min(U, f)) slot coordinates in the moment basis: the one-hot
-        C of each slot's row under ``class_rows``, else the features."""
-        if self.class_rows is None:
-            return self.feats
+        C of each slot's row when U < f, else the features."""
         u = self.xu.shape[0] - 1
+        if u >= self.xu.shape[1]:
+            return self.feats
         c = np.zeros(self.local.shape + (u,))
         slots = np.flatnonzero(self.local < u)
         c.reshape(-1)[slots * u + self.local.reshape(-1)[slots]] = 1.0
@@ -257,7 +260,7 @@ class NodeGroup:
         return max_step * width * width <= nmax * nmax
 
 
-def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeGroup:
+def build_group(g: Graph, records: list[list[int]], node_ids) -> NodeGroup:
     """Assemble the group tensors for the given nodes of one graph. The
     adjacencies come from the record nodes' CSR rows, with no n x n array;
     the features are the distinct rows of ``g.feature_rows`` the records hold."""
@@ -295,8 +298,7 @@ def build_group(g: Graph, records: list[list[int]], node_ids, act=relu) -> NodeG
     scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
     weights = np.zeros((b, len(xu)))
     np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
-    eta = act(xv + weights @ xu)
-    return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, eta=eta)
+    return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, agg=xv + weights @ xu)
 
 
 def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarray:
@@ -383,20 +385,15 @@ def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
     return dz.reshape(n_hidden, s, -1), d_rq
 
 
-def _basis_z(expert: Expert, class_rows: np.ndarray | None) -> np.ndarray:
-    """The hidden features in the moment basis: Z_i E^T for class rows E, else Z."""
-    return expert.Z if class_rows is None else np.matmul(expert.Z, class_rows.T)
-
-
 def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray,
-                    class_rows: np.ndarray | None = None):
+                    basis_rows: np.ndarray):
     """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step.
 
-    Moments taken in the basis X = C E (``class_rows`` = E) are K_q = C^T A^q C, and
-    <Z^T R^q Z, E^T K_q E> = <Z'^T R^q Z', K_q> with Z' = Z E^T.
+    Moments taken in the basis X = C E (E = ``basis_rows``) are K_q = C^T A^q C,
+    and <Z^T R^q Z, E^T K_q E> = <Z'^T R^q Z', K_q> with Z' = Z E^T.
     """
     p_max, b, r = moments.shape[:3]
-    z = _basis_z(expert, class_rows)
+    z = np.matmul(expert.Z, basis_rows.T)
     rz = np.matmul(r_pows[1:], z)                               # (p, N, s, r)
     gram = np.matmul(z.transpose(0, 2, 1), rz).reshape(p_max, -1, r * r)
     vals = np.matmul(moments.reshape(p_max, b, r * r), gram.transpose(0, 2, 1))
@@ -404,20 +401,19 @@ def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray,
 
 
 def _moment_backward(expert: Expert, moments: np.ndarray, dvals: np.ndarray, rz,
-                     class_rows: np.ndarray | None = None):
+                     basis_rows: np.ndarray):
     """Gradients on Z and on each R^q of the moment evaluation.
 
     With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z' (Mbar_q + Mbar_q^T)
-    summed over q, times E in the basis of ``class_rows``, and Z' Mbar_q Z'^T; the
-    batch drops out of both.
+    summed over q, times E, and Z' Mbar_q Z'^T; the batch drops out of both.
     """
     p_max, b, r = moments.shape[:3]
-    z = _basis_z(expert, class_rows)
+    z = np.matmul(expert.Z, basis_rows.T)
     mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, r * r))
     mbar = mbar.reshape(p_max, -1, r, r)
     dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
     d_rq = np.matmul(np.matmul(z, mbar), z.transpose(0, 2, 1))
-    return (dz if class_rows is None else np.matmul(dz, class_rows)), d_rq
+    return np.matmul(dz, basis_rows), d_rq
 
 
 def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
@@ -432,7 +428,7 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
         vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
     else:
-        vals, state = _moment_forward(expert, r_pows, moments[:, rows], group.class_rows)
+        vals, state = _moment_forward(expert, r_pows, moments[:, rows], group.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
@@ -450,7 +446,7 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup
                                     dvals, state)
     else:
         dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state,
-                                    group.class_rows)
+                                    group.basis_rows)
     grads[f"{key}.Z"] += dz
     d_r = np.zeros(expert.W.shape)
     for q in range(1, p_max + 1):
@@ -484,6 +480,7 @@ class GroupRun:
 
     model: MoseModel
     group: NodeGroup
+    eta: np.ndarray          # (B, f) activated gate aggregates
     h: np.ndarray            # (B, d) combined node embeddings
     idx: np.ndarray          # (B, k) selected expert ids, ascending
     zeta: np.ndarray         # (B, k) routing weights
@@ -514,7 +511,7 @@ class GroupRun:
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
             _expert_kernel_backward(expert, model.kernel_cfg, group, rows, self.moments,
                                     dphi, kcache, grads, f"expert{m}")
-        gate_backward(group.eta, self.eps, self.sig, self.idx, self.zeta,
+        gate_backward(self.eta, self.eps, self.sig, self.idx, self.zeta,
                       dzeta, model.gating, grads)
 
 
@@ -522,11 +519,12 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
                   rng=None, dropout: float = 0.0) -> GroupRun:
     """Gate, route, and embed every node of the group in expert-id order."""
     gating = model.gating
-    psi = group.eta @ gating.W_g
+    eta = model.gate_act()(group.agg)
+    psi = eta @ gating.W_g
     eps = sig = None
     if train_mode:
         eps = np.asarray(rng.standard_normal((group.count, gating.expert_count)))
-        arg = group.eta @ gating.W_n
+        arg = eta @ gating.W_n
         psi = psi + eps * softplus(arg)
         sig = sigmoid(arg)
     k = min(model.cfg.k_ept, gating.expert_count)
@@ -557,9 +555,9 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         h, concat_cache = model.combine_mlp.forward(wide.reshape(group.count, -1))
     else:
         h = wide.sum(axis=1)
-    return GroupRun(model=model, group=group, h=h, idx=idx, zeta=zeta, eps=eps, sig=sig,
-                    moments=moments, expert_rows=expert_rows, expert_caches=expert_caches,
-                    concat_cache=concat_cache)
+    return GroupRun(model=model, group=group, eta=eta, h=h, idx=idx, zeta=zeta, eps=eps,
+                    sig=sig, moments=moments, expert_rows=expert_rows,
+                    expert_caches=expert_caches, concat_cache=concat_cache)
 
 
 def pool_rows(h: np.ndarray, mode: str):

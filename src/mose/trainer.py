@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     beta: float = 0.1
     batch_size: int = 32
-    k_ept: int = 2
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -129,7 +128,7 @@ class _RouteStash:
         self.items = []
 
     def add(self, run):
-        self.items.append((run.group.eta, run.eps, run.sig, run.idx, run.zeta))
+        self.items.append((run.eta, run.eps, run.sig, run.idx, run.zeta))
 
     def totals(self) -> np.ndarray:
         out = np.zeros(self.expert_count)
@@ -177,8 +176,8 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
     logits, labels = [], []
     for key, g, records, nodes, y in _units(data, cache, item_ids):
         rng = rng_of(key) if train_mode else None
-        run = group_forward(model, build_group(g, records, nodes, act=model.gate_act()),
-                            train_mode=train_mode, rng=rng, dropout=dropout)
+        run = group_forward(model, build_group(g, records, nodes), train_mode=train_mode,
+                            rng=rng, dropout=dropout)
         stash.add(run)
         h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
         out, head_cache = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
@@ -228,6 +227,13 @@ def _param_norms(model: MoseModel) -> dict:
     return {k: float(np.linalg.norm(v)) for k, v in model.parameters().items()}
 
 
+def _row(epoch: int, split: str, m: Metrics) -> dict:
+    """One ``metrics.csv`` row."""
+    return {"epoch": epoch, "split": split, "loss_task": m.loss_task,
+            "loss_importance": m.loss_importance, "accuracy": m.accuracy,
+            "macro_f1": m.macro_f1, "expert_load": m.expert_load.tolist()}
+
+
 def _carve_validation(train_ids, labels, fraction: float, seed: int):
     """Stratified validation carve-out; returns (train, val) id arrays."""
     rng = substream(seed, 300)
@@ -273,8 +279,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
         train_ids, test_ids = np.asarray(split[0]), np.asarray(split[1])
         val_ids = np.zeros(0, dtype=np.int64)
         if cfg.patience > 0 and cfg.val_fraction > 0:
-            labels = np.array([g.graph_label for g in data.graphs])
-            train_ids, val_ids = _carve_validation(train_ids, labels,
+            train_ids, val_ids = _carve_validation(train_ids, data.labels(),
                                                    cfg.val_fraction, cfg.seed)
     else:
         train_ids, val_ids, test_ids = (np.nonzero(np.asarray(m, dtype=bool))[0]
@@ -304,20 +309,14 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
             ep_imp += imp
             ep_correct += int((logits.argmax(axis=1) == truth).sum())
             load += totals
-        n_items = len(train_ids)
-        rows.append({"epoch": epoch, "split": "train",
-                     "loss_task": ep_task / max(1, n_items),
-                     "loss_importance": ep_imp / max(1, len(batches)),
-                     "accuracy": ep_correct / max(1, n_items),
-                     "macro_f1": float("nan"),
-                     "expert_load": load.tolist()})
+        n_items = max(1, len(train_ids))
+        rows.append(_row(epoch, "train", Metrics(
+            accuracy=ep_correct / n_items, macro_f1=float("nan"),
+            loss_task=ep_task / n_items, loss_importance=ep_imp / max(1, len(batches)),
+            expert_load=load)))
         if len(val_ids) > 0:
             vm = evaluate(model, data, cache, val_ids)
-            rows.append({"epoch": epoch, "split": "val",
-                         "loss_task": vm.loss_task,
-                         "loss_importance": vm.loss_importance,
-                         "accuracy": vm.accuracy, "macro_f1": vm.macro_f1,
-                         "expert_load": vm.expert_load.tolist()})
+            rows.append(_row(epoch, "val", vm))
             if vm.accuracy > best["metric"]:
                 best = {"metric": vm.accuracy, "epoch": epoch,
                         "snapshot": model.snapshot()}
@@ -332,11 +331,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
         model.load_snapshot(best["snapshot"])
     final = evaluate(model, data, cache, test_ids)
     final.curves = rows
-    rows.append({"epoch": cfg.epochs, "split": "test",
-                 "loss_task": final.loss_task,
-                 "loss_importance": final.loss_importance,
-                 "accuracy": final.accuracy, "macro_f1": final.macro_f1,
-                 "expert_load": final.expert_load.tolist()})
+    rows.append(_row(cfg.epochs, "test", final))
     state = {"params": trajectory, "adam_t": adam.t, "adam_m": adam.m,
              "adam_v": adam.v, "epoch_next": cfg.epochs, "rows": rows, "best": best}
     return model, final, state
@@ -359,7 +354,7 @@ def metrics_csv(rows: list[dict], expert_count: int) -> str:
 
 # -- checkpointing --------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, model: MoseModel, state: dict,
@@ -382,11 +377,9 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
         "rows": state["rows"],
         "best_metric": state["best"]["metric"],
         "best_epoch": state["best"]["epoch"],
-        "model_config": vars(model.cfg) | {"sizes": list(model.cfg.sizes)},
-        "kernel_config": {"max_step": model.kernel_cfg.max_step,
-                          "lambdas": list(model.kernel_cfg.lambdas),
-                          "step_mode": model.kernel_cfg.step_mode},
-        "train_config": vars(train_cfg),
+        "model_config": asdict(model.cfg),
+        "kernel_config": asdict(model.kernel_cfg),
+        "train_config": asdict(train_cfg),
     }
     # a file object, so np.savez writes exactly ``path`` (given a name, it adds ".npz")
     with atomic_write(path, binary=True) as f:
@@ -416,13 +409,8 @@ def _read_checkpoint(path: str):
     meta = json.loads(str(data["meta"]))
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {meta['version']}")
-    mcfg_d = dict(meta["model_config"])
-    mcfg_d["sizes"] = tuple(mcfg_d["sizes"])
-    mcfg = ModelConfig(**mcfg_d)
-    kcfg = KernelConfig(max_step=meta["kernel_config"]["max_step"],
-                        lambdas=tuple(meta["kernel_config"]["lambdas"]),
-                        step_mode=meta["kernel_config"]["step_mode"])
-    model = new_model(mcfg, kcfg, seed=meta["seed"])
+    model = new_model(ModelConfig(**meta["model_config"]),
+                      KernelConfig(**meta["kernel_config"]), seed=meta["seed"])
     params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
     model.load_snapshot(params)
     best_snap = {k[len("best/"):]: data[k] for k in data.files if k.startswith("best/")}

@@ -13,13 +13,15 @@ from .graph import (Graph, cycle_graph, degree_features, disjoint_union,
                     induced_subgraph, relabel)
 from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_hidden,
                      rwk_hidden_grad, walk_pair_counts, _oracle_counts)
-from .moe import GATE_ACTIVATIONS, ModelConfig, build_group, new_model
+from .moe import ModelConfig, build_group, new_model
 from .trainer import TrainConfig, grad_check
 from .util import BudgetError, substream
 from .walks import (WalkConfig, enumerate_anonymous_walks, extract_dataset,
                     sample_walks, to_anonymous, walk_distributions_distinguish)
 from .wl import (EgoPolicy, canonical_form, embed_group, graph_corpus,
                  same_size_pairs, swl_refine_many, wl1_refine_many)
+
+BUDGET = 10**7     # walks (or walk pairs) one oracle enumeration may expand
 
 
 @dataclass
@@ -69,8 +71,7 @@ def _random_connected_sparse(rng, n: int, extra: int) -> Graph:
 # -- kernel-oracle suite ------------------------------------------------------
 
 def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
-                        random_pairs: int = 200, identity_instances: int = 500,
-                        budget: int = 10**7) -> Report:
+                        random_pairs: int = 200, identity_instances: int = 500) -> Report:
     """Discrete kernel vs simultaneous-enumeration oracle, plus the
     hidden-graph identity against the feature-weighted kernel."""
     rep = Report("kernel-oracle")
@@ -82,7 +83,7 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
     for i in range(len(corpus)):
         for j in range(i, len(corpus)):
             g, h = corpus[i], corpus[j]
-            counts = _oracle_counts(g, h, max_p, budget)
+            counts = _oracle_counts(g, h, max_p, BUDGET)
             got = walk_pair_counts(g, h, max_p)
             checked += max_p
             mismatches += sum(got[p] != counts[p] for p in range(1, max_p + 1))
@@ -98,7 +99,7 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
         g = _random_graph(rng, int(n1), rng.uniform(0.2, 0.5))
         h = _random_graph(rng, int(n2), rng.uniform(0.2, 0.5))
         try:
-            counts = _oracle_counts(g, h, max_p, budget)
+            counts = _oracle_counts(g, h, max_p, BUDGET)
         except BudgetError:
             continue
         got = walk_pair_counts(g, h, max_p)
@@ -237,8 +238,7 @@ def _rooted_ego(g: Graph, v: int):
 
 
 def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
-                count_graphs: int = 50, rooted_pairs: int = 200,
-                budget: int = 10**7) -> Report:
+                count_graphs: int = 50, rooted_pairs: int = 200) -> Report:
     """Anonymity-map invariants plus the walk-distribution distinguishing
     experiment on rooted pairs."""
     rep = Report("walks")
@@ -277,7 +277,7 @@ def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
         g = _random_connected_sparse(rng, n, 3)
         length = int(rng.integers(1, 6))
         v = int(rng.integers(0, n))
-        counts = enumerate_anonymous_walks(g, v, length, budget)
+        counts = enumerate_anonymous_walks(g, v, length, BUDGET)
         a = g.adjacency_dense()
         expected = int(np.linalg.matrix_power(a, length)[v].sum())
         if sum(counts.values()) != expected:
@@ -304,7 +304,7 @@ def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
         if length < 1:
             continue
         try:
-            if walk_distributions_distinguish(g, v, h, u, length, budget):
+            if walk_distributions_distinguish(g, v, h, u, length, BUDGET):
                 distinguished += 1
             total += 1
         except BudgetError:
@@ -324,7 +324,7 @@ def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
         if length < 1:
             continue
         try:
-            if walk_distributions_distinguish(g, v, h, int(perm[v]), length, budget):
+            if walk_distributions_distinguish(g, v, h, int(perm[v]), length, BUDGET):
                 bad += 1
         except BudgetError:
             continue
@@ -376,8 +376,7 @@ def wl_suite(seed: int = 0, inits: int = 100, required: int = 99,
                        hidden_per_expert=4, embed_dim=16, k_ept=2)
     union = disjoint_union(*corpus)
     union = union.with_features(degree_features(union, cap))
-    group = build_group(union, policy.node_sets(union), range(union.node_count),
-                        act=GATE_ACTIVATIONS[mcfg.gate_activation])
+    group = build_group(union, policy.node_sets(union), range(union.node_count))
     starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
     kcfg = KernelConfig(max_step=3)
     first, second = np.array(sorted(swl_set), dtype=np.int64).reshape(-1, 2).T

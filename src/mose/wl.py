@@ -38,16 +38,6 @@ class Coloring:
 
 # -- exact canonical forms -------------------------------------------------
 
-def _adj_bitmasks(g: Graph) -> list[int]:
-    rows = []
-    for v in range(g.node_count):
-        m = 0
-        for u in g.neighbors_of(v):
-            m |= 1 << int(u)
-        rows.append(m)
-    return rows
-
-
 def _induced_bitmasks(g: Graph, nodes: list[int]) -> list[int]:
     local = {p: i for i, p in enumerate(nodes)}
     rows = [0] * len(nodes)
@@ -94,7 +84,7 @@ def canonical_form(g: Graph, colors=None, root: int | None = None) -> str:
     if colors is None:
         colors = [0] * n
     keys = [(0 if v == root else 1, int(colors[v])) for v in range(n)]
-    return repr(_canonical_raw(n, _adj_bitmasks(g), keys))
+    return repr(_canonical_raw(n, _induced_bitmasks(g, range(n)), keys))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -270,17 +260,12 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
     """Eval-mode whole-graph embedding under a fixed extraction policy."""
     if g.feature_dim != model.cfg.feature_dim:
         g = g.with_features(degree_features(g, model.cfg.feature_dim - 1))
-    return embed_group(model, build_group(g, node_sets, range(g.node_count),
-                                          act=model.gate_act()), [0])[0]
+    return embed_group(model, build_group(g, node_sets, range(g.node_count)), [0])[0]
 
 
 def embed_group(model: MoseModel, group: NodeGroup, starts) -> np.ndarray:
     """Eval-mode readouts, one row per graph, of a group holding every node
-    of several graphs in turn; graph i's rows begin at ``starts[i]``.
-
-    The group holds no parameter (only the gate activation enters it), so
-    one group serves every model that shares the activation.
-    """
+    of several graphs in turn; graph i's rows begin at ``starts[i]``."""
     h = group_forward(model, group).h
     ends = list(starts[1:]) + [len(h)]
     return np.concatenate([pool_rows(h[a:b], model.cfg.readout_mode)[0]

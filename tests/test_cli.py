@@ -9,6 +9,7 @@ import pytest
 
 from mose import cli
 from mose.cli import main
+from mose.trainer import CHECKPOINT_VERSION
 
 
 def run(args):
@@ -226,6 +227,44 @@ class TestTrain:
         assert code == 2
         assert f"error: {cache}:" in capsys.readouterr().err
 
+    def test_dataset_name_with_a_space_round_trips_the_cache(self, workspace, tmp_path,
+                                                             capsys):
+        name = "Graph Cycle"
+        (tmp_path / name).mkdir()
+        for src in (workspace / "data" / "GraphCycle").iterdir():
+            shutil.copy(src, tmp_path / name / src.name.replace("GraphCycle", name))
+        common = ["--data-dir", str(tmp_path), "--dataset", name, *BASE,
+                  "--out-dir", str(tmp_path / "out")]
+        assert run(["extract", *common]) == 0
+        cache = tmp_path / "out" / f"{name}.cache"
+        before = cache.read_bytes()
+        # train reads the cache back and refuses it (exit 64) unless its name matches
+        assert run(["train", *common, "--epochs", "1", "--folds", "3", "--experts", "3",
+                    "--hidden-graphs", "2"]) == 0
+        assert cache.read_bytes() == before
+        capsys.readouterr()
+        assert run(["extract", *common]) == 0
+        assert "up to date" in capsys.readouterr().out
+
+    def test_version_1_checkpoint_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert run(self.train_args(workspace, out)) == 0
+        # a version 1 file: its train_config still carries k_ept
+        ckpt = out / "checkpoint.npz"
+        with np.load(ckpt) as f:
+            arrays = {k: f[k] for k in f.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["version"] = 1
+        meta["train_config"]["k_ept"] = 2
+        arrays["meta"] = json.dumps(meta)
+        ckpt.write_bytes(_npz(**arrays))
+        for args in (self.train_args(workspace, out, ["--epochs", "4"]),
+                     ["export-hidden", "--checkpoint", str(ckpt), "--out-dir", str(out)]):
+            capsys.readouterr()
+            assert run(args) == 2
+            assert capsys.readouterr().err == \
+                f"error: {ckpt}: not a mose checkpoint: unsupported version 1\n"
+
     def test_cache_with_non_integer_field_names_path_and_line(self, workspace, tmp_path,
                                                                capsys):
         cache = tmp_path / "bad.cache"
@@ -420,7 +459,8 @@ FAILURES = {
     "export-junk": ("export", b"junk\n", 2, ": not a mose checkpoint: not an npz archive"),
     "export-meta-not-json": ("export", _npz(meta="{version"), 2,
                              ": not a mose checkpoint: Expecting property name"),
-    "export-meta-lacks-key": ("export", _npz(meta=json.dumps({"version": 1})), 2,
+    "export-meta-lacks-key": ("export",
+                              _npz(meta=json.dumps({"version": CHECKPOINT_VERSION})), 2,
                               ": not a mose checkpoint: missing 'model_config'"),
     "export-version": ("export", _npz(meta=json.dumps({"version": 99})), 2,
                        ": not a mose checkpoint: unsupported version 99"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mose.cli import dataset_hash
-from mose.datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
+from mose.datasets import (Dataset, gen_graph_cycle, gen_graph_five,
                            load_tu_dataset, make_folds, make_node_splits,
                            save_tu_dataset)
 from mose.graph import Graph, cycle_graph, degree_features, path_graph
@@ -475,7 +475,3 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             Dataset(graphs=[cycle_graph(3), cycle_graph(4)], task="node",
                     class_count=2, name="bad")
-
-    def test_split_plan_kinds(self):
-        with pytest.raises(ValueError):
-            SplitPlan(kind="bogus", seed=0)

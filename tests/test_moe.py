@@ -373,12 +373,12 @@ class TestGroupBuild:
             records.append([v] + others[:data.draw(st.integers(0, n - 1))])
         node_ids = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
         act = GATE_ACTIVATIONS[data.draw(st.sampled_from(sorted(GATE_ACTIVATIONS)))]
-        group = build_group(g, records, node_ids, act=act)
+        group = build_group(g, records, node_ids)
         adj, sizes, feats, eta = loop_group(g, records, node_ids, act)
         assert np.array_equal(group.adj, adj)
         assert np.array_equal(group.sizes, sizes)
         assert np.array_equal(group.feats, feats)
-        assert np.abs(group.eta - eta).max() <= 1e-12 * max(1.0, np.abs(eta).max())
+        assert np.abs(act(group.agg) - eta).max() <= 1e-12 * max(1.0, np.abs(eta).max())
 
     @pytest.mark.parametrize("n", [12, 6500])
     def test_one_construction_at_every_size(self, n, monkeypatch):
@@ -402,7 +402,25 @@ class TestGroupBuild:
         assert np.array_equal(group.adj, adj)
         assert np.array_equal(group.sizes, sizes)
         assert np.array_equal(group.feats, feats)
-        assert rel_err(group.eta, eta) <= 1e-12
+        assert rel_err(relu(group.agg), eta) <= 1e-12
+
+    def test_one_group_serves_every_gate_activation(self):
+        # the group holds no parameter: models that differ only in their gate
+        # activation each apply their own to the same group
+        rng = np.random.default_rng(12)
+        n = 9
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 4)))
+        records = [[v] + [int(u) for u in g.neighbors_of(v)][:4] for v in range(n)]
+        group = build_group(g, records, range(n))
+        etas = []
+        for name in ("relu", "tanh"):
+            run = group_forward(tiny_model(seed=3, gate_activation=name), group)
+            want = np.stack([gate_aggregate(sub_of(g, records[v]),
+                                            act=GATE_ACTIVATIONS[name]) for v in range(n)])
+            assert rel_err(run.eta, want) <= 1e-12
+            etas.append(run.eta)
+        assert not np.array_equal(*etas)
 
 
 class TestGatheredKernel:
@@ -425,7 +443,7 @@ class TestGatheredKernel:
         group = build_group(g, records, node_ids)
         _, _, feats, eta = loop_group(g, records, node_ids)
         assert len(set(group.sizes.tolist())) > 2
-        assert rel_err(group.eta, eta) <= 1e-12
+        assert rel_err(relu(group.agg), eta) <= 1e-12
         model = tiny_model(f=64, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
         expert = model.bank.experts[2]
@@ -458,8 +476,8 @@ class TestGatheredKernel:
             vals, state = _padded_forward(expert, r_pows, group.adj, group.xu, group.local)
             padded = (vals,) + _padded_backward(r_pows, group.adj, group.xu, group.local,
                                                 dvals, state)
-            vals, state = _moment_forward(expert, r_pows, moments)
-            moment = (vals,) + _moment_backward(expert, moments, dvals, state)
+            vals, state = _moment_forward(expert, r_pows, moments, np.eye(64))
+            moment = (vals,) + _moment_backward(expert, moments, dvals, state, np.eye(64))
             for got in (padded, moment):
                 for a, b in zip(got, want):
                     assert np.any(b != 0)
@@ -532,8 +550,8 @@ class TestClassBasis:
             dvals = np.random.default_rng(40 + m).normal(
                 size=(group.count, expert.hidden_count, p_max))
             out = {}
-            for name, basis, rows in (("class", group.basis, group.class_rows),
-                                      ("identity", group.feats, None)):
+            for name, basis, rows in (("class", group.basis, group.basis_rows),
+                                      ("identity", group.feats, np.eye(group.xu.shape[1]))):
                 moments = group_moments(group.adj, basis, p_max)
                 vals, state = _moment_forward(expert, r_pows, moments, rows)
                 out[name] = (vals,) + _moment_backward(expert, moments, dvals, state, rows)
@@ -546,7 +564,7 @@ class TestClassBasis:
         group = build_group(g, records, node_ids)
         adj, sizes, feats, _ = loop_group(g, records, node_ids)
         assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
-        assert group.class_rows is not None and group.basis.shape[2] == 3
+        assert group.basis_rows.shape == (3, 12) and group.basis.shape[2] == 3
         model = tiny_model(f=12, experts=3, seed=5)
         for expert, r_pows, dvals, out in self.expert_passes(model, group, p_max):
             want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
@@ -560,7 +578,7 @@ class TestClassBasis:
         g, records = self.repeated_group(f, distinct, seed)
         rng = np.random.default_rng(seed)
         group = build_group(g, records, rng.permutation(10)[:rng.integers(1, 11)])
-        assert group.class_rows is not None
+        assert len(group.basis_rows) < f
         model = tiny_model(f=f, experts=3, seed=seed % 7)
         for _, _, _, out in self.expert_passes(model, group, p_max):
             for a, b in zip(out["class"], out["identity"]):
@@ -575,7 +593,7 @@ class TestClassBasis:
         assert (u, nmax) == (3, 5)
         assert group.fits_moments(p_max) == (p_max * min(u, f) ** 2 <= nmax ** 2)
         assert group.basis.shape[2] == min(u, f)
-        assert (group.class_rows is not None) == (u < f)
+        assert np.array_equal(group.basis_rows, group.xu[:-1] if u < f else np.eye(f))
 
     def test_signed_zeros_keep_the_moments_exact(self):
         # -0.0 and +0.0 split a feature row into two classes; on small integer
@@ -590,7 +608,7 @@ class TestClassBasis:
         records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
         group = build_group(g, records, range(n))
         assert len(group.xu) - 1 == 4     # two classes for the rows (0, 1, 0, ...)
-        e = group.class_rows
+        e = group.basis_rows
         for q, k in enumerate(group_moments(group.adj, group.basis, 4)):
             want = group_moments(group.adj, group.feats, 4)[q]
             assert np.array_equal(e.T @ k @ e, want)

@@ -317,7 +317,7 @@ class TestGradCheck:
         model = toy_model(data, max_step=2)
         groups = [build_group(g, recs, range(g.node_count))
                   for g, recs in zip(data.graphs[:3], cache.records)]
-        assert [gr.class_rows is not None and gr.fits_moments(2) for gr in groups] == \
+        assert [gr.basis.shape[2] < gr.xu.shape[1] and gr.fits_moments(2) for gr in groups] == \
             [False, True, True]
         err = grad_check(model, data, cache, [0, 1, 2],
                          TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))

@@ -13,8 +13,8 @@ from mose import walks
 from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from mose.util import BudgetError, FormatError, substream
-from mose.walks import (CACHE_MAGIC, WalkConfig, _count_patterns, _label_bits, _replay_bounded,
-                        _uint32_stream, _walks_from_words, enumerate_anonymous_walks,
+from mose.walks import (CACHE_MAGIC, WalkConfig, _label_bits, _pack, _replay_bounded,
+                        _uint32_stream, _unpack, _walks_from_words, enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
@@ -561,11 +561,14 @@ class TestBatchedExtraction:
     def test_pattern_counts_are_unique_rows(self):
         rng = np.random.default_rng(3)
         for width in (1, 2, 9, 17, 300):
-            rows = rng.integers(0, 3, size=(200, width)) * rng.integers(0, 2, size=(1, width))
-            pats, inverse, counts = _count_patterns(rows)
+            # labels of a length-width walk run to width, in width.bit_length() bits
+            bits = width.bit_length()
+            rows = rng.choice([0, 1, width], size=(200, width)) * rng.integers(0, 2, (1, width))
+            keys, inverse, counts = np.unique(_pack(rows, bits), return_inverse=True,
+                                              return_counts=True)
             ref, ref_inv, ref_counts = np.unique(rows, axis=0, return_inverse=True,
                                                  return_counts=True)
-            np.testing.assert_array_equal(pats, ref)
+            np.testing.assert_array_equal(_unpack(keys, width, bits), np.pad(ref, ((0, 0), (1, 0))))
             np.testing.assert_array_equal(inverse, ref_inv.ravel())
             np.testing.assert_array_equal(counts, ref_counts)
 

@@ -268,8 +268,7 @@ class TestEmbedGroup:
         model = new_model(mcfg, KernelConfig(max_step=3), seed=3)
         union = disjoint_union(*corpus)
         union = union.with_features(degree_features(union, 4))
-        group = build_group(union, EgoPolicy(1).node_sets(union), range(union.node_count),
-                            act=model.gate_act())
+        group = build_group(union, EgoPolicy(1).node_sets(union), range(union.node_count))
         starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
         got = embed_group(model, group, starts)
         want = np.stack([embed_graph(model, g, EgoPolicy(1).node_sets(g)) for g in corpus])
@@ -283,7 +282,7 @@ class TestEmbedGroup:
         model = new_model(mcfg, KernelConfig(max_step=3), seed=5)
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
         g = g.with_features(degree_features(g, 3))
-        group = build_group(g, EgoPolicy(1).node_sets(g), range(6), act=model.gate_act())
+        group = build_group(g, EgoPolicy(1).node_sets(g), range(6))
         whole = pool_rows(group_forward(model, group).h, "max")[0][0]
         assert np.array_equal(embed_group(model, group, [0])[0], whole)
 
