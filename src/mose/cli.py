@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -215,13 +215,28 @@ def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfi
                               f"dataset {data.name} has {g.node_count}")
 
 
-def _check_checkpoint(model, path: str, mcfg: ModelConfig, kcfg: KernelConfig):
-    """Refuse to resume a checkpoint whose model or kernel differs from the run's."""
-    diff = _differences(asdict(model.cfg) | asdict(model.kernel_cfg),
-                        asdict(mcfg) | asdict(kcfg))
+def _train_configs(cfg: dict, data: Dataset):
+    """The (kernel, training, model) configs of a train run on ``data``."""
+    return (_config(KernelConfig, cfg), _config(TrainConfig, cfg),
+            _config(ModelConfig, cfg, feature_dim=data.feature_dim,
+                    class_count=data.class_count, task=data.task))
+
+
+def _resume(path: str, cfg: dict, data: Dataset):
+    """(model, state) of the checkpoint at ``path``; other model, kernel or training
+    settings (the epoch count aside) or other data than the run's are a usage error."""
+    kcfg, tcfg, mcfg = _train_configs(cfg, data)
+    model, state, saved_tcfg, saved_hash = load_checkpoint(path)
+    diff = _differences(asdict(model.cfg) | asdict(model.kernel_cfg) | asdict(saved_tcfg)
+                        | {"dataset_hash": saved_hash},
+                        asdict(mcfg) | asdict(kcfg)
+                        | asdict(replace(tcfg, epochs=saved_tcfg.epochs))
+                        | {"dataset_hash": dataset_hash(data)})
     if diff:
         raise UsageError(f"{path}: checkpoint was trained with other settings: "
                          + ", ".join(diff) + "; use another --out-dir to start afresh")
+    print(f"resuming from {path} at epoch {state['epoch_next']}")
+    return model, state
 
 
 # -- commands -----------------------------------------------------------------
@@ -292,8 +307,10 @@ def _graph_fold(data: Dataset, cfg: dict):
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     data = _load_dataset(args)
-    # node masks are drawn after extraction: drawn before it, they raised the
-    # node-wide benchmark's peak RSS by 3 MB through the heap layout
+    ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
+    resume = _resume(ckpt_path, cfg, data) if os.path.exists(ckpt_path) else None
+    # the configs and node masks are built after extraction: built before it,
+    # each raised the node-wide benchmark's peak RSS by 3 MB through the heap layout
     split = _graph_fold(data, cfg) if data.task == "graph" else None
     wcfg = _config(WalkConfig, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -305,18 +322,8 @@ def cmd_train(args) -> int:
         cache = extract_dataset(data.graphs, args.dataset, wcfg,
                                 threads=cfg["threads"])
         save_cache(cache_path, cache)
-    kcfg = _config(KernelConfig, cfg)
-    tcfg = _config(TrainConfig, cfg)
-    mcfg = _config(ModelConfig, cfg, feature_dim=data.feature_dim,
-                   class_count=data.class_count, task=data.task)
-    ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
-    start_state = None
-    if os.path.exists(ckpt_path):
-        model, start_state, _ = load_checkpoint(ckpt_path)
-        _check_checkpoint(model, ckpt_path, mcfg, kcfg)
-        print(f"resuming from {ckpt_path} at epoch {start_state['epoch_next']}")
-    else:
-        model = new_model(mcfg, kcfg, seed=cfg["seed"])
+    kcfg, tcfg, mcfg = _train_configs(cfg, data)
+    model, start_state = resume or (new_model(mcfg, kcfg, seed=cfg["seed"]), None)
 
     if split is None:
         split = make_node_splits(data, (0.6, 0.2, 0.2), cfg["seed"]).masks
@@ -332,7 +339,7 @@ def cmd_train(args) -> int:
                 json.dump(e.dump(), f, indent=2)
             print(f"numeric failure: {e}", file=sys.stderr)
             return EXIT_RUNTIME
-        save_checkpoint(ckpt_path, model, state, tcfg)
+        save_checkpoint(ckpt_path, model, state, tcfg, dataset_hash(data))
         rows = state["rows"]
     with atomic_write(os.path.join(args.out_dir, "metrics.csv")) as f:
         f.write(metrics_csv(rows, model.expert_count))
@@ -370,7 +377,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_hidden(args) -> int:
     cfg = _merged_config(args)
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)[0]
     os.makedirs(args.out_dir, exist_ok=True)
     count = 0
     for k, expert in enumerate(model.bank.experts):

@@ -212,32 +212,27 @@ def save_tu_dataset(dataset: Dataset, directory: str) -> None:
     """
     os.makedirs(directory, exist_ok=True)
     name = dataset.name
-    a, ind, gl = [], [], []
-    offset = 0
-    for gi, g in enumerate(dataset.graphs):
-        for u in range(g.node_count):
-            ind.append(str(gi + 1))
-            for v in g.neighbors_of(u):
-                a.append(f"{offset + u + 1}, {offset + int(v) + 1}")
-        gl.append(str(g.graph_label if g.graph_label is not None else 0))
-        offset += g.node_count
+    graphs = dataset.graphs
+    counts = [g.node_count for g in graphs]
+    first = np.cumsum([1] + counts[:-1])      # 1-based id of each graph's node 0
+    src = np.concatenate([np.repeat(np.arange(g.node_count) + s, g.degrees)
+                          for g, s in zip(graphs, first)])
+    dst = np.concatenate([g.neighbors + s for g, s in zip(graphs, first)])
 
     def write(suffix, lines):
         with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w") as f:
             f.write("\n".join(lines) + "\n")
 
-    write("A", a)
-    write("graph_indicator", ind)
-    write("graph_labels", gl)
+    write("A", map("{}, {}".format, src.tolist(), dst.tolist()))
+    indicator = np.repeat(np.arange(1, len(graphs) + 1), counts)
+    write("graph_indicator", map(str, indicator.tolist()))
+    write("graph_labels", (str(g.graph_label if g.graph_label is not None else 0)
+                           for g in graphs))
     if dataset.task == "node":
-        labels = [str(int(x)) for x in dataset.graphs[0].node_labels]
-        write("node_labels", labels)
-    if dataset.feature_dim > 0 and not _is_degree_onehot(dataset.graphs):
-        rows = []
-        for g in dataset.graphs:
-            for u in range(g.node_count):
-                rows.append(", ".join(repr(float(x)) for x in g.features[u]))
-        write("node_attributes", rows)
+        write("node_labels", map(str, graphs[0].node_labels.tolist()))
+    if dataset.feature_dim > 0 and not _is_degree_onehot(graphs):
+        write("node_attributes", (", ".join(map(repr, row.tolist()))
+                                  for g in graphs for row in g.features))
 
 
 # -- synthetic generators --------------------------------------------------

@@ -5,7 +5,8 @@ form sums entries of powers of the product-graph adjacency; the
 feature-weighted form contracts those counts against node-feature dot
 products without ever materializing the product graph; the hidden-graph
 form evaluates the same bilinear form against a small learnable graph and
-comes with analytic gradients.
+comes with analytic gradients: the batched engine's two orders over a group
+of padded subgraphs, whose padded order ``rwk_hidden_grad`` runs on one.
 
 All kernel math runs in double precision.
 """
@@ -100,9 +101,7 @@ class HiddenGraph:
         return self.Z.shape[1]
 
     def effective_adjacency(self) -> np.ndarray:
-        r = np.maximum(0.0, 0.5 * (self.W + self.W.T))
-        np.fill_diagonal(r, 0.0)
-        return r
+        return _rectify(self.W)
 
     def as_graph(self) -> Graph:
         """Materialize the rectified adjacency as a graph (weights > 0 become edges)."""
@@ -219,14 +218,10 @@ def rwk_diff(g: Graph, h: Graph, p: int) -> float:
 
 # -- hidden-graph kernel with analytic gradients ------------------------
 
-def _hidden_parts(sub: NodeSubgraph, hidden: HiddenGraph):
-    a = sub.graph.adjacency_dense()
-    x = sub.graph.features
-    if x.shape[1] != hidden.feature_dim:
+def _checked_features(sub: NodeSubgraph, hidden: HiddenGraph) -> np.ndarray:
+    if sub.graph.feature_dim != hidden.feature_dim:
         raise ValueError("feature dimensions must match")
-    r = hidden.effective_adjacency()
-    t = hidden.Z @ x.T
-    return a, x, r, t
+    return sub.graph.features
 
 
 def rwk_hidden(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> float:
@@ -235,8 +230,8 @@ def rwk_hidden(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> float:
     Evaluates sum(T * (R^p T A^p)) with R the rectified hidden adjacency,
     applying A step by step rather than forming its power.
     """
-    a, _, r, t = _hidden_parts(sub, hidden)
-    m = t
+    a, r = sub.graph.adjacency_dense(), hidden.effective_adjacency()
+    m = t = hidden.Z @ _checked_features(sub, hidden).T
     for _ in range(p):
         m = r @ m @ a
     return float(np.sum(t * m))
@@ -245,30 +240,158 @@ def rwk_hidden(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> float:
 def rwk_hidden_grad(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> KernelGrad:
     """Kernel value plus d/dW and d/dZ through rectification and symmetrization.
 
-    The rectifier contributes subgradient 0 at its kink, and the forced-zero
+    The engine's padded order on a one-row group of the whole subgraph. The
+    rectifier contributes subgradient 0 at its kink, and the forced-zero
     diagonal never receives gradient.
     """
-    a, x, r, t = _hidden_parts(sub, hidden)
-    s = hidden.size
-    # V_p = T A^p, R powers up to p
-    v = t
-    for _ in range(p):
-        v = v @ a
-    r_pows = [np.eye(s)]
-    for _ in range(p):
-        r_pows.append(r_pows[-1] @ r)
-    c = v @ t.T                       # T A^p T^T, symmetric
-    value = float(np.sum(r_pows[p] * c))
-    d_z = 2.0 * (r_pows[p] @ v) @ x
-    d_r = np.zeros((s, s))
-    for k in range(p):
-        d_r += r_pows[k] @ c @ r_pows[p - 1 - k]
-    w_sym = 0.5 * (hidden.W + hidden.W.T)
-    mask = (w_sym > 0).astype(np.float64)
-    np.fill_diagonal(mask, 0.0)
-    g_sym = d_r * mask
-    d_w = 0.5 * (g_sym + g_sym.T)
-    return KernelGrad(value=value, d_W=d_w, d_Z=d_z)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    a, x = sub.graph.adjacency_dense()[None], _checked_features(sub, hidden)
+    w, local = hidden.W[None], np.arange(len(x))[None]
+    r_pows = _rectified_powers(w, p)
+    vals, state = _padded_forward(hidden.Z[None], r_pows, a, x, local)
+    dvals = np.eye(p)[-1].reshape(vals.shape)       # e_p: the step-p value alone
+    d_z, d_rq = _padded_backward(r_pows, a, x, local, dvals, state)
+    return KernelGrad(value=float(vals[0, 0, -1]),
+                      d_W=_weight_backward(w, r_pows, d_rq)[0], d_Z=d_z[0])
+
+
+# -- the batched engine's two orders: N hidden graphs, raw weights W (N, s, s)
+# and features Z (N, s, f), against a group of B zero-padded subgraphs ---------
+
+def _rectify(w: np.ndarray) -> np.ndarray:
+    """The effective adjacency of raw weights (..., s, s): the rectified
+    symmetrization with a zero diagonal."""
+    r = np.maximum(0.0, 0.5 * (w + np.swapaxes(w, -1, -2)))
+    idx = np.arange(w.shape[-1])
+    r[..., idx, idx] = 0.0
+    return r
+
+
+def _rectified_powers(w: np.ndarray, p_max: int) -> np.ndarray:
+    """R^0..R^p_max of the rectified adjacencies of W (N, s, s), (p+1, N, s, s)."""
+    r = _rectify(w)
+    pows = np.empty((p_max + 1,) + r.shape)
+    pows[0] = np.eye(w.shape[-1])
+    for q in range(p_max):
+        np.matmul(pows[q], r, out=pows[q + 1])
+    return pows
+
+
+def _weight_backward(w: np.ndarray, r_pows: np.ndarray, d_rq: np.ndarray) -> np.ndarray:
+    """dW from the dR^q, back through the power chain, rectifier and symmetrization."""
+    d_r = np.zeros(w.shape)
+    for q in range(1, len(d_rq) + 1):
+        for k in range(q):
+            d_r += np.matmul(r_pows[k], np.matmul(d_rq[q - 1], r_pows[q - 1 - k]))
+    # the rectified entries that are positive: off the diagonal, with W + W^T > 0
+    g_sym = d_r * (_rectify(w) > 0)
+    return 0.5 * (g_sym + np.swapaxes(g_sym, -1, -2))
+
+
+def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarray:
+    """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step, X_b
+    the (nmax, r) slot coordinates of row b (``NodeGroup.basis``).
+
+    Shape (max_step, B, r, r). A_b is symmetric, so M_q = Y_{floor(q/2)}^T
+    Y_{ceil(q/2)} with Y_k = A_b^k X_b takes ceil(max_step/2) propagations.
+    They hold no parameter, so one evaluation serves every expert the group
+    is routed to.
+    """
+    out = np.empty((max_step,) + basis.shape[:1] + basis.shape[2:] * 2)
+    y = basis
+    for q in range(1, max_step + 1):
+        left = y                        # odd q: Y_{k-1}^T Y_k, even q: Y_k^T Y_k
+        if q % 2:
+            y = np.matmul(adj, y)
+        np.matmul(left.transpose(0, 2, 1), y, out=out[q - 1])
+    return out
+
+
+def _padded_forward(z: np.ndarray, r_pows: np.ndarray, adj: np.ndarray,
+                    xu: np.ndarray, local: np.ndarray):
+    """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T.
+
+    A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
+    takes ceil(p/2) propagations. P = X_u Z_i^T is projected once for the
+    distinct nodes and T gathered from it through ``local``, whose padding
+    reads the zero row of ``xu``. Only P and the (p, B, N, s, s) C are kept.
+    """
+    n_hidden, s = z.shape[:2]
+    b, p_max = adj.shape[0], len(r_pows) - 1
+    proj = xu @ z.reshape(n_hidden * s, -1).T                   # (U+1, N*s)
+    # T as (B, N*s, n), contiguous for the propagations; two Y_k live at a time
+    y = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
+    c, blocks = np.empty((p_max, b, n_hidden, s, s)), (b, n_hidden, s, -1)
+    for q in range(1, p_max + 1):
+        left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
+        if q % 2:
+            y = np.matmul(y, adj)
+        np.matmul(left.reshape(blocks), y.reshape(blocks).transpose(0, 1, 3, 2),
+                  out=c[q - 1])
+    vals = (c * r_pows[1:, None]).sum(axis=(3, 4)).transpose(1, 2, 0)
+    return vals, (proj, c)
+
+
+def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
+                     local: np.ndarray, dvals: np.ndarray, state):
+    """Gradients on Z and on each R^q of the padded evaluation.
+
+    dR^q = sum_b dvals[b, :, q] C_q[b]. With T regathered from P, the adjoint
+    chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T, ends at dT;
+    summed per distinct node (a sort and a segment sum over ``local``) into
+    dP, it gives dZ = dP^T X_u in one product.
+    """
+    proj, c = state
+    p_max, b, n_hidden, s = c.shape[:4]
+    dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
+    d_rq = (dq * c).sum(axis=1)
+    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
+    w, blocks = 2.0 * dq * r_pows[1:, None], (b, n_hidden, s, -1)
+    g, dt = np.empty(t.shape), np.zeros(t.shape)
+    for q in range(p_max, 0, -1):
+        np.matmul(w[q - 1], t.reshape(blocks), out=g.reshape(blocks))
+        g += dt
+        np.matmul(g, adj, out=dt)
+    del t, g    # before the sort's two copies of dT
+    keys = local.ravel()
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    dt = dt.transpose(1, 0, 2).reshape(n_hidden * s, len(keys))
+    dproj = np.add.reduceat(np.take(dt, order, axis=1), starts, axis=1)   # (N*s, U')
+    dz = dproj @ xu[keys[order[starts]]]
+    return dz.reshape(n_hidden, s, -1), d_rq
+
+
+def _moment_forward(z: np.ndarray, r_pows: np.ndarray, moments: np.ndarray,
+                    basis_rows: np.ndarray):
+    """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step.
+
+    Moments taken in the basis X = C E (E = ``basis_rows``) are K_q = C^T A^q C,
+    and <Z^T R^q Z, E^T K_q E> = <Z'^T R^q Z', K_q> with Z' = Z E^T.
+    """
+    p_max, b, r = moments.shape[:3]
+    zp = np.matmul(z, basis_rows.T)
+    rz = np.matmul(r_pows[1:], zp)                              # (p, N, s, r)
+    gram = np.matmul(zp.transpose(0, 2, 1), rz).reshape(p_max, -1, r * r)
+    vals = np.matmul(moments.reshape(p_max, b, r * r), gram.transpose(0, 2, 1))
+    return vals.transpose(1, 2, 0), rz
+
+
+def _moment_backward(z: np.ndarray, moments: np.ndarray, dvals: np.ndarray, rz,
+                     basis_rows: np.ndarray):
+    """Gradients on Z and on each R^q of the moment evaluation.
+
+    With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z' (Mbar_q + Mbar_q^T)
+    summed over q, times E, and Z' Mbar_q Z'^T; the batch drops out of both.
+    """
+    p_max, b, r = moments.shape[:3]
+    zp = np.matmul(z, basis_rows.T)
+    mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, r * r))
+    mbar = mbar.reshape(p_max, -1, r, r)
+    dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
+    d_rq = np.matmul(np.matmul(zp, mbar), zp.transpose(0, 2, 1))
+    return np.matmul(dz, basis_rows), d_rq
 
 
 # -- DOT export ------------------------------------------------------------

@@ -3,14 +3,14 @@
 The batched group engine here gates, routes and embeds many nodes at once
 with analytic backprop; the trainer is built on it. The tests pin it to a
 single-node reference pipeline (tests/reference.py) that computes the same
-quantities one subgraph at a time. The engine evaluates the hidden-graph
-kernel in one of two orders, chosen per group from its array shapes
-(NodeGroup.fits_moments): through subgraph moments shared by all experts,
-or on the padded tensors. A group holds data only: each distinct feature
-row once, and the gate aggregate before the model's activation. The
-moments are taken in the basis of the group's rows E (NodeGroup.basis_rows):
-its distinct rows when there are fewer of them than features, else the
-identity.
+quantities one subgraph at a time. Per group, the engine picks one of the
+two orders of the hidden-graph kernel that kernel.py evaluates, from the
+group's array shapes (NodeGroup.fits_moments): through subgraph moments
+shared by all experts, or on the padded tensors. A group holds data only:
+each distinct feature row once, and the gate aggregate before the model's
+activation. The moments are taken in the basis of the group's rows E
+(NodeGroup.basis_rows): its distinct rows when there are fewer of them than
+features, else the identity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .graph import Graph
-from .kernel import HiddenGraph, KernelConfig
+from .kernel import (HiddenGraph, KernelConfig, _moment_backward, _moment_forward,
+                     _padded_backward, _padded_forward, _rectified_powers,
+                     _weight_backward, group_moments)
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
 
@@ -72,12 +74,6 @@ class Expert:
     @property
     def hidden(self) -> list[HiddenGraph]:
         return [HiddenGraph(self.W[i], self.Z[i]) for i in range(self.hidden_count)]
-
-    def rectified(self) -> np.ndarray:
-        r = np.maximum(0.0, 0.5 * (self.W + self.W.transpose(0, 2, 1)))
-        idx = np.arange(self.size)
-        r[:, idx, idx] = 0.0
-        return r
 
 
 @dataclass
@@ -301,121 +297,6 @@ def build_group(g: Graph, records: list[list[int]], node_ids) -> NodeGroup:
     return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, agg=xv + weights @ xu)
 
 
-def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarray:
-    """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step, X_b
-    the (nmax, r) slot coordinates of row b (``NodeGroup.basis``).
-
-    Shape (max_step, B, r, r). A_b is symmetric, so M_q = Y_{floor(q/2)}^T
-    Y_{ceil(q/2)} with Y_k = A_b^k X_b takes ceil(max_step/2) propagations.
-    They hold no parameter, so one evaluation serves every expert the group
-    is routed to.
-    """
-    out = np.empty((max_step,) + basis.shape[:1] + basis.shape[2:] * 2)
-    y = basis
-    for q in range(1, max_step + 1):
-        left = y                        # odd q: Y_{k-1}^T Y_k, even q: Y_k^T Y_k
-        if q % 2:
-            y = np.matmul(adj, y)
-        np.matmul(left.transpose(0, 2, 1), y, out=out[q - 1])
-    return out
-
-
-def _rectified_powers(expert: Expert, p_max: int) -> np.ndarray:
-    """R^0..R^p_max of the expert's rectified hidden adjacencies, (p+1, N, s, s)."""
-    r = expert.rectified()
-    pows = np.empty((p_max + 1,) + r.shape)
-    pows[0] = np.eye(expert.size)
-    for q in range(p_max):
-        np.matmul(pows[q], r, out=pows[q + 1])
-    return pows
-
-
-def _padded_forward(expert: Expert, r_pows: np.ndarray, adj: np.ndarray,
-                    xu: np.ndarray, local: np.ndarray):
-    """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T.
-
-    A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
-    takes ceil(p/2) propagations. P = X_u Z_i^T is projected once for the
-    distinct nodes and T gathered from it through ``local``, whose padding
-    reads the zero row of ``xu``. Only P and the (p, B, N, s, s) C are kept.
-    """
-    n_hidden, s = expert.hidden_count, expert.size
-    b, p_max = adj.shape[0], len(r_pows) - 1
-    proj = xu @ expert.Z.reshape(n_hidden * s, -1).T            # (U+1, N*s)
-    # T as (B, N*s, n), contiguous for the propagations; two Y_k live at a time
-    y = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
-    c, blocks = np.empty((p_max, b, n_hidden, s, s)), (b, n_hidden, s, -1)
-    for q in range(1, p_max + 1):
-        left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
-        if q % 2:
-            y = np.matmul(y, adj)
-        np.matmul(left.reshape(blocks), y.reshape(blocks).transpose(0, 1, 3, 2),
-                  out=c[q - 1])
-    vals = (c * r_pows[1:, None]).sum(axis=(3, 4)).transpose(1, 2, 0)
-    return vals, (proj, c)
-
-
-def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
-                     local: np.ndarray, dvals: np.ndarray, state):
-    """Gradients on Z and on each R^q of the padded evaluation.
-
-    dR^q = sum_b dvals[b, :, q] C_q[b]. With T regathered from P, the adjoint
-    chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T, ends at dT;
-    summed per distinct node (a sort and a segment sum over ``local``) into
-    dP, it gives dZ = dP^T X_u in one product.
-    """
-    proj, c = state
-    p_max, b, n_hidden, s = c.shape[:4]
-    dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
-    d_rq = (dq * c).sum(axis=1)
-    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
-    w, blocks = 2.0 * dq * r_pows[1:, None], (b, n_hidden, s, -1)
-    g, dt = np.empty(t.shape), np.zeros(t.shape)
-    for q in range(p_max, 0, -1):
-        np.matmul(w[q - 1], t.reshape(blocks), out=g.reshape(blocks))
-        g += dt
-        np.matmul(g, adj, out=dt)
-    del t, g    # before the sort's two copies of dT
-    keys = local.ravel()
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    dt = dt.transpose(1, 0, 2).reshape(n_hidden * s, len(keys))
-    dproj = np.add.reduceat(np.take(dt, order, axis=1), starts, axis=1)   # (N*s, U')
-    dz = dproj @ xu[keys[order[starts]]]
-    return dz.reshape(n_hidden, s, -1), d_rq
-
-
-def _moment_forward(expert: Expert, r_pows: np.ndarray, moments: np.ndarray,
-                    basis_rows: np.ndarray):
-    """vals[b, i, q-1] = <Z_i^T R_i^q Z_i, M_q[b]>, one GEMM over the rows per step.
-
-    Moments taken in the basis X = C E (E = ``basis_rows``) are K_q = C^T A^q C,
-    and <Z^T R^q Z, E^T K_q E> = <Z'^T R^q Z', K_q> with Z' = Z E^T.
-    """
-    p_max, b, r = moments.shape[:3]
-    z = np.matmul(expert.Z, basis_rows.T)
-    rz = np.matmul(r_pows[1:], z)                               # (p, N, s, r)
-    gram = np.matmul(z.transpose(0, 2, 1), rz).reshape(p_max, -1, r * r)
-    vals = np.matmul(moments.reshape(p_max, b, r * r), gram.transpose(0, 2, 1))
-    return vals.transpose(1, 2, 0), rz
-
-
-def _moment_backward(expert: Expert, moments: np.ndarray, dvals: np.ndarray, rz,
-                     basis_rows: np.ndarray):
-    """Gradients on Z and on each R^q of the moment evaluation.
-
-    With Mbar_q = sum_b dvals[b, :, q] M_q[b], they are R^q Z' (Mbar_q + Mbar_q^T)
-    summed over q, times E, and Z' Mbar_q Z'^T; the batch drops out of both.
-    """
-    p_max, b, r = moments.shape[:3]
-    z = np.matmul(expert.Z, basis_rows.T)
-    mbar = np.matmul(dvals.transpose(2, 1, 0), moments.reshape(p_max, b, r * r))
-    mbar = mbar.reshape(p_max, -1, r, r)
-    dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
-    d_rq = np.matmul(np.matmul(z, mbar), z.transpose(0, 2, 1))
-    return np.matmul(dz, basis_rows), d_rq
-
-
 def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
                            rows: np.ndarray, moments: np.ndarray | None):
     """Kernel feature rows of the given group rows against one expert.
@@ -423,12 +304,12 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
     ``moments`` (from group_moments, or None) selects the evaluation order;
     both give the same values up to rounding.
     """
-    r_pows = _rectified_powers(expert, kcfg.max_step)
+    r_pows = _rectified_powers(expert.W, kcfg.max_step)
     if moments is None:
-        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
+        vals, state = _padded_forward(expert.Z, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
     else:
-        vals, state = _moment_forward(expert, r_pows, moments[:, rows], group.basis_rows)
+        vals, state = _moment_forward(expert.Z, r_pows, moments[:, rows], group.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
@@ -436,7 +317,6 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
 def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
                             rows: np.ndarray, moments: np.ndarray | None,
                             dphi: np.ndarray, cache, grads: dict, key: str):
-    p_max = kcfg.max_step
     r_pows, state = cache
     weights = kcfg.step_weights
     dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
@@ -445,16 +325,10 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup
         dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
                                     dvals, state)
     else:
-        dz, d_rq = _moment_backward(expert, moments[:, rows], dvals, state,
+        dz, d_rq = _moment_backward(expert.Z, moments[:, rows], dvals, state,
                                     group.basis_rows)
     grads[f"{key}.Z"] += dz
-    d_r = np.zeros(expert.W.shape)
-    for q in range(1, p_max + 1):
-        for k in range(q):
-            d_r += np.matmul(r_pows[k], np.matmul(d_rq[q - 1], r_pows[q - 1 - k]))
-    # the rectified entries that are positive: off the diagonal, with W + W^T > 0
-    g_sym = d_r * (expert.rectified() > 0)
-    grads[f"{key}.W"] += 0.5 * (g_sym + g_sym.transpose(0, 2, 1))
+    grads[f"{key}.W"] += _weight_backward(expert.W, r_pows, d_rq)
 
 
 def gate_backward(eta: np.ndarray, eps: np.ndarray | None, sig: np.ndarray | None,

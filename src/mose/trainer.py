@@ -354,11 +354,11 @@ def metrics_csv(rows: list[dict], expert_count: int) -> str:
 
 # -- checkpointing --------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path: str, model: MoseModel, state: dict,
-                    train_cfg: TrainConfig):
+                    train_cfg: TrainConfig, data_hash: str):
     arrays = {}
     for k, v in state["params"].items():
         arrays["param/" + k] = v
@@ -380,6 +380,7 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
         "model_config": asdict(model.cfg),
         "kernel_config": asdict(model.kernel_cfg),
         "train_config": asdict(train_cfg),
+        "dataset_hash": data_hash,
     }
     # a file object, so np.savez writes exactly ``path`` (given a name, it adds ".npz")
     with atomic_write(path, binary=True) as f:
@@ -387,8 +388,8 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
 
 
 def load_checkpoint(path: str):
-    """(model, state, TrainConfig) from a save_checkpoint file; any other
-    file raises FormatError naming ``path``."""
+    """(model, state, TrainConfig, dataset hash) from a save_checkpoint file;
+    any other file raises FormatError naming ``path``."""
     try:
         return _read_checkpoint(path)
     except FileNotFoundError:
@@ -411,23 +412,24 @@ def _read_checkpoint(path: str):
         raise ValueError(f"unsupported version {meta['version']}")
     model = new_model(ModelConfig(**meta["model_config"]),
                       KernelConfig(**meta["kernel_config"]), seed=meta["seed"])
-    params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+
+    def group(name):
+        return {k[len(name) + 1:]: data[k] for k in data.files if k.startswith(name + "/")}
+
+    params = group("param")
     model.load_snapshot(params)
-    best_snap = {k[len("best/"):]: data[k] for k in data.files if k.startswith("best/")}
     state = {
         "params": params,
         "adam_t": meta["adam_t"],
-        "adam_m": {k[len("adam_m/"):]: data[k] for k in data.files
-                   if k.startswith("adam_m/")},
-        "adam_v": {k[len("adam_v/"):]: data[k] for k in data.files
-                   if k.startswith("adam_v/")},
+        "adam_m": group("adam_m"),
+        "adam_v": group("adam_v"),
         "epoch_next": meta["epoch_next"],
         "rows": meta["rows"],
         "best": {"metric": meta["best_metric"], "epoch": meta["best_epoch"],
-                 "snapshot": best_snap or None},
+                 "snapshot": group("best") or None},
     }
     tcfg = TrainConfig(**meta["train_config"])
-    return model, state, tcfg
+    return model, state, tcfg, meta["dataset_hash"]
 
 
 # -- gradient checking ----------------------------------------------------------

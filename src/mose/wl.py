@@ -211,22 +211,6 @@ def wl1_refine(g: Graph, init=None) -> Coloring:
     return wl1_refine_many([g], [init] if init is not None else None)[0]
 
 
-def _swl_round_factory(policy, node_sets_cache):
-    def round_fn(graphs, colors):
-        sigs = []
-        for gi, (g, col) in enumerate(zip(graphs, colors)):
-            sets = node_sets_cache[gi]
-            row = []
-            for v in range(g.node_count):
-                nodes = sets[v]
-                adj = _induced_bitmasks(g, nodes)
-                keys = [(0 if p == v else 1, int(col[p])) for p in nodes]
-                row.append(_canonical_raw(len(nodes), adj, keys))
-            sigs.append(row)
-        return sigs
-    return round_fn
-
-
 def swl_refine_many(graphs: list[Graph], policy, inits=None) -> list[Coloring]:
     sets = [policy.node_sets(g) for g in graphs]
     for gi, per_graph in enumerate(sets):
@@ -235,7 +219,20 @@ def swl_refine_many(graphs: list[Graph], policy, inits=None) -> list[Coloring]:
                 raise BudgetError(
                     f"policy produced a {len(nodes)}-node subgraph in graph {gi}; "
                     f"canonicalization is capped at {CANON_CAP}")
-    return _refine_many(graphs, inits, _swl_round_factory(policy, sets))
+    # each node set's induced adjacency is the same in every round
+    masks = [[_induced_bitmasks(g, nodes) for nodes in per_graph]
+             for g, per_graph in zip(graphs, sets)]
+
+    def swl_round(_graphs, colors):
+        sigs = []
+        for col, per_graph, per_masks in zip(colors, sets, masks):
+            row = []
+            for v, (nodes, adj) in enumerate(zip(per_graph, per_masks)):
+                keys = [(0 if p == v else 1, int(col[p])) for p in nodes]
+                row.append(_canonical_raw(len(nodes), adj, keys))
+            sigs.append(row)
+        return sigs
+    return _refine_many(graphs, inits, swl_round)
 
 
 def swl_refine(g: Graph, policy, init=None) -> Coloring:

@@ -27,6 +27,7 @@ def workspace(tmp_path_factory):
 WALKS_REPORT_SHA256 = "b3df4a3a646c984c54f57c1a4b5744d8e648b3072292a38d46f28496f74d8471"
 KERNEL_ORACLE_REPORT_SHA256 = "002abb4fce31cd9e054d38b55df3567edd018ea8486e67e9564cfbfa0dd5aea5"
 WL_REPORT_SHA256 = "da7ae9b7fbf8ad1a0d5e9f4b810104a28e53227badbff8a0d99395500647d6be"
+GRAD_REPORT_SHA256 = "46584c054bc16dfdda605630df2de6e3303b5092e24c9c1623d26de76f66c8e0"
 
 BASE = ["--walk-length", "4", "--walks-per-node", "5", "--k-walk", "3",
         "--subgraph-cap", "12", "--seed", "3"]
@@ -265,6 +266,62 @@ class TestTrain:
             assert capsys.readouterr().err == \
                 f"error: {ckpt}: not a mose checkpoint: unsupported version 1\n"
 
+    def test_version_2_checkpoint_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert run(self.train_args(workspace, out)) == 0
+        # a version 2 file does not record the data it was trained on
+        ckpt = out / "checkpoint.npz"
+        with np.load(ckpt) as f:
+            arrays = {k: f[k] for k in f.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["version"] = 2
+        del meta["dataset_hash"]
+        arrays["meta"] = json.dumps(meta)
+        ckpt.write_bytes(_npz(**arrays))
+        for args in (self.train_args(workspace, out, ["--epochs", "4"]),
+                     ["export-hidden", "--checkpoint", str(ckpt), "--out-dir", str(out)]):
+            capsys.readouterr()
+            assert run(args) == 2
+            assert capsys.readouterr().err == \
+                f"error: {ckpt}: not a mose checkpoint: unsupported version 2\n"
+
+    @staticmethod
+    def files(root):
+        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_resume_with_other_training_settings_is_refused(self, workspace, tmp_path,
+                                                            capsys):
+        out = tmp_path / "t"
+        assert run(self.train_args(workspace, out, ["--epochs", "1"])) == 0
+        before = self.files(tmp_path)
+        capsys.readouterr()
+        code = run(self.train_args(workspace, out, ["--epochs", "2", "--lr", "0.5",
+                                                    "--dropout", "0.6"]))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert str(out / "checkpoint.npz") in err
+        assert "learning_rate=0.001 (run: 0.5)" in err and "dropout_rate=0.2 (run: 0.6)" in err
+        assert "epochs" not in err
+        assert self.files(tmp_path) == before
+
+    def test_resume_on_other_data_is_refused_before_any_work(self, workspace, tmp_path,
+                                                             capsys):
+        out = tmp_path / "t"
+        assert run(self.train_args(workspace, out, ["--epochs", "1"])) == 0
+        # six other graphs with the workspace's feature width (21)
+        assert run(["gen", "--dataset", "GraphCycle", "--count", "6", "--seed", "17",
+                    "--out-dir", str(tmp_path / "other")]) == 0
+        before = self.files(tmp_path)
+        cache = tmp_path / "other.cache"
+        args = self.train_args(workspace, out, ["--epochs", "2", "--cache", str(cache)])
+        args[args.index("--data-dir") + 1] = str(tmp_path / "other")
+        capsys.readouterr()
+        assert run(args) == 64
+        err = capsys.readouterr().err
+        assert str(out / "checkpoint.npz") in err and "dataset_hash=" in err
+        assert "feature_dim" not in err
+        assert self.files(tmp_path) == before     # no cache extracted, nothing rewritten
+
     def test_cache_with_non_integer_field_names_path_and_line(self, workspace, tmp_path,
                                                                capsys):
         cache = tmp_path / "bad.cache"
@@ -280,9 +337,9 @@ class TestTrain:
         assert run(self.train_args(workspace, out)) == 0
         # poison the checkpoint params, then ask for more epochs
         import mose.trainer as tr
-        model, state, cfg = tr.load_checkpoint(str(out / "checkpoint.npz"))
+        model, state, cfg, data_hash = tr.load_checkpoint(str(out / "checkpoint.npz"))
         state["params"]["head.W0"][0, 0] = np.nan
-        tr.save_checkpoint(str(out / "checkpoint.npz"), model, state, cfg)
+        tr.save_checkpoint(str(out / "checkpoint.npz"), model, state, cfg, data_hash)
         code = run(self.train_args(workspace, out, ["--epochs", "4"]))
         assert code == 2
         dump = json.loads((out / "failure-dump.json").read_text())
@@ -406,7 +463,9 @@ class TestVerifyAndExport:
         # the oracles' check counts and mismatches, and the worst pair's
         # count of separating inits "(100/100)"
         ("kernel-oracle", KERNEL_ORACLE_REPORT_SHA256),
-        ("wl", WL_REPORT_SHA256)])
+        ("wl", WL_REPORT_SHA256),
+        # the worst relative errors of the kernel and end-to-end gradients
+        ("grad", GRAD_REPORT_SHA256)])
     def test_verify_oracle_suite_report_is_pinned(self, tmp_path, suite, digest):
         assert run(["verify", "--suite", suite, "--seed", "0",
                     "--out-dir", str(tmp_path)]) == 0

@@ -12,7 +12,9 @@ from mose.graph import (Graph, complete_graph, cycle_graph, induced_subgraph,
                         path_graph, relabel, star_graph)
 from mose.kernel import (HiddenGraph, _oracle_counts, KernelConfig, hidden_graph_to_dot,
                          rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
-                         rwk_oracle, walk_pair_counts)
+                         rwk_oracle, walk_pair_counts, _moment_backward, _moment_forward,
+                         _rectified_powers, _weight_backward, group_moments)
+from mose.moe import build_group
 from mose.util import BudgetError
 from mose.wl import graph_corpus
 from reference import expert_embed, kernel_features
@@ -291,11 +293,13 @@ class TestHiddenKernel:
 
 
 class TestHiddenGradients:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_finite_differences(self, seed):
+    @pytest.mark.parametrize("seed, n, s", [(seed, 5, 3) for seed in range(5)]
+                             + [(5, 1, 3), (6, 5, 1)],
+                             ids=[*map(str, range(5)), "one-node-subgraph", "one-node-hidden"])
+    def test_finite_differences(self, seed, n, s):
         rng = np.random.default_rng(seed)
-        sub = random_subgraph(rng, 5, 2)
-        hg = HiddenGraph(W=rng.normal(size=(3, 3)), Z=rng.normal(size=(3, 2)))
+        sub = random_subgraph(rng, n, 2)
+        hg = HiddenGraph(W=rng.normal(size=(s, s)), Z=rng.normal(size=(s, 2)))
         p = int(rng.integers(1, 4))
         ref = rwk_hidden_grad(sub, hg, p)
         assert ref.value == pytest.approx(rwk_hidden(sub, hg, p), rel=1e-12)
@@ -327,6 +331,44 @@ class TestHiddenGradients:
         sub = random_subgraph(rng, 4, 2)
         hg = HiddenGraph(W=-1.0 - rng.random((3, 3)), Z=rng.normal(size=(3, 2)))
         assert np.all(rwk_hidden_grad(sub, hg, 3).d_W == 0)
+
+    def test_step_zero_is_refused(self):
+        rng = np.random.default_rng(5)
+        sub = random_subgraph(rng, 4, 2)
+        hg = HiddenGraph(W=rng.normal(size=(3, 3)), Z=rng.normal(size=(3, 2)))
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            rwk_hidden_grad(sub, hg, 0)
+
+    @staticmethod
+    def moment_order_grad(group, basis, basis_rows, hidden, p):
+        """(value, dW, dZ) of the step-p kernel by the engine's moment order."""
+        w, z = hidden.W[None], hidden.Z[None]
+        r_pows = _rectified_powers(w, p)
+        moments = group_moments(group.adj, basis, p)
+        vals, rz = _moment_forward(z, r_pows, moments, basis_rows)
+        dvals = np.zeros(vals.shape)
+        dvals[..., -1] = 1.0
+        d_z, d_rq = _moment_backward(z, moments, dvals, rz, basis_rows)
+        return vals[0, 0, -1], _weight_backward(w, r_pows, d_rq)[0], d_z[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_moment_order_on_a_one_row_group(self, seed):
+        # fewer distinct feature rows than features, so the group's own basis is
+        # the class basis; the moments are also taken in the identity basis
+        rng = np.random.default_rng(seed)
+        n, s, f, p = (int(rng.integers(lo, hi)) for lo, hi in ((1, 9), (2, 6), (2, 6), (1, 5)))
+        rows = rng.normal(size=(int(rng.integers(1, f)), f))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        g = Graph.from_edges(n, edges, features=rows[rng.integers(0, len(rows), n)])
+        group = build_group(g, [list(range(n))], [0])
+        assert len(group.basis_rows) < f
+        hg = HiddenGraph(W=rng.uniform(-0.5, 1.0, (s, s)), Z=rng.normal(size=(s, f)))
+        ref = rwk_hidden_grad(induced_subgraph(g, range(n)), hg, p)
+        want = (ref.value, ref.d_W, ref.d_Z)
+        for basis, basis_rows in ((group.basis, group.basis_rows), (group.feats, np.eye(f))):
+            got = self.moment_order_grad(group, basis, basis_rows, hg, p)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestExpertEmbed:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
-from mose.kernel import STEP_MODES, KernelConfig
+from mose.kernel import (STEP_MODES, KernelConfig, _moment_backward, _moment_forward,
+                         _padded_backward, _padded_forward, _rectified_powers,
+                         group_moments)
 from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig,
-                      build_group, group_forward, group_moments, new_model,
-                      _expert_kernel_backward, _expert_kernel_forward,
-                      _moment_backward, _moment_forward, _padded_backward,
-                      _padded_forward, _rectified_powers)
+                      build_group, group_forward, new_model,
+                      _expert_kernel_backward, _expert_kernel_forward)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
@@ -447,8 +447,8 @@ class TestGatheredKernel:
         model = tiny_model(f=64, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
         expert = model.bank.experts[2]
-        r_pows = _rectified_powers(expert, model.kernel_cfg.max_step)
-        vals, state = _padded_forward(expert, r_pows, group.adj[rows], group.xu,
+        r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
+        vals, state = _padded_forward(expert.Z, r_pows, group.adj[rows], group.xu,
                                       group.local[rows])
         dvals = np.random.default_rng(22).normal(size=vals.shape)
         dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
@@ -469,15 +469,15 @@ class TestGatheredKernel:
         model = tiny_model(f=64, experts=3, seed=5)
         moments = group_moments(group.adj, group.feats, p_max)
         for m, expert in enumerate(model.bank.experts):
-            r_pows = _rectified_powers(expert, p_max)
+            r_pows = _rectified_powers(expert.W, p_max)
             dvals = np.random.default_rng(30 + m).normal(
                 size=(group.count, expert.hidden_count, p_max))
             want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
-            vals, state = _padded_forward(expert, r_pows, group.adj, group.xu, group.local)
+            vals, state = _padded_forward(expert.Z, r_pows, group.adj, group.xu, group.local)
             padded = (vals,) + _padded_backward(r_pows, group.adj, group.xu, group.local,
                                                 dvals, state)
-            vals, state = _moment_forward(expert, r_pows, moments, np.eye(64))
-            moment = (vals,) + _moment_backward(expert, moments, dvals, state, np.eye(64))
+            vals, state = _moment_forward(expert.Z, r_pows, moments, np.eye(64))
+            moment = (vals,) + _moment_backward(expert.Z, moments, dvals, state, np.eye(64))
             for got in (padded, moment):
                 for a, b in zip(got, want):
                     assert np.any(b != 0)
@@ -546,15 +546,15 @@ class TestClassBasis:
         """Per expert: (expert, R powers, dvals, {basis: (vals, dZ, dR^q)}), the
         moments taken in the group's basis ("class") and in the features."""
         for m, expert in enumerate(model.bank.experts):
-            r_pows = _rectified_powers(expert, p_max)
+            r_pows = _rectified_powers(expert.W, p_max)
             dvals = np.random.default_rng(40 + m).normal(
                 size=(group.count, expert.hidden_count, p_max))
             out = {}
             for name, basis, rows in (("class", group.basis, group.basis_rows),
                                       ("identity", group.feats, np.eye(group.xu.shape[1]))):
                 moments = group_moments(group.adj, basis, p_max)
-                vals, state = _moment_forward(expert, r_pows, moments, rows)
-                out[name] = (vals,) + _moment_backward(expert, moments, dvals, state, rows)
+                vals, state = _moment_forward(expert.Z, r_pows, moments, rows)
+                out[name] = (vals,) + _moment_backward(expert.Z, moments, dvals, state, rows)
             yield expert, r_pows, dvals, out
 
     @pytest.mark.parametrize("p_max", [1, 2, 3, 4])

@@ -437,12 +437,13 @@ class TestCheckpoint:
         cfg = TrainConfig(epochs=2, seed=0, patience=0)
         model, _, state = train(model, data, cache, (ids, ids), cfg)
         path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, model, state, cfg)
-        back, bstate, bcfg = load_checkpoint(path)
+        save_checkpoint(path, model, state, cfg, "abc")
+        back, bstate, bcfg, data_hash = load_checkpoint(path)
         for k, v in model.parameters().items():
             assert np.array_equal(v, bstate["params"][k])
         assert bstate["epoch_next"] == 2
         assert bcfg.epochs == 2
+        assert data_hash == "abc"
 
     def test_write_is_atomic_and_keeps_the_given_name(self, tmp_path):
         data = toy_dataset(3)
@@ -451,7 +452,7 @@ class TestCheckpoint:
         cfg = TrainConfig(epochs=1, seed=0, patience=0)
         model, _, state = train(model, data, toy_cache(data), (ids, ids), cfg)
         path = tmp_path / "ckpt"          # np.savez given this name would write ckpt.npz
-        save_checkpoint(str(path), model, state, cfg)
+        save_checkpoint(str(path), model, state, cfg, "abc")
         assert os.listdir(tmp_path) == ["ckpt"]
         before = path.read_bytes()
         assert load_checkpoint(str(path))[1]["epoch_next"] == 1
@@ -463,7 +464,7 @@ class TestCheckpoint:
         # the last array fails after the others are in the new zip
         broken = state | {"adam_v": state["adam_v"] | {"zz": Unwritable()}}
         with pytest.raises(RuntimeError, match="partway"):
-            save_checkpoint(str(path), model, broken, cfg)
+            save_checkpoint(str(path), model, broken, cfg, "abc")
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ckpt"]
 
