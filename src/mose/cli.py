@@ -222,16 +222,17 @@ def _train_configs(cfg: dict, data: Dataset):
                     class_count=data.class_count, task=data.task))
 
 
-def _resume(path: str, cfg: dict, data: Dataset):
+def _resume(path: str, cfg: dict, data: Dataset, data_hash: str):
     """(model, state) of the checkpoint at ``path``; other model, kernel or training
-    settings (the epoch count aside) or other data than the run's are a usage error."""
+    settings (the epoch count aside) or other data (``data_hash``, the run's
+    dataset_hash) than the run's are a usage error."""
     kcfg, tcfg, mcfg = _train_configs(cfg, data)
     model, state, saved_tcfg, saved_hash = load_checkpoint(path)
     diff = _differences(asdict(model.cfg) | asdict(model.kernel_cfg) | asdict(saved_tcfg)
                         | {"dataset_hash": saved_hash},
                         asdict(mcfg) | asdict(kcfg)
                         | asdict(replace(tcfg, epochs=saved_tcfg.epochs))
-                        | {"dataset_hash": dataset_hash(data)})
+                        | {"dataset_hash": data_hash})
     if diff:
         raise UsageError(f"{path}: checkpoint was trained with other settings: "
                          + ", ".join(diff) + "; use another --out-dir to start afresh")
@@ -308,7 +309,9 @@ def cmd_train(args) -> int:
     cfg = _merged_config(args)
     data = _load_dataset(args)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
-    resume = _resume(ckpt_path, cfg, data) if os.path.exists(ckpt_path) else None
+    # hashed once per run: here when a checkpoint is checked, else after training
+    data_hash = dataset_hash(data) if os.path.exists(ckpt_path) else None
+    resume = _resume(ckpt_path, cfg, data, data_hash) if data_hash else None
     # the configs and node masks are built after extraction: built before it,
     # each raised the node-wide benchmark's peak RSS by 3 MB through the heap layout
     split = _graph_fold(data, cfg) if data.task == "graph" else None
@@ -339,11 +342,12 @@ def cmd_train(args) -> int:
                 json.dump(e.dump(), f, indent=2)
             print(f"numeric failure: {e}", file=sys.stderr)
             return EXIT_RUNTIME
-        save_checkpoint(ckpt_path, model, state, tcfg, dataset_hash(data))
+        data_hash = data_hash or dataset_hash(data)
+        save_checkpoint(ckpt_path, model, state, tcfg, data_hash)
         rows = state["rows"]
     with atomic_write(os.path.join(args.out_dir, "metrics.csv")) as f:
         f.write(metrics_csv(rows, model.expert_count))
-    write_manifest(args.out_dir, "train", cfg, cfg["seed"], dataset_hash(data))
+    write_manifest(args.out_dir, "train", cfg, cfg["seed"], data_hash)
     test_rows = [r for r in rows if r["split"] == "test"]
     if test_rows:
         print(f"test accuracy {test_rows[-1]['accuracy']:.4f} "

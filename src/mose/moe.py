@@ -3,21 +3,24 @@
 The batched group engine here gates, routes and embeds many nodes at once
 with analytic backprop; the trainer is built on it. The tests pin it to a
 single-node reference pipeline (tests/reference.py) that computes the same
-quantities one subgraph at a time. Per group, the engine picks one of the
-two orders of the hidden-graph kernel that kernel.py evaluates, from the
-group's array shapes (NodeGroup.fits_moments): through subgraph moments
-shared by all experts, or on the padded tensors. A group holds data only:
-each distinct feature row once, and the gate aggregate before the model's
-activation. The moments are taken in the basis of the group's rows E
-(NodeGroup.basis_rows): its distinct rows when there are fewer of them than
-features, else the identity.
+quantities one subgraph at a time. A group (build_group) is the plan of an
+engine unit: it holds no parameter, only compact index arrays (each
+subgraph's adjacency entries, the slots' distinct feature rows) and the
+gate aggregate before the model's activation, so the trainer builds it
+once and reuses it in every pass. Per pass, the engine picks one of the two
+orders of the hidden-graph kernel that kernel.py evaluates, from the
+group's array shapes (NodeGroup.fits_moments), and builds that order's
+dense arrays: the subgraph moments shared by all experts, taken in size
+buckets, or the padded adjacencies. The moments are taken in the basis of
+the group's rows E (NodeGroup.basis_rows): its distinct rows when there
+are fewer of them than features, else the identity.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,129 +207,230 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 
 # -- batched group engine -------------------------------------------------
 
+BUCKET = 8      # the moment order pads each row to its size rounded up to this
+
+
+def _bucket_order(sizes: np.ndarray, nmax: int):
+    """(widths, order): each row's bucket width, its size rounded up to a
+    multiple of BUCKET and at most nmax, and the rows bucket by bucket: in
+    ascending width, each bucket in row order."""
+    widths = np.minimum(-(-sizes // BUCKET) * BUCKET, nmax)
+    return widths, np.argsort(widths, kind="stable")
+
+
+def _distinct_rows(features: np.ndarray, row_nodes: np.ndarray) -> np.ndarray:
+    """xu: the feature rows of ``row_nodes``, then a zero row."""
+    xu = np.zeros((len(row_nodes) + 1, features.shape[1]))
+    xu[:-1] = features[row_nodes]
+    return xu
+
+
+def _basis_rows(xu: np.ndarray) -> np.ndarray:
+    """E, the (min(U, f), f) rows the moment basis expands into: the U distinct
+    rows of ``xu`` (its last row is the zero row) when U < f, else the identity."""
+    u, f = xu.shape[0] - 1, xu.shape[1]
+    return xu[:-1] if u < f else np.eye(f)
+
+
+def _slot_basis(xu: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """(rows, width, min(U, f)) slot coordinates in the moment basis of the slots
+    ``local`` indexes: the one-hot C of each slot's row when U < f, else the
+    features."""
+    u = xu.shape[0] - 1
+    if u >= xu.shape[1]:
+        return np.take(xu, local, axis=0)
+    c = np.zeros(local.shape + (u,))
+    slots = np.flatnonzero(local < u)
+    c.reshape(-1)[slots * u + local.reshape(-1)[slots]] = 1.0
+    return c
+
+
 @dataclass
 class NodeGroup:
-    """Padded subgraph adjacencies for a group of nodes processed together,
-    with each distinct feature row stored once and gathered through ``local``.
-    It holds no model parameter, so one group serves every model.
+    """The plan of one engine unit: the subgraphs of a group of nodes as compact
+    index arrays, plus the gate aggregates. It holds no model parameter, so one
+    plan serves every model and every pass; a pass builds the dense arrays it
+    needs from it (``kernel_input``) and drops them when it ends.
 
     The moment order works in the smaller of two bases, X_b = C_b E: with
     E = xu[:-1] the U distinct rows and C_b the one-hot of ``local[b]`` when
     U < f, else with E the identity and C_b = X_b.
     """
 
-    adj: np.ndarray     # (B, nmax, nmax) zero-padded dense adjacencies
-    xu: np.ndarray      # (U + 1, f) the U distinct feature rows, then a zero row
-    local: np.ndarray   # (B, nmax) rows of xu; padding points at the zero row
-    sizes: np.ndarray   # (B,) true subgraph sizes
-    agg: np.ndarray     # (B, f) gate aggregates, before the gate activation
+    features: np.ndarray    # (n, f) the parent graph's features
+    row_nodes: np.ndarray   # (U,) a node holding each distinct feature row
+    local: np.ndarray       # (B, nmax) int32 rows of xu; padding points at the zero row
+    sizes: np.ndarray       # (B,) true subgraph sizes
+    edges: np.ndarray       # (E,) the ones of A, bucket by bucket (``buckets``)
+    edge_counts: np.ndarray  # (B,) entries of ``edges`` per row
+    agg: np.ndarray         # (B, f) gate aggregates, before the gate activation
 
     @property
     def count(self) -> int:
-        return self.adj.shape[0]
+        return len(self.sizes)
 
-    @cached_property
+    @property
+    def xu(self) -> np.ndarray:
+        """(U + 1, f) the U distinct feature rows, then a zero row; gathered per use."""
+        return _distinct_rows(self.features, self.row_nodes)
+
+    def buckets(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(widths, rows): each row's bucket width, and the rows of each bucket
+        in ascending width, each in row order. ``edges`` lists the rows' entries
+        in that order, as offsets i * w + j in the row's (w, w) block."""
+        widths, order = _bucket_order(self.sizes, self.local.shape[1])
+        return widths, np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+
+    @property
+    def adj(self) -> np.ndarray:
+        """(B, nmax, nmax) zero-padded dense adjacencies, built per use."""
+        b, nmax = self.local.shape
+        adj = np.zeros((b, nmax, nmax))
+        widths, rows = self.buckets()
+        order = np.concatenate(rows)
+        counts = self.edge_counts[order]
+        i, j = np.divmod(self.edges, np.repeat(widths[order], counts))
+        np.put(adj, (np.repeat(order * nmax, counts) + i) * nmax + j, 1.0)
+        return adj
+
+    @property
     def feats(self) -> np.ndarray:
-        """(B, nmax, f) zero-padded features, gathered on first use."""
+        """(B, nmax, f) zero-padded features, gathered per use."""
         return np.take(self.xu, self.local, axis=0)
 
-    @cached_property
+    @property
     def basis_rows(self) -> np.ndarray:
-        """E, the (min(U, f), f) rows the moment basis expands into: the
-        distinct rows when U < f, else the identity."""
-        u, f = self.xu.shape[0] - 1, self.xu.shape[1]
-        return self.xu[:-1] if u < f else np.eye(f)
+        return _basis_rows(self.xu)
 
-    @cached_property
+    @property
     def basis(self) -> np.ndarray:
-        """(B, nmax, min(U, f)) slot coordinates in the moment basis: the one-hot
-        C of each slot's row when U < f, else the features."""
-        u = self.xu.shape[0] - 1
-        if u >= self.xu.shape[1]:
-            return self.feats
-        c = np.zeros(self.local.shape + (u,))
-        slots = np.flatnonzero(self.local < u)
-        c.reshape(-1)[slots * u + self.local.reshape(-1)[slots]] = 1.0
-        return c
+        """(B, nmax, min(U, f)) slot coordinates in the moment basis."""
+        return _slot_basis(self.xu, self.local)
 
     def fits_moments(self, max_step: int) -> bool:
         """Whether the group's moments (max_step * min(U, f)^2 values per node)
         are no larger than its padded adjacency (nmax^2 values per node)."""
-        nmax, width = self.adj.shape[1], min(self.xu.shape[0] - 1, self.xu.shape[1])
+        nmax = self.local.shape[1]
+        width = min(len(self.row_nodes), self.features.shape[1])
         return max_step * width * width <= nmax * nmax
+
+    def moments(self, xu: np.ndarray, max_step: int) -> np.ndarray:
+        """group_moments of every row, (max_step, B, r, r), bucket by bucket:
+        each bucket's rows are padded to its width alone, and their moments
+        scattered back in row order. Padding adds only zero terms, so each
+        row's moments are those of its full-nmax padding."""
+        r = min(xu.shape[0] - 1, xu.shape[1])
+        out = np.empty((max_step, self.count, r, r))
+        widths, buckets = self.buckets()
+        start = 0
+        for rows in buckets:
+            w, counts = int(widths[rows[0]]), self.edge_counts[rows]
+            stop = start + int(counts.sum())
+            adj = np.zeros((len(rows), w, w))
+            np.put(adj, np.repeat(np.arange(len(rows)) * (w * w), counts)
+                   + self.edges[start:stop], 1.0)
+            out[:, rows] = group_moments(adj, _slot_basis(xu, self.local[rows, :w]), max_step)
+            start = stop
+        return out
+
+    def kernel_input(self, max_step: int) -> KernelInput:
+        """One pass's kernel input: the moments when the group fits them, else
+        the full padded adjacencies."""
+        xu = self.xu
+        if self.fits_moments(max_step):
+            return KernelInput(xu, self.local, moments=self.moments(xu, max_step))
+        return KernelInput(xu, self.local, adj=self.adj)
+
+
+class KernelInput(NamedTuple):
+    """What one pass of a group gives the expert kernels: the distinct feature
+    rows and the slot rows, with the moments (moment order) or the padded
+    adjacencies (padded order)."""
+
+    xu: np.ndarray
+    local: np.ndarray
+    adj: np.ndarray | None = None
+    moments: np.ndarray | None = None
+
+    @property
+    def basis_rows(self) -> np.ndarray:
+        return _basis_rows(self.xu)
 
 
 def build_group(g: Graph, records: list[list[int]], node_ids) -> NodeGroup:
-    """Assemble the group tensors for the given nodes of one graph. The
-    adjacencies come from the record nodes' CSR rows, with no n x n array;
-    the features are the distinct rows of ``g.feature_rows`` the records hold."""
+    """The plan of the given nodes of one graph. The adjacency entries come
+    from the record nodes' CSR rows, with no n x n array; the features are the
+    distinct rows of ``g.feature_rows`` the records hold."""
     recs = list(map(records.__getitem__, node_ids))
     sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
     b, nmax = len(recs), int(sizes.max())
-    # allocated before the neighbour-length temporaries: allocated after them it cost
-    # graph-cycle training ~10 % in page faults (glibc's dynamic mmap threshold)
-    adj = np.zeros((b, nmax, nmax))
     valid = np.arange(nmax)[None, :] < sizes[:, None]
     flat = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
                        count=int(sizes.sum()))
     uniq, inv = np.unique(flat, return_inverse=True)
     first, row_of = g.feature_rows
     classes, cls_of = np.unique(row_of[uniq], return_inverse=True)
-    xu = np.zeros((len(classes) + 1, g.feature_dim))
-    xu[:-1] = g.features[first[classes]]
-    local = np.full((b, nmax), len(classes))
+    row_nodes = first[classes]
+    xu = _distinct_rows(g.features, row_nodes)
+    local = np.full((b, nmax), len(classes), dtype=np.int32)
     local[valid] = cls_of[inv]
-    row, pos = np.nonzero(valid)
-    where = np.full((b, len(uniq) + 1), -1)
-    where[row, inv] = pos
-    # the CSR rows of the record nodes, concatenated
-    starts, deg = g.offsets[flat], g.degrees[flat]
+    # the record slots bucket by bucket (NodeGroup.buckets): rank k is row order[k]
+    widths, order = _bucket_order(sizes, nmax)
+    rank, pos = np.nonzero(valid[order])
+    slot = (np.cumsum(sizes) - sizes)[order[rank]] + pos       # into ``flat``
+    # int32: the table grows with the square of the group's rows
+    where = np.full((b, len(uniq) + 1), -1, dtype=np.int32)
+    where[rank, inv[slot]] = pos
+    # the CSR rows of the slots' nodes, concatenated
+    starts, deg = g.offsets[flat[slot]], g.degrees[flat[slot]]
     ends = np.cumsum(deg)
     nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
     pos_of = np.full(g.node_count, len(uniq))       # outside every record: the pad column
     pos_of[uniq] = np.arange(len(uniq))
-    col = pos_of[nbr]
-    # per neighbour: its record, the position of its source there, and its own
-    row, pos = np.repeat(row, deg), np.repeat(pos, deg)
-    other = where[row, col]
-    np.put(adj, ((row * nmax + pos) * nmax + other)[other >= 0], 1.0)
+    # per neighbour: its record's rank, and its position there if it has one
+    at = np.repeat(rank, deg)
+    other = where.ravel()[at * (len(uniq) + 1) + pos_of[nbr]]
+    inside = other >= 0
+    # offsets i * w + j in each row's bucket block; uint16 while nmax <= 256,
+    # as the subgraph cap has no upper limit
+    edges = (np.repeat(pos * widths[order][rank], deg) + other)[inside]
+    counts = np.empty(b, dtype=np.int64)
+    counts[order] = np.bincount(at[inside], minlength=b)
     xv = xu[local[:, 0]]
     scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
     weights = np.zeros((b, len(xu)))
     np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
-    return NodeGroup(adj=adj, xu=xu, local=local, sizes=sizes, agg=xv + weights @ xu)
+    return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
+                     edges=edges.astype(np.min_scalar_type(nmax * nmax - 1)),
+                     edge_counts=counts, agg=xv + weights @ xu)
 
 
-def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
-                           rows: np.ndarray, moments: np.ndarray | None):
-    """Kernel feature rows of the given group rows against one expert.
-
-    ``moments`` (from group_moments, or None) selects the evaluation order;
-    both give the same values up to rounding.
-    """
+def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
+                           rows: np.ndarray):
+    """Kernel feature rows of the given group rows against one expert, in the
+    order ``kin`` holds; both orders give the same values up to rounding."""
     r_pows = _rectified_powers(expert.W, kcfg.max_step)
-    if moments is None:
-        vals, state = _padded_forward(expert.Z, r_pows, group.adj[rows], group.xu,
-                                      group.local[rows])
+    if kin.moments is None:
+        vals, state = _padded_forward(expert.Z, r_pows, kin.adj[rows], kin.xu, kin.local[rows])
     else:
-        vals, state = _moment_forward(expert.Z, r_pows, moments[:, rows], group.basis_rows)
+        vals, state = _moment_forward(expert.Z, r_pows, kin.moments[:, rows], kin.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
 
-def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
-                            rows: np.ndarray, moments: np.ndarray | None,
-                            dphi: np.ndarray, cache, grads: dict, key: str):
+def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
+                            rows: np.ndarray, dphi: np.ndarray, cache, grads: dict,
+                            key: str):
     r_pows, state = cache
     weights = kcfg.step_weights
     dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
         len(dphi), expert.hidden_count, -1)
-    if moments is None:
-        dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
-                                    dvals, state)
+    if kin.moments is None:
+        dz, d_rq = _padded_backward(r_pows, kin.adj[rows], kin.xu, kin.local[rows], dvals,
+                                    state)
     else:
-        dz, d_rq = _moment_backward(expert.Z, moments[:, rows], dvals, state,
-                                    group.basis_rows)
+        dz, d_rq = _moment_backward(expert.Z, kin.moments[:, rows], dvals, state,
+                                    kin.basis_rows)
     grads[f"{key}.Z"] += dz
     grads[f"{key}.W"] += _weight_backward(expert.W, r_pows, d_rq)
 
@@ -360,7 +464,7 @@ class GroupRun:
     zeta: np.ndarray         # (B, k) routing weights
     eps: np.ndarray | None
     sig: np.ndarray | None
-    moments: np.ndarray | None = None   # group_moments, when the group fits them
+    kernel_in: KernelInput          # this pass's dense arrays, dropped with the run
     expert_rows: dict = field(default_factory=dict)
     expert_caches: dict = field(default_factory=dict)
     concat_cache: tuple | None = None   # combine MLP cache, concat mode only
@@ -383,8 +487,8 @@ class GroupRun:
             dzeta[rows, pos] += (hm * block).sum(axis=1)
             expert = model.bank.experts[m]
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
-            _expert_kernel_backward(expert, model.kernel_cfg, group, rows, self.moments,
-                                    dphi, kcache, grads, f"expert{m}")
+            _expert_kernel_backward(expert, model.kernel_cfg, self.kernel_in, rows, dphi,
+                                    kcache, grads, f"expert{m}")
         gate_backward(self.eta, self.eps, self.sig, self.idx, self.zeta,
                       dzeta, model.gating, grads)
 
@@ -405,10 +509,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
-    p_max = model.kernel_cfg.max_step
-    moments = None
-    if group.fits_moments(p_max):
-        moments = group_moments(group.adj, group.basis, p_max)
+    kin = group.kernel_input(model.kernel_cfg.max_step)
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
     wide = np.zeros((group.count, model.expert_count, model.embed_dim))
@@ -417,8 +518,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         if len(rows) == 0:
             continue
         expert = model.bank.experts[m]
-        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, group, rows,
-                                             moments)
+        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, kin, rows)
         hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
                                                  dropout=dropout, rng=rng)
         expert_rows[m] = (rows, pos)
@@ -430,7 +530,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     else:
         h = wide.sum(axis=1)
     return GroupRun(model=model, group=group, eta=eta, h=h, idx=idx, zeta=zeta, eps=eps,
-                    sig=sig, moments=moments, expert_rows=expert_rows,
+                    sig=sig, kernel_in=kin, expert_rows=expert_rows,
                     expert_caches=expert_caches, concat_cache=concat_cache)
 
 

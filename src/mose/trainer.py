@@ -3,10 +3,13 @@
 Graph tasks take minibatch steps over graphs; node tasks take one
 full-batch step per epoch. Training, evaluation and gradient checks share
 one loss pass over engine units: a whole graph, pooled to one row, or a
-chunk of NODE_CHUNK nodes. The expert-balance penalty is accumulated per
-batch so its gradient reaches the gating network at every step. All
-randomness is keyed by (seed, purpose, epoch, item), so results are
-independent of batch layout, thread count, and resume points.
+chunk of NODE_CHUNK nodes. A unit's plan (moe.build_group) holds no
+parameter, so ``train``, ``evaluate`` and ``grad_check`` build it at most
+once per call and reuse it in every later pass; only ``train`` on a node
+task plans its chunks anew in every pass. The expert-balance penalty is
+accumulated per batch so its gradient reaches the gating network at every
+step. All randomness is keyed by (seed, purpose, epoch, item), so results
+are independent of batch layout, thread count, and resume points.
 """
 
 from __future__ import annotations
@@ -159,12 +162,15 @@ def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
 
 
 def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
-               rng_of=None, dropout: float = 0.0, grads: dict | None = None):
+               rng_of=None, dropout: float = 0.0, grads: dict | None = None,
+               plans: dict | None = None):
     """Forward the items one engine unit at a time; returns (logits, labels, stash).
 
     ``rng_of(key)`` gives a unit's routing-noise and dropout stream and
     turns on train mode. With ``grads``, each unit also backpropagates its
-    share of the items' mean cross-entropy before the next unit is built.
+    share of the items' mean cross-entropy before the next unit runs.
+    ``plans`` maps unit keys to the plans already built; a unit missing
+    from it is planned and added.
     """
     item_ids = np.asarray(item_ids, dtype=np.int64)
     if len(item_ids) == 0:
@@ -176,8 +182,12 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
     logits, labels = [], []
     for key, g, records, nodes, y in _units(data, cache, item_ids):
         rng = rng_of(key) if train_mode else None
-        run = group_forward(model, build_group(g, records, nodes), train_mode=train_mode,
-                            rng=rng, dropout=dropout)
+        group = None if plans is None else plans.get(key)
+        if group is None:
+            group = build_group(g, records, nodes)
+            if plans is not None:
+                plans[key] = group
+        run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout)
         stash.add(run)
         h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
         out, head_cache = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
@@ -191,7 +201,7 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
             if pooled:
                 dh = pool_rows_backward(dh, run.h.shape, mode, arg)
             run.backward(dh, grads)
-        del run   # free this unit's group and expert caches before the next build
+        del run   # free this pass's dense arrays and expert caches before the next unit
     return np.concatenate(logits), np.concatenate(labels), stash
 
 
@@ -209,9 +219,11 @@ def _apply_importance(stash: _RouteStash, beta: float, model, grads: dict | None
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids) -> Metrics:
-    """Eval-mode metrics on the given items: graph ids, or node ids."""
-    logits, truth, stash = _loss_pass(model, data, cache, item_ids)
+def evaluate(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
+             plans: dict | None = None) -> Metrics:
+    """Eval-mode metrics on the given items: graph ids, or node ids. ``plans``
+    keeps the units' plans for a later call on the same items."""
+    logits, truth, stash = _loss_pass(model, data, cache, item_ids, plans=plans)
     totals = stash.totals()
     pred = logits.argmax(axis=1)
     return Metrics(accuracy=accuracy_score(pred, truth),
@@ -284,6 +296,11 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     else:
         train_ids, val_ids, test_ids = (np.nonzero(np.asarray(m, dtype=bool))[0]
                                         for m in split)
+    # a graph task's units are its graphs, keyed by id, and each is planned once.
+    # A node task's train chunks are reshuffled every epoch; keeping only its
+    # val chunks' plans saved one build per epoch but raised the node-wide
+    # benchmark's peak RSS by 3 MB, so its chunks are planned in every pass
+    plans = {} if data.task == "graph" else None
 
     for epoch in range(start_epoch, cfg.epochs):
         order = substream(cfg.seed, 100, epoch).permutation(train_ids)
@@ -298,7 +315,8 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
             grads = model.zero_grads()
             logits, truth, stash = _loss_pass(
                 model, data, cache, batch,
-                lambda key: substream(cfg.seed, 200, epoch, key), cfg.dropout_rate, grads)
+                lambda key: substream(cfg.seed, 200, epoch, key), cfg.dropout_rate, grads,
+                plans)
             ce = _mean_ce(logits, truth)
             imp, totals = _apply_importance(stash, cfg.beta, model, grads)
             loss = total_loss(ce, imp, cfg.beta)
@@ -315,7 +333,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
             loss_task=ep_task / n_items, loss_importance=ep_imp / max(1, len(batches)),
             expert_load=load)))
         if len(val_ids) > 0:
-            vm = evaluate(model, data, cache, val_ids)
+            vm = evaluate(model, data, cache, val_ids, plans)
             rows.append(_row(epoch, "val", vm))
             if vm.accuracy > best["metric"]:
                 best = {"metric": vm.accuracy, "epoch": epoch,
@@ -329,7 +347,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     trajectory = model.snapshot()
     if best["snapshot"] is not None:
         model.load_snapshot(best["snapshot"])
-    final = evaluate(model, data, cache, test_ids)
+    final = evaluate(model, data, cache, test_ids, plans)
     final.curves = rows
     rows.append(_row(cfg.epochs, "test", final))
     state = {"params": trajectory, "adam_t": adam.t, "adam_m": adam.m,
@@ -436,9 +454,10 @@ def _read_checkpoint(path: str):
 
 def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 item_ids, cfg: TrainConfig, rng, grads: dict | None,
-                train_mode: bool = True):
+                train_mode: bool = True, plans: dict | None = None):
     """Loss (and, given ``grads``, its gradients) for a fixed batch: every
     unit draws its routing noise and dropout masks in turn from the one ``rng``.
+    ``plans`` keeps the units' plans for later calls on the same batch.
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.
@@ -446,7 +465,7 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
     dropout = cfg.dropout_rate if train_mode else 0.0
     logits, truth, stash = _loss_pass(model, data, cache, item_ids,
                                       (lambda key: rng) if train_mode else None,
-                                      dropout, grads)
+                                      dropout, grads, plans)
     imp, _ = _apply_importance(stash, cfg.beta, model, grads)
     picks = [idx for _, _, _, idx, _ in stash.items]
     return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
@@ -465,9 +484,11 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
     step shrinks, and a persistent flip is an error. Returns the max
     relative error over every entry of every parameter tensor.
     """
+    plans = {}
+
     def run(grads=None):
         rng = substream(cfg.seed, 500) if train_mode else None
-        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode)
+        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode, plans)
 
     grads = model.zero_grads()
     base_loss, base_picks = run(grads)

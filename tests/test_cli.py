@@ -9,7 +9,7 @@ import pytest
 
 from mose import cli
 from mose.cli import main
-from mose.trainer import CHECKPOINT_VERSION
+from mose.trainer import CHECKPOINT_VERSION, load_checkpoint
 
 
 def run(args):
@@ -321,6 +321,24 @@ class TestTrain:
         assert str(out / "checkpoint.npz") in err and "dataset_hash=" in err
         assert "feature_dim" not in err
         assert self.files(tmp_path) == before     # no cache extracted, nothing rewritten
+
+    def test_dataset_is_hashed_once_per_run(self, workspace, tmp_path, monkeypatch):
+        # a fresh run, a resume, and a rerun the checkpoint already covers
+        calls = []
+
+        def counted(data):
+            calls.append(data.name)
+            return dataset_hash(data)
+
+        dataset_hash = cli.dataset_hash
+        monkeypatch.setattr(cli, "dataset_hash", counted)
+        out = tmp_path / "t"
+        for epochs in ("1", "2", "2"):
+            calls.clear()
+            assert run(self.train_args(workspace, out, ["--epochs", epochs])) == 0
+            assert calls == ["GraphCycle"], epochs
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["dataset_hash"] == load_checkpoint(str(out / "checkpoint.npz"))[3]
 
     def test_cache_with_non_integer_field_names_path_and_line(self, workspace, tmp_path,
                                                                capsys):

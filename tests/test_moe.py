@@ -10,8 +10,8 @@ from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
 from mose.kernel import (STEP_MODES, KernelConfig, _moment_backward, _moment_forward,
                          _padded_backward, _padded_forward, _rectified_powers,
                          group_moments)
-from mose.moe import (GATE_ACTIVATIONS, ExpertBank, GatingParams, ModelConfig,
-                      build_group, group_forward, new_model,
+from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, GatingParams, KernelInput,
+                      ModelConfig, build_group, group_forward, new_model,
                       _expert_kernel_backward, _expert_kernel_forward)
 from mose.nn import relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
@@ -185,7 +185,7 @@ class TestForward:
             group = build_group(g, records, range(n))
             assert group.fits_moments(model.kernel_cfg.max_step) == moments
             run = group_forward(model, group)
-            assert (run.moments is not None) == moments
+            assert (run.kernel_in.moments is not None) == moments
             for v in range(n):
                 h_ref, r_ref = node_embedding(model, sub_of(g, records[v]))
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
@@ -221,12 +221,12 @@ class TestForward:
         rows = np.array([0, 2, 3, 5, 8])
         moments = group_moments(group.adj, group.feats, kcfg.max_step)
         out = {}
-        for name, m in (("padded", None), ("moments", moments)):
-            phi, cache = _expert_kernel_forward(expert, kcfg, group, rows, m)
+        for name, kin in (("padded", KernelInput(group.xu, group.local, adj=group.adj)),
+                          ("moments", KernelInput(group.xu, group.local, moments=moments))):
+            phi, cache = _expert_kernel_forward(expert, kcfg, kin, rows)
             grads = {"e.W": np.zeros_like(expert.W), "e.Z": np.zeros_like(expert.Z)}
             dphi = np.random.default_rng(12).normal(size=phi.shape)
-            _expert_kernel_backward(expert, kcfg, group, rows, m, dphi, cache,
-                                    grads, "e")
+            _expert_kernel_backward(expert, kcfg, kin, rows, dphi, cache, grads, "e")
             out[name] = (phi, grads["e.W"], grads["e.Z"])
         for a, b in zip(out["padded"], out["moments"]):
             assert np.any(a != 0)
@@ -423,6 +423,51 @@ class TestGroupBuild:
         assert not np.array_equal(*etas)
 
 
+class TestPlan:
+    """The plan keeps index arrays; each pass builds its dense arrays from them."""
+
+    # (nodes, record sizes): small records with singletons; sizes 57-62 under
+    # nmax = 62, whose rounded width 64 exceeds nmax; and records above 256
+    # nodes, past what uint16 offsets hold
+    REGIMES = {"small": (9, (1, 9)), "near-nmax": (62, (57, 62)), "wide": (300, (1, 300))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(REGIMES)), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**16))
+    def test_bucketed_moments_equal_the_padded_ones(self, regime, p_max, identity, seed):
+        rng = np.random.default_rng(seed)
+        n, (lo, hi) = self.REGIMES[regime]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < min(0.5, 8 / n)]
+        # small integer features keep both bases exact: f = 2 with many
+        # distinct rows takes the identity basis, f = 8 with 3 rows the class one
+        if identity:
+            x = rng.integers(-3, 4, (n, 2)).astype(float)
+        else:
+            x = rng.integers(-3, 4, (3, 8)).astype(float)[rng.integers(0, 3, n)]
+        g = Graph.from_edges(n, edges, features=x)
+        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v]
+                   [:rng.integers(lo, hi + 1) - 1] for v in range(n)]
+        records[0] = [0] + list(range(1, hi))   # a record at the top size sets nmax
+        node_ids = [0] + rng.permutation(np.arange(1, n))[:rng.integers(0, 6)].tolist()
+        group = build_group(g, records, node_ids)
+        nmax = group.local.shape[1]
+        assert nmax == hi and group.edges.dtype.itemsize == (4 if hi > 256 else
+                                                              2 if hi > 16 else 1)
+        whole = g.adjacency_dense()
+        adj = np.zeros((len(node_ids), nmax, nmax))
+        for b, v in enumerate(node_ids):
+            k = len(records[v])
+            adj[b, :k, :k] = whole[np.ix_(records[v], records[v])]
+        assert np.array_equal(group.adj, adj)
+        want = group_moments(adj, group.basis, p_max)
+        got = group.moments(group.xu, p_max)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        widths, _ = group.buckets()
+        assert ((widths >= group.sizes) & ((widths % BUCKET == 0) | (widths == nmax))).all()
+        assert widths.max() == nmax
+
+
 class TestGatheredKernel:
     @staticmethod
     def wide_group(f=64):
@@ -513,16 +558,29 @@ class TestGatheredKernel:
             padded = len(run.expert_rows[m][0]) * expert.hidden_count * expert.size * nmax
             assert max(a.size for a in arrays(cache)) < padded
 
-    def test_only_the_moment_path_builds_the_padded_features(self):
+    def test_only_the_moment_path_builds_the_padded_features(self, monkeypatch):
+        # the moment order in the identity basis gathers (rows, width, f)
+        # features per size bucket; the padded order gathers none
+        import mose.moe
+        slot_basis, gathered = mose.moe._slot_basis, []
+
+        def recorded(xu, local):
+            out = slot_basis(xu, local)
+            gathered.append(out.shape)
+            return out
+
+        monkeypatch.setattr(mose.moe, "_slot_basis", recorded)
         for f, moments in ((64, False), (2, True)):
+            gathered.clear()
             g, records = self.wide_group(f)
             group = build_group(g, records, range(g.node_count))
             model = tiny_model(f=f, experts=3, seed=5)
             run = group_forward(model, group, train_mode=True, rng=substream(0, 1),
                                 dropout=0.1)
             run.backward(np.ones_like(run.h), model.zero_grads())
-            assert (run.moments is not None) == moments
-            assert ("feats" in vars(group)) == moments
+            assert (run.kernel_in.moments is not None) == moments
+            assert bool(gathered) == moments
+            assert all(shape[2] == f for shape in gathered)
 
 
 class TestClassBasis:

@@ -259,34 +259,62 @@ class TestNodeTask:
 
 
 class TestUnitLifetime:
-    def test_previous_group_is_freed_before_the_next_build(self, monkeypatch):
+    def test_each_unit_is_planned_once_per_call(self, monkeypatch):
+        # a plan is built once per distinct graph per call and reused by every
+        # pass; the dense (B, nmax, nmax) arrays a pass builds from it, the
+        # padded order's adjacencies and the moment order's bucket adjacencies,
+        # are gone before the next pass starts
+        import collections
         import weakref
+        import mose.moe
         import mose.trainer
-        built, alive = [], []
+        built, dense = collections.Counter(), []
+        kernel_input, group_moments = mose.moe.NodeGroup.kernel_input, mose.moe.group_moments
+        group_forward = mose.trainer.group_forward
 
-        def tracked(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in built))
-            group = build_group(*args, **kwargs)
-            built.append(weakref.ref(group))
-            return group
+        def planned(g, records, node_ids):
+            built[id(g)] += 1
+            return build_group(g, records, node_ids)
 
-        monkeypatch.setattr(mose.trainer, "build_group", tracked)
+        def padded(group, max_step):
+            kin = kernel_input(group, max_step)
+            if kin.adj is not None:
+                dense.append(("padded", weakref.ref(kin.adj)))
+            return kin
+
+        def bucketed(adj, basis, max_step):
+            dense.append(("bucket", weakref.ref(adj)))
+            return group_moments(adj, basis, max_step)
+
+        def forward(*args, **kwargs):
+            assert all(ref() is None for _, ref in dense)
+            return group_forward(*args, **kwargs)
+
+        monkeypatch.setattr(mose.trainer, "build_group", planned)
+        monkeypatch.setattr(mose.moe.NodeGroup, "kernel_input", padded)
+        monkeypatch.setattr(mose.moe, "group_moments", bucketed)
+        monkeypatch.setattr(mose.trainer, "group_forward", forward)
         data = toy_dataset(2)
         cache = toy_cache(data)
         model = toy_model(data, max_step=2)
         ids = np.arange(len(data.graphs))
-        cfg = TrainConfig(epochs=1, batch_size=len(ids), seed=0, patience=0)
+        cfg = TrainConfig(epochs=3, batch_size=2, seed=0, patience=2, val_fraction=0.5)
         for phase in ("train", "evaluate", "grad_check"):
             built.clear()
-            alive.clear()
+            dense.clear()
             if phase == "train":
-                train(model, data, cache, (ids, ids), cfg)
+                train(model, data, cache, (ids[:3], ids[3:]), cfg)
+                graphs = len(ids)
             elif phase == "evaluate":
                 evaluate(model, data, cache, ids)
+                graphs = len(ids)
             else:
                 grad_check(model, data, cache, [0, 1, 2],
                            TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
-            assert len(alive) >= len(ids) and alive == [0] * len(alive), phase
+                graphs = 3
+            assert len(built) == graphs and set(built.values()) == {1}, phase
+            assert {kind for kind, _ in dense} == {"padded", "bucket"}, phase
+            assert all(ref() is None for _, ref in dense), phase
 
 
 class TestGradCheck:
