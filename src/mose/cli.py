@@ -1,11 +1,13 @@
 """Command-line surface: gen, extract, train, verify, export-hidden.
 
-Each setting is declared once, in ``SETTINGS``, and checked before a command
-reads or writes any file. Precedence is defaults < config file (``key=value``
-lines, hyphens or underscores, unknown keys rejected) < flags; the first config
-line (named ``path:line``) or flag from which the settings stop building every
-config is a usage error. Exit codes: 0 ok, 1 verification failure, 2
-runtime/numeric failure (any unexpected exception included), 64 usage error.
+Each setting is declared once, in ``SETTINGS``; a command takes flags only for
+those it reads (``READS``), and its manifest records just those. Precedence is
+defaults < config file (``key=value`` lines, hyphens or underscores, unknown
+keys rejected) < flags. Before a command reads or writes any file, the first
+config line (named ``path:line``) or flag from which the settings stop building
+every config is a usage error, as is a flag the command does not take. Exit
+codes: 0 ok, 1 verification failure, 2 runtime/numeric failure (any unexpected
+exception included), 64 usage error.
 """
 
 from __future__ import annotations
@@ -83,10 +85,19 @@ TARGETS = [(CONFIGS[cls], field, key) for key, specs in SETTINGS.items()
            if isinstance(specs, tuple) for cls, field in (s.split(".") for s in specs)]
 DEFAULTS = {key: next((getattr(cls, field) for cls, field, k in TARGETS if k == key), specs)
             for key, specs in SETTINGS.items()}
-# the settings every command takes as a flag; train adds --fold-index
+# the settings a flag can set; the others only a config line
 FLAGGED = ("seed", "walk_length", "walks_per_node", "k_walk", "subgraph_cap", "steps",
            "step_mode", "experts", "hidden_graphs", "k_ept", "beta", "epochs", "lr",
-           "dropout", "folds", "threads")
+           "dropout", "folds", "fold_index", "threads")
+# the settings each command reads: it takes the flagged ones as flags, and its
+# manifest records them all
+READS = {
+    "gen": ("seed",),
+    "extract": (*(key for cls, _, key in TARGETS if cls is WalkConfig), "threads"),
+    "train": tuple(SETTINGS),
+    "verify": ("seed",),
+    "export-hidden": (),
+}
 
 
 def _flag(key: str) -> str:
@@ -159,23 +170,15 @@ def _config_lines(path: str) -> list:
 
 
 def _merged_config(args) -> dict:
-    """Defaults < config file < flags, the file checked over the defaults and the
-    flags over both, before the command does any work."""
+    """The settings ``args.command`` reads: defaults < config file < flags, the whole
+    file checked over the defaults and the flags over both, before any work."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _apply(cfg, _config_lines(args.config), as_flags=False)
     flags = [(f"{_flag(key)} {value}", key, value) for key in SETTINGS
              if (value := getattr(args, key, None)) is not None]
-    return _apply(cfg, flags, as_flags=True)
-
-
-def _add_shared_flags(p: Parser):
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--dataset", dest="dataset")
-    for key in FLAGGED:
-        p.add_argument(_flag(key), type=type(DEFAULTS[key]), dest=key)
-    p.add_argument("--out-dir", dest="out_dir", default="mose-out")
-    p.add_argument("--config", dest="config")
+    cfg = _apply(cfg, flags, as_flags=True)
+    return {key: cfg[key] for key in READS[args.command]}
 
 
 def dataset_hash(data: Dataset) -> str:
@@ -186,12 +189,6 @@ def dataset_hash(data: Dataset) -> str:
         if g.node_labels is not None:
             arrays.append(g.node_labels)
     return hash_arrays(arrays)
-
-
-def _load_dataset(args) -> Dataset:
-    if not args.data_dir or not args.dataset:
-        raise UsageError("--data-dir and --dataset are required")
-    return load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
 
 
 def _differences(built: dict, wanted: dict) -> list[str]:
@@ -244,8 +241,6 @@ def _resume(path: str, cfg: dict, data: Dataset, data_hash: str):
 
 def cmd_gen(args) -> int:
     cfg = _merged_config(args)
-    if args.dataset not in SHAPE_LAYOUTS:
-        raise UsageError("--dataset must be GraphCycle or GraphFive")
     classes = len(SHAPE_LAYOUTS[args.dataset])
     if args.count < classes:
         raise UsageError(f"--count must be >= {classes}, one graph per {args.dataset} "
@@ -263,7 +258,7 @@ def cmd_gen(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _merged_config(args)
-    data = _load_dataset(args)
+    data = load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
     wcfg = _config(WalkConfig, cfg)
     cache_path = args.cache_out or os.path.join(args.out_dir, f"{args.dataset}.cache")
     if os.path.exists(cache_path):
@@ -273,8 +268,7 @@ def cmd_extract(args) -> int:
             print(f"recomputing: {problem}")
         else:
             print(f"cache {cache_path} is up to date; skipping recompute")
-            write_manifest(args.out_dir, "extract", cfg, cfg["seed"],
-                           dataset_hash(data))
+            write_manifest(args.out_dir, "extract", cfg, cfg["seed"], dataset_hash(data))
             return EXIT_OK
     cache = extract_dataset(data.graphs, args.dataset, wcfg,
                             threads=cfg["threads"])
@@ -307,7 +301,7 @@ def _graph_fold(data: Dataset, cfg: dict):
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
-    data = _load_dataset(args)
+    data = load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
     # hashed once per run: here when a checkpoint is checked, else after training
     data_hash = dataset_hash(data) if os.path.exists(ckpt_path) else None
@@ -375,12 +369,12 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and rep.ok
     with atomic_write(os.path.join(args.out_dir, "verify-report.txt")) as f:
         f.write("\n".join(report_lines) + "\n")
-    write_manifest(args.out_dir, "verify", cfg | {"suites": suites}, cfg["seed"])
+    write_manifest(args.out_dir, "verify", cfg | {"suites": suites, "max_nodes": args.max_nodes,
+                                                  "max_p": args.max_p}, cfg["seed"])
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
 def cmd_export_hidden(args) -> int:
-    cfg = _merged_config(args)
     model = load_checkpoint(args.checkpoint)[0]
     os.makedirs(args.out_dir, exist_ok=True)
     count = 0
@@ -391,9 +385,9 @@ def cmd_export_hidden(args) -> int:
                 f.write(hidden_graph_to_dot(hg, name=f"expert{k}_hg{i}",
                                             prune_threshold=args.prune_threshold))
             count += 1
-    write_manifest(args.out_dir, "export-hidden",
-                   cfg | {"checkpoint": args.checkpoint,
-                          "prune_threshold": args.prune_threshold}, cfg["seed"])
+    write_manifest(args.out_dir, "export-hidden", {"checkpoint": args.checkpoint,
+                                                   "prune_threshold": args.prune_threshold},
+                   model.seed)
     print(f"wrote {count} DOT files to {args.out_dir}")
     return EXIT_OK
 
@@ -403,35 +397,40 @@ def build_parser() -> Parser:
                     description="Subgraph-expert graph learning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic dataset in TU layout")
-    _add_shared_flags(p_gen)
+    def add(name, fn, help):
+        # abbreviations off: a command accepts exactly the flags it lists
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
+
+    p_gen = add("gen", cmd_gen, "generate a synthetic dataset in TU layout")
+    p_gen.add_argument("--dataset", required=True, choices=sorted(SHAPE_LAYOUTS))
     p_gen.add_argument("--count", type=int, required=True)
-    p_gen.set_defaults(fn=cmd_gen)
 
-    p_ext = sub.add_parser("extract", help="extract walk-based subgraphs to a cache")
-    _add_shared_flags(p_ext)
-    p_ext.add_argument("--cache-out", dest="cache_out")
-    p_ext.set_defaults(fn=cmd_extract)
+    p_ext = add("extract", cmd_extract, "extract walk-based subgraphs to a cache")
+    p_ext.add_argument("--cache-out")
 
-    p_tr = sub.add_parser("train", help="train a model on one split")
-    _add_shared_flags(p_tr)
-    p_tr.add_argument("--cache", dest="cache")
-    p_tr.add_argument("--fold-index", type=int, dest="fold_index")
-    p_tr.set_defaults(fn=cmd_train)
+    p_tr = add("train", cmd_train, "train a model on one split")
+    p_tr.add_argument("--cache")
+    for p in (p_ext, p_tr):
+        p.add_argument("--data-dir", required=True)
+        p.add_argument("--dataset", required=True)
 
-    p_ver = sub.add_parser("verify", help="run verification suites")
-    _add_shared_flags(p_ver)
+    p_ver = add("verify", cmd_verify, "run verification suites")
     p_ver.add_argument("--suite", choices=sorted(SUITES))
-    p_ver.add_argument("--max-nodes", type=int, dest="max_nodes", default=6)
-    p_ver.add_argument("--max-p", type=int, dest="max_p", default=4)
-    p_ver.set_defaults(fn=cmd_verify)
+    p_ver.add_argument("--max-nodes", type=int, default=6)
+    p_ver.add_argument("--max-p", type=int, default=4)
 
-    p_exp = sub.add_parser("export-hidden", help="export hidden graphs as DOT")
-    _add_shared_flags(p_exp)
+    p_exp = add("export-hidden", cmd_export_hidden, "export hidden graphs as DOT")
     p_exp.add_argument("--checkpoint", required=True)
-    p_exp.add_argument("--prune-threshold", type=float, dest="prune_threshold",
-                       default=0.01)
-    p_exp.set_defaults(fn=cmd_export_hidden)
+    p_exp.add_argument("--prune-threshold", type=float, default=0.01)
+
+    for name, p in sub.choices.items():
+        for key in (key for key in READS[name] if key in FLAGGED):
+            p.add_argument(_flag(key), type=type(DEFAULTS[key]))
+        if READS[name]:
+            p.add_argument("--config")
+        p.add_argument("--out-dir", default="mose-out")
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -131,12 +132,13 @@ class TestTrain:
                     "--out-dir", str(tmp_path / "out")]) == 64
 
     @pytest.mark.parametrize("body", ["experts = 1\nk_ept = 1\n", "k_ept = 1\nexperts = 1\n"])
-    def test_config_values_are_checked_together(self, tmp_path, body):
+    def test_config_values_are_checked_together(self, workspace, tmp_path, body):
         # experts = 1 next to the default k_ept = 2 is invalid; the file as a whole is not
         cfg = tmp_path / "one.cfg"
         cfg.write_text(body)
-        assert run(["gen", "--dataset", "GraphCycle", "--count", "2", "--config", str(cfg),
-                    "--out-dir", str(tmp_path / "out")]) == 0
+        assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                    *BASE, "--epochs", "1", "--folds", "3", "--hidden-graphs", "2",
+                    "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert (manifest["config"]["experts"], manifest["config"]["k_ept"]) == (1, 1)
 
@@ -402,6 +404,18 @@ BAD_FLAGS = {
                    "usage error: {cfg}:1: adam_beta2 must lie in [0, 1)\n"),
     "patience": (["train", "--config", "patience = -3"],
                  "usage error: {cfg}:1: patience must be >= 0\n"),
+    # flags of settings the command does not read
+    "gen-data-dir": (["gen", "--dataset", "GraphCycle", "--count", "6", "--data-dir", "x"],
+                     "usage error: unrecognized arguments: --data-dir x\n"),
+    "gen-lr": (["gen", "--dataset", "GraphCycle", "--count", "6", "--lr", "9"],
+               "usage error: unrecognized arguments: --lr 9\n"),
+    "extract-epochs": (["extract", "--epochs", "7"],
+                       "usage error: unrecognized arguments: --epochs 7\n"),
+    "verify-lr": (["verify", "--lr", "9"], "usage error: unrecognized arguments: --lr 9\n"),
+    "verify-data-dir": (["verify", "--data-dir", "nowhere"],
+                        "usage error: unrecognized arguments: --data-dir nowhere\n"),
+    "export-hidden-seed": (["export-hidden", "--checkpoint", "x.npz", "--seed", "3"],
+                           "usage error: unrecognized arguments: --seed 3\n"),
 }
 
 
@@ -416,15 +430,17 @@ def test_bad_flag_is_usage_error_before_any_work(workspace, tmp_path, capsys, ca
         cfg.write_text(argv[at] + "\n")
         argv = [*argv[:at], str(cfg), *argv[at + 1:]]
     capsys.readouterr()
-    assert run([*argv, *(data if argv[0] == "train" else []), "--out-dir", str(out)]) == 64
+    needs_data = argv[0] in ("extract", "train")
+    assert run([*argv, *(data if needs_data else []), "--out-dir", str(out)]) == 64
     assert capsys.readouterr().err == message.replace("{cfg}", str(cfg))
     assert not out.exists()     # no cache, checkpoint, manifest or report
 
 
-def test_flags_are_checked_together(tmp_path):
+def test_flags_are_checked_together(workspace, tmp_path):
     # --experts 1 next to the default k_ept = 2 is invalid; the flags as a whole are not
-    assert run(["gen", "--dataset", "GraphCycle", "--count", "2", "--experts", "1",
-                "--k-ept", "1", "--out-dir", str(tmp_path)]) == 0
+    assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                *BASE, "--epochs", "1", "--folds", "3", "--hidden-graphs", "2",
+                "--experts", "1", "--k-ept", "1", "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert (manifest["config"]["experts"], manifest["config"]["k_ept"]) == (1, 1)
 
@@ -457,6 +473,68 @@ def test_default_train_manifest_config_is_pinned(workspace, tmp_path):
         "lambda_decay": 1.0, "lr": 0.001, "patience": 25, "readout_mode": "mean",
         "seed": 0, "step_mode": "concat-over-p", "steps": 3, "subgraph_cap": 64,
         "threads": 1, "val_fraction": 0.1, "walk_length": 8, "walks_per_node": 20}
+
+
+# every option string each command takes: the flags of the settings it reads
+OPTIONS = {
+    "gen": {"--dataset", "--count", "--seed", "--out-dir", "--config"},
+    "extract": {"--data-dir", "--dataset", "--cache-out", "--out-dir", "--config", "--seed",
+                "--walk-length", "--walks-per-node", "--k-walk", "--subgraph-cap",
+                "--threads"},
+    "train": {"--data-dir", "--dataset", "--cache", "--out-dir", "--config", "--seed",
+              "--walk-length", "--walks-per-node", "--k-walk", "--subgraph-cap", "--steps",
+              "--step-mode", "--experts", "--hidden-graphs", "--k-ept", "--beta", "--epochs",
+              "--lr", "--dropout", "--folds", "--fold-index", "--threads"},
+    "verify": {"--seed", "--suite", "--max-nodes", "--max-p", "--out-dir", "--config"},
+    "export-hidden": {"--checkpoint", "--prune-threshold", "--out-dir"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_takes_only_the_flags_it_reads(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == OPTIONS.keys()
+    taken = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert taken - {"-h", "--help"} == OPTIONS[command]
+
+
+@pytest.fixture(scope="module")
+def seed3_checkpoint(workspace):
+    out = workspace / "seed3"
+    assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                *BASE, "--epochs", "1", "--folds", "3", "--experts", "3",
+                "--hidden-graphs", "2", "--out-dir", str(out)]) == 0
+    return out / "checkpoint.npz"
+
+
+# a non-train command's manifest config: the settings it read and its own arguments
+MANIFEST_KEYS = {
+    "gen": {"seed", "count", "dataset"},
+    "extract": {"seed", "walk_length", "walks_per_node", "k_walk", "subgraph_cap", "threads"},
+    "verify": {"seed", "suites", "max_nodes", "max_p"},
+    "export-hidden": {"checkpoint", "prune_threshold"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_KEYS))
+def test_manifest_records_only_the_settings_read(workspace, seed3_checkpoint, tmp_path,
+                                                 command):
+    # one config file serves every command that takes one, seed 3 included;
+    # export-hidden records its checkpoint's seed (3), not the default (0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nwalk_length = 4\nepochs = 7\nexperts = 3\n")
+    argv = {"gen": ["gen", "--dataset", "GraphCycle", "--count", "6"],
+            "extract": ["extract", "--data-dir", str(workspace / "data"),
+                        "--dataset", "GraphCycle", "--walks-per-node", "5"],
+            "verify": ["verify", "--suite", "kernel-oracle", "--max-nodes", "3",
+                       "--max-p", "1"],
+            "export-hidden": ["export-hidden", "--checkpoint", str(seed3_checkpoint)]}[command]
+    config = [] if command == "export-hidden" else ["--config", str(cfg)]
+    assert run([*argv, *config, "--out-dir", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert set(manifest["config"]) == MANIFEST_KEYS[command]
+    assert manifest["seed"] == 3
 
 
 class TestVerifyAndExport:
