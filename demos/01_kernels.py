@@ -8,8 +8,8 @@ feature-weighted form all agree.
 import numpy as np
 
 from mose import (HiddenGraph, KernelConfig, cycle_graph, direct_product,
-                  induced_subgraph, path_graph, rwk_diff, rwk_discrete,
-                  rwk_hidden, rwk_hidden_grad, rwk_oracle)
+                  path_graph, rwk_diff, rwk_discrete, rwk_hidden,
+                  rwk_hidden_grad, rwk_oracle)
 
 p2, c3 = path_graph(2), cycle_graph(3)
 
@@ -33,8 +33,7 @@ for p in (1, 2):
 
 print("\n== learnable hidden graph with analytic gradients ==")
 rng = np.random.default_rng(0)
-sub = induced_subgraph(cycle_graph(4).with_features(rng.normal(size=(4, 3))),
-                       range(4))
+sub = cycle_graph(4).with_features(rng.normal(size=(4, 3)))
 hidden = HiddenGraph(W=rng.normal(size=(3, 3)), Z=rng.normal(size=(3, 3)))
 grad = rwk_hidden_grad(sub, hidden, p=2)
 print(f"kernel value {grad.value:.4f}")

@@ -8,8 +8,9 @@ walks that match.
 from collections import Counter
 
 from mose import (WalkConfig, cycle_graph, disjoint_union,
-                  enumerate_anonymous_walks, extract_subgraph, sample_walks,
-                  to_anonymous, top_patterns, walk_distributions_distinguish)
+                  enumerate_anonymous_walks, extract_subgraph, induced_subgraph,
+                  sample_walks, to_anonymous, top_patterns,
+                  walk_distributions_distinguish)
 from mose.util import substream
 
 g = cycle_graph(8)
@@ -27,9 +28,10 @@ print(f"\ntop {cfg.pattern_budget} patterns across the 8-cycle:")
 for pat in selected:
     print(f"  {pat}  seen {counts[pat]} times")
 
-sub = extract_subgraph(g, 0, walks, set(selected), cap=cfg.subgraph_cap)
-print(f"\nnode 0's extracted subgraph: {sub.graph.node_count} nodes "
-      f"({sub.parent_ids.tolist()}), {sub.graph.edge_count} edges")
+record = extract_subgraph(g, 0, walks, set(selected), cap=cfg.subgraph_cap)
+sub = induced_subgraph(g, record)
+print(f"\nnode 0's extracted subgraph: {sub.node_count} nodes "
+      f"({record}), {sub.edge_count} edges")
 
 print("\n== exact pattern distributions distinguish rooted structures ==")
 c6 = cycle_graph(6)

@@ -7,9 +7,9 @@ gradient checks, and color-refinement harnesses verify every piece at desk
 scale.
 """
 
-from .graph import (Graph, NodeSubgraph, complete_graph, cycle_graph,
-                    degree_features, direct_product, disjoint_union,
-                    induced_subgraph, path_graph, relabel, star_graph)
+from .graph import (Graph, complete_graph, cycle_graph, degree_features,
+                    direct_product, disjoint_union, induced_subgraph, path_graph,
+                    relabel, star_graph)
 from .datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
                        load_tu_dataset, make_folds, make_node_splits,
                        save_tu_dataset)

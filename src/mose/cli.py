@@ -375,7 +375,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_hidden(args) -> int:
-    model = load_checkpoint(args.checkpoint)[0]
+    model, _, _, data_hash = load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
     count = 0
     for k, expert in enumerate(model.bank.experts):
@@ -387,7 +387,7 @@ def cmd_export_hidden(args) -> int:
             count += 1
     write_manifest(args.out_dir, "export-hidden", {"checkpoint": args.checkpoint,
                                                    "prune_threshold": args.prune_threshold},
-                   model.seed)
+                   model.seed, data_hash)
     print(f"wrote {count} DOT files to {args.out_dir}")
     return EXIT_OK
 

@@ -153,6 +153,9 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     if np.any(np.diff(node_graph) < 0):
         raise FormatError(f"{ind_path}: node blocks must be contiguous per graph")
     first_node = np.searchsorted(node_graph, np.arange(1, graph_count + 2))
+    empty = np.flatnonzero(np.diff(first_node) == 0)
+    if len(empty):
+        raise FormatError(f"{ind_path}: graph {empty[0] + 1} has no nodes")
     edges = _read_table(a_path, a_lines, int, "expected 'i, j', got {!r}", 2,
                         skip_blank=True, commas=True) - 1
     outside = ((edges < 0) | (edges >= n_total)).any(axis=1)

@@ -7,7 +7,7 @@ iteration order is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -173,35 +173,10 @@ class Graph:
         return Graph(node_count, offsets, dst, features, graph_label, node_labels)
 
 
-@dataclass(frozen=True)
-class NodeSubgraph:
-    """Induced subgraph around a center node, with the local -> parent map.
-
-    ``center`` is the local index of the seed node (always 0 for subgraphs
-    built by :func:`induced_subgraph`). Walk-based extraction guarantees the
-    subgraph is connected through the walks that selected its nodes; the
-    general induction operation itself puts no connectivity requirement on
-    the node set.
-    """
-
-    center: int
-    graph: Graph
-    parent_ids: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "parent_ids",
-                           _frozen(np.asarray(self.parent_ids, dtype=np.int64)))
-        if not (0 <= self.center < self.graph.node_count):
-            raise ValueError("center out of range")
-        if len(self.parent_ids) != self.graph.node_count:
-            raise ValueError("parent_ids length must match subgraph size")
-
-
-def induced_subgraph(g: Graph, nodes: Sequence[int]) -> NodeSubgraph:
-    """Vertex-induced subgraph on ``nodes``; the first entry is the center.
-
-    Local node ordering follows the input ordering and features are copied
-    row-wise from the parent.
+def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
+    """Vertex-induced subgraph on ``nodes``: node i is ``nodes[i]``, so a
+    record's center is node 0. Features are copied row-wise from the parent;
+    the node set need not be connected.
     """
     ids = np.asarray(list(nodes), dtype=np.int64)
     if len(ids) == 0:
@@ -216,8 +191,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> NodeSubgraph:
     # where each member's neighbor slice sits in g.neighbors, slice after slice
     at = np.arange(deg.sum()) + np.repeat(g.offsets[ids] - np.cumsum(deg) + deg, deg)
     pairs = np.stack([np.repeat(np.arange(len(ids)), deg), local[g.neighbors[at]]], axis=1)
-    sub = Graph.from_edges(len(ids), pairs[pairs[:, 1] >= 0], features=g.features[ids].copy())
-    return NodeSubgraph(center=0, graph=sub, parent_ids=ids)
+    return Graph.from_edges(len(ids), pairs[pairs[:, 1] >= 0], features=g.features[ids].copy())
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NodeSubgraph, direct_product
+from .graph import Graph, direct_product
 from .util import BudgetError
 
 STEP_MODES = ("single-p", "sum-over-p", "concat-over-p")
@@ -218,35 +218,35 @@ def rwk_diff(g: Graph, h: Graph, p: int) -> float:
 
 # -- hidden-graph kernel with analytic gradients ------------------------
 
-def _checked_features(sub: NodeSubgraph, hidden: HiddenGraph) -> np.ndarray:
-    if sub.graph.feature_dim != hidden.feature_dim:
+def _checked_features(g: Graph, hidden: HiddenGraph) -> np.ndarray:
+    if g.feature_dim != hidden.feature_dim:
         raise ValueError("feature dimensions must match")
-    return sub.graph.features
+    return g.features
 
 
-def rwk_hidden(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> float:
-    """p-step kernel between a subgraph and a hidden graph.
+def rwk_hidden(g: Graph, hidden: HiddenGraph, p: int) -> float:
+    """p-step kernel between a (sub)graph and a hidden graph.
 
     Evaluates sum(T * (R^p T A^p)) with R the rectified hidden adjacency,
     applying A step by step rather than forming its power.
     """
-    a, r = sub.graph.adjacency_dense(), hidden.effective_adjacency()
-    m = t = hidden.Z @ _checked_features(sub, hidden).T
+    a, r = g.adjacency_dense(), hidden.effective_adjacency()
+    m = t = hidden.Z @ _checked_features(g, hidden).T
     for _ in range(p):
         m = r @ m @ a
     return float(np.sum(t * m))
 
 
-def rwk_hidden_grad(sub: NodeSubgraph, hidden: HiddenGraph, p: int) -> KernelGrad:
+def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:
     """Kernel value plus d/dW and d/dZ through rectification and symmetrization.
 
-    The engine's padded order on a one-row group of the whole subgraph. The
+    The engine's padded order on a one-row group of the whole (sub)graph. The
     rectifier contributes subgradient 0 at its kink, and the forced-zero
     diagonal never receives gradient.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    a, x = sub.graph.adjacency_dense()[None], _checked_features(sub, hidden)
+    a, x = g.adjacency_dense()[None], _checked_features(g, hidden)
     w, local = hidden.W[None], np.arange(len(x))[None]
     r_pows = _rectified_powers(w, p)
     vals, state = _padded_forward(hidden.Z[None], r_pows, a, x, local)

@@ -145,20 +145,21 @@ class _RouteStash:
 
 
 def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
-    """Engine units of the items: (stream key, graph, records, nodes, labels).
+    """Engine units of the items: (stream key, plan key, graph, records, nodes, labels).
 
-    A graph task's unit is one graph, keyed by its id; a node task's unit
-    is a chunk of NODE_CHUNK items, keyed by the chunk index.
+    A graph task's unit is one graph, keyed by its id. A node task's unit is
+    a chunk of NODE_CHUNK items: its stream key is the chunk index and its
+    plan key the chunk's node ids, so one ``plans`` dict serves any items.
     """
     if data.task == "graph":
         for gi in item_ids:
             g = data.graphs[gi]
-            yield int(gi), g, cache.records[gi], range(g.node_count), [g.graph_label]
+            yield int(gi), int(gi), g, cache.records[gi], range(g.node_count), [g.graph_label]
         return
     g = data.graphs[0]
     for ci, lo in enumerate(range(0, len(item_ids), NODE_CHUNK)):
         chunk = item_ids[lo:lo + NODE_CHUNK]
-        yield ci, g, cache.records[0], chunk, g.node_labels[chunk]
+        yield ci, chunk.tobytes(), g, cache.records[0], chunk, g.node_labels[chunk]
 
 
 def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
@@ -169,7 +170,7 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
     ``rng_of(key)`` gives a unit's routing-noise and dropout stream and
     turns on train mode. With ``grads``, each unit also backpropagates its
     share of the items' mean cross-entropy before the next unit runs.
-    ``plans`` maps unit keys to the plans already built; a unit missing
+    ``plans`` maps plan keys to the plans already built; a unit missing
     from it is planned and added.
     """
     item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -180,13 +181,13 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
     mode = model.cfg.readout_mode
     stash = _RouteStash(model.expert_count)
     logits, labels = [], []
-    for key, g, records, nodes, y in _units(data, cache, item_ids):
+    for key, plan_key, g, records, nodes, y in _units(data, cache, item_ids):
         rng = rng_of(key) if train_mode else None
-        group = None if plans is None else plans.get(key)
+        group = None if plans is None else plans.get(plan_key)
         if group is None:
             group = build_group(g, records, nodes)
             if plans is not None:
-                plans[key] = group
+                plans[plan_key] = group
         run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout)
         stash.add(run)
         h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
@@ -222,7 +223,7 @@ def _apply_importance(stash: _RouteStash, beta: float, model, grads: dict | None
 def evaluate(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
              plans: dict | None = None) -> Metrics:
     """Eval-mode metrics on the given items: graph ids, or node ids. ``plans``
-    keeps the units' plans for a later call on the same items."""
+    keeps the units' plans for later calls."""
     logits, truth, stash = _loss_pass(model, data, cache, item_ids, plans=plans)
     totals = stash.totals()
     pred = logits.argmax(axis=1)
@@ -457,7 +458,7 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 train_mode: bool = True, plans: dict | None = None):
     """Loss (and, given ``grads``, its gradients) for a fixed batch: every
     unit draws its routing noise and dropout masks in turn from the one ``rng``.
-    ``plans`` keeps the units' plans for later calls on the same batch.
+    ``plans`` keeps the units' plans for later calls.
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.

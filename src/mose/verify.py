@@ -114,16 +114,15 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
         n = int(rng.integers(2, 13))
         s = int(rng.integers(2, 7))
         f = int(rng.integers(1, 5))
-        sub = induced_subgraph(
-            _random_graph(rng, n, rng.uniform(0.3, 0.7)).with_features(
-                rng.normal(size=(n, f))), list(range(n)))
+        g = _random_graph(rng, n, rng.uniform(0.3, 0.7)).with_features(
+            rng.normal(size=(n, f)))
         w01 = (rng.random((s, s)) < 0.5).astype(float)
         w01 = np.triu(w01, 1)
         w01 = w01 + w01.T
         hg = HiddenGraph(W=w01, Z=rng.normal(size=(s, f)))
         p = int(rng.integers(1, 5))
-        a = rwk_hidden(sub, hg, p)
-        b = rwk_diff(sub.graph, hg.as_graph(), p)
+        a = rwk_hidden(g, hg, p)
+        b = rwk_diff(g, hg.as_graph(), p)
         worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     rep.add(f"hidden-graph identity on {identity_instances} instances",
             worst < 1e-10, f"max rel diff {worst:.2e}")
@@ -157,21 +156,20 @@ def grad_suite(instances: int = 120, seed: int = 0, step: float = 1e-5) -> Repor
         n = int(rng.integers(2, 9))
         s = int(rng.integers(2, 6))
         f = int(rng.integers(1, 4))
-        sub = induced_subgraph(
-            _random_graph(rng, n, rng.uniform(0.3, 0.7)).with_features(
-                rng.normal(size=(n, f))), list(range(n)))
+        g = _random_graph(rng, n, rng.uniform(0.3, 0.7)).with_features(
+            rng.normal(size=(n, f)))
         hg = HiddenGraph(W=rng.normal(size=(s, s)), Z=rng.normal(size=(s, f)))
         p = int(rng.integers(1, 5))
-        ref = rwk_hidden_grad(sub, hg, p)
+        ref = rwk_hidden_grad(g, hg, p)
         for arr, grad in ((hg.W, ref.d_W), (hg.Z, ref.d_Z)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + step
-                kp = rwk_hidden(sub, hg, p)
+                kp = rwk_hidden(g, hg, p)
                 arr[ix] = orig - step
-                km = rwk_hidden(sub, hg, p)
+                km = rwk_hidden(g, hg, p)
                 arr[ix] = orig
                 num = (kp - km) / (2 * step)
                 worst = max(worst, abs(num - grad[ix]) / max(1.0, abs(num), abs(grad[ix])))
@@ -180,15 +178,13 @@ def grad_suite(instances: int = 120, seed: int = 0, step: float = 1e-5) -> Repor
 
     # fixed-point cases
     n, s, f = 5, 3, 2
-    sub = induced_subgraph(
-        _random_graph(rng, n, 0.5).with_features(rng.normal(size=(n, f))),
-        list(range(n)))
+    g = _random_graph(rng, n, 0.5).with_features(rng.normal(size=(n, f)))
     hg0 = HiddenGraph(W=rng.normal(size=(s, s)), Z=np.zeros((s, f)))
-    g0 = rwk_hidden_grad(sub, hg0, 2)
+    g0 = rwk_hidden_grad(g, hg0, 2)
     rep.add("zero hidden features: value 0, flat W gradient",
             g0.value == 0.0 and np.all(g0.d_W == 0) and np.all(np.isfinite(g0.d_Z)))
     hgn = HiddenGraph(W=-1.0 - rng.random((s, s)), Z=rng.normal(size=(s, f)))
-    gn = rwk_hidden_grad(sub, hgn, 3)
+    gn = rwk_hidden_grad(g, hgn, 3)
     rep.add("all-negative weights: rectifier is flat", np.all(gn.d_W == 0))
 
     data, cache = _toy_graph_task(seed)
@@ -232,7 +228,7 @@ def _pattern_valid(pat) -> bool:
     return True
 
 
-def _rooted_ego(g: Graph, v: int):
+def _rooted_ego(g: Graph, v: int) -> Graph:
     nodes = [v] + sorted(int(u) for u in g.neighbors_of(v))
     return induced_subgraph(g, nodes)
 
@@ -296,11 +292,11 @@ def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
         v = int(rng.integers(0, g.node_count))
         u = int(rng.integers(0, h.node_count))
         ego_g, ego_h = _rooted_ego(g, v), _rooted_ego(h, u)
-        if ego_g.graph.node_count > 8 or ego_h.graph.node_count > 8:
+        if ego_g.node_count > 8 or ego_h.node_count > 8:
             continue
-        if canonical_form(ego_g.graph, root=0) == canonical_form(ego_h.graph, root=0):
+        if canonical_form(ego_g, root=0) == canonical_form(ego_h, root=0):
             continue
-        length = 2 * ego_h.graph.edge_count
+        length = 2 * ego_h.edge_count
         if length < 1:
             continue
         try:
@@ -320,7 +316,7 @@ def walks_suite(seed: int = 0, fuzz_walks: int = 10000, perm_pairs: int = 1000,
         perm = rng.permutation(g.node_count)
         h = relabel(g, perm)
         v = int(rng.integers(0, g.node_count))
-        length = 2 * _rooted_ego(g, v).graph.edge_count
+        length = 2 * _rooted_ego(g, v).edge_count
         if length < 1:
             continue
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NodeSubgraph, induced_subgraph
+from .graph import Graph
 from .util import BudgetError, FormatError, atomic_write, read_text_lines, substream
 
 
@@ -90,13 +90,13 @@ def top_patterns(pattern_counts: Counter, budget: int) -> list[tuple[int, ...]]:
 
 
 def extract_subgraph(g: Graph, v: int, walks: list[tuple[int, ...]],
-                     patterns, cap: int | None = None) -> NodeSubgraph:
-    """Induce the subgraph on the center plus nodes of pattern-matching walks.
+                     patterns, cap: int | None = None) -> list[int]:
+    """The record of ``v``: the center, then the nodes of its pattern-matching
+    walks, the list ``extract_dataset`` caches for it.
 
     Nodes are kept in first-visit order (walks in sampling order, positions
     within each walk); when a cap is given, the latest-visited nodes beyond
-    it are dropped. Falls back to the singleton subgraph when no walk
-    matches.
+    it are dropped. The record is ``[v]`` when no walk matches.
     """
     if any(walk[0] != v for walk in walks):
         raise ValueError("all walks must start at the center")
@@ -104,8 +104,7 @@ def extract_subgraph(g: Graph, v: int, walks: list[tuple[int, ...]],
     visits = np.array([node for walk in walks if to_anonymous(walk) in pattern_set
                        for node in walk], dtype=np.int64)
     center = np.array([v], dtype=np.int64)
-    nodes = _first_visits(g.node_count, center, np.full(len(visits), v), visits, cap)
-    return induced_subgraph(g, nodes[0])
+    return _first_visits(g.node_count, center, np.full(len(visits), v), visits, cap)[0]
 
 
 def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mose.graph import NodeSubgraph
+from mose.graph import Graph
 from mose.kernel import HiddenGraph, KernelConfig, rwk_hidden
 from mose.moe import GatingParams, MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
@@ -23,7 +23,7 @@ from mose.trainer import _cv_squared
 
 # -- kernel features --------------------------------------------------------
 
-def kernel_features(sub: NodeSubgraph, hidden_graphs: list[HiddenGraph],
+def kernel_features(sub: Graph, hidden_graphs: list[HiddenGraph],
                     cfg: KernelConfig) -> np.ndarray:
     """Per-step kernel values against each hidden graph, flattened per mode.
 
@@ -43,7 +43,7 @@ def kernel_features(sub: NodeSubgraph, hidden_graphs: list[HiddenGraph],
     return np.array(vals)
 
 
-def expert_embed(sub: NodeSubgraph, hidden_graphs: list[HiddenGraph],
+def expert_embed(sub: Graph, hidden_graphs: list[HiddenGraph],
                  cfg: KernelConfig, transform) -> np.ndarray:
     """Kernel feature vector against an expert's hidden graphs, transformed.
 
@@ -78,15 +78,15 @@ class Route:
             raise ValueError("weights must be positive and sum to 1")
 
 
-def gate_aggregate(sub: NodeSubgraph, parent_features: np.ndarray | None = None,
-                   act=relu) -> np.ndarray:
-    """Feature summary of a subgraph: center plus attention-weighted nodes.
+def gate_aggregate(sub: Graph, act=relu) -> np.ndarray:
+    """Feature summary of a subgraph: center (node 0) plus attention-weighted
+    nodes.
 
     Attention weights are the softmax of feature dot products with the
     center (the center itself participates in the sum).
     """
-    x = sub.graph.features if parent_features is None else parent_features[sub.parent_ids]
-    xv = x[sub.center]
+    x = sub.features
+    xv = x[0]
     scores = x @ xv
     alpha = softmax(scores)
     return act(xv + alpha @ x)
@@ -168,7 +168,7 @@ def importance_loss(routes: list[Route], expert_count: int) -> float:
 
 # -- the per-node pipeline ----------------------------------------------------
 
-def node_embedding(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False,
+def node_embedding(model: MoseModel, sub: Graph, train_mode: bool = False,
                    rng=None, dropout: float = 0.0):
     """Reference per-node pipeline up to the combined embedding h(v)."""
     eta = gate_aggregate(sub, act=model.gate_act())
@@ -185,7 +185,7 @@ def node_embedding(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False
     return h, r
 
 
-def forward(model: MoseModel, sub: NodeSubgraph, train_mode: bool = False,
+def forward(model: MoseModel, sub: Graph, train_mode: bool = False,
             rng=None, dropout: float = 0.0):
     """Full per-node pipeline; returns class logits and the route taken."""
     h, r = node_embedding(model, sub, train_mode, rng, dropout)

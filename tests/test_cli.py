@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -537,6 +538,14 @@ def test_manifest_records_only_the_settings_read(workspace, seed3_checkpoint, tm
     assert manifest["seed"] == 3
 
 
+def test_export_hidden_records_the_checkpoint_data(seed3_checkpoint, tmp_path):
+    assert run(["export-hidden", "--checkpoint", str(seed3_checkpoint),
+                "--out-dir", str(tmp_path)]) == 0
+    trained = json.loads((seed3_checkpoint.parent / "manifest.json").read_text())
+    exported = json.loads((tmp_path / "manifest.json").read_text())
+    assert exported["dataset_hash"] == trained["dataset_hash"]
+
+
 class TestVerifyAndExport:
     def test_verify_kernel_suite(self, workspace, capsys):
         code = run(["verify", "--suite", "kernel-oracle", "--max-nodes", "4",
@@ -594,7 +603,8 @@ CACHE_HEAD = (b"mose-subgraphs v1\ndataset=GraphCycle seed=3 walk_length=4 "
               b"walks_per_node=5 pattern_budget=3 cap=12\n")
 NO_META = _npz(x=np.zeros(2))
 
-# (file the run reads, its bytes, exit code, what stderr says after the path)
+# (file the run reads, its bytes or an edit of them, exit code, what stderr says
+# after the path)
 FAILURES = {
     "config-int": ("config", b"epochs = x\n", 64, ":1: epochs must be an int, got 'x'"),
     "config-float": ("config", b"seed=3\nlr = fast\n", 64,
@@ -608,6 +618,9 @@ FAILURES = {
                     ":2: fold_index must lie in 0..2 (folds = 3), got -1"),
     "tu-field": ("tu-A", b"1, 2\n2, x\n", 2, ":2: expected 'i, j', got '2, x'"),
     "tu-bytes": ("tu-labels", b"0\n1\xff\n", 2, ":2: not UTF-8 text"),
+    # graph 2's nodes moved to graph 1, so its edges stay inside one graph
+    "tu-empty-graph": ("tu-indicator", lambda ind: re.sub(rb"(?m)^2$", b"1", ind), 2,
+                       ": graph 2 has no nodes"),
     "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),
     "resume-no-meta": ("checkpoint", NO_META, 2, ": not a mose checkpoint: no meta record"),
     "export-no-meta": ("export", NO_META, 2, ": not a mose checkpoint: no meta record"),
@@ -633,11 +646,12 @@ def test_malformed_input_exit_code_names_file(workspace, tmp_path, capsys, case)
     path = {"config": tmp_path / "run.cfg",
             "tu-A": data / "GraphCycle" / "GraphCycle_A.txt",
             "tu-labels": data / "GraphCycle" / "GraphCycle_graph_labels.txt",
+            "tu-indicator": data / "GraphCycle" / "GraphCycle_graph_indicator.txt",
             "cache": tmp_path / "bad.cache",
             "checkpoint": out / "checkpoint.npz",
             "export": tmp_path / "bad.npz"}[target]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(body)
+    path.write_bytes(body(path.read_bytes()) if callable(body) else body)
     if target == "config":
         args += ["--config", str(path)]
     elif target == "cache":

@@ -128,6 +128,11 @@ class TestLoader:
         with pytest.raises(FormatError, match=r"huge_graph_indicator.txt:2: bad graph"):
             load_tu_dataset(d, "huge")
 
+    def test_graph_without_nodes_is_refused(self, tmp_path):
+        d = write_tu(tmp_path, "gap", ["1, 2", "3, 4"], ["1", "1", "3", "3"], ["1", "2", "1"])
+        with pytest.raises(FormatError, match=r"gap_graph_indicator.txt: graph 2 has no nodes"):
+            load_tu_dataset(d, "gap")
+
     def test_undecodable_byte_reports_line(self, tmp_path):
         d = write_tu(tmp_path, "bytes", ["1, 2"], ["1", "1", "2"], ["0", "1"])
         (Path(d) / "bytes_graph_labels.txt").write_bytes(b"0\n1\xff\n")

@@ -107,7 +107,7 @@ class TestFromEdgesMatchesSetReference:
         assert g.edges() == loop_edges
         nodes = perm[:k]        # distinct members in a random order
         local = {p: i for i, p in enumerate(nodes)}
-        sub = induced_subgraph(g, nodes).graph
+        sub = induced_subgraph(g, nodes)
         offsets, neighbors = set_from_edges(k, [(local[u], local[v]) for u, v in loop_edges
                                                 if u in local and v in local])
         assert (sub.offsets.tolist(), sub.neighbors.tolist()) == (offsets.tolist(), neighbors)
@@ -225,14 +225,13 @@ class TestValidation:
 class TestInducedSubgraph:
     def test_triangle_pair_keeps_edge(self):
         sub = induced_subgraph(cycle_graph(3), [0, 1])
-        assert sub.graph.node_count == 2
-        assert sub.graph.edge_count == 1
+        assert sub.node_count == 2
+        assert sub.edge_count == 1
 
     def test_singleton(self):
         sub = induced_subgraph(cycle_graph(3), [1])
-        assert sub.graph.node_count == 1
-        assert sub.graph.edge_count == 0
-        assert sub.parent_ids.tolist() == [1]
+        assert sub.node_count == 1
+        assert sub.edge_count == 0
 
     def test_path4_selection(self):
         # oracle: parent edges with both endpoints selected
@@ -241,19 +240,19 @@ class TestInducedSubgraph:
         expected = {(u, v) for u, v in g.edges() if u in nodes and v in nodes}
         assert expected == {(2, 3)}
         sub = induced_subgraph(g, nodes)
-        assert sub.graph.node_count == 3
+        assert sub.node_count == 3
         # local ids follow input ordering: 2 -> 1, 3 -> 2
-        assert sub.graph.edges() == [(1, 2)]
+        assert sub.edges() == [(1, 2)]
 
     def test_features_copied_rowwise(self):
         g = path_graph(4).with_features(np.arange(8.0).reshape(4, 2))
         sub = induced_subgraph(g, [2, 0])
-        assert np.array_equal(sub.graph.features, [[4.0, 5.0], [0.0, 1.0]])
+        assert np.array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
 
     def test_center_is_first(self):
-        sub = induced_subgraph(path_graph(4), [2, 0, 1])
-        assert sub.center == 0
-        assert sub.parent_ids[0] == 2
+        g = path_graph(4).with_features(np.arange(4.0)[:, None])
+        sub = induced_subgraph(g, [2, 0, 1])
+        assert sub.features[0].tolist() == [2.0]
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -266,7 +265,7 @@ class TestInducedSubgraph:
     def test_inducing_all_nodes_is_identity(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
         sub = induced_subgraph(g, range(5))
-        assert sub.graph.edges() == g.edges()
+        assert sub.edges() == g.edges()
 
 
 class TestDirectProduct:

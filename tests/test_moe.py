@@ -21,10 +21,6 @@ from reference import (Route, combine, forward, gate_aggregate, gate_scores,
                        node_embedding, readout, route)
 
 
-def sub_of(g, nodes):
-    return induced_subgraph(g, nodes)
-
-
 def tiny_model(f=4, classes=2, experts=3, k_ept=2, seed=0, step_mode="concat-over-p",
                **kw):
     mcfg = ModelConfig(feature_dim=f, class_count=classes, experts=experts,
@@ -36,24 +32,24 @@ def tiny_model(f=4, classes=2, experts=3, k_ept=2, seed=0, step_mode="concat-ove
 class TestGateAggregate:
     def test_singleton_doubles_center(self):
         g = Graph.from_edges(1, [], features=np.array([[1.0, -2.0, 3.0]]))
-        eta = gate_aggregate(sub_of(g, [0]))
+        eta = gate_aggregate(induced_subgraph(g, [0]))
         assert np.allclose(eta, relu(2 * g.features[0]))
 
     def test_equal_features_double(self):
         x = np.array([0.5, 1.5])
         g = cycle_graph(3).with_features(np.tile(x, (3, 1)))
-        eta = gate_aggregate(sub_of(g, [0, 1, 2]))
+        eta = gate_aggregate(induced_subgraph(g, [0, 1, 2]))
         assert np.allclose(eta, relu(2 * x))
 
     def test_zero_features(self):
         g = cycle_graph(3).with_features(np.zeros((3, 2)))
-        assert np.allclose(gate_aggregate(sub_of(g, [0, 1, 2])), 0.0)
+        assert np.allclose(gate_aggregate(induced_subgraph(g, [0, 1, 2])), 0.0)
 
     def test_matches_manual_softmax(self):
         rng = np.random.default_rng(0)
         g = cycle_graph(4).with_features(rng.normal(size=(4, 3)))
-        sub = sub_of(g, [2, 0, 1])
-        x = sub.graph.features
+        sub = induced_subgraph(g, [2, 0, 1])
+        x = sub.features
         alpha = softmax(x @ x[0])
         assert np.allclose(gate_aggregate(sub), relu(x[0] + alpha @ x))
 
@@ -151,8 +147,7 @@ class TestReadout:
 def toy_subgraph(seed=0, n=5, f=4):
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
-    return sub_of(g, range(n))
+    return Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
 
 
 class TestForward:
@@ -187,7 +182,7 @@ class TestForward:
             run = group_forward(model, group)
             assert (run.kernel_in.moments is not None) == moments
             for v in range(n):
-                h_ref, r_ref = node_embedding(model, sub_of(g, records[v]))
+                h_ref, r_ref = node_embedding(model, induced_subgraph(g, records[v]))
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
                 assert tuple(run.idx[v]) == r_ref.indices
 
@@ -203,7 +198,7 @@ class TestForward:
             assert group.fits_moments(model.kernel_cfg.max_step) == moments
             run = group_forward(model, group)
             for v in range(5):
-                h_ref, _ = node_embedding(model, sub_of(g, records[v]))
+                h_ref, _ = node_embedding(model, induced_subgraph(g, records[v]))
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
 
     @pytest.mark.parametrize("step_mode", STEP_MODES)
@@ -416,7 +411,7 @@ class TestGroupBuild:
         etas = []
         for name in ("relu", "tanh"):
             run = group_forward(tiny_model(seed=3, gate_activation=name), group)
-            want = np.stack([gate_aggregate(sub_of(g, records[v]),
+            want = np.stack([gate_aggregate(induced_subgraph(g, records[v]),
                                             act=GATE_ACTIVATIONS[name]) for v in range(n)])
             assert rel_err(run.eta, want) <= 1e-12
             etas.append(run.eta)

@@ -258,6 +258,22 @@ class TestNodeTask:
         assert metrics.expert_load.sum() == pytest.approx(len(ids), rel=1e-12)
 
 
+    def test_shared_plans_key_chunks_by_their_nodes(self):
+        # both item sets fill chunk 0; a plan keyed by the chunk index would
+        # score the second set's labels on the first set's subgraphs
+        data, cache = self.make()
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2,
+                           experts=2, hidden_per_expert=2, embed_dim=6,
+                           k_ept=1, task="node")
+        model = new_model(mcfg, KernelConfig(max_step=2), seed=0)
+        plans = {}
+        evaluate(model, data, cache, [0, 2, 4, 6, 8], plans)
+        shared = evaluate(model, data, cache, [1, 3, 5, 7, 9], plans)
+        fresh = evaluate(model, data, cache, [1, 3, 5, 7, 9])
+        assert shared.loss_task == fresh.loss_task
+        assert np.array_equal(shared.expert_load, fresh.expert_load)
+        assert len(plans) == 2
+
 class TestUnitLifetime:
     def test_each_unit_is_planned_once_per_call(self, monkeypatch):
         # a plan is built once per distinct graph per call and reused by every

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from mose import walks
 from mose.datasets import gen_graph_cycle, gen_graph_five
-from mose.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
+from mose.graph import (Graph, cycle_graph, disjoint_union, induced_subgraph, path_graph,
+                        star_graph)
 from mose.util import BudgetError, FormatError, substream
 from mose.walks import (CACHE_MAGIC, WalkConfig, _label_bits, _pack, _replay_bounded,
                         _uint32_stream, _unpack, _walks_from_words, enumerate_anonymous_walks,
@@ -109,28 +110,25 @@ class TestExtractSubgraph:
     def test_no_match_falls_back_to_singleton(self):
         g = cycle_graph(4)
         walks = [(0, 1, 2, 3)]
-        sub = extract_subgraph(g, 0, walks, {(0, 0, 0, 0)})
-        assert sub.graph.node_count == 1
-        assert sub.parent_ids.tolist() == [0]
+        assert extract_subgraph(g, 0, walks, {(0, 0, 0, 0)}) == [0]
 
     def test_p2_collects_both_nodes(self):
         g = path_graph(2)
         walks = [(0, 1, 0, 1)]
-        sub = extract_subgraph(g, 0, walks, {(0, 1, 0, 1)})
-        assert sub.graph.node_count == 2
-        assert sub.graph.edge_count == 1
+        record = extract_subgraph(g, 0, walks, {(0, 1, 0, 1)})
+        assert record == [0, 1]
+        assert induced_subgraph(g, record).edge_count == 1
 
     def test_c4_full_walk_induces_whole_cycle(self):
         g = cycle_graph(4)
-        sub = extract_subgraph(g, 0, [(0, 1, 2, 3)], {(0, 1, 2, 3)})
-        assert sub.graph.node_count == 4
-        assert sub.graph.edge_count == 4  # induction restores the closing edge
+        record = extract_subgraph(g, 0, [(0, 1, 2, 3)], {(0, 1, 2, 3)})
+        assert record == [0, 1, 2, 3]
+        assert induced_subgraph(g, record).edge_count == 4  # induction restores the closing edge
 
     def test_cap_keeps_earliest_visits(self):
         g = path_graph(6)
         walks = [(0, 1, 2, 3, 4, 5)]
-        sub = extract_subgraph(g, 0, walks, {to_anonymous(walks[0])}, cap=3)
-        assert sub.parent_ids.tolist() == [0, 1, 2]
+        assert extract_subgraph(g, 0, walks, {to_anonymous(walks[0])}, cap=3) == [0, 1, 2]
 
     def test_wrong_start_rejected(self):
         with pytest.raises(ValueError):
@@ -141,20 +139,21 @@ class TestExtractSubgraph:
         rng = substream(5, 0)
         walks = sample_walks(g, 3, cfg(walk_length=5, walks_per_node=8), rng)
         pats = {to_anonymous(w) for w in walks}
-        sub = extract_subgraph(g, 3, walks, pats)
-        assert sub.parent_ids[0] == 3
+        record = extract_subgraph(g, 3, walks, pats)
+        assert record[0] == 3
         # connectivity via BFS over the induced subgraph
+        sub = induced_subgraph(g, record)
         seen = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in sub.graph.neighbors_of(u):
+                for v in sub.neighbors_of(u):
                     if int(v) not in seen:
                         seen.add(int(v))
                         nxt.append(int(v))
             frontier = nxt
-        assert seen == set(range(sub.graph.node_count))
+        assert seen == set(range(sub.node_count))
 
 
 class TestEnumeration:
@@ -499,7 +498,7 @@ def _scalar_extraction(g: Graph, graph_idx: int, c: WalkConfig):
     counts = Counter(to_anonymous(w) for ws in walks for w in ws)
     selected = top_patterns(counts, c.pattern_budget) if counts else []
     records = [extract_subgraph(g, v, walks[v], selected, c.subgraph_cap)
-               .parent_ids.tolist() for v in range(g.node_count)]
+               for v in range(g.node_count)]
     return records, [(pat, counts[pat]) for pat in selected]
 
 
