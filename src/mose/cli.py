@@ -13,6 +13,7 @@ exception included), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -210,6 +211,36 @@ def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfi
         if len(recs) != g.node_count:
             raise FormatError(f"{path}: graph {gi} has {len(recs)} cached nodes, "
                               f"dataset {data.name} has {g.node_count}")
+        defect = _record_defect(recs, g.node_count)
+        if defect:
+            raise FormatError(f"{path}: graph {gi} {defect}")
+
+
+def _record_defect(recs: list[list[int]], n: int) -> str | None:
+    """What is wrong with the record of the lowest node whose record does not
+    fit a graph of n nodes, if any, in one array pass: a record starts with its
+    own node and holds distinct ids in 0..n-1."""
+    sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
+    ids = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
+                      count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(recs)), sizes)
+    head = np.full(len(recs), -1)
+    head[sizes > 0] = ids[(np.cumsum(sizes) - sizes)[sizes > 0]]
+    outside = (ids < 0) | (ids >= n)
+    keys = np.sort(owner[~outside] * n + ids[~outside])
+    repeats = keys[1:][keys[1:] == keys[:-1]]
+    bad = np.concatenate([np.flatnonzero(head != np.arange(len(recs))), owner[outside],
+                          repeats // n])
+    if not len(bad):
+        return None
+    v = int(bad.min())
+    rec = recs[v]
+    if not rec or rec[0] != v:
+        return f"node {v}: record starts with {rec[0] if rec else 'nothing'}, not {v}"
+    far = [x for x in rec if not 0 <= x < n]
+    if far:
+        return f"node {v}: record holds {far[0]}, outside 0..{n - 1}"
+    return f"node {v}: record repeats {next(x for i, x in enumerate(rec) if x in rec[:i])}"
 
 
 def _train_configs(cfg: dict, data: Dataset):

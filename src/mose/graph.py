@@ -38,6 +38,25 @@ class Graph:
     node_labels: np.ndarray | None = None
 
     def __post_init__(self):
+        self._coerce()
+        self._validate()
+
+    @classmethod
+    def _on_valid_csr(cls, node_count: int, offsets: np.ndarray, neighbors: np.ndarray,
+                      features: np.ndarray, graph_label: int | None = None,
+                      node_labels: np.ndarray | None = None) -> "Graph":
+        """A graph on a CSR known to be valid: one ``from_edges`` built, or one
+        taken from a validated graph. Only the per-node arrays are checked."""
+        g = object.__new__(cls)
+        for name, value in (("node_count", node_count), ("offsets", offsets),
+                            ("neighbors", neighbors), ("features", features),
+                            ("graph_label", graph_label), ("node_labels", node_labels)):
+            object.__setattr__(g, name, value)
+        g._coerce()
+        g._check_node_arrays()
+        return g
+
+    def _coerce(self):
         object.__setattr__(self, "offsets", _frozen(np.asarray(self.offsets, dtype=np.int64)))
         object.__setattr__(self, "neighbors", _frozen(np.asarray(self.neighbors, dtype=np.int64)))
         feats = np.asarray(self.features, dtype=np.float64)
@@ -47,7 +66,12 @@ class Graph:
         if self.node_labels is not None:
             object.__setattr__(self, "node_labels",
                                _frozen(np.asarray(self.node_labels, dtype=np.int64)))
-        self._validate()
+
+    def _check_node_arrays(self):
+        if self.features.shape[0] != self.node_count:
+            raise ValueError("feature row count must equal node_count")
+        if self.node_labels is not None and self.node_labels.shape != (self.node_count,):
+            raise ValueError("node_labels must have length node_count")
 
     def _validate(self):
         n = self.node_count
@@ -59,10 +83,7 @@ class Graph:
             raise ValueError("offsets must be monotone starting at 0")
         if self.offsets[-1] != len(self.neighbors):
             raise ValueError("offsets[-1] must equal the neighbor-list length")
-        if self.features.shape[0] != n:
-            raise ValueError("feature row count must equal node_count")
-        if self.node_labels is not None and self.node_labels.shape != (n,):
-            raise ValueError("node_labels must have length node_count")
+        self._check_node_arrays()
         if len(self.neighbors):
             if self.neighbors.min() < 0 or self.neighbors.max() >= n:
                 raise ValueError("neighbor id out of range")
@@ -87,9 +108,10 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.neighbors) // 2
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """(n,) read-only node degrees, computed once."""
+        return _frozen(np.diff(self.offsets))
 
     @property
     def feature_dim(self) -> int:
@@ -136,12 +158,12 @@ class Graph:
         return a
 
     def with_features(self, features: np.ndarray) -> "Graph":
-        return Graph(self.node_count, self.offsets, self.neighbors, features,
-                     self.graph_label, self.node_labels)
+        return Graph._on_valid_csr(self.node_count, self.offsets, self.neighbors, features,
+                                   self.graph_label, self.node_labels)
 
     def with_label(self, graph_label: int | None) -> "Graph":
-        return Graph(self.node_count, self.offsets, self.neighbors, self.features,
-                     graph_label, self.node_labels)
+        return Graph._on_valid_csr(self.node_count, self.offsets, self.neighbors,
+                                   self.features, graph_label, self.node_labels)
 
     # -- construction --------------------------------------------------
 
@@ -170,7 +192,7 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         if features is None:
             features = np.zeros((node_count, 0))
-        return Graph(node_count, offsets, dst, features, graph_label, node_labels)
+        return Graph._on_valid_csr(n, offsets, dst, features, graph_label, node_labels)
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

@@ -308,58 +308,99 @@ def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarr
     return out
 
 
+_BLOCK_BYTES = 1 << 21     # float64 bytes of one padded block's adjacencies and T
+
+
+def _block_rows(nmax: int, width: int) -> int:
+    """Rows per block of the padded order: as many as keep a block's float64
+    adjacencies (nmax, nmax) and T (width, nmax) under ``_BLOCK_BYTES``, at
+    least one."""
+    return max(1, _BLOCK_BYTES // (8 * nmax * (nmax + width)))
+
+
+def _padded_blocks(proj: np.ndarray, adj: np.ndarray, local: np.ndarray, rows: np.ndarray):
+    """(lo, hi, A, T) for each block of ``rows`` in turn, at positions lo:hi of
+    ``rows``: the block's adjacencies as float64 (B_k, nmax, nmax) and T
+    gathered from P through ``local`` as (B_k, N*s, nmax), contiguous for the
+    propagations. ``adj`` may hold any dtype; its 0/1 entries convert exactly."""
+    step = _block_rows(adj.shape[1], proj.shape[1])
+    for lo in range(0, len(rows), step):
+        at = rows[lo:lo + step]
+        t = np.ascontiguousarray(np.take(proj, local[at], axis=0).transpose(0, 2, 1))
+        yield lo, lo + len(at), adj[at].astype(np.float64, copy=False), t
+
+
 def _padded_forward(z: np.ndarray, r_pows: np.ndarray, adj: np.ndarray,
-                    xu: np.ndarray, local: np.ndarray):
-    """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T.
+                    xu: np.ndarray, local: np.ndarray, rows: np.ndarray | None = None):
+    """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T,
+    for the group rows ``rows`` of ``adj`` and ``local`` (default: all).
 
     A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
     takes ceil(p/2) propagations. P = X_u Z_i^T is projected once for the
     distinct nodes and T gathered from it through ``local``, whose padding
-    reads the zero row of ``xu``. Only P and the (p, B, N, s, s) C are kept.
+    reads the zero row of ``xu``. The rows run in blocks (``_padded_blocks``),
+    so the float64 adjacencies and T exist for one block at a time; only P
+    and the (p, B, N, s, s) C are kept.
     """
     n_hidden, s = z.shape[:2]
-    b, p_max = adj.shape[0], len(r_pows) - 1
+    rows = np.arange(len(adj)) if rows is None else rows
+    p_max = len(r_pows) - 1
     proj = xu @ z.reshape(n_hidden * s, -1).T                   # (U+1, N*s)
-    # T as (B, N*s, n), contiguous for the propagations; two Y_k live at a time
-    y = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
-    c, blocks = np.empty((p_max, b, n_hidden, s, s)), (b, n_hidden, s, -1)
-    for q in range(1, p_max + 1):
-        left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
-        if q % 2:
-            y = np.matmul(y, adj)
-        np.matmul(left.reshape(blocks), y.reshape(blocks).transpose(0, 1, 3, 2),
-                  out=c[q - 1])
+    c = np.empty((p_max, len(rows), n_hidden, s, s))
+    for lo, hi, a, y in _padded_blocks(proj, adj, local, rows):
+        blocks = (hi - lo, n_hidden, s, -1)     # two Y_k live at a time
+        for q in range(1, p_max + 1):
+            left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
+            if q % 2:
+                y = np.matmul(y, a)
+            np.matmul(left.reshape(blocks), y.reshape(blocks).transpose(0, 1, 3, 2),
+                      out=c[q - 1, lo:hi])
+        del a, y, left      # before the next block's are gathered
     vals = (c * r_pows[1:, None]).sum(axis=(3, 4)).transpose(1, 2, 0)
     return vals, (proj, c)
 
 
-def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
-                     local: np.ndarray, dvals: np.ndarray, state):
-    """Gradients on Z and on each R^q of the padded evaluation.
+def _adjoint_chain(w: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dT of one block, (B_k, N*s, nmax): S <- (S + w_q T) A for q = p..1, with
+    w (p, B_k, N, s, s) the weights 2 dvals_q R^q."""
+    blocks = w.shape[1:4] + (-1,)
+    g, acc = np.empty(t.shape), np.zeros(t.shape)
+    for q in range(len(w), 0, -1):
+        np.matmul(w[q - 1], t.reshape(blocks), out=g.reshape(blocks))
+        g += acc
+        np.matmul(g, a, out=acc)
+    return acc
 
-    dR^q = sum_b dvals[b, :, q] C_q[b]. With T regathered from P, the adjoint
-    chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T, ends at dT;
-    summed per distinct node (a sort and a segment sum over ``local``) into
-    dP, it gives dZ = dP^T X_u in one product.
+
+def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
+                     local: np.ndarray, dvals: np.ndarray, state,
+                     rows: np.ndarray | None = None):
+    """Gradients on Z and on each R^q of the padded evaluation of ``rows``.
+
+    dR^q = sum_b dvals[b, :, q] C_q[b]. Block by block, with T regathered from
+    P, the adjoint chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T,
+    ends at dT; summed per distinct node (a segment sum over the slots sorted
+    by ``local``) into dP, it gives dZ = dP^T X_u in one product.
     """
     proj, c = state
-    p_max, b, n_hidden, s = c.shape[:4]
+    n_hidden, s = c.shape[2:4]
+    rows = np.arange(len(adj)) if rows is None else rows
     dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
     d_rq = (dq * c).sum(axis=1)
-    t = np.ascontiguousarray(np.take(proj, local, axis=0).transpose(0, 2, 1))
-    w, blocks = 2.0 * dq * r_pows[1:, None], (b, n_hidden, s, -1)
-    g, dt = np.empty(t.shape), np.zeros(t.shape)
-    for q in range(p_max, 0, -1):
-        np.matmul(w[q - 1], t.reshape(blocks), out=g.reshape(blocks))
-        g += dt
-        np.matmul(g, adj, out=dt)
-    del t, g    # before the sort's two copies of dT
-    keys = local.ravel()
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    dt = dt.transpose(1, 0, 2).reshape(n_hidden * s, len(keys))
-    dproj = np.add.reduceat(np.take(dt, order, axis=1), starts, axis=1)   # (N*s, U')
-    dz = dproj @ xu[keys[order[starts]]]
+    w = 2.0 * dq * r_pows[1:, None]
+    keys = local[rows]
+    order = np.argsort(keys, axis=None, kind="stable")
+    starts = np.flatnonzero(np.diff(keys.ravel()[order], prepend=-1))
+    # dT's (N*s, B, nmax) slots sorted by node: the segment sum reads it as it is
+    sorted_at = np.empty(keys.shape, dtype=np.intp)
+    sorted_at.ravel()[order] = np.arange(keys.size)
+    dt = np.empty((n_hidden * s, keys.size))
+    for lo, hi, a, t in _padded_blocks(proj, adj, local, rows):
+        dt[:, sorted_at[lo:hi]] = _adjoint_chain(w[:, lo:hi], a, t).transpose(1, 0, 2)
+        del a, t            # before the next block's are gathered
+    dproj = np.add.reduceat(dt, starts, axis=1)                 # (N*s, U')
+    del dt                  # before the gather of X_u's rows
+    dz = dproj @ xu[keys.ravel()[order[starts]]]
     return dz.reshape(n_hidden, s, -1), d_rq
 
 

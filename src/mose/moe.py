@@ -283,14 +283,19 @@ class NodeGroup:
 
     @property
     def adj(self) -> np.ndarray:
-        """(B, nmax, nmax) zero-padded dense adjacencies, built per use."""
+        """(B, nmax, nmax) zero-padded dense float64 adjacencies, built per use."""
+        return self.padded_adjacency(np.float64)
+
+    def padded_adjacency(self, dtype) -> np.ndarray:
+        """(B, nmax, nmax) zero-padded dense adjacencies of ``dtype``: their
+        entries are 0 and 1, so every dtype holds them exactly."""
         b, nmax = self.local.shape
-        adj = np.zeros((b, nmax, nmax))
+        adj = np.zeros((b, nmax, nmax), dtype=dtype)
         widths, rows = self.buckets()
         order = np.concatenate(rows)
         counts = self.edge_counts[order]
         i, j = np.divmod(self.edges, np.repeat(widths[order], counts))
-        np.put(adj, (np.repeat(order * nmax, counts) + i) * nmax + j, 1.0)
+        np.put(adj, (np.repeat(order * nmax, counts) + i) * nmax + j, 1)
         return adj
 
     @property
@@ -335,16 +340,17 @@ class NodeGroup:
 
     def kernel_input(self, max_step: int) -> KernelInput:
         """One pass's kernel input: the moments when the group fits them, else
-        the full padded adjacencies."""
+        the full padded adjacencies as uint8, an eighth of float64; the kernel
+        converts them a block of rows at a time."""
         xu = self.xu
         if self.fits_moments(max_step):
             return KernelInput(xu, self.local, moments=self.moments(xu, max_step))
-        return KernelInput(xu, self.local, adj=self.adj)
+        return KernelInput(xu, self.local, adj=self.padded_adjacency(np.uint8))
 
 
 class KernelInput(NamedTuple):
     """What one pass of a group gives the expert kernels: the distinct feature
-    rows and the slot rows, with the moments (moment order) or the padded
+    rows and the slot rows, with the moments (moment order) or the uint8 padded
     adjacencies (padded order)."""
 
     xu: np.ndarray
@@ -411,7 +417,7 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
     order ``kin`` holds; both orders give the same values up to rounding."""
     r_pows = _rectified_powers(expert.W, kcfg.max_step)
     if kin.moments is None:
-        vals, state = _padded_forward(expert.Z, r_pows, kin.adj[rows], kin.xu, kin.local[rows])
+        vals, state = _padded_forward(expert.Z, r_pows, kin.adj, kin.xu, kin.local, rows)
     else:
         vals, state = _moment_forward(expert.Z, r_pows, kin.moments[:, rows], kin.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
@@ -426,8 +432,7 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, kin: KernelInput
     dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
         len(dphi), expert.hidden_count, -1)
     if kin.moments is None:
-        dz, d_rq = _padded_backward(r_pows, kin.adj[rows], kin.xu, kin.local[rows], dvals,
-                                    state)
+        dz, d_rq = _padded_backward(r_pows, kin.adj, kin.xu, kin.local, dvals, state, rows)
     else:
         dz, d_rq = _moment_backward(expert.Z, kin.moments[:, rows], dvals, state,
                                     kin.basis_rows)

@@ -622,6 +622,13 @@ FAILURES = {
     "tu-empty-graph": ("tu-indicator", lambda ind: re.sub(rb"(?m)^2$", b"1", ind), 2,
                        ": graph 2 has no nodes"),
     "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),
+    # node 0's record in graph 0 of the cache extracted for the data, replaced
+    "cache-record-range": ("cache", lambda c: re.sub(rb"(?m)^v .*$", b"v 0 99999", c, count=1),
+                           2, ": graph 0 node 0: record holds 99999, outside 0.."),
+    "cache-record-start": ("cache", lambda c: re.sub(rb"(?m)^v .*$", b"v 5 1 2", c, count=1),
+                           2, ": graph 0 node 0: record starts with 5, not 0"),
+    "cache-record-repeat": ("cache", lambda c: re.sub(rb"(?m)^v .*$", b"v 0 1 1 2", c, count=1),
+                            2, ": graph 0 node 0: record repeats 1"),
     "resume-no-meta": ("checkpoint", NO_META, 2, ": not a mose checkpoint: no meta record"),
     "export-no-meta": ("export", NO_META, 2, ": not a mose checkpoint: no meta record"),
     "export-junk": ("export", b"junk\n", 2, ": not a mose checkpoint: not an npz archive"),
@@ -635,8 +642,17 @@ FAILURES = {
 }
 
 
+@pytest.fixture(scope="module")
+def extracted_cache(workspace):
+    out = workspace / "extracted"
+    assert run(["extract", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                *BASE, "--out-dir", str(out)]) == 0
+    return out / "GraphCycle.cache"
+
+
 @pytest.mark.parametrize("case", sorted(FAILURES))
-def test_malformed_input_exit_code_names_file(workspace, tmp_path, capsys, case):
+def test_malformed_input_exit_code_names_file(workspace, extracted_cache, tmp_path, capsys,
+                                              case):
     target, body, code, message = FAILURES[case]
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(workspace / "data" / "GraphCycle", data / "GraphCycle")
@@ -651,6 +667,8 @@ def test_malformed_input_exit_code_names_file(workspace, tmp_path, capsys, case)
             "checkpoint": out / "checkpoint.npz",
             "export": tmp_path / "bad.npz"}[target]
     path.parent.mkdir(parents=True, exist_ok=True)
+    if target == "cache":
+        shutil.copyfile(extracted_cache, path)
     path.write_bytes(body(path.read_bytes()) if callable(body) else body)
     if target == "config":
         args += ["--config", str(path)]
@@ -662,6 +680,7 @@ def test_malformed_input_exit_code_names_file(workspace, tmp_path, capsys, case)
     assert run(args) == code
     prefix = "usage error: " if code == 64 else "error: "
     assert capsys.readouterr().err.startswith(f"{prefix}{path}{message}")
+    assert not (out / "manifest.json").exists() and not (out / "metrics.csv").exists()
 
 
 def test_unexpected_exception_is_runtime_error(monkeypatch, capsys):

@@ -66,13 +66,15 @@ def set_from_edges(n, edges):
     return np.cumsum([0] + [len(r) for r in rows]), [v for r in rows for v in r]
 
 
+# pairs may repeat, come reversed, be self-loops or leave nodes isolated
+EDGE_LISTS = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40) if n else st.just([])))
+
+
 class TestFromEdgesMatchesSetReference:
-    # pairs may repeat, come reversed, be self-loops or leave nodes isolated
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                             max_size=40) if n else st.just([]))),
-           st.booleans())
+    @given(EDGE_LISTS, st.booleans())
     def test_same_csr(self, n_edges, as_array):
         n, edges = n_edges
         offsets, neighbors = set_from_edges(n, edges)
@@ -80,6 +82,16 @@ class TestFromEdgesMatchesSetReference:
                              if as_array else edges)
         assert g.offsets.tolist() == offsets.tolist()
         assert g.neighbors.tolist() == neighbors
+
+    @settings(max_examples=300, deadline=None)
+    @given(EDGE_LISTS)
+    def test_built_csr_passes_every_check(self, n_edges):
+        # from_edges, with_features and with_label skip the CSR checks, as
+        # their CSR is valid by construction; this checks that claim
+        n, edges = n_edges
+        g = Graph.from_edges(n, edges)
+        for built in (g, g.with_features(np.ones((n, 2))), g.with_label(1)):
+            built._validate()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.lists(st.tuples(st.integers(-3, 15), st.integers(-3, 15)),
@@ -178,6 +190,16 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             Graph(len(rows), offsets, neighbors, np.zeros((len(rows), 0)))
         assert str(err.value) == message
+
+    def test_graphs_built_on_a_valid_csr_check_their_node_arrays(self):
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="feature row count must equal node_count"):
+            g.with_features(np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+            g.with_features(np.zeros(3))
+        with pytest.raises(ValueError, match="node_labels must have length node_count"):
+            Graph.from_edges(3, [(0, 1)], node_labels=[0, 1])
+        assert g.degrees is g.degrees and not g.degrees.flags.writeable
 
     def test_non_monotone_offsets(self):
         with pytest.raises(ValueError) as err:

@@ -553,6 +553,89 @@ class TestGatheredKernel:
             padded = len(run.expert_rows[m][0]) * expert.hidden_count * expert.size * nmax
             assert max(a.size for a in arrays(cache)) < padded
 
+    def test_row_blocks_give_the_same_bits(self, monkeypatch):
+        # rows routed to three experts, on the pass's uint8 adjacency and a
+        # float64 one, one row, three rows or every row per block: each gives
+        # the bits of the unblocked call on the sliced float64 arrays
+        import mose.kernel
+        rng = np.random.default_rng(31)
+        n, f = 16, 64
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
+                   for v in range(n)]
+        group = build_group(g, records, range(n))
+        assert group.local.shape[1] > BUCKET
+        model = tiny_model(f=f, experts=3, seed=5)
+        assert not group.fits_moments(model.kernel_cfg.max_step)
+        routes = [np.arange(n), np.array([0, 3, 4, 9, 15]), np.array([2, 5, 7, 8, 11, 12, 14])]
+
+        def evaluate(sliced, adj):
+            # (vals, C, dZ, dR^q) per expert; sliced: the group's arrays cut to its rows
+            out = []
+            for m, (expert, at) in enumerate(zip(model.bank.experts, routes)):
+                r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
+                args = (adj[at], group.xu, group.local[at]) if sliced else (
+                    adj, group.xu, group.local)
+                rows = () if sliced else (at,)
+                vals, state = _padded_forward(expert.Z, r_pows, *args, *rows)
+                dvals = np.random.default_rng(40 + m).normal(size=vals.shape)
+                out += [vals, state[1], *_padded_backward(r_pows, *args, dvals, state, *rows)]
+            return out
+
+        want = evaluate(True, group.adj)
+        for rows_per_block in (1, 3, n):
+            monkeypatch.setattr(mose.kernel, "_block_rows", lambda nmax, width: rows_per_block)
+            for dtype in (np.uint8, np.float64):
+                got = evaluate(False, group.padded_adjacency(dtype))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @staticmethod
+    def backward_peak(n):
+        """(peak over entry, bound) of GroupRun.backward on a wide padded unit of
+        n rows (nmax 64, f 64). The bound is twice ``_BLOCK_BYTES`` for one row
+        block (the budget covers its float64 adjacencies and T, its other arrays
+        are T-sized), plus dT and three C-sized arrays for the largest expert's
+        rows, plus 0.5 MB."""
+        import tracemalloc
+        import mose.kernel
+        rng = np.random.default_rng(50)
+        f = nmax = 64
+        g = Graph.from_edges(n, rng.integers(0, n, (8 * n, 2)),
+                             features=rng.normal(size=(n, f)))
+        records = [[v] + [u for u in rng.permutation(n)[:nmax].tolist() if u != v][
+            :nmax - 1 - v % 9] for v in range(n)]
+        group = build_group(g, records, range(n))
+        model = tiny_model(f=f, experts=3, seed=5)
+        p = model.kernel_cfg.max_step
+        assert not group.fits_moments(p) and group.local.shape[1] == nmax
+        run = group_forward(model, group)
+        grads, dh = model.zero_grads(), np.ones_like(run.h)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run.backward(dh, grads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = max(8 * len(run.expert_rows[m][0]) * e.hidden_count * e.size
+                   * (nmax + 3 * p * e.size)
+                   for m, e in enumerate(model.bank.experts) if m in run.expert_rows)
+        return peak, 2 * mose.kernel._BLOCK_BYTES + kept + 2**19
+
+    def test_padded_backward_memory_grows_with_blocks_not_rows(self):
+        # the float64 adjacencies exist for one block of rows at a time, so the
+        # bound holds no rows x nmax^2 term, and twice the rows add only their
+        # dT and C. Measured with numpy 2.4: 4.2 MB for 300 rows (bound 6.0 MB),
+        # 5.8 MB for 600; a float64 adjacency for every routed row took 12.7
+        # and 25.1 MB.
+        peak, bound = self.backward_peak(300)
+        assert peak <= bound
+        assert self.backward_peak(600)[0] < 1.6 * peak
+
     def test_only_the_moment_path_builds_the_padded_features(self, monkeypatch):
         # the moment order in the identity basis gathers (rows, width, f)
         # features per size bucket; the padded order gathers none
