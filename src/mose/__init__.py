@@ -20,8 +20,7 @@ from .walks import (SubgraphCache, WalkConfig, enumerate_anonymous_walks,
 from .kernel import (HiddenGraph, KernelConfig, KernelGrad, hidden_graph_to_dot,
                      rwk_diff, rwk_discrete, rwk_hidden, rwk_hidden_grad,
                      rwk_oracle, walk_pair_counts)
-from .moe import (Expert, ExpertBank, GatingParams, ModelConfig, MoseModel,
-                  new_model)
+from .moe import Expert, ExpertBank, ModelConfig, MoseModel, new_model
 from .trainer import (Metrics, NonFiniteLossError, TrainConfig, evaluate,
                       grad_check, load_checkpoint, metrics_csv, save_checkpoint,
                       total_loss, train)

@@ -13,13 +13,14 @@ one-hot degree features capped at the global maximum degree.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph, degree_features
-from .util import FormatError, read_text_lines, substream
+from .util import FormatError, atomic_write, read_text_lines, substream
 
 
 @dataclass
@@ -212,6 +213,7 @@ def save_tu_dataset(dataset: Dataset, directory: str) -> None:
 
     Degree one-hot features are a loader-side convention and are skipped;
     any other features are written as node attributes so they round-trip.
+    Files are written atomically; an optional file left from another dataset is removed.
     """
     os.makedirs(directory, exist_ok=True)
     name = dataset.name
@@ -222,9 +224,15 @@ def save_tu_dataset(dataset: Dataset, directory: str) -> None:
                           for g, s in zip(graphs, first)])
     dst = np.concatenate([g.neighbors + s for g, s in zip(graphs, first)])
 
+    def path(suffix):
+        return os.path.join(directory, f"{name}_{suffix}.txt")
+
+    written = set()
+
     def write(suffix, lines):
-        with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w") as f:
+        with atomic_write(path(suffix)) as f:
             f.write("\n".join(lines) + "\n")
+        written.add(suffix)
 
     write("A", map("{}, {}".format, src.tolist(), dst.tolist()))
     indicator = np.repeat(np.arange(1, len(graphs) + 1), counts)
@@ -236,6 +244,9 @@ def save_tu_dataset(dataset: Dataset, directory: str) -> None:
     if dataset.feature_dim > 0 and not _is_degree_onehot(graphs):
         write("node_attributes", (", ".join(map(repr, row.tolist()))
                                   for g in graphs for row in g.features))
+    for suffix in {"node_labels", "node_attributes"} - written:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path(suffix))
 
 
 # -- synthetic generators --------------------------------------------------

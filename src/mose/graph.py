@@ -177,6 +177,8 @@ class Graph:
         Edges are symmetrized and deduplicated; self-loops are dropped.
         """
         n = node_count
+        if n < 0:
+            raise ValueError("node_count must be non-negative")
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
                          dtype=np.int64)
         pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
@@ -221,7 +223,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
 
     Node (u, u') maps to index ``u * h.node_count + u'``; a product edge
     exists iff both coordinates step along an edge of their factor.
-    Features are ignored (structure only).
+    Features are ignored (structure only). The CSR is valid by construction.
     """
     n, m = g.node_count, h.node_count
     deg_g, deg_h = g.degrees, h.degrees
@@ -232,7 +234,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
     u, up = np.divmod(np.repeat(np.arange(n * m), counts), m)
     i, j = np.divmod(np.arange(offsets[-1]) - offsets[:-1].repeat(counts), deg_h[up])
     nbrs = g.neighbors[g.offsets[u] + i] * m + h.neighbors[h.offsets[up] + j]
-    return Graph(n * m, offsets, nbrs, np.zeros((n * m, 0)))
+    return Graph._on_valid_csr(n * m, offsets, nbrs, np.zeros((n * m, 0)))
 
 
 def degree_features(g: Graph, max_degree: int) -> np.ndarray:

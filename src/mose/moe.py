@@ -39,26 +39,6 @@ GATE_ACTIVATIONS = {
 
 
 @dataclass
-class GatingParams:
-    """Clean and noisy score projections, one column per expert."""
-
-    W_g: np.ndarray
-    W_n: np.ndarray
-
-    def __post_init__(self):
-        self.W_g = np.asarray(self.W_g, dtype=np.float64)
-        self.W_n = np.asarray(self.W_n, dtype=np.float64)
-        if self.W_g.shape != self.W_n.shape:
-            raise ValueError("W_g and W_n must have the same shape")
-        if not (np.isfinite(self.W_g).all() and np.isfinite(self.W_n).all()):
-            raise ValueError("gating parameters must be finite")
-
-    @property
-    def expert_count(self) -> int:
-        return self.W_g.shape[1]
-
-
-@dataclass
 class Expert:
     """N hidden graphs of one size plus the expert's feed-forward map."""
 
@@ -141,7 +121,8 @@ class ModelConfig:
 
 @dataclass
 class MoseModel:
-    gating: GatingParams
+    W_g: np.ndarray     # (f, E) clean gate scores, one column per expert
+    W_n: np.ndarray     # (f, E) noise-scale scores
     bank: ExpertBank
     head: Mlp
     kernel_cfg: KernelConfig
@@ -158,7 +139,7 @@ class MoseModel:
         return self.cfg.embed_dim
 
     def parameters(self) -> dict:
-        out = {"gating.W_g": self.gating.W_g, "gating.W_n": self.gating.W_n}
+        out = {"gating.W_g": self.W_g, "gating.W_n": self.W_n}
         for k, e in enumerate(self.bank.experts):
             out[f"expert{k}.W"] = e.W
             out[f"expert{k}.Z"] = e.Z
@@ -188,8 +169,8 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
     gating."""
     rng = substream(seed, 900)
     f, d = cfg.feature_dim, cfg.embed_dim
-    gating = GatingParams(W_g=rng.normal(0.0, 0.1, (f, cfg.experts)),
-                          W_n=rng.normal(0.0, 0.1, (f, cfg.experts)))
+    w_g = rng.normal(0.0, 0.1, (f, cfg.experts))
+    w_n = rng.normal(0.0, 0.1, (f, cfg.experts))
     width = kernel_cfg.feature_width * cfg.hidden_per_expert
     experts = []
     for k, s in enumerate(cfg.sizes):
@@ -201,7 +182,7 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
     if cfg.combine_mode == "concat":
         combine_mlp = Mlp("combine", (cfg.experts * d, d), rng)
     head = Mlp("head", (head_in, d, cfg.class_count), rng)
-    return MoseModel(gating=gating, bank=ExpertBank(experts), head=head,
+    return MoseModel(W_g=w_g, W_n=w_n, bank=ExpertBank(experts), head=head,
                      kernel_cfg=kernel_cfg, cfg=cfg, combine_mlp=combine_mlp, seed=seed)
 
 
@@ -442,7 +423,7 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, kin: KernelInput
 
 def gate_backward(eta: np.ndarray, eps: np.ndarray | None, sig: np.ndarray | None,
                   idx: np.ndarray, zeta: np.ndarray, dzeta: np.ndarray,
-                  gating: GatingParams, grads: dict):
+                  expert_count: int, grads: dict):
     """Backprop a gradient on the routing weights into the gating matrices.
 
     Follows the convention that gradients flow only through the retained
@@ -450,7 +431,7 @@ def gate_backward(eta: np.ndarray, eps: np.ndarray | None, sig: np.ndarray | Non
     """
     inner = (dzeta * zeta).sum(axis=1, keepdims=True)
     dpsi_sel = zeta * (dzeta - inner)
-    dpsi = np.zeros((eta.shape[0], gating.expert_count))
+    dpsi = np.zeros((eta.shape[0], expert_count))
     np.put_along_axis(dpsi, idx, dpsi_sel, axis=1)
     grads["gating.W_g"] += eta.T @ dpsi
     if eps is not None:
@@ -495,22 +476,21 @@ class GroupRun:
             _expert_kernel_backward(expert, model.kernel_cfg, self.kernel_in, rows, dphi,
                                     kcache, grads, f"expert{m}")
         gate_backward(self.eta, self.eps, self.sig, self.idx, self.zeta,
-                      dzeta, model.gating, grads)
+                      dzeta, model.expert_count, grads)
 
 
 def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
                   rng=None, dropout: float = 0.0) -> GroupRun:
     """Gate, route, and embed every node of the group in expert-id order."""
-    gating = model.gating
     eta = model.gate_act()(group.agg)
-    psi = eta @ gating.W_g
+    psi = eta @ model.W_g
     eps = sig = None
     if train_mode:
-        eps = np.asarray(rng.standard_normal((group.count, gating.expert_count)))
-        arg = eta @ gating.W_n
+        eps = np.asarray(rng.standard_normal((group.count, model.expert_count)))
+        arg = eta @ model.W_n
         psi = psi + eps * softplus(arg)
         sig = sigmoid(arg)
-    k = min(model.cfg.k_ept, gating.expert_count)
+    k = min(model.cfg.k_ept, model.expert_count)
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)

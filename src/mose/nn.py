@@ -71,10 +71,9 @@ class Mlp:
 
     def forward(self, x: np.ndarray, train: bool = False, dropout: float = 0.0,
                 rng: np.random.Generator | None = None):
-        """x is (batch, in) or (in,); dropout applies to hidden activations."""
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
+        """x is (batch, in); dropout applies to hidden activations."""
+        if x.ndim != 2:
+            raise ValueError(f"{self.name}: input must be (batch, in), got shape {x.shape}")
         acts = [x]
         masks = []
         h = x
@@ -90,26 +89,20 @@ class Mlp:
                 else:
                     masks.append(None)
                 acts.append(h)
-        cache = (acts, masks, squeeze)
-        return (h[0] if squeeze else h), cache
+        return h, (acts, masks)
 
-    def backward(self, dout: np.ndarray, cache, grads: dict):
-        acts, masks, squeeze = cache
-        if squeeze:
-            dout = dout[None, :]
-        dh = dout
+    def backward(self, dh: np.ndarray, cache, grads: dict):
+        acts, masks = cache
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
-            a_in = acts[i]
-            grads[f"{self.name}.W{i}"] += a_in.T @ dh
+            grads[f"{self.name}.W{i}"] += acts[i].T @ dh
             grads[f"{self.name}.b{i}"] += dh.sum(axis=0)
             if i > 0:
                 dh = dh @ self.weights[i].T
                 if masks[i - 1] is not None:
                     dh = dh * masks[i - 1]
                 dh = dh * (acts[i] > 0)
-        dx = dh @ self.weights[0].T if last >= 0 else dh
-        return dx[0] if squeeze else dx
+        return dh @ self.weights[0].T if last >= 0 else dh
 
 
 @dataclass

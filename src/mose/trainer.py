@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class Metrics:
     macro_f1: float = 0.0
     loss_task: float = 0.0
     loss_importance: float = 0.0
-    curves: list = field(default_factory=list)
     expert_load: np.ndarray | None = None
 
 
@@ -139,9 +138,9 @@ class _RouteStash:
             np.add.at(out, idx.ravel(), zeta.ravel())
         return out
 
-    def backward(self, d_totals: np.ndarray, gating, grads: dict):
+    def backward(self, d_totals: np.ndarray, grads: dict):
         for eta, eps, sig, idx, zeta in self.items:
-            gate_backward(eta, eps, sig, idx, zeta, d_totals[idx], gating, grads)
+            gate_backward(eta, eps, sig, idx, zeta, d_totals[idx], self.expert_count, grads)
 
 
 def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
@@ -210,11 +209,11 @@ def _mean_ce(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-log_softmax(logits)[np.arange(len(labels)), labels].mean())
 
 
-def _apply_importance(stash: _RouteStash, beta: float, model, grads: dict | None):
+def _apply_importance(stash: _RouteStash, beta: float, grads: dict | None):
     totals = stash.totals()
     imp = _cv_squared(totals)
     if beta != 0.0 and grads is not None:
-        stash.backward(beta * _cv_squared_grad(totals), model.gating, grads)
+        stash.backward(beta * _cv_squared_grad(totals), grads)
     return imp, totals
 
 
@@ -319,7 +318,7 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
                 lambda key: substream(cfg.seed, 200, epoch, key), cfg.dropout_rate, grads,
                 plans)
             ce = _mean_ce(logits, truth)
-            imp, totals = _apply_importance(stash, cfg.beta, model, grads)
+            imp, totals = _apply_importance(stash, cfg.beta, grads)
             loss = total_loss(ce, imp, cfg.beta)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(epoch, bi, _param_norms(model))
@@ -349,7 +348,6 @@ def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
     if best["snapshot"] is not None:
         model.load_snapshot(best["snapshot"])
     final = evaluate(model, data, cache, test_ids, plans)
-    final.curves = rows
     rows.append(_row(cfg.epochs, "test", final))
     state = {"params": trajectory, "adam_t": adam.t, "adam_m": adam.m,
              "adam_v": adam.v, "epoch_next": cfg.epochs, "rows": rows, "best": best}
@@ -467,7 +465,7 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
     logits, truth, stash = _loss_pass(model, data, cache, item_ids,
                                       (lambda key: rng) if train_mode else None,
                                       dropout, grads, plans)
-    imp, _ = _apply_importance(stash, cfg.beta, model, grads)
+    imp, _ = _apply_importance(stash, cfg.beta, grads)
     picks = [idx for _, _, _, idx, _ in stash.items]
     return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
 

@@ -69,14 +69,11 @@ def hash_arrays(arrays: Iterable[np.ndarray]) -> str:
 
 def write_manifest(out_dir: str, command: str, config: dict, seed: int,
                    dataset_hash: str | None = None) -> str:
-    """Write the effective run configuration next to the command's outputs."""
+    """Write the effective run configuration next to the command's outputs;
+    a config value JSON cannot hold raises TypeError and writes nothing."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.json")
-    payload = {
-        "command": command,
-        "seed": seed,
-        "config": {k: _jsonable(v) for k, v in sorted(config.items())},
-    }
+    payload = {"command": command, "seed": seed, "config": config}
     if dataset_hash is not None:
         payload["dataset_hash"] = dataset_hash
     with atomic_write(path) as f:
@@ -84,14 +81,3 @@ def write_manifest(out_dir: str, command: str, config: dict, seed: int,
         f.write("\n")
     return path
 
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, tuple):
-        return list(v)
-    return v

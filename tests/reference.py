@@ -16,7 +16,7 @@ import numpy as np
 
 from mose.graph import Graph
 from mose.kernel import HiddenGraph, KernelConfig, rwk_hidden
-from mose.moe import GatingParams, MoseModel
+from mose.moe import MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import _cv_squared
 
@@ -92,17 +92,18 @@ def gate_aggregate(sub: Graph, act=relu) -> np.ndarray:
     return act(xv + alpha @ x)
 
 
-def gate_scores(eta: np.ndarray, gating: GatingParams, train_mode: bool,
+def gate_scores(eta: np.ndarray, W_g: np.ndarray, W_n: np.ndarray, train_mode: bool,
                 rng=None) -> np.ndarray:
-    """Pre-selection logits: clean scores plus softplus-scaled noise.
+    """Pre-selection logits: clean scores eta W_g plus noise scaled by
+    softplus(eta W_n); W_g and W_n hold one column per expert.
 
     Noise is a fresh standard-normal draw per coordinate when training;
     evaluation uses the clean scores exactly.
     """
-    psi = eta @ gating.W_g
+    psi = eta @ W_g
     if train_mode:
-        eps = rng.standard_normal(gating.expert_count)
-        psi = psi + eps * softplus(eta @ gating.W_n)
+        eps = rng.standard_normal(W_g.shape[1])
+        psi = psi + eps * softplus(eta @ W_n)
     return psi
 
 
@@ -133,8 +134,8 @@ def combine(embeddings: dict, r: Route, mode: str = "weighted-sum",
     wide = np.zeros(expert_count * d)
     for m, w in zip(r.indices, r.weights):
         wide[m * d:(m + 1) * d] = w * embeddings[m]
-    out, _ = combine_mlp.forward(wide)
-    return out
+    out, _ = combine_mlp.forward(wide[None])
+    return out[0]
 
 
 def readout(node_embeddings, mode: str = "mean") -> np.ndarray:
@@ -172,14 +173,15 @@ def node_embedding(model: MoseModel, sub: Graph, train_mode: bool = False,
                    rng=None, dropout: float = 0.0):
     """Reference per-node pipeline up to the combined embedding h(v)."""
     eta = gate_aggregate(sub, act=model.gate_act())
-    psi = gate_scores(eta, model.gating, train_mode, rng)
+    psi = gate_scores(eta, model.W_g, model.W_n, train_mode, rng)
     r = route(psi, model.cfg.k_ept)
     embeddings = {}
     for m in r.indices:
         expert = model.bank.experts[m]
         phi = kernel_features(sub, expert.hidden, model.kernel_cfg)
-        h_m, _ = expert.transform.forward(phi, train=train_mode, dropout=dropout, rng=rng)
-        embeddings[m] = h_m
+        h_m, _ = expert.transform.forward(phi[None], train=train_mode, dropout=dropout,
+                                          rng=rng)
+        embeddings[m] = h_m[0]
     h = combine(embeddings, r, model.cfg.combine_mode, model.combine_mlp,
                 model.expert_count)
     return h, r
@@ -189,5 +191,5 @@ def forward(model: MoseModel, sub: Graph, train_mode: bool = False,
             rng=None, dropout: float = 0.0):
     """Full per-node pipeline; returns class logits and the route taken."""
     h, r = node_embedding(model, sub, train_mode, rng, dropout)
-    logits, _ = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
-    return logits, r
+    logits, _ = model.head.forward(h[None], train=train_mode, dropout=dropout, rng=rng)
+    return logits[0], r

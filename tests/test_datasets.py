@@ -118,6 +118,20 @@ class TestLoader:
             assert a.edges() == b.edges()
             assert np.array_equal(a.features, b.features)
 
+    def test_resave_leaves_no_stale_file(self, tmp_path):
+        # a node task with 3 attributes, then a degree-feature graph task, under one name
+        g = Graph.from_edges(4, [(0, 1), (1, 2)], features=np.ones((4, 3)),
+                             node_labels=[0, 1, 0, 1])
+        out = str(tmp_path / "X")
+        save_tu_dataset(Dataset(graphs=[g], task="node", class_count=2, name="X"), out)
+        data = gen_graph_cycle(4, seed=3)
+        save_tu_dataset(Dataset(graphs=data.graphs, task="graph", class_count=2, name="X"), out)
+        back = load_tu_dataset(out, "X")
+        assert sorted(p.name for p in Path(out).iterdir()) == [
+            "X_A.txt", "X_graph_indicator.txt", "X_graph_labels.txt"]
+        for a, b in zip(data.graphs, back.graphs, strict=True):
+            assert np.array_equal(a.features, b.features)
+
     def test_non_integer_edge_field_reports_line(self, tmp_path):
         d = write_tu(tmp_path, "field", ["1, 2", "2, x"], ["1", "1"], ["1"])
         with pytest.raises(FormatError, match=r"field_A.txt:2: expected 'i, j', got '2, x'"):

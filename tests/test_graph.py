@@ -36,6 +36,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize("edges", [[], [(0, 1)]])
+    def test_negative_node_count_named(self, edges):
+        with pytest.raises(ValueError, match="^node_count must be non-negative$"):
+            Graph.from_edges(-1, edges)
+
     def test_asymmetric_csr_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             Graph(2, np.array([0, 1, 1]), np.array([1]), np.zeros((2, 0)))
@@ -337,6 +342,16 @@ class TestDirectProduct:
         expected = {(min(pair_perm[a], pair_perm[b]), max(pair_perm[a], pair_perm[b]))
                     for a, b in base.edges()}
         assert set(prod_perm.edges()) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS, EDGE_LISTS)
+    def test_built_csr_passes_every_check(self, g_edges, h_edges):
+        # direct_product skips the CSR checks, as its CSR is valid by
+        # construction; this checks that claim
+        g, h = (Graph.from_edges(n, edges) for n, edges in (g_edges, h_edges))
+        prod = direct_product(g, h)
+        prod._validate()
+        assert set(prod.edges()) == product_edges_oracle(g, h)
 
 
 class TestDegreeFeatures:

@@ -10,10 +10,10 @@ from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
 from mose.kernel import (STEP_MODES, KernelConfig, _moment_backward, _moment_forward,
                          _padded_backward, _padded_forward, _rectified_powers,
                          group_moments)
-from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, GatingParams, KernelInput,
+from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, KernelInput,
                       ModelConfig, build_group, group_forward, new_model,
                       _expert_kernel_backward, _expert_kernel_forward)
-from mose.nn import relu, softmax, softplus
+from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
 from mose.walks import WalkConfig, extract_dataset
@@ -57,23 +57,23 @@ class TestGateAggregate:
 class TestGateScores:
     def test_eval_mode_is_clean(self):
         rng = np.random.default_rng(1)
-        gp = GatingParams(W_g=rng.normal(size=(3, 4)), W_n=rng.normal(size=(3, 4)))
+        w_g, w_n = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         eta = rng.normal(size=3)
-        assert np.array_equal(gate_scores(eta, gp, train_mode=False), eta @ gp.W_g)
+        assert np.array_equal(gate_scores(eta, w_g, w_n, train_mode=False), eta @ w_g)
 
     def test_large_negative_noise_weights_vanish(self):
         rng = np.random.default_rng(2)
-        gp = GatingParams(W_g=rng.normal(size=(3, 4)),
-                          W_n=np.full((3, 4), -50.0))
+        w_g = rng.normal(size=(3, 4))
         eta = np.abs(rng.normal(size=3)) + 0.5
-        psi = gate_scores(eta, gp, train_mode=True, rng=substream(0, 1))
-        assert np.allclose(psi, eta @ gp.W_g, atol=1e-6)
+        psi = gate_scores(eta, w_g, np.full((3, 4), -50.0), train_mode=True,
+                          rng=substream(0, 1))
+        assert np.allclose(psi, eta @ w_g, atol=1e-6)
 
     def test_zero_summary_gives_log2_noise(self):
-        gp = GatingParams(W_g=np.ones((3, 2)), W_n=np.ones((3, 2)))
         eta = np.zeros(3)
         eps = substream(42, 0).standard_normal(2)
-        psi = gate_scores(eta, gp, train_mode=True, rng=substream(42, 0))
+        psi = gate_scores(eta, np.ones((3, 2)), np.ones((3, 2)), train_mode=True,
+                          rng=substream(42, 0))
         assert np.allclose(psi, eps * np.log(2.0))
 
 
@@ -775,3 +775,27 @@ class TestBankValidation:
     def test_default_sizes_start_at_two(self):
         cfg = ModelConfig(feature_dim=3, class_count=2, experts=4)
         assert cfg.sizes == (2, 3, 4, 5)
+
+
+class TestParameterLayout:
+    def test_default_layout_is_pinned(self):
+        # the names and shapes a version-3 checkpoint stores
+        model = new_model(ModelConfig(feature_dim=3, class_count=2), KernelConfig())
+        expected = {"gating.W_g": (3, 5), "gating.W_n": (3, 5), "head.W0": (32, 32),
+                    "head.W1": (32, 2), "head.b0": (32,), "head.b1": (2,)}
+        for k, s in enumerate(range(2, 7)):
+            expected |= {f"expert{k}.W": (8, s, s), f"expert{k}.Z": (8, s, 3),
+                         f"expert{k}.mlp.W0": (24, 32), f"expert{k}.mlp.W1": (32, 32),
+                         f"expert{k}.mlp.b0": (32,), f"expert{k}.mlp.b1": (32,)}
+        layout = [(k, v.shape) for k, v in sorted(model.parameters().items())]
+        assert layout == sorted(expected.items())
+
+
+class TestMlp:
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_refuses_input_that_is_not_a_batch(self, shape):
+        # a 1-d input with in == out would give a scalar weight gradient that
+        # broadcasts into every entry
+        mlp = Mlp("m", (4, 4), np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"m: input must be \(batch, in\)"):
+            mlp.forward(np.ones(shape))

@@ -172,9 +172,9 @@ class TestTraining:
             model = toy_model(data, seed=seed)
             cfg = TrainConfig(epochs=10, learning_rate=3e-3, seed=seed,
                               patience=0, batch_size=8)
-            _, metrics, _ = train(model, data, cache, (ids, ids), cfg)
-            first = [r for r in metrics.curves if r["split"] == "train"][0]
-            last = [r for r in metrics.curves if r["split"] == "train"][-1]
+            _, _, state = train(model, data, cache, (ids, ids), cfg)
+            first = [r for r in state["rows"] if r["split"] == "train"][0]
+            last = [r for r in state["rows"] if r["split"] == "train"][-1]
             drops.append(last["loss_task"] < first["loss_task"])
         assert np.median(drops) == 1.0
 
@@ -420,7 +420,7 @@ class TestGradCheck:
         data = toy_dataset(2)
         cache = toy_cache(data)
         model = toy_model(data, max_step=2)
-        w_g = model.gating.W_g
+        w_g = model.W_g
         w_g[:, 0], w_g[:, 1], w_g[:, 2] = 1.0, 0.0, 3e-7
         err = grad_check(model, data, cache, [0, 1, 2], TrainConfig(seed=4, beta=0.2),
                          train_mode=False)
@@ -432,7 +432,7 @@ class TestGradCheck:
         data = toy_dataset(2)
         cache = toy_cache(data)
         model = toy_model(data, max_step=2)
-        model.gating.W_g[...] = 0.0
+        model.W_g[...] = 0.0
         with pytest.raises(RuntimeError, match=r"top-k selection keeps flipping at gating\.W_g"):
             grad_check(model, data, cache, [0, 1, 2], TrainConfig(seed=4, beta=0.2),
                        train_mode=False)
@@ -580,8 +580,8 @@ class TestGoldenTraining:
                            hidden_per_expert=2, embed_dim=6, k_ept=2,
                            readout_mode=readout, combine_mode=combine)
         model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
-        model, metrics, _ = train(model, data, cache, fold, GOLDEN_TRAIN)
-        assert [r["split"] for r in metrics.curves] == ["train", "val"] * 2 + ["test"]
+        model, metrics, state = train(model, data, cache, fold, GOLDEN_TRAIN)
+        assert [r["split"] for r in state["rows"]] == ["train", "val"] * 2 + ["test"]
         assert (parameter_digest(model), metrics.accuracy, metrics.loss_task) == \
             GOLDEN_RUNS[(readout, combine)]
 
