@@ -13,7 +13,7 @@ from .graph import (Graph, complete_graph, cycle_graph, degree_features,
 from .datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
                        load_tu_dataset, make_folds, make_node_splits,
                        save_tu_dataset)
-from .walks import (SubgraphCache, WalkConfig, enumerate_anonymous_walks,
+from .walks import (Records, SubgraphCache, WalkConfig, enumerate_anonymous_walks,
                     extract_dataset, extract_subgraph, load_cache, sample_walks,
                     save_cache, to_anonymous, top_patterns,
                     walk_distributions_distinguish)

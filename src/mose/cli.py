@@ -13,7 +13,6 @@ exception included), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -30,7 +29,8 @@ from .trainer import (NonFiniteLossError, TrainConfig, load_checkpoint, metrics_
 from .util import (BudgetError, FormatError, atomic_write, hash_arrays, read_text_lines,
                    write_manifest)
 from .verify import SUITES, run_suite
-from .walks import SubgraphCache, WalkConfig, extract_dataset, load_cache, save_cache
+from .walks import (Records, SubgraphCache, WalkConfig, extract_dataset, load_cache,
+                    save_cache)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -216,16 +216,14 @@ def _check_cache(cache: SubgraphCache, path: str, data: Dataset, wcfg: WalkConfi
             raise FormatError(f"{path}: graph {gi} {defect}")
 
 
-def _record_defect(recs: list[list[int]], n: int) -> str | None:
+def _record_defect(recs: Records, n: int) -> str | None:
     """What is wrong with the record of the lowest node whose record does not
     fit a graph of n nodes, if any, in one array pass: a record starts with its
     own node and holds distinct ids in 0..n-1."""
-    sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
-    ids = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
-                      count=int(sizes.sum()))
+    sizes, ids = recs.sizes, recs.ids
     owner = np.repeat(np.arange(len(recs)), sizes)
     head = np.full(len(recs), -1)
-    head[sizes > 0] = ids[(np.cumsum(sizes) - sizes)[sizes > 0]]
+    head[sizes > 0] = ids[recs.offsets[:-1][sizes > 0]]
     outside = (ids < 0) | (ids >= n)
     keys = np.sort(owner[~outside] * n + ids[~outside])
     repeats = keys[1:][keys[1:] == keys[:-1]]
@@ -234,7 +232,7 @@ def _record_defect(recs: list[list[int]], n: int) -> str | None:
     if not len(bad):
         return None
     v = int(bad.min())
-    rec = recs[v]
+    rec = recs[v].tolist()
     if not rec or rec[0] != v:
         return f"node {v}: record starts with {rec[0] if rec else 'nothing'}, not {v}"
     far = [x for x in rec if not 0 <= x < n]
@@ -309,8 +307,8 @@ def cmd_extract(args) -> int:
     for table in cache.pattern_tables:
         for pat, cnt in table:
             totals[pat] = totals.get(pat, 0) + cnt
-    singletons = sum(1 for recs in cache.records for r in recs if len(r) == 1)
-    print(f"extracted {sum(len(r) for r in cache.records)} subgraphs "
+    singletons = sum(int((recs.sizes == 1).sum()) for recs in cache.records)
+    print(f"extracted {sum(map(len, cache.records))} subgraphs "
           f"({singletons} singleton fallbacks) -> {cache_path}")
     print("pattern, count")
     for pat, cnt in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])):

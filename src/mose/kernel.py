@@ -380,7 +380,9 @@ def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
     dR^q = sum_b dvals[b, :, q] C_q[b]. Block by block, with T regathered from
     P, the adjoint chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T,
     ends at dT; summed per distinct node (a segment sum over the slots sorted
-    by ``local``) into dP, it gives dZ = dP^T X_u in one product.
+    by ``local``) into dP, it gives dZ = dP^T X_u in one product. ``xu`` may be
+    anything that gives rows of X_u when indexed with their ids, since only the
+    rows of the slots' nodes are read.
     """
     proj, c = state
     n_hidden, s = c.shape[2:4]

@@ -18,7 +18,6 @@ are fewer of them than features, else the identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +29,7 @@ from .kernel import (HiddenGraph, KernelConfig, _moment_backward, _moment_forwar
                      _weight_backward, group_moments)
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
+from .walks import Records
 
 GATE_ACTIVATIONS = {
     "relu": relu,
@@ -156,7 +156,13 @@ class MoseModel:
         return {k: v.copy() for k, v in self.parameters().items()}
 
     def load_snapshot(self, snap: dict):
-        for k, v in self.parameters().items():
+        """Copy ``snap`` into the parameters; a shape other than a parameter's
+        raises ValueError rather than broadcasting."""
+        params = self.parameters()
+        for k, v in params.items():
+            if np.shape(snap[k]) != v.shape:
+                raise ValueError(f"{k}: shape {np.shape(snap[k])}, expected {v.shape}")
+        for k, v in params.items():
             v[...] = snap[k]
 
     def gate_act(self):
@@ -200,10 +206,26 @@ def _bucket_order(sizes: np.ndarray, nmax: int):
 
 
 def _distinct_rows(features: np.ndarray, row_nodes: np.ndarray) -> np.ndarray:
-    """xu: the feature rows of ``row_nodes``, then a zero row."""
-    xu = np.zeros((len(row_nodes) + 1, features.shape[1]))
-    xu[:-1] = features[row_nodes]
+    """xu: the feature rows of ``row_nodes``, then a zero row, in one allocation."""
+    xu = np.empty((len(row_nodes) + 1, features.shape[1]))
+    np.take(features, row_nodes, axis=0, out=xu[:-1], mode="clip")   # "raise" would buffer
+    xu[-1] = 0.0
     return xu
+
+
+@dataclass(frozen=True)
+class RowGather:
+    """Stands in for xu where only some of its rows are read: indexing it with
+    row ids gathers just those rows from ``features``; id U reads the zero row."""
+
+    features: np.ndarray    # (n, f)
+    row_nodes: np.ndarray   # (U,) a node holding each distinct feature row
+
+    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
+        u = len(self.row_nodes)
+        rows = self.features[self.row_nodes[np.minimum(ids, u - 1)]]   # one allocation
+        rows[ids >= u] = 0.0
+        return rows
 
 
 def _basis_rows(xu: np.ndarray) -> np.ndarray:
@@ -332,9 +354,10 @@ class NodeGroup:
 class KernelInput(NamedTuple):
     """What one pass of a group gives the expert kernels: the distinct feature
     rows and the slot rows, with the moments (moment order) or the uint8 padded
-    adjacencies (padded order)."""
+    adjacencies (padded order). Once the padded order's forward pass has
+    projected them, ``xu`` is a RowGather: the backward pass reads few rows."""
 
-    xu: np.ndarray
+    xu: np.ndarray | RowGather
     local: np.ndarray
     adj: np.ndarray | None = None
     moments: np.ndarray | None = None
@@ -344,27 +367,47 @@ class KernelInput(NamedTuple):
         return _basis_rows(self.xu)
 
 
-def build_group(g: Graph, records: list[list[int]], node_ids) -> NodeGroup:
-    """The plan of the given nodes of one graph. The adjacency entries come
-    from the record nodes' CSR rows, with no n x n array; the features are the
-    distinct rows of ``g.feature_rows`` the records hold."""
-    recs = list(map(records.__getitem__, node_ids))
-    sizes = np.fromiter(map(len, recs), dtype=np.int64, count=len(recs))
-    b, nmax = len(recs), int(sizes.max())
+def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
+    """The plan of the given nodes of one graph, from its records. The
+    adjacency entries come from the record nodes' CSR rows, with no n x n
+    array; the features are the distinct rows of ``g.feature_rows`` the records
+    hold. Each phase frees its temporaries before the next allocates."""
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    at = records.offsets[node_ids]
+    sizes = records.offsets[node_ids + 1] - at
+    b, nmax = len(sizes), int(sizes.max())
     valid = np.arange(nmax)[None, :] < sizes[:, None]
-    flat = np.fromiter(itertools.chain.from_iterable(recs), dtype=np.int64,
-                       count=int(sizes.sum()))
+    bounds = np.cumsum(sizes) - sizes       # each row's start in ``flat``
+    flat = records.ids[np.arange(int(sizes.sum())) + np.repeat(at - bounds, sizes)]
     uniq, inv = np.unique(flat, return_inverse=True)
     first, row_of = g.feature_rows
     classes, cls_of = np.unique(row_of[uniq], return_inverse=True)
     row_nodes = first[classes]
-    xu = _distinct_rows(g.features, row_nodes)
     local = np.full((b, nmax), len(classes), dtype=np.int32)
     local[valid] = cls_of[inv]
+    edges, counts = _record_edges(g, flat, uniq, inv, sizes, bounds, valid)
+    xu = _distinct_rows(g.features, row_nodes)
+    xv = xu[local[:, 0]]
+    scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
+    weights = np.zeros((b, len(xu)))
+    np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
+    agg = weights @ xu
+    agg += xv
+    return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
+                     edges=edges.astype(np.min_scalar_type(nmax * nmax - 1)),
+                     edge_counts=counts, agg=agg)
+
+
+def _record_edges(g: Graph, flat: np.ndarray, uniq: np.ndarray, inv: np.ndarray,
+                  sizes: np.ndarray, bounds: np.ndarray, valid: np.ndarray):
+    """(edges, counts) of NodeGroup: the ones of each row's adjacency, bucket by
+    bucket, from the CSR rows of the record nodes ``flat`` (``uniq[inv]``),
+    row b's at ``bounds[b]:bounds[b] + sizes[b]``."""
+    b, nmax = valid.shape
     # the record slots bucket by bucket (NodeGroup.buckets): rank k is row order[k]
     widths, order = _bucket_order(sizes, nmax)
     rank, pos = np.nonzero(valid[order])
-    slot = (np.cumsum(sizes) - sizes)[order[rank]] + pos       # into ``flat``
+    slot = bounds[order[rank]] + pos        # into ``flat``
     # int32: the table grows with the square of the group's rows
     where = np.full((b, len(uniq) + 1), -1, dtype=np.int32)
     where[rank, inv[slot]] = pos
@@ -383,13 +426,7 @@ def build_group(g: Graph, records: list[list[int]], node_ids) -> NodeGroup:
     edges = (np.repeat(pos * widths[order][rank], deg) + other)[inside]
     counts = np.empty(b, dtype=np.int64)
     counts[order] = np.bincount(at[inside], minlength=b)
-    xv = xu[local[:, 0]]
-    scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
-    weights = np.zeros((b, len(xu)))
-    np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
-    return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
-                     edges=edges.astype(np.min_scalar_type(nmax * nmax - 1)),
-                     edge_counts=counts, agg=xv + weights @ xu)
+    return edges, counts
 
 
 def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
@@ -509,6 +546,10 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         expert_rows[m] = (rows, pos)
         expert_caches[m] = (phi, kcache, mlp_cache, hm)
         wide[rows, m] = zeta[rows, pos][:, None] * hm
+    if kin.adj is not None:
+        # each expert's state keeps its projection P = X_u Z^T; the backward
+        # pass reads only the rows of X_u its dZ = dP^T X_u sums over
+        kin = kin._replace(xu=RowGather(group.features, group.row_nodes))
     concat_cache = None
     if model.cfg.combine_mode == "concat":
         h, concat_cache = model.combine_mlp.forward(wide.reshape(group.count, -1))

@@ -406,10 +406,11 @@ def save_checkpoint(path: str, model: MoseModel, state: dict,
 
 def load_checkpoint(path: str):
     """(model, state, TrainConfig, dataset hash) from a save_checkpoint file;
-    any other file raises FormatError naming ``path``."""
+    any other file raises FormatError naming ``path``, and a member that does
+    not fit the model it describes is named too."""
     try:
         return _read_checkpoint(path)
-    except FileNotFoundError:
+    except (FileNotFoundError, FormatError):
         raise
     except KeyError as e:
         raise FormatError(f"{path}: not a mose checkpoint: missing {e}") from None
@@ -417,21 +418,77 @@ def load_checkpoint(path: str):
         raise FormatError(f"{path}: not a mose checkpoint: {e}") from None
 
 
+# the JSON types of the meta record's keys and of each of its rows' keys,
+# as save_checkpoint writes them
+_META_TYPES = {"model_config": dict, "kernel_config": dict, "seed": int, "adam_t": int,
+               "epoch_next": int, "rows": list, "best_metric": float, "best_epoch": int,
+               "train_config": dict, "dataset_hash": str}
+_ROW_TYPES = {"epoch": int, "split": str, "loss_task": float, "loss_importance": float,
+              "accuracy": float, "macro_f1": float, "expert_load": list}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _json_defect(value, kind) -> str | None:
+    """Why ``value`` is not of JSON type ``kind`` (float: any number), if it is not."""
+    fits = isinstance(value, (int, float) if kind is float else kind)
+    if fits and not isinstance(value, bool):
+        return None
+    return f"must be {_TYPE_NAMES[kind]}, got {value!r}"
+
+
+def _meta_defect(meta: dict) -> str | None:
+    """What is wrong with the types of a checkpoint's meta record, if anything;
+    a missing key raises KeyError."""
+    for key, kind in _META_TYPES.items():
+        if (why := _json_defect(meta[key], kind)):
+            return f"{key} {why}"
+    for i, row in enumerate(meta["rows"]):
+        if (why := _json_defect(row, dict)):
+            return f"rows[{i}] {why}"
+        for key, kind in _ROW_TYPES.items():
+            if (why := _json_defect(row[key], kind)):
+                return f"rows[{i}].{key} {why}"
+        for load in row["expert_load"]:
+            if (why := _json_defect(load, float)):
+                return f"rows[{i}].expert_load {why}"
+    return None
+
+
 def _read_checkpoint(path: str):
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
     except (EOFError, ValueError, zipfile.BadZipFile):
         raise ValueError("not an npz archive") from None
-    if "meta" not in getattr(data, "files", ()):
+    if "meta" not in arrays:
         raise ValueError("no meta record")
-    meta = json.loads(str(data["meta"]))
+    meta = json.loads(str(arrays.pop("meta")))
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {meta['version']}")
+    if (why := _meta_defect(meta)):
+        raise FormatError(f"{path}: meta: {why}")
     model = new_model(ModelConfig(**meta["model_config"]),
                       KernelConfig(**meta["kernel_config"]), seed=meta["seed"])
+    shapes = {k: v.shape for k, v in model.parameters().items()}
+    # Adam's moments exist once it has stepped, the best snapshot once a
+    # validation pass has set it; each holds every parameter
+    wanted = {"param": True, "adam_m": meta["adam_t"] > 0, "adam_v": meta["adam_t"] > 0,
+              "best": meta["best_epoch"] >= 0}
+    for member, arr in arrays.items():
+        kind, _, name = member.partition("/")
+        if not wanted.get(kind) or name not in shapes:
+            raise FormatError(f"{path}: {member}: not a member of this model's checkpoint")
+        if arr.dtype.kind != "f" or arr.shape != shapes[name]:
+            raise FormatError(f"{path}: {member}: {arr.dtype} array of shape {arr.shape}, "
+                              f"expected floats of shape {shapes[name]}")
+    for kind in (k for k, w in wanted.items() if w):
+        for name in shapes:
+            if f"{kind}/{name}" not in arrays:
+                raise FormatError(f"{path}: {kind}/{name}: missing")
 
     def group(name):
-        return {k[len(name) + 1:]: data[k] for k in data.files if k.startswith(name + "/")}
+        return {k[len(name) + 1:]: v for k, v in arrays.items() if k.startswith(name + "/")}
 
     params = group("param")
     model.load_snapshot(params)

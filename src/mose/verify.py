@@ -16,7 +16,7 @@ from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_hidden,
 from .moe import ModelConfig, build_group, new_model
 from .trainer import TrainConfig, grad_check
 from .util import BudgetError, substream
-from .walks import (WalkConfig, enumerate_anonymous_walks, extract_dataset,
+from .walks import (Records, WalkConfig, enumerate_anonymous_walks, extract_dataset,
                     sample_walks, to_anonymous, walk_distributions_distinguish)
 from .wl import (EgoPolicy, canonical_form, embed_group, graph_corpus,
                  same_size_pairs, swl_refine_many, wl1_refine_many)
@@ -372,7 +372,8 @@ def wl_suite(seed: int = 0, inits: int = 100, required: int = 99,
                        hidden_per_expert=4, embed_dim=16, k_ept=2)
     union = disjoint_union(*corpus)
     union = union.with_features(degree_features(union, cap))
-    group = build_group(union, policy.node_sets(union), range(union.node_count))
+    group = build_group(union, Records.from_lists(policy.node_sets(union)),
+                        range(union.node_count))
     starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
     kcfg = KernelConfig(max_step=3)
     first, second = np.array(sorted(swl_set), dtype=np.int64).reshape(-1, 2).T

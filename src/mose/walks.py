@@ -9,7 +9,9 @@ center's extracted subgraph.
 from __future__ import annotations
 
 import io
+import itertools
 import os
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +41,46 @@ class WalkConfig:
             raise ValueError("subgraph_cap must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """One graph's records as CSR: record v, its center first, is
+    ``ids[offsets[v]:offsets[v + 1]]``. It supports ``len``, indexing (a record
+    is an int64 array) and iteration; two are equal when their records are."""
+
+    ids: np.ndarray         # (total,) int64 node ids, record after record
+    offsets: np.ndarray     # (n + 1,) int64 record starts, from 0
+
+    @classmethod
+    def from_lists(cls, lists) -> "Records":
+        """The CSR of a sequence of node-id lists."""
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        ids = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                          count=int(sizes.sum()))
+        return cls(ids, np.concatenate([[0], np.cumsum(sizes)]))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, v) -> np.ndarray:
+        v = range(len(self))[v]
+        return self.ids[self.offsets[v]:self.offsets[v + 1]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Records):
+            return NotImplemented
+        return (np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.ids, other.ids))
+
+    __hash__ = None
 
 
 def sample_walks(g: Graph, v: int, cfg: WalkConfig,
@@ -92,7 +134,7 @@ def top_patterns(pattern_counts: Counter, budget: int) -> list[tuple[int, ...]]:
 def extract_subgraph(g: Graph, v: int, walks: list[tuple[int, ...]],
                      patterns, cap: int | None = None) -> list[int]:
     """The record of ``v``: the center, then the nodes of its pattern-matching
-    walks, the list ``extract_dataset`` caches for it.
+    walks, the nodes ``extract_dataset`` caches for it, as a list.
 
     Nodes are kept in first-visit order (walks in sampling order, positions
     within each walk); when a cap is given, the latest-visited nodes beyond
@@ -104,15 +146,17 @@ def extract_subgraph(g: Graph, v: int, walks: list[tuple[int, ...]],
     visits = np.array([node for walk in walks if to_anonymous(walk) in pattern_set
                        for node in walk], dtype=np.int64)
     center = np.array([v], dtype=np.int64)
-    return _first_visits(g.node_count, center, np.full(len(visits), v), visits, cap)[0]
+    return _first_visits(g.node_count, center, np.full(len(visits), v),
+                         visits, cap)[0].tolist()
 
 
 def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
-                  visit_node: np.ndarray, cap: int | None) -> list[list[int]]:
+                  visit_node: np.ndarray, cap: int | None) -> Records:
     """Each center's record: itself, then the nodes it visits, first visits only.
 
-    ``centers`` is ascending; visits are listed in order within each center.
-    A record keeps at most ``cap`` nodes, the earliest visited.
+    ``centers`` is ascending; every visit's center is one of them, and visits
+    are listed in order within each center. A record keeps at most ``cap``
+    nodes, the earliest visited.
     """
     c = np.concatenate([centers, visit_center])
     x = np.concatenate([centers, visit_node])
@@ -122,11 +166,11 @@ def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
     first.sort()
     c, x = c[first], x[first]
     starts = np.searchsorted(c, centers, side="left")
-    ends = np.searchsorted(c, centers, side="right")
+    sizes = np.searchsorted(c, centers, side="right") - starts
     if cap is not None:
-        ends = np.minimum(ends, starts + cap)
-    flat = x.tolist()
-    return [flat[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        x = x[np.arange(len(x)) - np.repeat(starts, sizes) < cap]
+        sizes = np.minimum(sizes, cap)
+    return Records(x, np.concatenate([[0], np.cumsum(sizes)]))
 
 
 _BLOCK = 1 << 13     # walk rows expanded at a time
@@ -296,8 +340,8 @@ class SubgraphCache:
 
     dataset_name: str
     cfg: WalkConfig
-    # records[g][v] = parent-id list (center first) for node v of graph g
-    records: list[list[list[int]]]
+    # records[g][v] = parent ids (center first) for node v of graph g
+    records: list[Records]
     pattern_tables: list[list[tuple[tuple[int, ...], int]]]
 
 
@@ -425,16 +469,22 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
         buf.write(f"g {gi}\n")
         for pat, cnt in cache.pattern_tables[gi]:
             buf.write("p " + ",".join(str(x) for x in pat) + f" {cnt}\n")
-        for nodes in recs:
-            buf.write("v " + " ".join(str(x) for x in nodes) + "\n")
+        ids, bounds = recs.ids.tolist(), recs.offsets.tolist()
+        buf.write("".join(["v " + " ".join(map(str, ids[a:b])) + "\n"
+                           for a, b in zip(bounds, bounds[1:])]))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with atomic_write(path) as f:
         f.write(buf.getvalue())
 
 
+_INT = "(?:0|[1-9][0-9]*)"
+_P_LINE = re.compile(f"p ({_INT}(?:,{_INT})*) ({_INT})")
+_INT64_MAX = str(np.iinfo(np.int64).max).encode()
+
+
 def load_cache(path: str) -> SubgraphCache:
-    """Read a cache written by save_cache; a malformed file raises
-    FormatError naming ``path:line``."""
+    """Read a cache written by save_cache; a line in any other form raises
+    FormatError naming ``path:line``, the first such line in the file."""
     lines = read_text_lines(path)
     if not lines or lines[0] != CACHE_MAGIC:
         raise FormatError(f"{path}:1: not a subgraph cache file")
@@ -453,24 +503,72 @@ def load_cache(path: str) -> SubgraphCache:
                          seed=int(header["seed"]))
     except ValueError as e:
         raise FormatError(f"{path}:2: bad header: {e}") from None
-    records: list[list[list[int]]] = []
     tables: list[list[tuple[tuple[int, ...], int]]] = []
+    v_lines: list[list[str]] = []       # each graph's 'v' lines and their numbers
+    v_numbers: list[list[int]] = []
+    problem = None
     for ln, line in enumerate(lines[2:], start=3):
         if line.startswith("g "):
-            records.append([])
             tables.append([])
-        elif line.startswith(("p ", "v ")):
-            if not records:
-                raise FormatError(f"{path}:{ln}: {line[0]!r} line before the first graph line")
-            try:
-                if line[0] == "p":
-                    _, pat, cnt = line.split(" ")
-                    tables[-1].append((tuple(int(x) for x in pat.split(",")), int(cnt)))
-                else:
-                    records[-1].append([int(x) for x in line[2:].split()])
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: malformed {line[0]!r} line {line!r}") from None
+            v_lines.append([])
+            v_numbers.append([])
+        elif line.startswith(("p ", "v ")) and not tables:
+            problem = f"{ln}: {line[0]!r} line before the first graph line"
+        elif line[:2] == "v ":
+            v_lines[-1].append(line)
+            v_numbers[-1].append(ln)
+        elif line[:2] == "p ":
+            match = _P_LINE.fullmatch(line)
+            if match is None:
+                problem = f"{ln}: malformed 'p' line {line!r}"
+            else:
+                tables[-1].append((tuple(map(int, match[1].split(","))), int(match[2])))
         elif line:
-            raise FormatError(f"{path}:{ln}: unrecognized cache line {line!r}")
+            problem = f"{ln}: unrecognized cache line {line!r}"
+        if problem:
+            break
+    # every 'v' line read precedes the problem line, so it is checked first
+    records = list(map(_read_records, itertools.repeat(path), v_lines, v_numbers))
+    if problem:
+        raise FormatError(f"{path}:{problem}")
     return SubgraphCache(dataset_name=header["dataset"], cfg=cfg,
                          records=records, pattern_tables=tables)
+
+
+_NL, _SPACE, _MINUS, _ZERO, _NINE, _V = b"\n -09v"
+
+
+def _read_records(path: str, lines: list[str], numbers: list[int]) -> Records:
+    """The records of one graph's 'v' lines, read in array passes over their bytes.
+
+    A line holds "v ", then ids joined by single spaces, each "0" or a digit
+    run with no leading zero, with "-" before it at most, within int64. The
+    first line that does not raises FormatError naming ``numbers[i]``.
+    """
+    b = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    prev, nxt = np.roll(b, 1), np.roll(b, -1)      # b ends with a newline
+    digit = (b >= _ZERO) & (b <= _NINE)
+    prev_digit, next_digit = np.roll(digit, 1), np.roll(digit, -1)
+    # "v" opens a line; a space follows "v" or an id and starts an id, or
+    # closes an empty record; "-" starts an id; an id has no leading zero
+    ok = ((b == _NL) | (b == _V) & (prev == _NL)
+          | (b == _SPACE) & ((prev == _V) | prev_digit)
+          & (next_digit | (nxt == _MINUS) | (prev == _V) & (nxt == _NL))
+          | (b == _MINUS) & (prev == _SPACE) & next_digit & (nxt != _ZERO)
+          | digit & (prev_digit | (prev == _SPACE) | (prev == _MINUS))
+          & ~((b == _ZERO) & ~prev_digit & next_digit))
+    starts = np.flatnonzero(digit & ~prev_digit)
+    length = np.flatnonzero(digit & ~next_digit) + 1 - starts
+    wide = starts[length == 19]     # within int64 when not above its maximum
+    over = wide[b[wide[:, None] + np.arange(19)].view("S19").ravel() > _INT64_MAX]
+    bad = np.concatenate([np.flatnonzero(~ok), starts[length > 19], over])
+    newlines = np.flatnonzero(b == _NL)
+    if len(bad):
+        i = int(np.searchsorted(newlines, bad.min()))
+        raise FormatError(f"{path}:{numbers[i]}: malformed 'v' line {lines[i]!r}")
+    sizes = np.bincount(np.searchsorted(newlines, starts), minlength=len(lines))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    if not len(starts):     # fromstring reads text without ids as [0]
+        return Records(np.zeros(0, dtype=np.int64), offsets)
+    text = np.where(b == _V, _SPACE, b).tobytes()
+    return Records(np.fromstring(text, dtype=np.int64, sep=" "), offsets)

@@ -19,7 +19,7 @@ import numpy as np
 from .graph import Graph, degree_features
 from .moe import MoseModel, NodeGroup, build_group, group_forward, pool_rows
 from .util import BudgetError
-from .walks import _label_bits, _pattern_table, top_patterns
+from .walks import Records, _label_bits, _pattern_table, top_patterns
 
 CANON_CAP = 8
 
@@ -257,7 +257,8 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
     """Eval-mode whole-graph embedding under a fixed extraction policy."""
     if g.feature_dim != model.cfg.feature_dim:
         g = g.with_features(degree_features(g, model.cfg.feature_dim - 1))
-    return embed_group(model, build_group(g, node_sets, range(g.node_count)), [0])[0]
+    group = build_group(g, Records.from_lists(node_sets), range(g.node_count))
+    return embed_group(model, group, [0])[0]
 
 
 def embed_group(model: MoseModel, group: NodeGroup, starts) -> np.ndarray:

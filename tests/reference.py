@@ -193,3 +193,19 @@ def forward(model: MoseModel, sub: Graph, train_mode: bool = False,
     h, r = node_embedding(model, sub, train_mode, rng, dropout)
     logits, _ = model.head.forward(h[None], train=train_mode, dropout=dropout, rng=rng)
     return logits[0], r
+
+
+def cache_text(dataset_name: str, cfg, records: list[list[list[int]]],
+               pattern_tables: list) -> str:
+    """The text of a subgraph cache, written one record list at a time: the
+    reference ``mose.walks.save_cache`` is held to byte for byte."""
+    lines = ["mose-subgraphs v1",
+             f"dataset={dataset_name} seed={cfg.seed} walk_length={cfg.walk_length} "
+             f"walks_per_node={cfg.walks_per_node} pattern_budget={cfg.pattern_budget} "
+             f"cap={cfg.subgraph_cap}"]
+    for gi, recs in enumerate(records):
+        lines.append(f"g {gi}")
+        lines += ["p " + ",".join(str(x) for x in pat) + f" {cnt}"
+                  for pat, cnt in pattern_tables[gi]]
+        lines += ["v " + " ".join(str(x) for x in nodes) for nodes in recs]
+    return "\n".join(lines) + "\n"

@@ -599,6 +599,16 @@ def _npz(**arrays) -> bytes:
     return buf.getvalue()
 
 
+def _npz_edit(body: bytes, drop=(), meta=None, **arrays) -> bytes:
+    """An npz archive's bytes with members dropped or replaced, and keys of its
+    meta record set to new values."""
+    with np.load(io.BytesIO(body)) as data:
+        members = {k: data[k] for k in data.files if k not in drop}
+    if meta:
+        members["meta"] = json.dumps(json.loads(str(members["meta"])) | meta)
+    return _npz(**(members | arrays))
+
+
 CACHE_HEAD = (b"mose-subgraphs v1\ndataset=GraphCycle seed=3 walk_length=4 "
               b"walks_per_node=5 pattern_budget=3 cap=12\n")
 NO_META = _npz(x=np.zeros(2))
@@ -629,7 +639,21 @@ FAILURES = {
                            2, ": graph 0 node 0: record starts with 5, not 0"),
     "cache-record-repeat": ("cache", lambda c: re.sub(rb"(?m)^v .*$", b"v 0 1 1 2", c, count=1),
                             2, ": graph 0 node 0: record repeats 1"),
+    "cache-id-overflow": ("cache", CACHE_HEAD + b"g 0\nv 0 99999999999999999999\n", 2,
+                          ":4: malformed 'v' line 'v 0 99999999999999999999'"),
     "resume-no-meta": ("checkpoint", NO_META, 2, ": not a mose checkpoint: no meta record"),
+    # a member of the checkpoint the run resumes, edited: a 0-d parameter would
+    # broadcast, a missing Adam moment would restart at zero
+    "resume-param-0d": ("checkpoint", lambda c: _npz_edit(c, **{"param/gating.W_g": 0.5}),
+                        2, ": param/gating.W_g: float64 array of shape (), expected floats "
+                           "of shape (21, 3)"),
+    "resume-adam-missing": ("checkpoint", lambda c: _npz_edit(c, drop=["adam_m/head.b1"]),
+                            2, ": adam_m/head.b1: missing"),
+    "resume-adam-shape": ("checkpoint", lambda c: _npz_edit(c, **{"adam_m/head.b1": np.ones(5)}),
+                          2, ": adam_m/head.b1: float64 array of shape (5,), expected floats "
+                             "of shape (2,)"),
+    "resume-adam-t": ("checkpoint", lambda c: _npz_edit(c, meta={"adam_t": "3"}), 2,
+                      ": meta: adam_t must be an integer, got '3'"),
     "export-no-meta": ("export", NO_META, 2, ": not a mose checkpoint: no meta record"),
     "export-junk": ("export", b"junk\n", 2, ": not a mose checkpoint: not an npz archive"),
     "export-meta-not-json": ("export", _npz(meta="{version"), 2,
@@ -650,9 +674,19 @@ def extracted_cache(workspace):
     return out / "GraphCycle.cache"
 
 
+@pytest.fixture(scope="module")
+def resumable_checkpoint(workspace):
+    """The checkpoint of a finished 1-epoch run with the settings of the run below."""
+    out = workspace / "resumable"
+    assert run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                *BASE, "--epochs", "1", "--folds", "3", "--experts", "3",
+                "--hidden-graphs", "2", "--out-dir", str(out)]) == 0
+    return out / "checkpoint.npz"
+
+
 @pytest.mark.parametrize("case", sorted(FAILURES))
 def test_malformed_input_exit_code_names_file(workspace, extracted_cache, tmp_path, capsys,
-                                              case):
+                                              request, case):
     target, body, code, message = FAILURES[case]
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(workspace / "data" / "GraphCycle", data / "GraphCycle")
@@ -669,6 +703,8 @@ def test_malformed_input_exit_code_names_file(workspace, extracted_cache, tmp_pa
     path.parent.mkdir(parents=True, exist_ok=True)
     if target == "cache":
         shutil.copyfile(extracted_cache, path)
+    elif target == "checkpoint" and callable(body):
+        shutil.copyfile(request.getfixturevalue("resumable_checkpoint"), path)
     path.write_bytes(body(path.read_bytes()) if callable(body) else body)
     if target == "config":
         args += ["--config", str(path)]

@@ -16,6 +16,7 @@ from mose.kernel import (HiddenGraph, _oracle_counts, KernelConfig, hidden_graph
                          _rectified_powers, _weight_backward, group_moments)
 from mose.moe import build_group
 from mose.util import BudgetError
+from mose.walks import Records
 from mose.wl import graph_corpus
 from reference import expert_embed, kernel_features
 
@@ -359,7 +360,7 @@ class TestHiddenGradients:
         rows = rng.normal(size=(int(rng.integers(1, f)), f))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         g = Graph.from_edges(n, edges, features=rows[rng.integers(0, len(rows), n)])
-        group = build_group(g, [list(range(n))], [0])
+        group = build_group(g, Records.from_lists([list(range(n))]), [0])
         assert len(group.basis_rows) < f
         hg = HiddenGraph(W=rng.uniform(-0.5, 1.0, (s, s)), Z=rng.normal(size=(s, f)))
         ref = rwk_hidden_grad(g, hg, p)

@@ -16,7 +16,7 @@ from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, KernelInput,
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
-from mose.walks import WalkConfig, extract_dataset
+from mose.walks import Records, WalkConfig, extract_dataset
 from reference import (Route, combine, forward, gate_aggregate, gate_scores,
                        node_embedding, readout, route)
 
@@ -177,7 +177,7 @@ class TestForward:
                      if rng.random() < 0.5]
             g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
             records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
-            group = build_group(g, records, range(n))
+            group = build_group(g, Records.from_lists(records), range(n))
             assert group.fits_moments(model.kernel_cfg.max_step) == moments
             run = group_forward(model, group)
             assert (run.kernel_in.moments is not None) == moments
@@ -194,7 +194,7 @@ class TestForward:
             rng = np.random.default_rng(6)
             g = cycle_graph(5).with_features(rng.normal(size=(5, f)))
             records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(5)]
-            group = build_group(g, records, range(5))
+            group = build_group(g, Records.from_lists(records), range(5))
             assert group.fits_moments(model.kernel_cfg.max_step) == moments
             run = group_forward(model, group)
             for v in range(5):
@@ -209,7 +209,7 @@ class TestForward:
                  if rng.random() < 0.4]
         g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
         records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         model = tiny_model(f=f, experts=3, seed=4, step_mode=step_mode)
         kcfg = model.kernel_cfg
         expert = model.bank.experts[2]
@@ -368,12 +368,61 @@ class TestGroupBuild:
             records.append([v] + others[:data.draw(st.integers(0, n - 1))])
         node_ids = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
         act = GATE_ACTIVATIONS[data.draw(st.sampled_from(sorted(GATE_ACTIVATIONS)))]
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         adj, sizes, feats, eta = loop_group(g, records, node_ids, act)
         assert np.array_equal(group.adj, adj)
         assert np.array_equal(group.sizes, sizes)
         assert np.array_equal(group.feats, feats)
         assert np.abs(act(group.agg) - eta).max() <= 1e-12 * max(1.0, np.abs(eta).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_a_chunk_of_the_csr_builds_as_its_own_records(self, n, data):
+        # build_group cuts the chunk's ids out of the whole graph's CSR by its
+        # offsets: the plan equals one built from a CSR of just those records
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        g = Graph.from_edges(n, edges, features=rng.integers(0, 3, (n, 3)).astype(float))
+        lists = [[v] + [u for u in rng.permutation(n).tolist() if u != v][
+            :data.draw(st.integers(0, n - 1))] for v in range(n)]
+        node_ids = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        got = build_group(g, Records.from_lists(lists), node_ids)
+        want = build_group(g, Records.from_lists([lists[v] for v in node_ids]),
+                           range(len(node_ids)))
+        for name in ("row_nodes", "local", "sizes", "edges", "edge_counts", "agg"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_peak_holds_the_gate_aggregate_and_little_else(self):
+        # a 512-row chunk of a 1500-node graph with 512-wide features, as a
+        # node task plans it. The edge phase's (B, U + 1) table and neighbour
+        # arrays are freed before the gate aggregate allocates xu, its two
+        # (B, f) rows and its (B, U + 1) scores; the bound adds 16 int64
+        # arrays of B x nmax for the slots. Measured with numpy 2.4: 17.4 MB
+        # (bound 20.7 MB); 23.6 MB with the edge phase's arrays kept alive.
+        import tracemalloc
+        rng = np.random.default_rng(60)
+        n, f, cap = 1500, 512, 64
+        edges = [(i, int(j)) for i in range(1, n) for j in rng.integers(0, i, 3)]
+        g = Graph.from_edges(n, edges, features=(rng.random((n, f)) < 0.1).astype(float))
+        records = Records.from_lists([[v] + [u for u in rng.choice(n, cap).tolist()
+                                             if u != v][:rng.integers(cap // 2, cap)]
+                                      for v in range(n)])
+        node_ids = rng.permutation(n)[:512]
+        g.feature_rows                      # computed once per graph, before any plan
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            group = build_group(g, records, node_ids)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        (b, nmax), u = group.local.shape, len(group.row_nodes)
+        assert u > 1000 and nmax == cap
+        assert peak <= 8 * ((u + 1) * f + 2 * b * f + b * (u + 1) + 16 * b * nmax)
 
     @pytest.mark.parametrize("n", [12, 6500])
     def test_one_construction_at_every_size(self, n, monkeypatch):
@@ -391,7 +440,7 @@ class TestGroupBuild:
         for v in range(0, n, max(1, n // 40)):
             records[v] = [v] + [int(u) for u in g.neighbors_of(v)]
         node_ids = rng.permutation(n)[:min(n, 300)]
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         adj, sizes, feats, eta = loop_group(g, records, node_ids)
         assert adj.sum() > 0
         assert np.array_equal(group.adj, adj)
@@ -407,7 +456,7 @@ class TestGroupBuild:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
         g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 4)))
         records = [[v] + [int(u) for u in g.neighbors_of(v)][:4] for v in range(n)]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         etas = []
         for name in ("relu", "tanh"):
             run = group_forward(tiny_model(seed=3, gate_activation=name), group)
@@ -445,7 +494,7 @@ class TestPlan:
                    [:rng.integers(lo, hi + 1) - 1] for v in range(n)]
         records[0] = [0] + list(range(1, hi))   # a record at the top size sets nmax
         node_ids = [0] + rng.permutation(np.arange(1, n))[:rng.integers(0, 6)].tolist()
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         nmax = group.local.shape[1]
         assert nmax == hi and group.edges.dtype.itemsize == (4 if hi > 256 else
                                                               2 if hi > 16 else 1)
@@ -480,7 +529,7 @@ class TestGatheredKernel:
     def test_matches_padded_tensor_reference(self, rows):
         g, records = self.wide_group()
         node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         _, _, feats, eta = loop_group(g, records, node_ids)
         assert len(set(group.sizes.tolist())) > 2
         assert rel_err(relu(group.agg), eta) <= 1e-12
@@ -503,7 +552,7 @@ class TestGatheredKernel:
     def test_both_orders_match_longdouble_loops(self, p_max):
         g, records = self.wide_group()
         node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         adj, sizes, feats, _ = loop_group(g, records, node_ids)
         assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
         model = tiny_model(f=64, experts=3, seed=5)
@@ -533,7 +582,7 @@ class TestGatheredKernel:
         records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
                    for v in range(n)]
         records[5] = [5]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         model = tiny_model(f=f, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
         run = group_forward(model, group, train_mode=True, rng=substream(0, 1), dropout=0.1)
@@ -564,7 +613,7 @@ class TestGatheredKernel:
         g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
         records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
                    for v in range(n)]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         assert group.local.shape[1] > BUCKET
         model = tiny_model(f=f, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
@@ -590,6 +639,43 @@ class TestGatheredKernel:
                 got = evaluate(False, group.padded_adjacency(dtype))
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_padded_run_keeps_no_distinct_rows_for_backward(self):
+        # every expert's state keeps its projection P = X_u Z^T, so between the
+        # forward and backward passes no (U + 1, f) copy of the features is held
+        import dataclasses
+        rng = np.random.default_rng(24)
+        n, f = 40, 64
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
+                   for v in range(n)]
+        group = build_group(g, Records.from_lists(records), range(n))
+        model = tiny_model(f=f, experts=3, seed=5)
+        assert not group.fits_moments(model.kernel_cfg.max_step)
+        run = group_forward(model, group, train_mode=True, rng=substream(0, 1), dropout=0.1)
+        distinct = (len(group.row_nodes) + 1, f)
+        assert distinct[0] == n + 1
+
+        held, seen, stack = [], set(), [run]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or obj is model or obj is group.features:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                held.append(obj.shape)
+                stack.append(obj.base)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif dataclasses.is_dataclass(obj):
+                stack.extend(vars(obj).values())
+        assert len(held) > 10 and distinct not in held
+        grads = model.zero_grads()
+        run.backward(np.ones_like(run.h), grads)
+        assert np.any(grads["expert0.Z"] != 0)
+
     @staticmethod
     def backward_peak(n):
         """(peak over entry, bound) of GroupRun.backward on a wide padded unit of
@@ -605,7 +691,7 @@ class TestGatheredKernel:
                              features=rng.normal(size=(n, f)))
         records = [[v] + [u for u in rng.permutation(n)[:nmax].tolist() if u != v][
             :nmax - 1 - v % 9] for v in range(n)]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         model = tiny_model(f=f, experts=3, seed=5)
         p = model.kernel_cfg.max_step
         assert not group.fits_moments(p) and group.local.shape[1] == nmax
@@ -651,7 +737,7 @@ class TestGatheredKernel:
         for f, moments in ((64, False), (2, True)):
             gathered.clear()
             g, records = self.wide_group(f)
-            group = build_group(g, records, range(g.node_count))
+            group = build_group(g, Records.from_lists(records), range(g.node_count))
             model = tiny_model(f=f, experts=3, seed=5)
             run = group_forward(model, group, train_mode=True, rng=substream(0, 1),
                                 dropout=0.1)
@@ -697,7 +783,7 @@ class TestClassBasis:
     def test_matches_longdouble_loops(self, p_max):
         g, records = self.repeated_group()
         node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
-        group = build_group(g, records, node_ids)
+        group = build_group(g, Records.from_lists(records), node_ids)
         adj, sizes, feats, _ = loop_group(g, records, node_ids)
         assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
         assert group.basis_rows.shape == (3, 12) and group.basis.shape[2] == 3
@@ -713,7 +799,7 @@ class TestClassBasis:
     def test_agrees_with_the_identity_basis(self, seed, distinct, f, p_max):
         g, records = self.repeated_group(f, distinct, seed)
         rng = np.random.default_rng(seed)
-        group = build_group(g, records, rng.permutation(10)[:rng.integers(1, 11)])
+        group = build_group(g, Records.from_lists(records), rng.permutation(10)[:rng.integers(1, 11)])
         assert len(group.basis_rows) < f
         model = tiny_model(f=f, experts=3, seed=seed % 7)
         for _, _, _, out in self.expert_passes(model, group, p_max):
@@ -724,7 +810,7 @@ class TestClassBasis:
                                                   (3, 3, 2), (2, 3, 1), (2, 3, 2)])
     def test_fits_moments_counts_the_smaller_basis(self, f, distinct, p_max):
         g, records = self.repeated_group(f, distinct)
-        group = build_group(g, records, range(10))
+        group = build_group(g, Records.from_lists(records), range(10))
         u, nmax = len(group.xu) - 1, group.adj.shape[1]
         assert (u, nmax) == (3, 5)
         assert group.fits_moments(p_max) == (p_max * min(u, f) ** 2 <= nmax ** 2)
@@ -742,7 +828,7 @@ class TestClassBasis:
         x[:, 1] = 1.0
         g = Graph.from_edges(n, edges, features=x)
         records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
-        group = build_group(g, records, range(n))
+        group = build_group(g, Records.from_lists(records), range(n))
         assert len(group.xu) - 1 == 4     # two classes for the rows (0, 1, 0, ...)
         e = group.basis_rows
         for q, k in enumerate(group_moments(group.adj, group.basis, 4)):
@@ -751,7 +837,7 @@ class TestClassBasis:
 
     def test_group_keeps_each_distinct_row_once(self):
         g, records = self.repeated_group()
-        group = build_group(g, records, range(10))
+        group = build_group(g, Records.from_lists(records), range(10))
         rows = group.xu[:-1]
         assert len(np.unique(rows, axis=0)) == len(rows) == 3
         assert not group.xu[-1].any()

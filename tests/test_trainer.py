@@ -13,6 +13,7 @@ from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig,
                           accuracy_score, evaluate, grad_check, load_checkpoint,
                           macro_f1_score, metrics_csv, save_checkpoint, total_loss,
                           train, _cv_squared, _cv_squared_grad)
+from mose.util import FormatError
 from mose.walks import WalkConfig, extract_dataset
 from reference import Route, importance_loss
 
@@ -511,6 +512,35 @@ class TestCheckpoint:
             save_checkpoint(str(path), model, broken, cfg, "abc")
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ckpt"]
+
+    def test_moments_and_best_snapshot_are_whole_or_absent(self, tmp_path):
+        # a run that never stepped has no Adam moments and a run without
+        # validation no best snapshot; once there, each holds every parameter
+        data = toy_dataset(3)
+        ids = np.arange(len(data.graphs))
+        path = str(tmp_path / "ckpt.npz")
+        for epochs, patience, members in ((0, 0, {"param"}),
+                                          (1, 5, {"param", "adam_m", "adam_v", "best"})):
+            cfg = TrainConfig(epochs=epochs, seed=0, patience=patience, val_fraction=0.5)
+            model, _, state = train(toy_model(data), data, toy_cache(data), (ids, ids), cfg)
+            save_checkpoint(path, model, state, cfg, "abc")
+            with np.load(path) as f:
+                assert {k.split("/")[0] for k in f.files} - {"meta"} == members
+            _, back, _, _ = load_checkpoint(path)
+            assert (back["best"]["snapshot"] is None) == ("best" not in members)
+        with np.load(path) as f:
+            arrays = {k: f[k] for k in f.files if k != "best/head.b1"}
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError, match=r"ckpt.npz: best/head.b1: missing$"):
+            load_checkpoint(path)
+
+    def test_load_snapshot_refuses_another_shape(self):
+        model = toy_model(toy_dataset(3))
+        before = model.snapshot()
+        snap = before | {"head.b0": np.zeros(()), "gating.W_g": np.ones_like(before["gating.W_g"])}
+        with pytest.raises(ValueError, match=r"^head.b0: shape \(\), expected \(8,\)$"):
+            model.load_snapshot(snap)
+        assert all(np.array_equal(v, before[k]) for k, v in model.parameters().items())
 
     def test_metrics_csv_shape(self):
         rows = [{"epoch": 0, "split": "train", "loss_task": 1.0,

@@ -14,11 +14,12 @@ from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import (Graph, cycle_graph, disjoint_union, induced_subgraph, path_graph,
                         star_graph)
 from mose.util import BudgetError, FormatError, substream
-from mose.walks import (CACHE_MAGIC, WalkConfig, _label_bits, _pack, _replay_bounded,
+from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _label_bits, _pack, _replay_bounded,
                         _uint32_stream, _unpack, _walks_from_words, enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
+from reference import cache_text
 
 
 HEADER = "dataset=t seed=0 walk_length=4 walks_per_node=5 pattern_budget=3 cap=8\n"
@@ -407,6 +408,21 @@ class TestDatasetExtraction:
         (HEADER + "g 0\np 0,1 many\n", 4, "malformed 'p' line 'p 0,1 many'"),
         (HEADER + "g 0\nv 0 one\n", 4, "malformed 'v' line 'v 0 one'"),
         (HEADER + "g 0\np 0,1\n", 4, "malformed 'p' line 'p 0,1'"),
+        (HEADER + "g 0\np 0,+1 4\n", 4, "malformed 'p' line 'p 0,+1 4'"),
+        # ids that int() reads but save_cache never writes, and one past int64
+        (HEADER + "g 0\nv 0 99999999999999999999\n", 4,
+         "malformed 'v' line 'v 0 99999999999999999999'"),
+        (HEADER + "g 0\nv 0 9223372036854775808\n", 4,
+         "malformed 'v' line 'v 0 9223372036854775808'"),
+        (HEADER + "g 0\nv 0 1_0\n", 4, "malformed 'v' line 'v 0 1_0'"),
+        (HEADER + "g 0\nv 0 +1\n", 4, "malformed 'v' line 'v 0 +1'"),
+        (HEADER + "g 0\nv 0\t1\n", 4, "malformed 'v' line 'v 0\\t1'"),
+        (HEADER + "g 0\nv 0  1\n", 4, "malformed 'v' line 'v 0  1'"),
+        (HEADER + "g 0\nv 0 1 \n", 4, "malformed 'v' line 'v 0 1 '"),
+        (HEADER + "g 0\nv 0 01\n", 4, "malformed 'v' line 'v 0 01'"),
+        # the first bad line of the file, whatever its kind
+        (HEADER + "g 0\nv 0\nv 1 x\ng 1\nq\n", 5, "malformed 'v' line 'v 1 x'"),
+        (HEADER + "g 0\nv 0\nq\nv 1 x\n", 5, "unrecognized cache line 'q'"),
     ])
     def test_malformed_cache_names_path_and_line(self, tmp_path, body, where, what):
         path = tmp_path / "bad.cache"
@@ -415,6 +431,25 @@ class TestDatasetExtraction:
             load_cache(str(path))
         assert str(err.value).startswith(f"{path}:{where}: ")
         assert what in str(err.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.lists(st.integers(-2**63 + 1, 2**63 - 1), max_size=6),
+                             max_size=5), max_size=4))
+    def test_csr_roundtrip_is_the_identity(self, tmp_path_factory, records):
+        # records as CSR, saved and read back: the same arrays, and the bytes a
+        # writer from node-id lists gives
+        c = cfg(seed=4)
+        tables = [[((0, 1), 3)] for _ in records]
+        cache = walks.SubgraphCache("csr set", c, [Records.from_lists(r) for r in records],
+                                    tables)
+        path = tmp_path_factory.mktemp("csr") / "sub.cache"
+        save_cache(str(path), cache)
+        assert path.read_text() == cache_text("csr set", c, records, tables)
+        back = load_cache(str(path))
+        assert back.records == cache.records and back.pattern_tables == tables
+        for got, want in zip(back.records, records):
+            assert got.ids.dtype == np.int64 and got.offsets.dtype == np.int64
+            assert [r.tolist() for r in got] == want
 
     def test_undecodable_byte_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.cache"
@@ -587,5 +622,5 @@ class TestBatchedExtraction:
         cache = extract_dataset(graphs, "t", c)
         for gi, g in enumerate(graphs):
             records, table = _scalar_extraction(g, gi, c)
-            assert cache.records[gi] == records
+            assert cache.records[gi] == Records.from_lists(records)
             assert cache.pattern_tables[gi] == table

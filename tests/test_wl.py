@@ -16,7 +16,7 @@ from mose.kernel import KernelConfig
 from mose.moe import ModelConfig, build_group, group_forward, new_model, pool_rows
 from mose.util import BudgetError
 from mose.verify import wl_suite
-from mose.walks import enumerate_anonymous_walks, top_patterns
+from mose.walks import Records, enumerate_anonymous_walks, top_patterns
 from mose.wl import (AnonymousWalkPolicy, EgoPolicy, all_nonisomorphic_graphs,
                      are_isomorphic, canonical_form, distinguish, embed_graph,
                      embed_group, graph_corpus, lemma1_check, mose_distinguish,
@@ -268,7 +268,8 @@ class TestEmbedGroup:
         model = new_model(mcfg, KernelConfig(max_step=3), seed=3)
         union = disjoint_union(*corpus)
         union = union.with_features(degree_features(union, 4))
-        group = build_group(union, EgoPolicy(1).node_sets(union), range(union.node_count))
+        group = build_group(union, Records.from_lists(EgoPolicy(1).node_sets(union)),
+                            range(union.node_count))
         starts = np.cumsum([0] + [g.node_count for g in corpus[:-1]])
         got = embed_group(model, group, starts)
         want = np.stack([embed_graph(model, g, EgoPolicy(1).node_sets(g)) for g in corpus])
@@ -282,7 +283,7 @@ class TestEmbedGroup:
         model = new_model(mcfg, KernelConfig(max_step=3), seed=5)
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
         g = g.with_features(degree_features(g, 3))
-        group = build_group(g, EgoPolicy(1).node_sets(g), range(6))
+        group = build_group(g, Records.from_lists(EgoPolicy(1).node_sets(g)), range(6))
         whole = pool_rows(group_forward(model, group).h, "max")[0][0]
         assert np.array_equal(embed_group(model, group, [0])[0], whole)
 
