@@ -246,12 +246,13 @@ def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    a, x = g.adjacency_dense()[None], _checked_features(g, hidden)
-    w, local = hidden.W[None], np.arange(len(x))[None]
+    x = _checked_features(g, hidden)
+    slots = DenseSlots(g.adjacency_dense()[None], x, np.arange(len(x))[None])
+    w = hidden.W[None]
     r_pows = _rectified_powers(w, p)
-    vals, state = _padded_forward(hidden.Z[None], r_pows, a, x, local)
+    vals, state = _padded_forward(hidden.Z[None], r_pows, slots)
     dvals = np.eye(p)[-1].reshape(vals.shape)       # e_p: the step-p value alone
-    d_z, d_rq = _padded_backward(r_pows, a, x, local, dvals, state)
+    d_z, d_rq = _padded_backward(r_pows, slots, dvals, state)
     return KernelGrad(value=float(vals[0, 0, -1]),
                       d_W=_weight_backward(w, r_pows, d_rq)[0], d_Z=d_z[0])
 
@@ -308,7 +309,41 @@ def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarr
     return out
 
 
-_BLOCK_BYTES = 1 << 21     # float64 bytes of one padded block's adjacencies and T
+_BLOCK_BYTES = 1 << 21     # float64 bytes of one block of rows
+
+
+def _row_blocks(count: int, row_bytes: int):
+    """(lo, hi) for each block of ``count`` rows of ``row_bytes`` bytes each: as
+    many rows as keep a block under ``_BLOCK_BYTES``, at least one."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    for lo in range(0, count, step):
+        yield lo, min(count, lo + step)
+
+
+@dataclass(frozen=True)
+class DenseSlots:
+    """A group's padded slots held densely: row b's slot j reads row
+    ``local[b, j]`` of X_u, its edges are ``adj[b]``. The padded order reads its
+    slots through ``distinct``, ``width``, ``adjacency`` and ``feature_rows``;
+    moe.NodeGroup gives the same from its compact plan."""
+
+    adj: np.ndarray         # (B, nmax, nmax), entries 0 and 1 of any dtype
+    xu: np.ndarray          # (U', f) the rows ``local`` indexes
+    local: np.ndarray       # (B, nmax)
+
+    @property
+    def distinct(self) -> int:
+        return len(self.xu)
+
+    @property
+    def width(self) -> int:
+        return self.xu.shape[1]
+
+    def adjacency(self, rows: np.ndarray) -> np.ndarray:
+        return np.asarray(self.adj[rows], dtype=np.float64)
+
+    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
+        return self.xu[ids]
 
 
 def _block_rows(nmax: int, width: int) -> int:
@@ -318,36 +353,46 @@ def _block_rows(nmax: int, width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * nmax * (nmax + width)))
 
 
-def _padded_blocks(proj: np.ndarray, adj: np.ndarray, local: np.ndarray, rows: np.ndarray):
+def _padded_blocks(proj: np.ndarray, slots, rows: np.ndarray):
     """(lo, hi, A, T) for each block of ``rows`` in turn, at positions lo:hi of
-    ``rows``: the block's adjacencies as float64 (B_k, nmax, nmax) and T
-    gathered from P through ``local`` as (B_k, N*s, nmax), contiguous for the
-    propagations. ``adj`` may hold any dtype; its 0/1 entries convert exactly."""
-    step = _block_rows(adj.shape[1], proj.shape[1])
+    ``rows``: the block's adjacencies as float64 (B_k, nmax, nmax) from
+    ``slots.adjacency`` and T gathered from P through ``slots.local`` as
+    (B_k, N*s, nmax), contiguous for the propagations."""
+    step = _block_rows(slots.local.shape[1], proj.shape[1])
     for lo in range(0, len(rows), step):
         at = rows[lo:lo + step]
-        t = np.ascontiguousarray(np.take(proj, local[at], axis=0).transpose(0, 2, 1))
-        yield lo, lo + len(at), adj[at].astype(np.float64, copy=False), t
+        t = np.ascontiguousarray(np.take(proj, slots.local[at], axis=0).transpose(0, 2, 1))
+        yield lo, lo + len(at), slots.adjacency(at), t
 
 
-def _padded_forward(z: np.ndarray, r_pows: np.ndarray, adj: np.ndarray,
-                    xu: np.ndarray, local: np.ndarray, rows: np.ndarray | None = None):
+def _project(slots, z: np.ndarray) -> np.ndarray:
+    """P = X_u Z^T, (U', N*s), over the distinct rows of ``slots``, gathered a
+    block of rows at a time."""
+    z = z.reshape(-1, z.shape[-1])
+    proj = np.empty((slots.distinct, len(z)))
+    for lo, hi in _row_blocks(len(proj), 8 * z.shape[1]):
+        np.matmul(slots.feature_rows(np.arange(lo, hi)), z.T, out=proj[lo:hi])
+    return proj
+
+
+def _padded_forward(z: np.ndarray, r_pows: np.ndarray, slots,
+                    rows: np.ndarray | None = None):
     """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T,
-    for the group rows ``rows`` of ``adj`` and ``local`` (default: all).
+    for the group rows ``rows`` of ``slots`` (default: all; see DenseSlots).
 
     A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
-    takes ceil(p/2) propagations. P = X_u Z_i^T is projected once for the
-    distinct nodes and T gathered from it through ``local``, whose padding
-    reads the zero row of ``xu``. The rows run in blocks (``_padded_blocks``),
-    so the float64 adjacencies and T exist for one block at a time; only P
-    and the (p, B, N, s, s) C are kept.
+    takes ceil(p/2) propagations. P = X_u Z_i^T is projected for the distinct
+    rows (``_project``) and T gathered from it through ``local``, whose padding
+    reads a zero row. The rows run in blocks (``_padded_blocks``), so the
+    float64 adjacencies and T exist for one block at a time; only P and the
+    (p, B, N, s, s) C are kept.
     """
     n_hidden, s = z.shape[:2]
-    rows = np.arange(len(adj)) if rows is None else rows
+    rows = np.arange(len(slots.local)) if rows is None else rows
     p_max = len(r_pows) - 1
-    proj = xu @ z.reshape(n_hidden * s, -1).T                   # (U+1, N*s)
+    proj = _project(slots, z)                                   # (U', N*s)
     c = np.empty((p_max, len(rows), n_hidden, s, s))
-    for lo, hi, a, y in _padded_blocks(proj, adj, local, rows):
+    for lo, hi, a, y in _padded_blocks(proj, slots, rows):
         blocks = (hi - lo, n_hidden, s, -1)     # two Y_k live at a time
         for q in range(1, p_max + 1):
             left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
@@ -372,37 +417,38 @@ def _adjoint_chain(w: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _padded_backward(r_pows: np.ndarray, adj: np.ndarray, xu: np.ndarray,
-                     local: np.ndarray, dvals: np.ndarray, state,
+def _padded_backward(r_pows: np.ndarray, slots, dvals: np.ndarray, state,
                      rows: np.ndarray | None = None):
     """Gradients on Z and on each R^q of the padded evaluation of ``rows``.
 
     dR^q = sum_b dvals[b, :, q] C_q[b]. Block by block, with T regathered from
     P, the adjoint chain S <- (S + G_q) A for q = p..1, G_q = 2 dvals_q R^q T,
-    ends at dT; summed per distinct node (a segment sum over the slots sorted
-    by ``local``) into dP, it gives dZ = dP^T X_u in one product. ``xu`` may be
-    anything that gives rows of X_u when indexed with their ids, since only the
-    rows of the slots' nodes are read.
+    ends at dT; summed per distinct row (a segment sum over the slots sorted
+    by ``local``) into dP, it gives dZ = dP^T X_u, summed over blocks of the
+    rows the slots read.
     """
     proj, c = state
     n_hidden, s = c.shape[2:4]
-    rows = np.arange(len(adj)) if rows is None else rows
+    rows = np.arange(len(slots.local)) if rows is None else rows
     dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
     d_rq = (dq * c).sum(axis=1)
     w = 2.0 * dq * r_pows[1:, None]
-    keys = local[rows]
+    keys = slots.local[rows]
     order = np.argsort(keys, axis=None, kind="stable")
     starts = np.flatnonzero(np.diff(keys.ravel()[order], prepend=-1))
-    # dT's (N*s, B, nmax) slots sorted by node: the segment sum reads it as it is
-    sorted_at = np.empty(keys.shape, dtype=np.intp)
+    # dT's (N*s, B, nmax) slots sorted by row: the segment sum reads it as it is
+    sorted_at = np.empty(keys.shape, dtype=np.int32)
     sorted_at.ravel()[order] = np.arange(keys.size)
     dt = np.empty((n_hidden * s, keys.size))
-    for lo, hi, a, t in _padded_blocks(proj, adj, local, rows):
+    for lo, hi, a, t in _padded_blocks(proj, slots, rows):
         dt[:, sorted_at[lo:hi]] = _adjoint_chain(w[:, lo:hi], a, t).transpose(1, 0, 2)
         del a, t            # before the next block's are gathered
     dproj = np.add.reduceat(dt, starts, axis=1)                 # (N*s, U')
-    del dt                  # before the gather of X_u's rows
-    dz = dproj @ xu[keys.ravel()[order[starts]]]
+    del dt
+    ids = keys.ravel()[order[starts]]
+    dz = np.zeros((len(dproj), slots.width))
+    for lo, hi in _row_blocks(len(ids), 8 * slots.width):
+        dz += dproj[:, lo:hi] @ slots.feature_rows(ids[lo:hi])
     return dz.reshape(n_hidden, s, -1), d_rq
 
 

@@ -9,11 +9,12 @@ subgraph's adjacency entries, the slots' distinct feature rows) and the
 gate aggregate before the model's activation, so the trainer builds it
 once and reuses it in every pass. Per pass, the engine picks one of the two
 orders of the hidden-graph kernel that kernel.py evaluates, from the
-group's array shapes (NodeGroup.fits_moments), and builds that order's
-dense arrays: the subgraph moments shared by all experts, taken in size
-buckets, or the padded adjacencies. The moments are taken in the basis of
-the group's rows E (NodeGroup.basis_rows): its distinct rows when there
-are fewer of them than features, else the identity.
+group's array shapes (NodeGroup.fits_moments): the subgraph moments shared
+by all experts, taken in size buckets, or the padded order, which reads
+the plan's adjacencies and feature rows a block of rows at a time. The
+moments are taken in the basis of the group's rows E
+(NodeGroup.basis_rows): its distinct rows when there are fewer of them
+than features, else the identity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .graph import Graph
 from .kernel import (HiddenGraph, KernelConfig, _moment_backward, _moment_forward,
-                     _padded_backward, _padded_forward, _rectified_powers,
+                     _padded_backward, _padded_forward, _rectified_powers, _row_blocks,
                      _weight_backward, group_moments)
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
@@ -205,43 +206,22 @@ def _bucket_order(sizes: np.ndarray, nmax: int):
     return widths, np.argsort(widths, kind="stable")
 
 
-def _distinct_rows(features: np.ndarray, row_nodes: np.ndarray) -> np.ndarray:
-    """xu: the feature rows of ``row_nodes``, then a zero row, in one allocation."""
-    xu = np.empty((len(row_nodes) + 1, features.shape[1]))
-    np.take(features, row_nodes, axis=0, out=xu[:-1], mode="clip")   # "raise" would buffer
-    xu[-1] = 0.0
-    return xu
+def _gather_rows(features: np.ndarray, row_nodes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of xu (any shape of ids) gathered straight from ``features``:
+    id U reads the zero row."""
+    u = len(row_nodes)
+    rows = features[row_nodes[np.minimum(ids, u - 1)]]      # one allocation
+    rows[ids >= u] = 0.0
+    return rows
 
 
-@dataclass(frozen=True)
-class RowGather:
-    """Stands in for xu where only some of its rows are read: indexing it with
-    row ids gathers just those rows from ``features``; id U reads the zero row."""
-
-    features: np.ndarray    # (n, f)
-    row_nodes: np.ndarray   # (U,) a node holding each distinct feature row
-
-    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
-        u = len(self.row_nodes)
-        rows = self.features[self.row_nodes[np.minimum(ids, u - 1)]]   # one allocation
-        rows[ids >= u] = 0.0
-        return rows
-
-
-def _basis_rows(xu: np.ndarray) -> np.ndarray:
-    """E, the (min(U, f), f) rows the moment basis expands into: the U distinct
-    rows of ``xu`` (its last row is the zero row) when U < f, else the identity."""
-    u, f = xu.shape[0] - 1, xu.shape[1]
-    return xu[:-1] if u < f else np.eye(f)
-
-
-def _slot_basis(xu: np.ndarray, local: np.ndarray) -> np.ndarray:
+def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
     """(rows, width, min(U, f)) slot coordinates in the moment basis of the slots
     ``local`` indexes: the one-hot C of each slot's row when U < f, else the
     features."""
-    u = xu.shape[0] - 1
-    if u >= xu.shape[1]:
-        return np.take(xu, local, axis=0)
+    u = len(group.row_nodes)
+    if u >= group.width:
+        return group.feature_rows(local)
     c = np.zeros(local.shape + (u,))
     slots = np.flatnonzero(local < u)
     c.reshape(-1)[slots * u + local.reshape(-1)[slots]] = 1.0
@@ -253,7 +233,8 @@ class NodeGroup:
     """The plan of one engine unit: the subgraphs of a group of nodes as compact
     index arrays, plus the gate aggregates. It holds no model parameter, so one
     plan serves every model and every pass; a pass builds the dense arrays it
-    needs from it (``kernel_input``) and drops them when it ends.
+    needs from it (``kernel_input``) and drops them when it ends. It gives the
+    padded order its slots as kernel.DenseSlots does, a block of rows at a time.
 
     The moment order works in the smaller of two bases, X_b = C_b E: with
     E = xu[:-1] the U distinct rows and C_b the one-hot of ``local[b]`` when
@@ -273,9 +254,22 @@ class NodeGroup:
         return len(self.sizes)
 
     @property
+    def distinct(self) -> int:
+        """U + 1: the rows of xu."""
+        return len(self.row_nodes) + 1
+
+    @property
+    def width(self) -> int:
+        return self.features.shape[1]
+
+    @property
     def xu(self) -> np.ndarray:
         """(U + 1, f) the U distinct feature rows, then a zero row; gathered per use."""
-        return _distinct_rows(self.features, self.row_nodes)
+        return self.feature_rows(np.arange(self.distinct))
+
+    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Rows ``ids`` of xu, gathered from ``features`` with no xu."""
+        return _gather_rows(self.features, self.row_nodes, ids)
 
     def buckets(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """(widths, rows): each row's bucket width, and the rows of each bucket
@@ -289,45 +283,57 @@ class NodeGroup:
         """(B, nmax, nmax) zero-padded dense float64 adjacencies, built per use."""
         return self.padded_adjacency(np.float64)
 
-    def padded_adjacency(self, dtype) -> np.ndarray:
-        """(B, nmax, nmax) zero-padded dense adjacencies of ``dtype``: their
-        entries are 0 and 1, so every dtype holds them exactly."""
-        b, nmax = self.local.shape
-        adj = np.zeros((b, nmax, nmax), dtype=dtype)
-        widths, rows = self.buckets()
-        order = np.concatenate(rows)
-        counts = self.edge_counts[order]
-        i, j = np.divmod(self.edges, np.repeat(widths[order], counts))
-        np.put(adj, (np.repeat(order * nmax, counts) + i) * nmax + j, 1)
+    def padded_adjacency(self, dtype, rows: np.ndarray | None = None) -> np.ndarray:
+        """(len(rows), nmax, nmax) zero-padded dense adjacencies of ``dtype`` of
+        the given rows (default: all), in that order: their entries are 0 and 1,
+        so every dtype holds them exactly."""
+        nmax = self.local.shape[1]
+        rows = np.arange(self.count) if rows is None else rows
+        widths, order = _bucket_order(self.sizes, nmax)
+        # each row's first entry in ``edges``, which go bucket by bucket
+        starts = np.empty(self.count, dtype=np.int64)
+        starts[order] = np.cumsum(self.edge_counts[order]) - self.edge_counts[order]
+        counts = self.edge_counts[rows]
+        at = np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
+        i, j = np.divmod(self.edges[np.arange(len(at)) + at], np.repeat(widths[rows], counts))
+        adj = np.zeros((len(rows), nmax, nmax), dtype=dtype)
+        np.put(adj, (np.repeat(np.arange(len(rows)) * nmax, counts) + i) * nmax + j, 1)
         return adj
+
+    def adjacency(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 padded adjacencies of ``rows``, as the padded order reads them."""
+        return self.padded_adjacency(np.float64, rows)
 
     @property
     def feats(self) -> np.ndarray:
         """(B, nmax, f) zero-padded features, gathered per use."""
-        return np.take(self.xu, self.local, axis=0)
+        return self.feature_rows(self.local)
 
     @property
     def basis_rows(self) -> np.ndarray:
-        return _basis_rows(self.xu)
+        """E, the (min(U, f), f) rows the moment basis expands into: the U
+        distinct rows when U < f, else the identity."""
+        u = len(self.row_nodes)
+        return self.features[self.row_nodes] if u < self.width else np.eye(self.width)
 
     @property
     def basis(self) -> np.ndarray:
         """(B, nmax, min(U, f)) slot coordinates in the moment basis."""
-        return _slot_basis(self.xu, self.local)
+        return _slot_basis(self, self.local)
 
     def fits_moments(self, max_step: int) -> bool:
         """Whether the group's moments (max_step * min(U, f)^2 values per node)
         are no larger than its padded adjacency (nmax^2 values per node)."""
         nmax = self.local.shape[1]
-        width = min(len(self.row_nodes), self.features.shape[1])
+        width = min(len(self.row_nodes), self.width)
         return max_step * width * width <= nmax * nmax
 
-    def moments(self, xu: np.ndarray, max_step: int) -> np.ndarray:
+    def moments(self, max_step: int) -> np.ndarray:
         """group_moments of every row, (max_step, B, r, r), bucket by bucket:
         each bucket's rows are padded to its width alone, and their moments
         scattered back in row order. Padding adds only zero terms, so each
         row's moments are those of its full-nmax padding."""
-        r = min(xu.shape[0] - 1, xu.shape[1])
+        r = min(len(self.row_nodes), self.width)
         out = np.empty((max_step, self.count, r, r))
         widths, buckets = self.buckets()
         start = 0
@@ -337,41 +343,34 @@ class NodeGroup:
             adj = np.zeros((len(rows), w, w))
             np.put(adj, np.repeat(np.arange(len(rows)) * (w * w), counts)
                    + self.edges[start:stop], 1.0)
-            out[:, rows] = group_moments(adj, _slot_basis(xu, self.local[rows, :w]), max_step)
+            out[:, rows] = group_moments(adj, _slot_basis(self, self.local[rows, :w]),
+                                         max_step)
             start = stop
         return out
 
     def kernel_input(self, max_step: int) -> KernelInput:
         """One pass's kernel input: the moments when the group fits them, else
-        the full padded adjacencies as uint8, an eighth of float64; the kernel
-        converts them a block of rows at a time."""
-        xu = self.xu
+        nothing dense; the padded order reads the group a block of rows at a
+        time."""
         if self.fits_moments(max_step):
-            return KernelInput(xu, self.local, moments=self.moments(xu, max_step))
-        return KernelInput(xu, self.local, adj=self.padded_adjacency(np.uint8))
+            return KernelInput(self, moments=self.moments(max_step))
+        return KernelInput(self)
 
 
 class KernelInput(NamedTuple):
-    """What one pass of a group gives the expert kernels: the distinct feature
-    rows and the slot rows, with the moments (moment order) or the uint8 padded
-    adjacencies (padded order). Once the padded order's forward pass has
-    projected them, ``xu`` is a RowGather: the backward pass reads few rows."""
+    """What one pass of a group gives the expert kernels: the group, with the
+    moments in the moment order; the padded order reads the group itself."""
 
-    xu: np.ndarray | RowGather
-    local: np.ndarray
-    adj: np.ndarray | None = None
+    group: NodeGroup
     moments: np.ndarray | None = None
-
-    @property
-    def basis_rows(self) -> np.ndarray:
-        return _basis_rows(self.xu)
 
 
 def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
     """The plan of the given nodes of one graph, from its records. The
     adjacency entries come from the record nodes' CSR rows, with no n x n
     array; the features are the distinct rows of ``g.feature_rows`` the records
-    hold. Each phase frees its temporaries before the next allocates."""
+    hold. No array it allocates is sized by n or by U: the gate aggregate
+    reads the slots' feature rows a block of rows at a time."""
     node_ids = np.asarray(node_ids, dtype=np.int64)
     at = records.offsets[node_ids]
     sizes = records.offsets[node_ids + 1] - at
@@ -379,51 +378,49 @@ def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
     valid = np.arange(nmax)[None, :] < sizes[:, None]
     bounds = np.cumsum(sizes) - sizes       # each row's start in ``flat``
     flat = records.ids[np.arange(int(sizes.sum())) + np.repeat(at - bounds, sizes)]
-    uniq, inv = np.unique(flat, return_inverse=True)
     first, row_of = g.feature_rows
-    classes, cls_of = np.unique(row_of[uniq], return_inverse=True)
+    classes, cls_of = np.unique(row_of[flat], return_inverse=True)
     row_nodes = first[classes]
     local = np.full((b, nmax), len(classes), dtype=np.int32)
-    local[valid] = cls_of[inv]
-    edges, counts = _record_edges(g, flat, uniq, inv, sizes, bounds, valid)
-    xu = _distinct_rows(g.features, row_nodes)
-    xv = xu[local[:, 0]]
-    scores = np.where(valid, np.take_along_axis(xv @ xu.T, local, axis=1), -np.inf)
-    weights = np.zeros((b, len(xu)))
-    np.add.at(weights, (np.arange(b)[:, None], local), softmax(scores, axis=1))
-    agg = weights @ xu
-    agg += xv
+    local[valid] = cls_of
+    edges, counts = _record_edges(g, flat, sizes, bounds, valid)
+    agg = np.empty((b, g.feature_dim))
+    for lo, hi in _row_blocks(b, 8 * nmax * g.feature_dim):
+        x = _gather_rows(g.features, row_nodes, local[lo:hi])      # (B_k, nmax, f)
+        center = x[:, 0]
+        scores = np.where(valid[lo:hi], np.matmul(x, center[:, :, None])[..., 0], -np.inf)
+        np.matmul(softmax(scores, axis=1)[:, None], x, out=agg[lo:hi, None])
+        agg[lo:hi] += center
     return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
                      edges=edges.astype(np.min_scalar_type(nmax * nmax - 1)),
                      edge_counts=counts, agg=agg)
 
 
-def _record_edges(g: Graph, flat: np.ndarray, uniq: np.ndarray, inv: np.ndarray,
-                  sizes: np.ndarray, bounds: np.ndarray, valid: np.ndarray):
+def _record_edges(g: Graph, flat: np.ndarray, sizes: np.ndarray, bounds: np.ndarray,
+                  valid: np.ndarray):
     """(edges, counts) of NodeGroup: the ones of each row's adjacency, bucket by
-    bucket, from the CSR rows of the record nodes ``flat`` (``uniq[inv]``),
-    row b's at ``bounds[b]:bounds[b] + sizes[b]``."""
+    bucket, from the CSR rows of the record nodes ``flat``, row b's at
+    ``bounds[b]:bounds[b] + sizes[b]``."""
     b, nmax = valid.shape
     # the record slots bucket by bucket (NodeGroup.buckets): rank k is row order[k]
     widths, order = _bucket_order(sizes, nmax)
     rank, pos = np.nonzero(valid[order])
-    slot = bounds[order[rank]] + pos        # into ``flat``
-    # int32: the table grows with the square of the group's rows
-    where = np.full((b, len(uniq) + 1), -1, dtype=np.int32)
-    where[rank, inv[slot]] = pos
+    node = flat[bounds[order[rank]] + pos]
+    # the slots' (rank, node) keys, sorted: a neighbour's slot is one search away
+    keys = rank * g.node_count + node
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
     # the CSR rows of the slots' nodes, concatenated
-    starts, deg = g.offsets[flat[slot]], g.degrees[flat[slot]]
+    starts, deg = g.offsets[node], g.degrees[node]
     ends = np.cumsum(deg)
     nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
-    pos_of = np.full(g.node_count, len(uniq))       # outside every record: the pad column
-    pos_of[uniq] = np.arange(len(uniq))
-    # per neighbour: its record's rank, and its position there if it has one
     at = np.repeat(rank, deg)
-    other = where.ravel()[at * (len(uniq) + 1) + pos_of[nbr]]
-    inside = other >= 0
+    wanted = at * g.node_count + nbr
+    hit = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    inside = keys[hit] == wanted
     # offsets i * w + j in each row's bucket block; uint16 while nmax <= 256,
     # as the subgraph cap has no upper limit
-    edges = (np.repeat(pos * widths[order][rank], deg) + other)[inside]
+    edges = (np.repeat(pos * widths[order][rank], deg) + pos[by_key[hit]])[inside]
     counts = np.empty(b, dtype=np.int64)
     counts[order] = np.bincount(at[inside], minlength=b)
     return edges, counts
@@ -435,9 +432,10 @@ def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
     order ``kin`` holds; both orders give the same values up to rounding."""
     r_pows = _rectified_powers(expert.W, kcfg.max_step)
     if kin.moments is None:
-        vals, state = _padded_forward(expert.Z, r_pows, kin.adj, kin.xu, kin.local, rows)
+        vals, state = _padded_forward(expert.Z, r_pows, kin.group, rows)
     else:
-        vals, state = _moment_forward(expert.Z, r_pows, kin.moments[:, rows], kin.basis_rows)
+        vals, state = _moment_forward(expert.Z, r_pows, kin.moments[:, rows],
+                                      kin.group.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
@@ -450,10 +448,10 @@ def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, kin: KernelInput
     dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
         len(dphi), expert.hidden_count, -1)
     if kin.moments is None:
-        dz, d_rq = _padded_backward(r_pows, kin.adj, kin.xu, kin.local, dvals, state, rows)
+        dz, d_rq = _padded_backward(r_pows, kin.group, dvals, state, rows)
     else:
         dz, d_rq = _moment_backward(expert.Z, kin.moments[:, rows], dvals, state,
-                                    kin.basis_rows)
+                                    kin.group.basis_rows)
     grads[f"{key}.Z"] += dz
     grads[f"{key}.W"] += _weight_backward(expert.W, r_pows, d_rq)
 
@@ -546,10 +544,6 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         expert_rows[m] = (rows, pos)
         expert_caches[m] = (phi, kcache, mlp_cache, hm)
         wide[rows, m] = zeta[rows, pos][:, None] * hm
-    if kin.adj is not None:
-        # each expert's state keeps its projection P = X_u Z^T; the backward
-        # pass reads only the rows of X_u its dZ = dP^T X_u sums over
-        kin = kin._replace(xu=RowGather(group.features, group.row_nodes))
     concat_cache = None
     if model.cfg.combine_mode == "concat":
         h, concat_cache = model.combine_mlp.forward(wide.reshape(group.count, -1))

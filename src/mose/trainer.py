@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .datasets import Dataset
 from .kernel import KernelConfig
-from .moe import (ModelConfig, MoseModel, build_group, gate_backward,
-                  group_forward, new_model, pool_rows, pool_rows_backward)
+from .moe import (ModelConfig, MoseModel, build_group, group_forward, new_model,
+                  pool_rows, pool_rows_backward)
 from .nn import Adam, log_softmax, softmax
 from .util import FormatError, atomic_write, substream
 from .walks import SubgraphCache
@@ -123,24 +123,45 @@ def macro_f1_score(pred: np.ndarray, truth: np.ndarray, class_count: int) -> flo
 # -- the loss pass ------------------------------------------------------------
 
 class _RouteStash:
-    """Per-batch routing state kept for the balance-penalty backward pass."""
+    """Per-pass routing state for the balance penalty: each unit's picks and
+    routing weights, and, when the pass takes gradients, the maps from the
+    pass's d_totals to the gating gradients, summed over its units.
 
-    def __init__(self, expert_count: int):
+    A unit's dpsi[b] is J_b d_totals with J_b = diag(S_b) - S_b S_b^T, S_b its
+    row's routing weights scattered over the experts (gate_backward's
+    formula), so dW_g = eta^T dpsi = G_g d_totals with G_g = eta^T J, and
+    dW_n likewise with J's rows scaled by eps * sigma. G_g and G_n are
+    (f, E, E) whatever the unit's size, and no eta outlives its unit.
+    """
+
+    def __init__(self, expert_count: int, maps: bool):
         self.expert_count = expert_count
-        self.items = []
+        self.items = []                         # (idx, zeta) per unit
+        self.maps = {} if maps else None        # gradient name -> (f, E * E) map
 
     def add(self, run):
-        self.items.append((run.eta, run.eps, run.sig, run.idx, run.zeta))
+        self.items.append((run.idx, run.zeta))
+        if self.maps is None:
+            return
+        e = self.expert_count
+        s = np.zeros((len(run.idx), e))
+        np.put_along_axis(s, run.idx, run.zeta, axis=1)
+        jac = (s[:, :, None] * (np.eye(e) - s[:, None, :])).reshape(len(s), e * e)
+        self.maps["gating.W_g"] = run.eta.T @ jac + self.maps.get("gating.W_g", 0.0)
+        if run.eps is not None:
+            jac *= np.repeat(run.eps * run.sig, e, axis=1)
+            self.maps["gating.W_n"] = run.eta.T @ jac + self.maps.get("gating.W_n", 0.0)
 
     def totals(self) -> np.ndarray:
         out = np.zeros(self.expert_count)
-        for _, _, _, idx, zeta in self.items:
+        for idx, zeta in self.items:
             np.add.at(out, idx.ravel(), zeta.ravel())
         return out
 
     def backward(self, d_totals: np.ndarray, grads: dict):
-        for eta, eps, sig, idx, zeta in self.items:
-            gate_backward(eta, eps, sig, idx, zeta, d_totals[idx], self.expert_count, grads)
+        e = self.expert_count
+        for name, g in self.maps.items():
+            grads[name] += g.reshape(-1, e, e) @ d_totals
 
 
 def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
@@ -178,7 +199,7 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
     train_mode = rng_of is not None
     pooled = data.task == "graph"
     mode = model.cfg.readout_mode
-    stash = _RouteStash(model.expert_count)
+    stash = _RouteStash(model.expert_count, maps=grads is not None)
     logits, labels = [], []
     for key, plan_key, g, records, nodes, y in _units(data, cache, item_ids):
         rng = rng_of(key) if train_mode else None
@@ -424,9 +445,16 @@ _META_TYPES = {"model_config": dict, "kernel_config": dict, "seed": int, "adam_t
                "epoch_next": int, "rows": list, "best_metric": float, "best_epoch": int,
                "train_config": dict, "dataset_hash": str}
 _ROW_TYPES = {"epoch": int, "split": str, "loss_task": float, "loss_importance": float,
-              "accuracy": float, "macro_f1": float, "expert_load": list}
+              "accuracy": float, "macro_f1": float, "expert_load": (list, float)}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
                dict: "an object"}
+# the configs the meta record holds, and the JSON type of each annotation of
+# their fields: (list, t) is a list of t, KernelConfig.lambdas of numbers and
+# ModelConfig.sizes of integers
+_CONFIGS = {"model_config": ModelConfig, "kernel_config": KernelConfig,
+            "train_config": TrainConfig}
+_FIELD_TYPES = {"int": int, "float": float, "str": str, "tuple": (list, float),
+                "tuple | None": (list, int)}
 
 
 def _json_defect(value, kind) -> str | None:
@@ -437,21 +465,36 @@ def _json_defect(value, kind) -> str | None:
     return f"must be {_TYPE_NAMES[kind]}, got {value!r}"
 
 
+def _fields_defect(record: dict, types: dict, name: str) -> str | None:
+    """What is wrong with the keys of ``record`` that ``types`` names, if
+    anything: a key missing, or a value (or a list's entry) of another type."""
+    for key, kind in types.items():
+        kind, item_kind = kind if isinstance(kind, tuple) else (kind, None)
+        if key not in record:
+            return f"{name}{key} is missing"
+        if (why := _json_defect(record[key], kind)):
+            return f"{name}{key} {why}"
+        for item in record[key] if item_kind else ():
+            if (why := _json_defect(item, item_kind)):
+                return f"{name}{key} {why}"
+    return None
+
+
 def _meta_defect(meta: dict) -> str | None:
     """What is wrong with the types of a checkpoint's meta record, if anything;
-    a missing key raises KeyError."""
+    a missing top-level key raises KeyError."""
     for key, kind in _META_TYPES.items():
         if (why := _json_defect(meta[key], kind)):
             return f"{key} {why}"
+    for key, cls in _CONFIGS.items():
+        types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+        if (why := _fields_defect(meta[key], types, f"{key}.")):
+            return why
     for i, row in enumerate(meta["rows"]):
         if (why := _json_defect(row, dict)):
             return f"rows[{i}] {why}"
-        for key, kind in _ROW_TYPES.items():
-            if (why := _json_defect(row[key], kind)):
-                return f"rows[{i}].{key} {why}"
-        for load in row["expert_load"]:
-            if (why := _json_defect(load, float)):
-                return f"rows[{i}].expert_load {why}"
+        if (why := _fields_defect(row, _ROW_TYPES, f"rows[{i}].")):
+            return why
     return None
 
 
@@ -463,7 +506,13 @@ def _read_checkpoint(path: str):
         raise ValueError("not an npz archive") from None
     if "meta" not in arrays:
         raise ValueError("no meta record")
-    meta = json.loads(str(arrays.pop("meta")))
+    text = arrays.pop("meta")
+    if text.dtype.kind != "U" or text.shape != ():
+        raise FormatError(f"{path}: meta: {text.dtype} array of shape {text.shape}, "
+                          "expected one string")
+    meta = json.loads(str(text))
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta: must be an object, got {meta!r}")
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {meta['version']}")
     if (why := _meta_defect(meta)):
@@ -523,7 +572,7 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                                       (lambda key: rng) if train_mode else None,
                                       dropout, grads, plans)
     imp, _ = _apply_importance(stash, cfg.beta, grads)
-    picks = [idx for _, _, _, idx, _ in stash.items]
+    picks = [idx for idx, _ in stash.items]
     return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
 
 

@@ -47,16 +47,17 @@ class WalkConfig:
 class Records:
     """One graph's records as CSR: record v, its center first, is
     ``ids[offsets[v]:offsets[v + 1]]``. It supports ``len``, indexing (a record
-    is an int64 array) and iteration; two are equal when their records are."""
+    is an int32 array) and iteration; two are equal when their records are."""
 
-    ids: np.ndarray         # (total,) int64 node ids, record after record
+    ids: np.ndarray         # (total,) int32 node ids, record after record
     offsets: np.ndarray     # (n + 1,) int64 record starts, from 0
 
     @classmethod
     def from_lists(cls, lists) -> "Records":
-        """The CSR of a sequence of node-id lists."""
+        """The CSR of a sequence of node-id lists; an id outside int32 raises
+        OverflowError."""
         sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        ids = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+        ids = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int32,
                           count=int(sizes.sum()))
         return cls(ids, np.concatenate([[0], np.cumsum(sizes)]))
 
@@ -170,7 +171,7 @@ def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
     if cap is not None:
         x = x[np.arange(len(x)) - np.repeat(starts, sizes) < cap]
         sizes = np.minimum(sizes, cap)
-    return Records(x, np.concatenate([[0], np.cumsum(sizes)]))
+    return Records(x.astype(np.int32), np.concatenate([[0], np.cumsum(sizes)]))
 
 
 _BLOCK = 1 << 13     # walk rows expanded at a time
@@ -479,7 +480,7 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
 
 _INT = "(?:0|[1-9][0-9]*)"
 _P_LINE = re.compile(f"p ({_INT}(?:,{_INT})*) ({_INT})")
-_INT64_MAX = str(np.iinfo(np.int64).max).encode()
+_ID_MAX = str(np.iinfo(np.int32).max).encode()    # record ids are int32
 
 
 def load_cache(path: str) -> SubgraphCache:
@@ -542,8 +543,9 @@ def _read_records(path: str, lines: list[str], numbers: list[int]) -> Records:
     """The records of one graph's 'v' lines, read in array passes over their bytes.
 
     A line holds "v ", then ids joined by single spaces, each "0" or a digit
-    run with no leading zero, with "-" before it at most, within int64. The
-    first line that does not raises FormatError naming ``numbers[i]``.
+    run with no leading zero, with "-" before it at most, of magnitude within
+    int32. The first line that does not raises FormatError naming
+    ``numbers[i]``.
     """
     b = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
     prev, nxt = np.roll(b, 1), np.roll(b, -1)      # b ends with a newline
@@ -559,9 +561,10 @@ def _read_records(path: str, lines: list[str], numbers: list[int]) -> Records:
           & ~((b == _ZERO) & ~prev_digit & next_digit))
     starts = np.flatnonzero(digit & ~prev_digit)
     length = np.flatnonzero(digit & ~next_digit) + 1 - starts
-    wide = starts[length == 19]     # within int64 when not above its maximum
-    over = wide[b[wide[:, None] + np.arange(19)].view("S19").ravel() > _INT64_MAX]
-    bad = np.concatenate([np.flatnonzero(~ok), starts[length > 19], over])
+    digits = len(_ID_MAX)
+    wide = starts[length == digits]     # within int32 when not above its maximum
+    over = wide[b[wide[:, None] + np.arange(digits)].view(f"S{digits}").ravel() > _ID_MAX]
+    bad = np.concatenate([np.flatnonzero(~ok), starts[length > digits], over])
     newlines = np.flatnonzero(b == _NL)
     if len(bad):
         i = int(np.searchsorted(newlines, bad.min()))
@@ -569,6 +572,6 @@ def _read_records(path: str, lines: list[str], numbers: list[int]) -> Records:
     sizes = np.bincount(np.searchsorted(newlines, starts), minlength=len(lines))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     if not len(starts):     # fromstring reads text without ids as [0]
-        return Records(np.zeros(0, dtype=np.int64), offsets)
+        return Records(np.zeros(0, dtype=np.int32), offsets)
     text = np.where(b == _V, _SPACE, b).tobytes()
-    return Records(np.fromstring(text, dtype=np.int64, sep=" "), offsets)
+    return Records(np.fromstring(text, dtype=np.int32, sep=" "), offsets)

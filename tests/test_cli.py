@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mose import cli
 from mose.cli import main
@@ -717,6 +720,96 @@ def test_malformed_input_exit_code_names_file(workspace, extracted_cache, tmp_pa
     prefix = "usage error: " if code == 64 else "error: "
     assert capsys.readouterr().err.startswith(f"{prefix}{path}{message}")
     assert not (out / "manifest.json").exists() and not (out / "metrics.csv").exists()
+
+
+def _checkpoint_edits(body: bytes) -> list:
+    """(op, where, name) for every edit the fuzz below makes to a checkpoint:
+    each member dropped, reshaped or retyped, and each field of its meta record
+    (each config's fields, each row's fields and their list entries too)
+    dropped or retyped; ``name`` is what the refusal must name."""
+    with np.load(io.BytesIO(body)) as data:
+        members = list(data.files)
+        meta = json.loads(str(data["meta"]))
+    edits = [(op, ("member", m), m) for m in members for op in ("drop", "reshape", "retype")]
+
+    def fields(value, where, name):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                inner = f"{name}.{key}" if name else key
+                edits.append(("drop", where + (key,), inner))
+                edits.append(("retype", where + (key,), inner))
+                fields(item, where + (key,), inner)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                inner = f"{name}[{i}]" if isinstance(item, dict) else name
+                if not isinstance(item, dict):
+                    edits.append(("retype", where + (i,), inner))
+                fields(item, where + (i,), inner)
+
+    fields(meta, ("meta",), "")
+    return edits
+
+
+def _retyped(value, choice: int):
+    """A JSON value of another type than ``value``: not a number for a float,
+    not an integer for an int."""
+    options = ["x", 1.5, [1], {"a": 1}, None, True]
+    options = [o for o in options if type(o) is not type(value)
+               and not (isinstance(value, float) and isinstance(o, float))]
+    return options[choice % len(options)]
+
+
+def _edit_checkpoint(body: bytes, op: str, where: tuple, choice: int) -> bytes:
+    with np.load(io.BytesIO(body)) as data:
+        members = {k: data[k] for k in data.files}
+    if where[0] == "member":
+        name = where[1]
+        arr = members.pop(name)
+        if op == "reshape":
+            members[name] = arr[None]
+        elif op == "retype":
+            kinds = [np.int64, np.bool_, np.str_, np.bytes_] if arr.dtype.kind == "f" else [
+                np.float64, np.int64, np.bytes_]
+            kind = kinds[choice % len(kinds)]
+            members[name] = (arr.astype(kind) if kind in (np.str_, np.bytes_)
+                             or arr.dtype.kind == "f" else np.zeros(arr.shape, kind))
+        return _npz(**members)
+    meta = json.loads(str(members["meta"]))
+    parent = meta
+    for key in where[1:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = _retyped(parent[where[-1]], choice)
+    members["meta"] = json.dumps(meta)
+    return _npz(**members)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_checkpoint_edits_are_refused_naming_the_member(workspace, resumable_checkpoint,
+                                                        tmp_path_factory, data):
+    # a resumed run's checkpoint with one member or meta field dropped, reshaped
+    # or retyped: the run stops with a FormatError naming the path and what was
+    # edited, exit 2, before it writes anything
+    body = resumable_checkpoint.read_bytes()
+    op, where, name = data.draw(st.sampled_from(_checkpoint_edits(body)))
+    edited = _edit_checkpoint(body, op, where, data.draw(st.integers(0, 5)))
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "checkpoint.npz").write_bytes(edited)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["train", "--data-dir", str(workspace / "data"), "--dataset", "GraphCycle",
+                    *BASE, "--epochs", "2", "--folds", "3", "--experts", "3",
+                    "--hidden-graphs", "2", "--out-dir", str(out)])
+    message = err.getvalue()
+    assert code == 2, message
+    assert message.startswith(f"error: {out / 'checkpoint.npz'}: ") and name in message, \
+        (op, where, message)
+    assert os.listdir(out) == ["checkpoint.npz"]
+    assert (out / "checkpoint.npz").read_bytes() == edited
 
 
 def test_unexpected_exception_is_runtime_error(monkeypatch, capsys):

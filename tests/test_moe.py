@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
-from mose.kernel import (STEP_MODES, KernelConfig, _moment_backward, _moment_forward,
-                         _padded_backward, _padded_forward, _rectified_powers,
-                         group_moments)
+from mose.kernel import (STEP_MODES, DenseSlots, KernelConfig, _moment_backward,
+                         _moment_forward, _padded_backward, _padded_forward,
+                         _rectified_powers, group_moments)
 from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, KernelInput,
                       ModelConfig, build_group, group_forward, new_model,
                       _expert_kernel_backward, _expert_kernel_forward)
@@ -216,8 +216,8 @@ class TestForward:
         rows = np.array([0, 2, 3, 5, 8])
         moments = group_moments(group.adj, group.feats, kcfg.max_step)
         out = {}
-        for name, kin in (("padded", KernelInput(group.xu, group.local, adj=group.adj)),
-                          ("moments", KernelInput(group.xu, group.local, moments=moments))):
+        for name, kin in (("padded", KernelInput(group)),
+                          ("moments", KernelInput(group, moments=moments))):
             phi, cache = _expert_kernel_forward(expert, kcfg, kin, rows)
             grads = {"e.W": np.zeros_like(expert.W), "e.Z": np.zeros_like(expert.Z)}
             dphi = np.random.default_rng(12).normal(size=phi.shape)
@@ -395,12 +395,11 @@ class TestGroupBuild:
 
     def test_peak_holds_the_gate_aggregate_and_little_else(self):
         # a 512-row chunk of a 1500-node graph with 512-wide features, as a
-        # node task plans it. The edge phase's (B, U + 1) table and neighbour
-        # arrays are freed before the gate aggregate allocates xu, its two
-        # (B, f) rows and its (B, U + 1) scores; the bound adds 16 int64
-        # arrays of B x nmax for the slots. Measured with numpy 2.4: 17.4 MB
-        # (bound 20.7 MB); 23.6 MB with the edge phase's arrays kept alive.
-        import tracemalloc
+        # node task plans it. The bound holds the (B, f) aggregate, 8 int64
+        # arrays per neighbour of a slot for the edge phase's search and 16 per
+        # slot; the aggregate's row blocks fit in the slots' share. Measured
+        # with numpy 2.4: 10.4 MB (bound 15.7 MB); 17.4 MB with the (B, U + 1)
+        # lookup table, scores and weights.
         rng = np.random.default_rng(60)
         n, f, cap = 1500, 512, 64
         edges = [(i, int(j)) for i in range(1, n) for j in rng.integers(0, i, 3)]
@@ -409,6 +408,35 @@ class TestGroupBuild:
                                              if u != v][:rng.integers(cap // 2, cap)]
                                       for v in range(n)])
         node_ids = rng.permutation(n)[:512]
+        peak, group = self.build_peak(g, records, node_ids)
+        (b, nmax), u = group.local.shape, len(group.row_nodes)
+        assert u > 1000 and nmax == cap
+        neighbours = g.degrees[np.concatenate([records[v] for v in node_ids])].sum()
+        assert peak <= 8 * (b * f + 8 * neighbours + 16 * b * nmax)
+
+    @staticmethod
+    def scaled_chunk(n, f=64, nmax=48, seed=70):
+        """A ring of n nodes with chords and real-valued f-wide features, each
+        node's record 24..nmax nodes of the 64 around it (CSR arrays), and 512
+        centers: a node task's chunk, whose records touch more distinct rows
+        as n grows."""
+        rng = np.random.default_rng(seed)
+        ring = np.arange(n)
+        edges = np.concatenate([np.stack([ring, (ring + k) % n], 1) for k in (1, 2, 3)]
+                               + [rng.integers(0, n, (n // 4, 2))])
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        sizes = rng.integers(nmax // 2, nmax + 1, n)
+        window = np.concatenate([np.arange(-32, 0), np.arange(1, 33)])
+        picks = window[rng.random((n, len(window))).argsort(axis=1)[:, :nmax - 1]]
+        ids = np.concatenate([ring[:, None], (ring[:, None] + picks) % n], axis=1)
+        keep = np.arange(nmax)[None] < sizes[:, None]
+        records = Records(ids[keep].astype(np.int32), np.concatenate([[0], np.cumsum(sizes)]))
+        return g, records, rng.permutation(n)[:512]
+
+    @staticmethod
+    def build_peak(g, records, node_ids):
+        """(peak of build_group over its entry, the plan)."""
+        import tracemalloc
         g.feature_rows                      # computed once per graph, before any plan
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -420,9 +448,32 @@ class TestGroupBuild:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        (b, nmax), u = group.local.shape, len(group.row_nodes)
-        assert u > 1000 and nmax == cap
-        assert peak <= 8 * ((u + 1) * f + 2 * b * f + b * (u + 1) + 16 * b * nmax)
+        return peak, group
+
+    def test_blocked_aggregate_matches_the_reference(self):
+        # real-valued features through seven row blocks of the aggregate: each
+        # row is the reference gate aggregate of its record's subgraph
+        g, records, node_ids = self.scaled_chunk(2000)
+        group = build_group(g, records, node_ids)
+        want = np.stack([gate_aggregate(induced_subgraph(g, records[v].tolist()),
+                                        act=GATE_ACTIVATIONS["identity"])
+                         for v in node_ids])
+        assert rel_err(group.agg, want) <= 1e-12
+
+    def test_chunk_peak_does_not_grow_with_the_graph(self):
+        # a 512-node chunk of a 2k-node and of a 16k-node graph: its records
+        # touch 2,000 and 10,964 distinct rows, and nothing build_group
+        # allocates is sized by them. Measured with numpy 2.4: 8.3 and 8.6 MB
+        # (the edge phase's per-neighbour arrays lead); with (B, U + 1) tables,
+        # 11.3 and 53.1 MB.
+        peaks = []
+        for n in (2000, 16000):
+            peak, group = self.build_peak(*self.scaled_chunk(n))
+            assert group.local.shape == (512, 48)
+            peaks.append((peak, len(group.row_nodes)))
+        (small, u_small), (large, u_large) = peaks
+        assert u_large > 5 * u_small
+        assert large <= 1.2 * small
 
     @pytest.mark.parametrize("n", [12, 6500])
     def test_one_construction_at_every_size(self, n, monkeypatch):
@@ -505,7 +556,7 @@ class TestPlan:
             adj[b, :k, :k] = whole[np.ix_(records[v], records[v])]
         assert np.array_equal(group.adj, adj)
         want = group_moments(adj, group.basis, p_max)
-        got = group.moments(group.xu, p_max)
+        got = group.moments(p_max)
         assert got.shape == want.shape and np.array_equal(got, want)
         widths, _ = group.buckets()
         assert ((widths >= group.sizes) & ((widths % BUCKET == 0) | (widths == nmax))).all()
@@ -525,8 +576,13 @@ class TestGatheredKernel:
         records[6] = [6, 9, 1, 4]
         return g, records
 
+    # 1 KiB blocks: X_u projected and dZ summed two rows at a time, A one row
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 10])
     @pytest.mark.parametrize("rows", [np.arange(10), np.array([0, 3, 6, 7])])
-    def test_matches_padded_tensor_reference(self, rows):
+    def test_matches_padded_tensor_reference(self, rows, block_bytes, monkeypatch):
+        import mose.kernel
+        if block_bytes:
+            monkeypatch.setattr(mose.kernel, "_BLOCK_BYTES", block_bytes)
         g, records = self.wide_group()
         node_ids = [4, 0, 6, 3, 1, 2, 5, 7, 8, 9]
         group = build_group(g, Records.from_lists(records), node_ids)
@@ -537,11 +593,9 @@ class TestGatheredKernel:
         assert not group.fits_moments(model.kernel_cfg.max_step)
         expert = model.bank.experts[2]
         r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
-        vals, state = _padded_forward(expert.Z, r_pows, group.adj[rows], group.xu,
-                                      group.local[rows])
+        vals, state = _padded_forward(expert.Z, r_pows, group, rows)
         dvals = np.random.default_rng(22).normal(size=vals.shape)
-        dz, d_rq = _padded_backward(r_pows, group.adj[rows], group.xu, group.local[rows],
-                                     dvals, state)
+        dz, d_rq = _padded_backward(r_pows, group, dvals, state, rows)
         ref = padded_tensor_kernel(expert, r_pows, group.adj[rows], feats[rows], dvals)
         for got, want in zip((vals, dz, d_rq), ref):
             assert np.any(want != 0)
@@ -562,9 +616,8 @@ class TestGatheredKernel:
             dvals = np.random.default_rng(30 + m).normal(
                 size=(group.count, expert.hidden_count, p_max))
             want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
-            vals, state = _padded_forward(expert.Z, r_pows, group.adj, group.xu, group.local)
-            padded = (vals,) + _padded_backward(r_pows, group.adj, group.xu, group.local,
-                                                dvals, state)
+            vals, state = _padded_forward(expert.Z, r_pows, group)
+            padded = (vals,) + _padded_backward(r_pows, group, dvals, state)
             vals, state = _moment_forward(expert.Z, r_pows, moments, np.eye(64))
             moment = (vals,) + _moment_backward(expert.Z, moments, dvals, state, np.eye(64))
             for got in (padded, moment):
@@ -603,9 +656,10 @@ class TestGatheredKernel:
             assert max(a.size for a in arrays(cache)) < padded
 
     def test_row_blocks_give_the_same_bits(self, monkeypatch):
-        # rows routed to three experts, on the pass's uint8 adjacency and a
-        # float64 one, one row, three rows or every row per block: each gives
-        # the bits of the unblocked call on the sliced float64 arrays
+        # rows routed to three experts, read from the plan itself and from a
+        # dense uint8 adjacency, one row, three rows or every row per block:
+        # each gives the bits of the unblocked call on the dense float64 arrays
+        # sliced to the expert's rows
         import mose.kernel
         rng = np.random.default_rng(31)
         n, f = 16, 64
@@ -619,43 +673,72 @@ class TestGatheredKernel:
         assert not group.fits_moments(model.kernel_cfg.max_step)
         routes = [np.arange(n), np.array([0, 3, 4, 9, 15]), np.array([2, 5, 7, 8, 11, 12, 14])]
 
-        def evaluate(sliced, adj):
-            # (vals, C, dZ, dR^q) per expert; sliced: the group's arrays cut to its rows
+        def evaluate(slots, sliced):
+            # (vals, C, dZ, dR^q) per expert
             out = []
             for m, (expert, at) in enumerate(zip(model.bank.experts, routes)):
                 r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
-                args = (adj[at], group.xu, group.local[at]) if sliced else (
-                    adj, group.xu, group.local)
+                args = ((DenseSlots(slots.adj[at], slots.xu, slots.local[at]),) if sliced
+                        else (slots,))
                 rows = () if sliced else (at,)
                 vals, state = _padded_forward(expert.Z, r_pows, *args, *rows)
                 dvals = np.random.default_rng(40 + m).normal(size=vals.shape)
                 out += [vals, state[1], *_padded_backward(r_pows, *args, dvals, state, *rows)]
             return out
 
-        want = evaluate(True, group.adj)
+        want = evaluate(DenseSlots(group.adj, group.xu, group.local), True)
         for rows_per_block in (1, 3, n):
             monkeypatch.setattr(mose.kernel, "_block_rows", lambda nmax, width: rows_per_block)
-            for dtype in (np.uint8, np.float64):
-                got = evaluate(False, group.padded_adjacency(dtype))
+            for slots in (group, DenseSlots(group.padded_adjacency(np.uint8), group.xu,
+                                            group.local)):
+                got = evaluate(slots, False)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    def test_padded_run_keeps_no_distinct_rows_for_backward(self):
-        # every expert's state keeps its projection P = X_u Z^T, so between the
-        # forward and backward passes no (U + 1, f) copy of the features is held
+    def test_padded_run_keeps_no_distinct_rows_for_backward(self, monkeypatch):
+        # 64 disjoint records of 128 nodes, U = 8192 distinct rows of 512
+        # features. Every expert's state keeps its projection P = X_u Z^T, (U+1,
+        # N*s), and the kernel reads A and the rows of X_u a block at a time,
+        # so no (U + 1, f) or (U', f) copy of the features and no (B, nmax,
+        # nmax) adjacency is held between the passes or made within them.
+        # With 64 KiB blocks, measured with numpy 2.4: peaks of 1.7 MB (forward)
+        # and 1.1 MB (backward), bound 4.2 MB; X_u alone is 33.6 MB.
         import dataclasses
+        import tracemalloc
+        import mose.kernel
         rng = np.random.default_rng(24)
-        n, f = 40, 64
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
-        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
-                   for v in range(n)]
-        group = build_group(g, Records.from_lists(records), range(n))
+        b, nmax, f = 64, 128, 512
+        n = b * nmax
+        ring = np.arange(n)
+        g = Graph.from_edges(n, np.concatenate([np.stack([ring, (ring + k) % n], 1)
+                                                for k in (1, 5)]),
+                             features=rng.normal(size=(n, f)))
+        centers = np.arange(0, n, nmax)
+        records = [[v] for v in range(n)]
+        for c in centers:
+            records[c] = list(range(c, c + nmax))
+        group = build_group(g, Records.from_lists(records), centers)
         model = tiny_model(f=f, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
-        run = group_forward(model, group, train_mode=True, rng=substream(0, 1), dropout=0.1)
-        distinct = (len(group.row_nodes) + 1, f)
-        assert distinct[0] == n + 1
+        assert group.local.shape == (b, nmax) and len(group.row_nodes) == n
+        distinct = 8 * (len(group.row_nodes) + 1) * f
+        bound = min(distinct, 8 * b * nmax * nmax) / 2
+        monkeypatch.setattr(mose.kernel, "_BLOCK_BYTES", 1 << 16)
 
+        def traced(call):
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = call()
+                return out, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        run, peak = traced(lambda: group_forward(model, group, train_mode=True,
+                                                 rng=substream(0, 1), dropout=0.1))
+        assert peak <= bound
         held, seen, stack = [], set(), [run]
         while stack:
             obj = stack.pop()
@@ -671,9 +754,12 @@ class TestGatheredKernel:
                 stack.extend(obj.values())
             elif dataclasses.is_dataclass(obj):
                 stack.extend(vars(obj).values())
-        assert len(held) > 10 and distinct not in held
+        assert len(held) > 10
+        assert not [shape for shape in held if shape[-1:] == (f,) and shape[0] > b]
+        assert (b, nmax, nmax) not in held
         grads = model.zero_grads()
-        run.backward(np.ones_like(run.h), grads)
+        _, peak = traced(lambda: run.backward(np.ones_like(run.h), grads))
+        assert peak <= bound
         assert np.any(grads["expert0.Z"] != 0)
 
     @staticmethod
@@ -728,8 +814,8 @@ class TestGatheredKernel:
         import mose.moe
         slot_basis, gathered = mose.moe._slot_basis, []
 
-        def recorded(xu, local):
-            out = slot_basis(xu, local)
+        def recorded(group, local):
+            out = slot_basis(group, local)
             gathered.append(out.shape)
             return out
 

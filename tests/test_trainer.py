@@ -1,6 +1,10 @@
 import hashlib
+import json
 import os
+import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +12,12 @@ import pytest
 from mose.datasets import Dataset, gen_graph_cycle, make_folds, make_node_splits
 from mose.graph import Graph, degree_features
 from mose.kernel import KernelConfig
-from mose.moe import ModelConfig, build_group, new_model
-from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig,
+from mose.moe import ModelConfig, build_group, gate_backward, group_forward, new_model
+from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig, _RouteStash,
                           accuracy_score, evaluate, grad_check, load_checkpoint,
                           macro_f1_score, metrics_csv, save_checkpoint, total_loss,
                           train, _cv_squared, _cv_squared_grad)
-from mose.util import FormatError
+from mose.util import FormatError, substream
 from mose.walks import WalkConfig, extract_dataset
 from reference import Route, importance_loss
 
@@ -86,6 +90,41 @@ class TestLosses:
             minus[k] -= h
             num = (_cv_squared(plus) - _cv_squared(minus)) / (2 * h)
             assert grad[k] == pytest.approx(num, rel=1e-5, abs=1e-9)
+
+
+class TestRouteStash:
+    def test_penalty_maps_match_the_eta_backward(self):
+        # two train-mode units on real-valued features: the balance penalty's
+        # W_g and W_n gradients through the stash's (f, E, E) maps equal
+        # gate_backward's from each unit's eta; an eval stash keeps no map
+        data = golden_node_dataset(width=64)
+        cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
+        model = new_model(ModelConfig(feature_dim=64, class_count=3, experts=4,
+                                      hidden_per_expert=2, embed_dim=6, k_ept=2, task="node"),
+                          KernelConfig(max_step=2), seed=3)
+        g, e = data.graphs[0], model.expert_count
+        runs = [group_forward(model, build_group(g, cache.records[0], chunk), train_mode=True,
+                              rng=substream(0, k))
+                for k, chunk in enumerate(np.array_split(np.arange(g.node_count), [512]))]
+        stash, plain = _RouteStash(e, maps=True), _RouteStash(e, maps=False)
+        for run in runs:
+            stash.add(run)
+            plain.add(run)
+        assert plain.maps is None and np.array_equal(plain.totals(), stash.totals())
+        # no (B, f) array outlives its unit: the stash holds (B, k) picks and
+        # weights and (f, E * E) maps
+        held = [a.shape for item in stash.items for a in item]
+        assert all(shape[1] == 2 for shape in held)
+        assert [m.shape for m in stash.maps.values()] == [(64, e * e)] * 2
+        d_totals = np.random.default_rng(1).normal(size=e)
+        got, want = model.zero_grads(), model.zero_grads()
+        stash.backward(d_totals, got)
+        for run in runs:
+            gate_backward(run.eta, run.eps, run.sig, run.idx, run.zeta, d_totals[run.idx], e,
+                          want)
+        for name in ("gating.W_g", "gating.W_n"):
+            assert np.any(want[name] != 0)
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max()
 
 
 class TestMetricHelpers:
@@ -278,26 +317,25 @@ class TestNodeTask:
 class TestUnitLifetime:
     def test_each_unit_is_planned_once_per_call(self, monkeypatch):
         # a plan is built once per distinct graph per call and reused by every
-        # pass; the dense (B, nmax, nmax) arrays a pass builds from it, the
-        # padded order's adjacencies and the moment order's bucket adjacencies,
-        # are gone before the next pass starts
+        # pass; the dense adjacencies a pass builds from it, the padded order's
+        # row blocks and the moment order's buckets, are gone before the next
+        # pass starts
         import collections
         import weakref
         import mose.moe
         import mose.trainer
         built, dense = collections.Counter(), []
-        kernel_input, group_moments = mose.moe.NodeGroup.kernel_input, mose.moe.group_moments
+        adjacency, group_moments = mose.moe.NodeGroup.adjacency, mose.moe.group_moments
         group_forward = mose.trainer.group_forward
 
         def planned(g, records, node_ids):
             built[id(g)] += 1
             return build_group(g, records, node_ids)
 
-        def padded(group, max_step):
-            kin = kernel_input(group, max_step)
-            if kin.adj is not None:
-                dense.append(("padded", weakref.ref(kin.adj)))
-            return kin
+        def padded(group, rows):
+            adj = adjacency(group, rows)
+            dense.append(("padded", weakref.ref(adj)))
+            return adj
 
         def bucketed(adj, basis, max_step):
             dense.append(("bucket", weakref.ref(adj)))
@@ -308,7 +346,7 @@ class TestUnitLifetime:
             return group_forward(*args, **kwargs)
 
         monkeypatch.setattr(mose.trainer, "build_group", planned)
-        monkeypatch.setattr(mose.moe.NodeGroup, "kernel_input", padded)
+        monkeypatch.setattr(mose.moe.NodeGroup, "adjacency", padded)
         monkeypatch.setattr(mose.moe, "group_moments", bucketed)
         monkeypatch.setattr(mose.trainer, "group_forward", forward)
         data = toy_dataset(2)
@@ -563,15 +601,15 @@ GOLDEN_TRAIN = TrainConfig(epochs=2, learning_rate=5e-3, beta=0.3, batch_size=3,
 # (sha256 of the trained parameters, test accuracy, test loss_task); they pin
 # every routing-noise and dropout draw and the order of the arithmetic
 GOLDEN_RUNS = {
-    ("mean", "weighted-sum"): ("7d2c9d2a896224f910a7102c6edbafd245f2385a36e727634f8256364cd7a6cf",
+    ("mean", "weighted-sum"): ("935f01bf40d6899c78c8e6e041501b09fc9faedf715316ffb8e1fae60e3d4a9d",
                                0.3333333333333333, 0.7017995326840248),
-    ("mean", "concat"): ("90f4846ea81977a758dd978ec6052d0755ac785c3f3883fa726192683dbc8943",
+    ("mean", "concat"): ("8813681d9593ff9c964abd405e198bb4671c66d796f31b28ea1e2c9705c772cd",
                          0.3333333333333333, 0.7214245817306107),
-    ("max", "weighted-sum"): ("696835c6778e0de097df58ba51e6d09f282048190a14cead8d2e3e7a2911946f",
+    ("max", "weighted-sum"): ("5fd26679bad574a3fee4761f88d597866f41c3ad5d6e6683b1abb83366a58006",
                               0.6666666666666666, 0.7132389552046083),
-    ("max", "concat"): ("0b7abaea115aadfdba5f2a0a8f9bd8382f9a6b3e0cc58fee7f5a2ceaec122e5d",
+    ("max", "concat"): ("299ed391bfb89b9c77278a43c569b8af6f4730f5fbef68fdd55b8d8084f2b35f",
                         0.3333333333333333, 0.7545383790849186),
-    "node": ("f785c037f00a3a192e52e410384675fc7b6d299fef821512c2727eea94c67807",
+    "node": ("27e37114bf4aab35bda5738ef0a62713594e967e2dac2cd77f0aed51b0e367de",
              0.3333333333333333, 2.0721758385709013),
 }
 
@@ -596,33 +634,72 @@ def parameter_digest(model) -> str:
     return h.hexdigest()
 
 
-class TestGoldenTraining:
-    @pytest.fixture(scope="class")
-    def graph_task(self):
-        data = gen_graph_cycle(12, 2)
-        cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
-        return data, cache, make_folds(data, 4, seed=0).folds[0]
+def golden_graph_run(readout, combine):
+    """The trained model, metrics and state of a graph-task golden run."""
+    data = gen_graph_cycle(12, 2)
+    cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
+    mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2, experts=3,
+                       hidden_per_expert=2, embed_dim=6, k_ept=2,
+                       readout_mode=readout, combine_mode=combine)
+    model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
+    return train(model, data, cache, make_folds(data, 4, seed=0).folds[0], GOLDEN_TRAIN)
 
+
+def golden_node_run():
+    """The trained model, metrics and state of the node-task golden run."""
+    data = golden_node_dataset()
+    cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
+    masks = make_node_splits(data, (0.7, 0.15, 0.15), 0).masks
+    assert int(masks[0].sum()) > 512
+    mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=3, experts=3,
+                       hidden_per_expert=2, embed_dim=6, k_ept=2, task="node")
+    model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
+    return train(model, data, cache, masks, GOLDEN_TRAIN)
+
+
+def golden_outcomes() -> dict:
+    """Test accuracy, loss_task and per-tensor parameter norms of the node
+    golden run and one graph golden run, as JSON."""
+    out = {}
+    for name, (model, metrics, _) in (("node", golden_node_run()),
+                                      ("graph", golden_graph_run("mean", "weighted-sum"))):
+        out[name] = {"accuracy": metrics.accuracy, "loss_task": metrics.loss_task,
+                     "norms": {k: float(np.linalg.norm(v))
+                               for k, v in model.parameters().items()}}
+    return out
+
+
+class TestGoldenTraining:
     @pytest.mark.parametrize("readout,combine", [k for k in GOLDEN_RUNS if k != "node"])
-    def test_graph_task_matches_golden(self, graph_task, readout, combine):
-        data, cache, fold = graph_task
-        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2, experts=3,
-                           hidden_per_expert=2, embed_dim=6, k_ept=2,
-                           readout_mode=readout, combine_mode=combine)
-        model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
-        model, metrics, state = train(model, data, cache, fold, GOLDEN_TRAIN)
+    def test_graph_task_matches_golden(self, readout, combine):
+        model, metrics, state = golden_graph_run(readout, combine)
         assert [r["split"] for r in state["rows"]] == ["train", "val"] * 2 + ["test"]
         assert (parameter_digest(model), metrics.accuracy, metrics.loss_task) == \
             GOLDEN_RUNS[(readout, combine)]
 
     def test_node_task_matches_golden(self):
-        data = golden_node_dataset()
-        cache = extract_dataset(data.graphs, data.name, GOLDEN_WALKS)
-        masks = make_node_splits(data, (0.7, 0.15, 0.15), 0).masks
-        assert int(masks[0].sum()) > 512
-        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=3, experts=3,
-                           hidden_per_expert=2, embed_dim=6, k_ept=2, task="node")
-        model = new_model(mcfg, KernelConfig(max_step=2), seed=3)
-        model, metrics, _ = train(model, data, cache, masks, GOLDEN_TRAIN)
+        model, metrics, _ = golden_node_run()
         assert (parameter_digest(model), metrics.accuracy, metrics.loss_task) == \
             GOLDEN_RUNS["node"]
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OpenBLAS's Haswell kernels run on x86-64 only")
+    def test_outcomes_hold_under_another_blas_kernel(self):
+        # the digests above pin the bits of this host's dgemm kernel; under
+        # OpenBLAS's Haswell kernel the node run and a graph run keep their
+        # accuracy, their loss to 1e-12 (the node run's differs in its last
+        # bit there) and every parameter norm to 1e-9
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        script = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_trainer; "
+                  "print(json.dumps(test_trainer.golden_outcomes()))")
+        proc = subprocess.run([sys.executable, "-c", script, tests, src], env=env,
+                              capture_output=True, text=True, check=True)
+        other, here = json.loads(proc.stdout), golden_outcomes()
+        for name, want in here.items():
+            got = other[name]
+            assert got["accuracy"] == want["accuracy"]
+            assert abs(got["loss_task"] - want["loss_task"]) <= 1e-12 * want["loss_task"]
+            worst = max(abs(got["norms"][k] / norm - 1) for k, norm in want["norms"].items())
+            assert worst <= 1e-9, (name, worst)

@@ -409,9 +409,12 @@ class TestDatasetExtraction:
         (HEADER + "g 0\nv 0 one\n", 4, "malformed 'v' line 'v 0 one'"),
         (HEADER + "g 0\np 0,1\n", 4, "malformed 'p' line 'p 0,1'"),
         (HEADER + "g 0\np 0,+1 4\n", 4, "malformed 'p' line 'p 0,+1 4'"),
-        # ids that int() reads but save_cache never writes, and one past int64
+        # ids that int() reads but save_cache never writes, one past int32 (the
+        # record ids' type) and one past int64
         (HEADER + "g 0\nv 0 99999999999999999999\n", 4,
          "malformed 'v' line 'v 0 99999999999999999999'"),
+        (HEADER + "g 0\nv 0 2147483648\n", 4, "malformed 'v' line 'v 0 2147483648'"),
+        (HEADER + "g 0\nv 0 -2147483648\n", 4, "malformed 'v' line 'v 0 -2147483648'"),
         (HEADER + "g 0\nv 0 9223372036854775808\n", 4,
          "malformed 'v' line 'v 0 9223372036854775808'"),
         (HEADER + "g 0\nv 0 1_0\n", 4, "malformed 'v' line 'v 0 1_0'"),
@@ -433,7 +436,7 @@ class TestDatasetExtraction:
         assert what in str(err.value)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(st.lists(st.integers(-2**63 + 1, 2**63 - 1), max_size=6),
+    @given(st.lists(st.lists(st.lists(st.integers(-2**31 + 1, 2**31 - 1), max_size=6),
                              max_size=5), max_size=4))
     def test_csr_roundtrip_is_the_identity(self, tmp_path_factory, records):
         # records as CSR, saved and read back: the same arrays, and the bytes a
@@ -448,7 +451,7 @@ class TestDatasetExtraction:
         back = load_cache(str(path))
         assert back.records == cache.records and back.pattern_tables == tables
         for got, want in zip(back.records, records):
-            assert got.ids.dtype == np.int64 and got.offsets.dtype == np.int64
+            assert got.ids.dtype == np.int32 and got.offsets.dtype == np.int64
             assert [r.tolist() for r in got] == want
 
     def test_undecodable_byte_names_path_and_line(self, tmp_path):
