@@ -328,6 +328,20 @@ def _graph_fold(data: Dataset, cfg: dict):
     return split
 
 
+def _node_split(data: Dataset, cfg: dict, args):
+    """The run's (train, val, test) masks of a node dataset. A train or test part
+    with no node is a usage error, raised before the first epoch and naming the
+    node labels file."""
+    masks = make_node_splits(data, (0.6, 0.2, 0.2), cfg["seed"]).masks
+    for part, mask in (("train", masks[0]), ("test", masks[2])):
+        if not mask.any():
+            path = os.path.join(args.data_dir, args.dataset, f"{args.dataset}_node_labels.txt")
+            raise UsageError(f"{path}: the {part} part of the 0.6/0.2/0.2 node split is empty "
+                             f"({data.name} has {np.bincount(data.labels()).tolist()} nodes "
+                             "per class)")
+    return masks
+
+
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     data = load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
@@ -352,7 +366,7 @@ def cmd_train(args) -> int:
     model, start_state = resume or (new_model(mcfg, kcfg, seed=cfg["seed"]), None)
 
     if split is None:
-        split = make_node_splits(data, (0.6, 0.2, 0.2), cfg["seed"]).masks
+        split = _node_split(data, cfg, args)
     if start_state is not None and start_state["epoch_next"] >= tcfg.epochs:
         rows = start_state["rows"]
         print("checkpoint already covers the requested epochs; outputs rewritten")

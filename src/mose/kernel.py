@@ -5,8 +5,12 @@ form sums entries of powers of the product-graph adjacency; the
 feature-weighted form contracts those counts against node-feature dot
 products without ever materializing the product graph; the hidden-graph
 form evaluates the same bilinear form against a small learnable graph and
-comes with analytic gradients: the batched engine's two orders over a group
-of padded subgraphs, whose padded order ``rwk_hidden_grad`` runs on one.
+comes with analytic gradients: the batched engine's two orders, subgraph
+moments and the padded order, over the subgraphs of one plan (``NodeGroup``).
+A plan stores each subgraph's adjacency entries as a row CSR (``edges``,
+``edge_offsets``, written by ``encode_edges``), and both orders read them
+through ``NodeGroup.padded_adjacency``; ``rwk_hidden_grad`` runs the padded
+order on a one-row plan of a whole graph.
 
 All kernel math runs in double precision.
 """
@@ -240,19 +244,22 @@ def rwk_hidden(g: Graph, hidden: HiddenGraph, p: int) -> float:
 def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:
     """Kernel value plus d/dW and d/dZ through rectification and symmetrization.
 
-    The engine's padded order on a one-row group of the whole (sub)graph. The
-    rectifier contributes subgradient 0 at its kink, and the forced-zero
-    diagonal never receives gradient.
+    The engine's padded order on a one-row plan of the whole (sub)graph, its
+    edges encoded from the graph's CSR. The rectifier contributes subgradient 0
+    at its kink, and the forced-zero diagonal never receives gradient.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    x = _checked_features(g, hidden)
-    slots = DenseSlots(g.adjacency_dense()[None], x, np.arange(len(x))[None])
+    n = g.node_count
+    edges, offsets = encode_edges(np.zeros(len(g.neighbors), dtype=np.int64),
+                                  np.repeat(np.arange(n), g.degrees), g.neighbors, 1, n)
+    group = NodeGroup(_checked_features(g, hidden), np.arange(n),
+                      np.arange(n, dtype=np.int32)[None], np.array([n]), edges, offsets)
     w = hidden.W[None]
     r_pows = _rectified_powers(w, p)
-    vals, state = _padded_forward(hidden.Z[None], r_pows, slots)
+    vals, state = _padded_forward(hidden.Z[None], r_pows, group)
     dvals = np.eye(p)[-1].reshape(vals.shape)       # e_p: the step-p value alone
-    d_z, d_rq = _padded_backward(r_pows, slots, dvals, state)
+    d_z, d_rq = _padded_backward(r_pows, group, dvals, state)
     return KernelGrad(value=float(vals[0, 0, -1]),
                       d_W=_weight_backward(w, r_pows, d_rq)[0], d_Z=d_z[0])
 
@@ -292,7 +299,7 @@ def _weight_backward(w: np.ndarray, r_pows: np.ndarray, d_rq: np.ndarray) -> np.
 
 def group_moments(adj: np.ndarray, basis: np.ndarray, max_step: int) -> np.ndarray:
     """Subgraph moments M[q-1, b] = X_b^T A_b^q X_b for q = 1..max_step, X_b
-    the (nmax, r) slot coordinates of row b (``NodeGroup.basis``).
+    the (nmax, r) slot coordinates of row b in the moment basis (``_slot_basis``).
 
     Shape (max_step, B, r, r). A_b is symmetric, so M_q = Y_{floor(q/2)}^T
     Y_{ceil(q/2)} with Y_k = A_b^k X_b takes ceil(max_step/2) propagations.
@@ -320,65 +327,168 @@ def _row_blocks(count: int, row_bytes: int):
         yield lo, min(count, lo + step)
 
 
-@dataclass(frozen=True)
-class DenseSlots:
-    """A group's padded slots held densely: row b's slot j reads row
-    ``local[b, j]`` of X_u, its edges are ``adj[b]``. The padded order reads its
-    slots through ``distinct``, ``width``, ``adjacency`` and ``feature_rows``;
-    moe.NodeGroup gives the same from its compact plan."""
+BUCKET = 8      # the moment order pads each row to its size rounded up to this
 
-    adj: np.ndarray         # (B, nmax, nmax), entries 0 and 1 of any dtype
-    xu: np.ndarray          # (U', f) the rows ``local`` indexes
-    local: np.ndarray       # (B, nmax)
+
+def _gather_rows(features: np.ndarray, row_nodes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of X_u (any shape of ids) gathered straight from ``features``:
+    id U reads the zero row."""
+    u = len(row_nodes)
+    rows = features[row_nodes[np.minimum(ids, u - 1)]]      # one allocation
+    rows[ids >= u] = 0.0
+    return rows
+
+
+def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
+    """(rows, width, min(U, f)) slot coordinates in the moment basis of the slots
+    ``local`` indexes: the one-hot C of each slot's row when U < f, else the
+    features."""
+    u = len(group.row_nodes)
+    if u >= group.width:
+        return group.feature_rows(local)
+    c = np.zeros(local.shape + (u,))
+    slots = np.flatnonzero(local < u)
+    c.reshape(-1)[slots * u + local.reshape(-1)[slots]] = 1.0
+    return c
+
+
+def encode_edges(row: np.ndarray, i: np.ndarray, j: np.ndarray, count: int, nmax: int):
+    """(edges, edge_offsets) of a NodeGroup of ``count`` rows, from the entries
+    (row, i, j) of their adjacencies listed row after row: i * nmax + j in the
+    smallest unsigned dtype that holds nmax^2 - 1, and each row's first entry."""
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=count), out=offsets[1:])
+    return (i * nmax + j).astype(np.min_scalar_type(nmax * nmax - 1)), offsets
+
+
+@dataclass
+class NodeGroup:
+    """The plan of one engine unit, the only input of the hidden-graph kernel:
+    the subgraphs of a group of rows as compact index arrays. It holds no model
+    parameter, so one plan serves every model and every pass; a pass builds the
+    dense arrays it needs from it and drops them when it ends.
+
+    Row b's slot j holds row ``local[b, j]`` of X_u, the U distinct feature
+    rows (gathered from ``features`` through ``row_nodes``) and then a zero row.
+    The moment order works in the smaller of two bases, X_b = C_b E: with E
+    the U distinct rows and C_b the one-hot of ``local[b]`` when U < f, else
+    with E the identity and C_b = X_b.
+    """
+
+    features: np.ndarray    # (n, f) the parent graph's features
+    row_nodes: np.ndarray   # (U,) a node holding each distinct feature row
+    local: np.ndarray       # (B, nmax) int32 rows of X_u; padding points at the zero row
+    sizes: np.ndarray       # (B,) true subgraph sizes
+    edges: np.ndarray       # (E,) the ones of each A_b as i * nmax + j, row after row
+    edge_offsets: np.ndarray  # (B + 1,) row b's entries: edges[offsets[b]:offsets[b + 1]]
+    agg: np.ndarray | None = None   # (B, f) gate aggregates (moe.build_group)
+
+    @property
+    def count(self) -> int:
+        return len(self.sizes)
 
     @property
     def distinct(self) -> int:
-        return len(self.xu)
+        """U + 1: the rows of X_u."""
+        return len(self.row_nodes) + 1
 
     @property
     def width(self) -> int:
-        return self.xu.shape[1]
-
-    def adjacency(self, rows: np.ndarray) -> np.ndarray:
-        return np.asarray(self.adj[rows], dtype=np.float64)
+        return self.features.shape[1]
 
     def feature_rows(self, ids: np.ndarray) -> np.ndarray:
-        return self.xu[ids]
+        """Rows ``ids`` of X_u, gathered from ``features``."""
+        return _gather_rows(self.features, self.row_nodes, ids)
+
+    def buckets(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(widths, rows): each row's bucket width, its size rounded up to a
+        multiple of BUCKET and at most nmax, and the rows of each bucket in
+        ascending width, each in row order."""
+        widths = np.minimum(-(-self.sizes // BUCKET) * BUCKET, self.local.shape[1])
+        return widths, [np.flatnonzero(widths == w) for w in np.unique(widths)]
+
+    @property
+    def adj(self) -> np.ndarray:
+        """(B, nmax, nmax) zero-padded dense float64 adjacencies, built per use."""
+        return self.padded_adjacency(np.float64)
+
+    def padded_adjacency(self, dtype, rows: np.ndarray | None = None,
+                         width: int | None = None) -> np.ndarray:
+        """(len(rows), width, width) zero-padded dense adjacencies of ``dtype`` of
+        the given rows (default: all), in that order; ``width`` (default nmax)
+        must hold each row's size. Their entries are 0 and 1, so every dtype
+        holds them exactly."""
+        nmax = self.local.shape[1]
+        rows = np.arange(self.count) if rows is None else rows
+        width = nmax if width is None else width
+        starts = self.edge_offsets[rows]
+        counts = self.edge_offsets[rows + 1] - starts
+        at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        i, j = np.divmod(self.edges[np.arange(len(at)) + at], nmax)
+        adj = np.zeros((len(rows), width, width), dtype=dtype)
+        np.put(adj, (np.repeat(np.arange(len(rows)) * width, counts) + i) * width + j, 1)
+        return adj
+
+    @property
+    def feats(self) -> np.ndarray:
+        """(B, nmax, f) zero-padded features, gathered per use."""
+        return self.feature_rows(self.local)
+
+    @property
+    def basis_rows(self) -> np.ndarray:
+        """E, the (min(U, f), f) rows the moment basis expands into: the U
+        distinct rows when U < f, else the identity."""
+        u = len(self.row_nodes)
+        return self.features[self.row_nodes] if u < self.width else np.eye(self.width)
+
+    def fits_moments(self, max_step: int) -> bool:
+        """Whether the group's moments (max_step * min(U, f)^2 values per node)
+        are no larger than its padded adjacency (nmax^2 values per node)."""
+        nmax = self.local.shape[1]
+        width = min(len(self.row_nodes), self.width)
+        return max_step * width * width <= nmax * nmax
+
+    def moments(self, max_step: int) -> np.ndarray:
+        """group_moments of every row, (max_step, B, r, r), bucket by bucket:
+        each bucket's rows are padded to its width alone, and their moments
+        scattered back in row order. Padding adds only zero terms, so each
+        row's moments are those of its full-nmax padding."""
+        r = min(len(self.row_nodes), self.width)
+        out = np.empty((max_step, self.count, r, r))
+        widths, buckets = self.buckets()
+        for rows in buckets:
+            w = int(widths[rows[0]])
+            out[:, rows] = group_moments(self.padded_adjacency(np.float64, rows, w),
+                                         _slot_basis(self, self.local[rows, :w]), max_step)
+        return out
 
 
-def _block_rows(nmax: int, width: int) -> int:
-    """Rows per block of the padded order: as many as keep a block's float64
-    adjacencies (nmax, nmax) and T (width, nmax) under ``_BLOCK_BYTES``, at
-    least one."""
-    return max(1, _BLOCK_BYTES // (8 * nmax * (nmax + width)))
-
-
-def _padded_blocks(proj: np.ndarray, slots, rows: np.ndarray):
+def _padded_blocks(proj: np.ndarray, group: NodeGroup, rows: np.ndarray):
     """(lo, hi, A, T) for each block of ``rows`` in turn, at positions lo:hi of
-    ``rows``: the block's adjacencies as float64 (B_k, nmax, nmax) from
-    ``slots.adjacency`` and T gathered from P through ``slots.local`` as
-    (B_k, N*s, nmax), contiguous for the propagations."""
-    step = _block_rows(slots.local.shape[1], proj.shape[1])
-    for lo in range(0, len(rows), step):
-        at = rows[lo:lo + step]
-        t = np.ascontiguousarray(np.take(proj, slots.local[at], axis=0).transpose(0, 2, 1))
-        yield lo, lo + len(at), slots.adjacency(at), t
+    ``rows``: as many rows as keep the block's float64 adjacencies (B_k, nmax,
+    nmax) and T, gathered from P through ``group.local`` as (B_k, N*s, nmax)
+    and contiguous for the propagations, under ``_BLOCK_BYTES``."""
+    nmax = group.local.shape[1]
+    for lo, hi in _row_blocks(len(rows), 8 * nmax * (nmax + proj.shape[1])):
+        at = rows[lo:hi]
+        t = np.ascontiguousarray(np.take(proj, group.local[at], axis=0).transpose(0, 2, 1))
+        yield lo, hi, group.padded_adjacency(np.float64, at), t
 
 
-def _project(slots, z: np.ndarray) -> np.ndarray:
-    """P = X_u Z^T, (U', N*s), over the distinct rows of ``slots``, gathered a
+def _project(group: NodeGroup, z: np.ndarray) -> np.ndarray:
+    """P = X_u Z^T, (U + 1, N*s), over the distinct rows of ``group``, gathered a
     block of rows at a time."""
     z = z.reshape(-1, z.shape[-1])
-    proj = np.empty((slots.distinct, len(z)))
+    proj = np.empty((group.distinct, len(z)))
     for lo, hi in _row_blocks(len(proj), 8 * z.shape[1]):
-        np.matmul(slots.feature_rows(np.arange(lo, hi)), z.T, out=proj[lo:hi])
+        np.matmul(group.feature_rows(np.arange(lo, hi)), z.T, out=proj[lo:hi])
     return proj
 
 
-def _padded_forward(z: np.ndarray, r_pows: np.ndarray, slots,
+def _padded_forward(z: np.ndarray, r_pows: np.ndarray, group: NodeGroup,
                     rows: np.ndarray | None = None):
     """vals[b, i, q-1] = <R_i^q, C_q[b, i]> with C_q = T A_b^q T^T, T = Z_i X_b^T,
-    for the group rows ``rows`` of ``slots`` (default: all; see DenseSlots).
+    for the rows ``rows`` of ``group`` (default: all).
 
     A_b is symmetric, so C_q = Y_{floor(q/2)} Y_{ceil(q/2)}^T with Y_k = T A_b^k
     takes ceil(p/2) propagations. P = X_u Z_i^T is projected for the distinct
@@ -388,11 +498,11 @@ def _padded_forward(z: np.ndarray, r_pows: np.ndarray, slots,
     (p, B, N, s, s) C are kept.
     """
     n_hidden, s = z.shape[:2]
-    rows = np.arange(len(slots.local)) if rows is None else rows
+    rows = np.arange(len(group.local)) if rows is None else rows
     p_max = len(r_pows) - 1
-    proj = _project(slots, z)                                   # (U', N*s)
+    proj = _project(group, z)                                   # (U + 1, N*s)
     c = np.empty((p_max, len(rows), n_hidden, s, s))
-    for lo, hi, a, y in _padded_blocks(proj, slots, rows):
+    for lo, hi, a, y in _padded_blocks(proj, group, rows):
         blocks = (hi - lo, n_hidden, s, -1)     # two Y_k live at a time
         for q in range(1, p_max + 1):
             left = y                        # odd q: Y_{k-1} Y_k^T, even q: Y_k Y_k^T
@@ -417,7 +527,7 @@ def _adjoint_chain(w: np.ndarray, a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _padded_backward(r_pows: np.ndarray, slots, dvals: np.ndarray, state,
+def _padded_backward(r_pows: np.ndarray, group: NodeGroup, dvals: np.ndarray, state,
                      rows: np.ndarray | None = None):
     """Gradients on Z and on each R^q of the padded evaluation of ``rows``.
 
@@ -429,26 +539,26 @@ def _padded_backward(r_pows: np.ndarray, slots, dvals: np.ndarray, state,
     """
     proj, c = state
     n_hidden, s = c.shape[2:4]
-    rows = np.arange(len(slots.local)) if rows is None else rows
+    rows = np.arange(len(group.local)) if rows is None else rows
     dq = dvals.transpose(2, 0, 1)[..., None, None]              # (p, B, N, 1, 1)
     d_rq = (dq * c).sum(axis=1)
     w = 2.0 * dq * r_pows[1:, None]
-    keys = slots.local[rows]
+    keys = group.local[rows]
     order = np.argsort(keys, axis=None, kind="stable")
     starts = np.flatnonzero(np.diff(keys.ravel()[order], prepend=-1))
     # dT's (N*s, B, nmax) slots sorted by row: the segment sum reads it as it is
     sorted_at = np.empty(keys.shape, dtype=np.int32)
     sorted_at.ravel()[order] = np.arange(keys.size)
     dt = np.empty((n_hidden * s, keys.size))
-    for lo, hi, a, t in _padded_blocks(proj, slots, rows):
+    for lo, hi, a, t in _padded_blocks(proj, group, rows):
         dt[:, sorted_at[lo:hi]] = _adjoint_chain(w[:, lo:hi], a, t).transpose(1, 0, 2)
         del a, t            # before the next block's are gathered
     dproj = np.add.reduceat(dt, starts, axis=1)                 # (N*s, U')
     del dt
     ids = keys.ravel()[order[starts]]
-    dz = np.zeros((len(dproj), slots.width))
-    for lo, hi in _row_blocks(len(ids), 8 * slots.width):
-        dz += dproj[:, lo:hi] @ slots.feature_rows(ids[lo:hi])
+    dz = np.zeros((len(dproj), group.width))
+    for lo, hi in _row_blocks(len(ids), 8 * group.width):
+        dz += dproj[:, lo:hi] @ group.feature_rows(ids[lo:hi])
     return dz.reshape(n_hidden, s, -1), d_rq
 
 

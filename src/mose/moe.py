@@ -3,31 +3,27 @@
 The batched group engine here gates, routes and embeds many nodes at once
 with analytic backprop; the trainer is built on it. The tests pin it to a
 single-node reference pipeline (tests/reference.py) that computes the same
-quantities one subgraph at a time. A group (build_group) is the plan of an
-engine unit: it holds no parameter, only compact index arrays (each
-subgraph's adjacency entries, the slots' distinct feature rows) and the
-gate aggregate before the model's activation, so the trainer builds it
-once and reuses it in every pass. Per pass, the engine picks one of the two
-orders of the hidden-graph kernel that kernel.py evaluates, from the
-group's array shapes (NodeGroup.fits_moments): the subgraph moments shared
-by all experts, taken in size buckets, or the padded order, which reads
-the plan's adjacencies and feature rows a block of rows at a time. The
-moments are taken in the basis of the group's rows E
-(NodeGroup.basis_rows): its distinct rows when there are fewer of them
-than features, else the identity.
+quantities one subgraph at a time. ``build_group`` plans an engine unit: a
+kernel.NodeGroup of compact index arrays (each subgraph's adjacency entries
+as a row CSR, the slots' distinct feature rows) and the gate aggregate
+before the model's activation, so the trainer builds it once and reuses it
+in every pass. Per pass, the engine picks one of the two orders of the
+hidden-graph kernel from the plan's shapes (NodeGroup.fits_moments): the
+subgraph moments shared by all experts, taken in size buckets in the basis
+of the group's rows E (NodeGroup.basis_rows), or the padded order, which
+reads the plan a block of rows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph
-from .kernel import (HiddenGraph, KernelConfig, _moment_backward, _moment_forward,
-                     _padded_backward, _padded_forward, _rectified_powers, _row_blocks,
-                     _weight_backward, group_moments)
+from .kernel import (HiddenGraph, KernelConfig, NodeGroup, _gather_rows, _moment_backward,
+                     _moment_forward, _padded_backward, _padded_forward, _rectified_powers,
+                     _row_blocks, _weight_backward, encode_edges)
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
 from .walks import Records
@@ -195,176 +191,6 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 
 # -- batched group engine -------------------------------------------------
 
-BUCKET = 8      # the moment order pads each row to its size rounded up to this
-
-
-def _bucket_order(sizes: np.ndarray, nmax: int):
-    """(widths, order): each row's bucket width, its size rounded up to a
-    multiple of BUCKET and at most nmax, and the rows bucket by bucket: in
-    ascending width, each bucket in row order."""
-    widths = np.minimum(-(-sizes // BUCKET) * BUCKET, nmax)
-    return widths, np.argsort(widths, kind="stable")
-
-
-def _gather_rows(features: np.ndarray, row_nodes: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows ``ids`` of xu (any shape of ids) gathered straight from ``features``:
-    id U reads the zero row."""
-    u = len(row_nodes)
-    rows = features[row_nodes[np.minimum(ids, u - 1)]]      # one allocation
-    rows[ids >= u] = 0.0
-    return rows
-
-
-def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
-    """(rows, width, min(U, f)) slot coordinates in the moment basis of the slots
-    ``local`` indexes: the one-hot C of each slot's row when U < f, else the
-    features."""
-    u = len(group.row_nodes)
-    if u >= group.width:
-        return group.feature_rows(local)
-    c = np.zeros(local.shape + (u,))
-    slots = np.flatnonzero(local < u)
-    c.reshape(-1)[slots * u + local.reshape(-1)[slots]] = 1.0
-    return c
-
-
-@dataclass
-class NodeGroup:
-    """The plan of one engine unit: the subgraphs of a group of nodes as compact
-    index arrays, plus the gate aggregates. It holds no model parameter, so one
-    plan serves every model and every pass; a pass builds the dense arrays it
-    needs from it (``kernel_input``) and drops them when it ends. It gives the
-    padded order its slots as kernel.DenseSlots does, a block of rows at a time.
-
-    The moment order works in the smaller of two bases, X_b = C_b E: with
-    E = xu[:-1] the U distinct rows and C_b the one-hot of ``local[b]`` when
-    U < f, else with E the identity and C_b = X_b.
-    """
-
-    features: np.ndarray    # (n, f) the parent graph's features
-    row_nodes: np.ndarray   # (U,) a node holding each distinct feature row
-    local: np.ndarray       # (B, nmax) int32 rows of xu; padding points at the zero row
-    sizes: np.ndarray       # (B,) true subgraph sizes
-    edges: np.ndarray       # (E,) the ones of A, bucket by bucket (``buckets``)
-    edge_counts: np.ndarray  # (B,) entries of ``edges`` per row
-    agg: np.ndarray         # (B, f) gate aggregates, before the gate activation
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def distinct(self) -> int:
-        """U + 1: the rows of xu."""
-        return len(self.row_nodes) + 1
-
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def xu(self) -> np.ndarray:
-        """(U + 1, f) the U distinct feature rows, then a zero row; gathered per use."""
-        return self.feature_rows(np.arange(self.distinct))
-
-    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Rows ``ids`` of xu, gathered from ``features`` with no xu."""
-        return _gather_rows(self.features, self.row_nodes, ids)
-
-    def buckets(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(widths, rows): each row's bucket width, and the rows of each bucket
-        in ascending width, each in row order. ``edges`` lists the rows' entries
-        in that order, as offsets i * w + j in the row's (w, w) block."""
-        widths, order = _bucket_order(self.sizes, self.local.shape[1])
-        return widths, np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
-
-    @property
-    def adj(self) -> np.ndarray:
-        """(B, nmax, nmax) zero-padded dense float64 adjacencies, built per use."""
-        return self.padded_adjacency(np.float64)
-
-    def padded_adjacency(self, dtype, rows: np.ndarray | None = None) -> np.ndarray:
-        """(len(rows), nmax, nmax) zero-padded dense adjacencies of ``dtype`` of
-        the given rows (default: all), in that order: their entries are 0 and 1,
-        so every dtype holds them exactly."""
-        nmax = self.local.shape[1]
-        rows = np.arange(self.count) if rows is None else rows
-        widths, order = _bucket_order(self.sizes, nmax)
-        # each row's first entry in ``edges``, which go bucket by bucket
-        starts = np.empty(self.count, dtype=np.int64)
-        starts[order] = np.cumsum(self.edge_counts[order]) - self.edge_counts[order]
-        counts = self.edge_counts[rows]
-        at = np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
-        i, j = np.divmod(self.edges[np.arange(len(at)) + at], np.repeat(widths[rows], counts))
-        adj = np.zeros((len(rows), nmax, nmax), dtype=dtype)
-        np.put(adj, (np.repeat(np.arange(len(rows)) * nmax, counts) + i) * nmax + j, 1)
-        return adj
-
-    def adjacency(self, rows: np.ndarray) -> np.ndarray:
-        """The float64 padded adjacencies of ``rows``, as the padded order reads them."""
-        return self.padded_adjacency(np.float64, rows)
-
-    @property
-    def feats(self) -> np.ndarray:
-        """(B, nmax, f) zero-padded features, gathered per use."""
-        return self.feature_rows(self.local)
-
-    @property
-    def basis_rows(self) -> np.ndarray:
-        """E, the (min(U, f), f) rows the moment basis expands into: the U
-        distinct rows when U < f, else the identity."""
-        u = len(self.row_nodes)
-        return self.features[self.row_nodes] if u < self.width else np.eye(self.width)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """(B, nmax, min(U, f)) slot coordinates in the moment basis."""
-        return _slot_basis(self, self.local)
-
-    def fits_moments(self, max_step: int) -> bool:
-        """Whether the group's moments (max_step * min(U, f)^2 values per node)
-        are no larger than its padded adjacency (nmax^2 values per node)."""
-        nmax = self.local.shape[1]
-        width = min(len(self.row_nodes), self.width)
-        return max_step * width * width <= nmax * nmax
-
-    def moments(self, max_step: int) -> np.ndarray:
-        """group_moments of every row, (max_step, B, r, r), bucket by bucket:
-        each bucket's rows are padded to its width alone, and their moments
-        scattered back in row order. Padding adds only zero terms, so each
-        row's moments are those of its full-nmax padding."""
-        r = min(len(self.row_nodes), self.width)
-        out = np.empty((max_step, self.count, r, r))
-        widths, buckets = self.buckets()
-        start = 0
-        for rows in buckets:
-            w, counts = int(widths[rows[0]]), self.edge_counts[rows]
-            stop = start + int(counts.sum())
-            adj = np.zeros((len(rows), w, w))
-            np.put(adj, np.repeat(np.arange(len(rows)) * (w * w), counts)
-                   + self.edges[start:stop], 1.0)
-            out[:, rows] = group_moments(adj, _slot_basis(self, self.local[rows, :w]),
-                                         max_step)
-            start = stop
-        return out
-
-    def kernel_input(self, max_step: int) -> KernelInput:
-        """One pass's kernel input: the moments when the group fits them, else
-        nothing dense; the padded order reads the group a block of rows at a
-        time."""
-        if self.fits_moments(max_step):
-            return KernelInput(self, moments=self.moments(max_step))
-        return KernelInput(self)
-
-
-class KernelInput(NamedTuple):
-    """What one pass of a group gives the expert kernels: the group, with the
-    moments in the moment order; the padded order reads the group itself."""
-
-    group: NodeGroup
-    moments: np.ndarray | None = None
-
-
 def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
     """The plan of the given nodes of one graph, from its records. The
     adjacency entries come from the record nodes' CSR rows, with no n x n
@@ -383,7 +209,7 @@ def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
     row_nodes = first[classes]
     local = np.full((b, nmax), len(classes), dtype=np.int32)
     local[valid] = cls_of
-    edges, counts = _record_edges(g, flat, sizes, bounds, valid)
+    edges, edge_offsets = _record_edges(g, flat, valid)
     agg = np.empty((b, g.feature_dim))
     for lo, hi in _row_blocks(b, 8 * nmax * g.feature_dim):
         x = _gather_rows(g.features, row_nodes, local[lo:hi])      # (B_k, nmax, f)
@@ -392,66 +218,57 @@ def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
         np.matmul(softmax(scores, axis=1)[:, None], x, out=agg[lo:hi, None])
         agg[lo:hi] += center
     return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
-                     edges=edges.astype(np.min_scalar_type(nmax * nmax - 1)),
-                     edge_counts=counts, agg=agg)
+                     edges=edges, edge_offsets=edge_offsets, agg=agg)
 
 
-def _record_edges(g: Graph, flat: np.ndarray, sizes: np.ndarray, bounds: np.ndarray,
-                  valid: np.ndarray):
-    """(edges, counts) of NodeGroup: the ones of each row's adjacency, bucket by
-    bucket, from the CSR rows of the record nodes ``flat``, row b's at
-    ``bounds[b]:bounds[b] + sizes[b]``."""
+def _record_edges(g: Graph, flat: np.ndarray, valid: np.ndarray):
+    """(edges, edge_offsets) of NodeGroup: the ones of each row's adjacency, from
+    the CSR rows of the record nodes ``flat``, which fill the slots ``valid`` in
+    row order."""
     b, nmax = valid.shape
-    # the record slots bucket by bucket (NodeGroup.buckets): rank k is row order[k]
-    widths, order = _bucket_order(sizes, nmax)
-    rank, pos = np.nonzero(valid[order])
-    node = flat[bounds[order[rank]] + pos]
-    # the slots' (rank, node) keys, sorted: a neighbour's slot is one search away
-    keys = rank * g.node_count + node
+    row, pos = np.nonzero(valid)            # the slots, in ``flat``'s order
+    # the slots' (row, node) keys, sorted: a neighbour's slot is one search away
+    keys = row * g.node_count + flat
     by_key = np.argsort(keys)
     keys = keys[by_key]
     # the CSR rows of the slots' nodes, concatenated
-    starts, deg = g.offsets[node], g.degrees[node]
+    starts, deg = g.offsets[flat], g.degrees[flat]
     ends = np.cumsum(deg)
     nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
-    at = np.repeat(rank, deg)
+    at = np.repeat(row, deg)
     wanted = at * g.node_count + nbr
     hit = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     inside = keys[hit] == wanted
-    # offsets i * w + j in each row's bucket block; uint16 while nmax <= 256,
-    # as the subgraph cap has no upper limit
-    edges = (np.repeat(pos * widths[order][rank], deg) + pos[by_key[hit]])[inside]
-    counts = np.empty(b, dtype=np.int64)
-    counts[order] = np.bincount(at[inside], minlength=b)
-    return edges, counts
+    return encode_edges(at[inside], np.repeat(pos, deg)[inside], pos[by_key[hit[inside]]],
+                        b, nmax)
 
 
-def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
-                           rows: np.ndarray):
-    """Kernel feature rows of the given group rows against one expert, in the
-    order ``kin`` holds; both orders give the same values up to rounding."""
+def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
+                           moments: np.ndarray | None, rows: np.ndarray):
+    """Kernel feature rows of the given group rows against one expert: from the
+    group's ``moments``, or in the padded order when they are None. Both
+    orders give the same values up to rounding."""
     r_pows = _rectified_powers(expert.W, kcfg.max_step)
-    if kin.moments is None:
-        vals, state = _padded_forward(expert.Z, r_pows, kin.group, rows)
+    if moments is None:
+        vals, state = _padded_forward(expert.Z, r_pows, group, rows)
     else:
-        vals, state = _moment_forward(expert.Z, r_pows, kin.moments[:, rows],
-                                      kin.group.basis_rows)
+        vals, state = _moment_forward(expert.Z, r_pows, moments[:, rows], group.basis_rows)
     phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
     return phi, (r_pows, state)
 
 
-def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, kin: KernelInput,
-                            rows: np.ndarray, dphi: np.ndarray, cache, grads: dict,
-                            key: str):
+def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
+                            moments: np.ndarray | None, rows: np.ndarray, dphi: np.ndarray,
+                            cache, grads: dict, key: str):
     r_pows, state = cache
     weights = kcfg.step_weights
     dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
         len(dphi), expert.hidden_count, -1)
-    if kin.moments is None:
-        dz, d_rq = _padded_backward(r_pows, kin.group, dvals, state, rows)
+    if moments is None:
+        dz, d_rq = _padded_backward(r_pows, group, dvals, state, rows)
     else:
-        dz, d_rq = _moment_backward(expert.Z, kin.moments[:, rows], dvals, state,
-                                    kin.group.basis_rows)
+        dz, d_rq = _moment_backward(expert.Z, moments[:, rows], dvals, state,
+                                    group.basis_rows)
     grads[f"{key}.Z"] += dz
     grads[f"{key}.W"] += _weight_backward(expert.W, r_pows, d_rq)
 
@@ -485,7 +302,7 @@ class GroupRun:
     zeta: np.ndarray         # (B, k) routing weights
     eps: np.ndarray | None
     sig: np.ndarray | None
-    kernel_in: KernelInput          # this pass's dense arrays, dropped with the run
+    moments: np.ndarray | None      # the group's moments, None in the padded order
     expert_rows: dict = field(default_factory=dict)
     expert_caches: dict = field(default_factory=dict)
     concat_cache: tuple | None = None   # combine MLP cache, concat mode only
@@ -508,8 +325,8 @@ class GroupRun:
             dzeta[rows, pos] += (hm * block).sum(axis=1)
             expert = model.bank.experts[m]
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
-            _expert_kernel_backward(expert, model.kernel_cfg, self.kernel_in, rows, dphi,
-                                    kcache, grads, f"expert{m}")
+            _expert_kernel_backward(expert, model.kernel_cfg, group, self.moments, rows,
+                                    dphi, kcache, grads, f"expert{m}")
         gate_backward(self.eta, self.eps, self.sig, self.idx, self.zeta,
                       dzeta, model.expert_count, grads)
 
@@ -529,7 +346,8 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
-    kin = group.kernel_input(model.kernel_cfg.max_step)
+    p = model.kernel_cfg.max_step
+    moments = group.moments(p) if group.fits_moments(p) else None
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
     wide = np.zeros((group.count, model.expert_count, model.embed_dim))
@@ -538,7 +356,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         if len(rows) == 0:
             continue
         expert = model.bank.experts[m]
-        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, kin, rows)
+        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, group, moments, rows)
         hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
                                                  dropout=dropout, rng=rng)
         expert_rows[m] = (rows, pos)
@@ -550,7 +368,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     else:
         h = wide.sum(axis=1)
     return GroupRun(model=model, group=group, eta=eta, h=h, idx=idx, zeta=zeta, eps=eps,
-                    sig=sig, kernel_in=kin, expert_rows=expert_rows,
+                    sig=sig, moments=moments, expert_rows=expert_rows,
                     expert_caches=expert_caches, concat_cache=concat_cache)
 
 

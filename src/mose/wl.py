@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, degree_features
-from .moe import MoseModel, NodeGroup, build_group, group_forward, pool_rows
+from .kernel import NodeGroup
+from .moe import MoseModel, build_group, group_forward, pool_rows
 from .util import BudgetError
 from .walks import Records, _label_bits, _pattern_table, top_patterns
 

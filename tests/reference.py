@@ -5,7 +5,9 @@ routing, each selected expert's hidden-graph kernel features (the readout of
 Nikolentzos & Vazirgiannis 2020, "Random Walk Graph Neural Networks") through
 its transform, the combination and the class head. ``mose.moe``'s group
 engine computes the same quantities for many nodes at once with analytic
-backprop; tests/test_moe.py holds the two to each other at 1e-12.
+backprop; tests/test_moe.py holds the two to each other at 1e-12. The last
+section holds a plan's arrays densely, the oracle of the padded order's
+row blocking.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mose.graph import Graph
-from mose.kernel import HiddenGraph, KernelConfig, rwk_hidden
+from mose.kernel import HiddenGraph, KernelConfig, NodeGroup, _slot_basis, rwk_hidden
 from mose.moe import MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import _cv_squared
@@ -209,3 +211,40 @@ def cache_text(dataset_name: str, cfg, records: list[list[list[int]]],
                   for pat, cnt in pattern_tables[gi]]
         lines += ["v " + " ".join(str(x) for x in nodes) for nodes in recs]
     return "\n".join(lines) + "\n"
+
+
+# -- a plan's arrays held densely -------------------------------------------
+
+def distinct_rows(group: NodeGroup) -> np.ndarray:
+    """X_u of a plan: (U + 1, f), its U distinct feature rows, then a zero row."""
+    return group.feature_rows(np.arange(group.distinct))
+
+
+def slot_basis(group: NodeGroup) -> np.ndarray:
+    """(B, nmax, min(U, f)) slot coordinates of a plan in its moment basis."""
+    return _slot_basis(group, group.local)
+
+
+@dataclass(frozen=True)
+class DenseSlots:
+    """A plan's padded slots held as dense arrays, read by the padded order as
+    it reads a NodeGroup: row b's slot j holds row ``local[b, j]`` of ``xu``,
+    its edges are ``adj[b]``."""
+
+    adj: np.ndarray         # (B, nmax, nmax), entries 0 and 1 of any dtype
+    xu: np.ndarray          # (U', f) the rows ``local`` indexes
+    local: np.ndarray       # (B, nmax)
+
+    @property
+    def distinct(self) -> int:
+        return len(self.xu)
+
+    @property
+    def width(self) -> int:
+        return self.xu.shape[1]
+
+    def padded_adjacency(self, dtype, rows: np.ndarray) -> np.ndarray:
+        return np.asarray(self.adj[rows], dtype=dtype)
+
+    def feature_rows(self, ids: np.ndarray) -> np.ndarray:
+        return self.xu[ids]

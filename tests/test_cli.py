@@ -634,6 +634,10 @@ FAILURES = {
     # graph 2's nodes moved to graph 1, so its edges stay inside one graph
     "tu-empty-graph": ("tu-indicator", lambda ind: re.sub(rb"(?m)^2$", b"1", ind), 2,
                        ": graph 2 has no nodes"),
+    # one 4-node graph of two classes: the per-class floors leave the test part no node
+    "tu-node-split": ("tu-node-labels", b"0\n0\n1\n1\n", 64,
+                      ": the test part of the 0.6/0.2/0.2 node split is empty "
+                      "(GraphCycle has [2, 2] nodes per class)"),
     "cache-bytes": ("cache", CACHE_HEAD + b"g 0\nv 0 \xff\n", 2, ":4: not UTF-8 text"),
     # node 0's record in graph 0 of the cache extracted for the data, replaced
     "cache-record-range": ("cache", lambda c: re.sub(rb"(?m)^v .*$", b"v 0 99999", c, count=1),
@@ -700,10 +704,15 @@ def test_malformed_input_exit_code_names_file(workspace, extracted_cache, tmp_pa
             "tu-A": data / "GraphCycle" / "GraphCycle_A.txt",
             "tu-labels": data / "GraphCycle" / "GraphCycle_graph_labels.txt",
             "tu-indicator": data / "GraphCycle" / "GraphCycle_graph_indicator.txt",
+            "tu-node-labels": data / "GraphCycle" / "GraphCycle_node_labels.txt",
             "cache": tmp_path / "bad.cache",
             "checkpoint": out / "checkpoint.npz",
             "export": tmp_path / "bad.npz"}[target]
     path.parent.mkdir(parents=True, exist_ok=True)
+    if target == "tu-node-labels":      # the data becomes a node task on a 4-cycle
+        for suffix, text in (("A", "1, 2\n2, 3\n3, 4\n4, 1\n"),
+                             ("graph_indicator", "1\n1\n1\n1\n"), ("graph_labels", "0\n")):
+            (path.parent / f"GraphCycle_{suffix}.txt").write_text(text)
     if target == "cache":
         shutil.copyfile(extracted_cache, path)
     elif target == "checkpoint" and callable(body):

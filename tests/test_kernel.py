@@ -18,7 +18,7 @@ from mose.moe import build_group
 from mose.util import BudgetError
 from mose.walks import Records
 from mose.wl import graph_corpus
-from reference import expert_embed, kernel_features
+from reference import expert_embed, kernel_features, slot_basis
 
 
 def count_walk_pairs(g, h, p):
@@ -365,7 +365,7 @@ class TestHiddenGradients:
         hg = HiddenGraph(W=rng.uniform(-0.5, 1.0, (s, s)), Z=rng.normal(size=(s, f)))
         ref = rwk_hidden_grad(g, hg, p)
         want = (ref.value, ref.d_W, ref.d_Z)
-        for basis, basis_rows in ((group.basis, group.basis_rows), (group.feats, np.eye(f))):
+        for basis, basis_rows in ((slot_basis(group), group.basis_rows), (group.feats, np.eye(f))):
             got = self.moment_order_grad(group, basis, basis_rows, hg, p)
             for a, b in zip(got, want):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

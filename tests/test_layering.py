@@ -1,0 +1,56 @@
+"""The package's import graph, read from the source with ``ast``: the modules
+import each other in layers with no cycle, and the kernel sits below the
+engine, so the plan format that both kernel orders read stays behind it."""
+
+import ast
+import pathlib
+
+import mose
+
+SOURCE = pathlib.Path(mose.__file__).parent
+
+
+def package_imports() -> dict:
+    """{module: the package modules it imports}, function-level imports included."""
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        deps = set()
+        for node in ast.walk(ast.parse((SOURCE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # from .x import y, from . import x, from mose(.x) import y
+                parts = (("mose." if node.level else "") + (node.module or "")).split(".")
+                if parts[0] == "mose":
+                    deps.update([parts[1]] if len(parts) > 1 and parts[1]
+                                else [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                deps.update(alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith("mose."))
+        graph[name] = deps & modules - {name}
+    return graph
+
+
+def reachable(graph: dict, start: str) -> set:
+    seen, stack = set(), [start]
+    while stack:
+        for dep in graph[stack.pop()] - seen:
+            seen.add(dep)
+            stack.append(dep)
+    return seen
+
+
+def test_the_reader_sees_the_known_imports():
+    graph = package_imports()
+    assert {"graph", "util"} <= graph["kernel"]
+    assert {"kernel", "walks"} <= graph["moe"]
+    assert "moe" in graph["trainer"] and "kernel" in graph["wl"]
+
+
+def test_no_module_imports_itself_through_others():
+    graph = package_imports()
+    cycles = sorted(name for name in graph if name in reachable(graph, name))
+    assert not cycles
+
+
+def test_the_kernel_imports_neither_the_engine_nor_the_trainer():
+    assert not {"moe", "trainer"} & reachable(package_imports(), "kernel")

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
-from mose.kernel import (STEP_MODES, DenseSlots, KernelConfig, _moment_backward,
+from mose.kernel import (BUCKET, STEP_MODES, KernelConfig, _moment_backward,
                          _moment_forward, _padded_backward, _padded_forward,
                          _rectified_powers, group_moments)
-from mose.moe import (BUCKET, GATE_ACTIVATIONS, ExpertBank, KernelInput,
-                      ModelConfig, build_group, group_forward, new_model,
-                      _expert_kernel_backward, _expert_kernel_forward)
+from mose.moe import (GATE_ACTIVATIONS, ExpertBank, ModelConfig, build_group,
+                      group_forward, new_model, _expert_kernel_backward,
+                      _expert_kernel_forward)
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
 from mose.walks import Records, WalkConfig, extract_dataset
-from reference import (Route, combine, forward, gate_aggregate, gate_scores,
-                       node_embedding, readout, route)
+from reference import (DenseSlots, Route, combine, distinct_rows, forward, gate_aggregate,
+                       gate_scores, node_embedding, readout, route, slot_basis)
 
 
 def tiny_model(f=4, classes=2, experts=3, k_ept=2, seed=0, step_mode="concat-over-p",
@@ -180,7 +180,7 @@ class TestForward:
             group = build_group(g, Records.from_lists(records), range(n))
             assert group.fits_moments(model.kernel_cfg.max_step) == moments
             run = group_forward(model, group)
-            assert (run.kernel_in.moments is not None) == moments
+            assert (run.moments is not None) == moments
             for v in range(n):
                 h_ref, r_ref = node_embedding(model, induced_subgraph(g, records[v]))
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
@@ -216,12 +216,11 @@ class TestForward:
         rows = np.array([0, 2, 3, 5, 8])
         moments = group_moments(group.adj, group.feats, kcfg.max_step)
         out = {}
-        for name, kin in (("padded", KernelInput(group)),
-                          ("moments", KernelInput(group, moments=moments))):
-            phi, cache = _expert_kernel_forward(expert, kcfg, kin, rows)
+        for name, kin in (("padded", None), ("moments", moments)):
+            phi, cache = _expert_kernel_forward(expert, kcfg, group, kin, rows)
             grads = {"e.W": np.zeros_like(expert.W), "e.Z": np.zeros_like(expert.Z)}
             dphi = np.random.default_rng(12).normal(size=phi.shape)
-            _expert_kernel_backward(expert, kcfg, kin, rows, dphi, cache, grads, "e")
+            _expert_kernel_backward(expert, kcfg, group, kin, rows, dphi, cache, grads, "e")
             out[name] = (phi, grads["e.W"], grads["e.Z"])
         for a, b in zip(out["padded"], out["moments"]):
             assert np.any(a != 0)
@@ -389,7 +388,7 @@ class TestGroupBuild:
         got = build_group(g, Records.from_lists(lists), node_ids)
         want = build_group(g, Records.from_lists([lists[v] for v in node_ids]),
                            range(len(node_ids)))
-        for name in ("row_nodes", "local", "sizes", "edges", "edge_counts", "agg"):
+        for name in ("row_nodes", "local", "sizes", "edges", "edge_offsets", "agg"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -555,12 +554,38 @@ class TestPlan:
             k = len(records[v])
             adj[b, :k, :k] = whole[np.ix_(records[v], records[v])]
         assert np.array_equal(group.adj, adj)
-        want = group_moments(adj, group.basis, p_max)
+        want = group_moments(adj, slot_basis(group), p_max)
         got = group.moments(p_max)
         assert got.shape == want.shape and np.array_equal(got, want)
         widths, _ = group.buckets()
         assert ((widths >= group.sizes) & ((widths % BUCKET == 0) | (widths == nmax))).all()
         assert widths.max() == nmax
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.data())
+    def test_row_csr_pads_each_rows_induced_subgraph(self, n, data):
+        # any rows of the plan, in any order, at any width their sizes fit in
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < data.draw(st.sampled_from([0.0, 0.3, 1.0]))]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 2)))
+        records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][
+            :data.draw(st.integers(0, n - 1))] for v in range(n)]
+        node_ids = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        group = build_group(g, Records.from_lists(records), node_ids)
+        offsets = group.edge_offsets
+        assert offsets[0] == 0 and offsets[-1] == len(group.edges)
+        assert len(offsets) == group.count + 1 and (np.diff(offsets) >= 0).all()
+        rows = np.array(data.draw(st.lists(st.integers(0, group.count - 1), max_size=6)),
+                        dtype=np.int64)
+        fit = int(group.sizes[rows].max()) if len(rows) else 0
+        width = data.draw(st.one_of(st.none(), st.integers(fit, fit + 9)))
+        got = group.padded_adjacency(np.uint8, rows, width)
+        w = group.local.shape[1] if width is None else width
+        assert got.shape == (len(rows), w, w) and got.dtype == np.uint8
+        for block, b in zip(got, rows):
+            a = induced_subgraph(g, records[node_ids[b]]).adjacency_dense(np.uint8)
+            assert np.array_equal(block, np.pad(a, (0, w - len(a))))
 
 
 class TestGatheredKernel:
@@ -659,24 +684,34 @@ class TestGatheredKernel:
         # rows routed to three experts, read from the plan itself and from a
         # dense uint8 adjacency, one row, three rows or every row per block:
         # each gives the bits of the unblocked call on the dense float64 arrays
-        # sliced to the expert's rows
+        # sliced to the expert's rows. _BLOCK_BYTES also blocks the distinct
+        # rows projected into P and summed into dZ; at f = 10 they stay one
+        # block at every size forced here, so only the row blocking varies
         import mose.kernel
         rng = np.random.default_rng(31)
-        n, f = 16, 64
+        n, f = 16, 10
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
+        g = Graph.from_edges(n, edges, features=np.random.default_rng(32).normal(size=(n, f)))
         records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
                    for v in range(n)]
         group = build_group(g, Records.from_lists(records), range(n))
-        assert group.local.shape[1] > BUCKET
+        nmax = group.local.shape[1]
+        assert nmax > BUCKET
         model = tiny_model(f=f, experts=3, seed=5)
         assert not group.fits_moments(model.kernel_cfg.max_step)
         routes = [np.arange(n), np.array([0, 3, 4, 9, 15]), np.array([2, 5, 7, 8, 11, 12, 14])]
+        block_bytes = mose.kernel._BLOCK_BYTES
+        assert 8 * f * group.distinct <= 8 * nmax * (nmax + 4)     # one block: N*s >= 4
 
-        def evaluate(slots, sliced):
+        def evaluate(slots, sliced, rows_per_block=None):
             # (vals, C, dZ, dR^q) per expert
             out = []
             for m, (expert, at) in enumerate(zip(model.bank.experts, routes)):
+                if rows_per_block:
+                    # a block of rows holds (nmax, nmax) adjacencies and (N*s, nmax) T
+                    width = expert.hidden_count * expert.size
+                    monkeypatch.setattr(mose.kernel, "_BLOCK_BYTES",
+                                        rows_per_block * 8 * nmax * (nmax + width))
                 r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
                 args = ((DenseSlots(slots.adj[at], slots.xu, slots.local[at]),) if sliced
                         else (slots,))
@@ -684,14 +719,14 @@ class TestGatheredKernel:
                 vals, state = _padded_forward(expert.Z, r_pows, *args, *rows)
                 dvals = np.random.default_rng(40 + m).normal(size=vals.shape)
                 out += [vals, state[1], *_padded_backward(r_pows, *args, dvals, state, *rows)]
+            monkeypatch.setattr(mose.kernel, "_BLOCK_BYTES", block_bytes)
             return out
 
-        want = evaluate(DenseSlots(group.adj, group.xu, group.local), True)
+        xu = distinct_rows(group)
+        want = evaluate(DenseSlots(group.adj, xu, group.local), True)
         for rows_per_block in (1, 3, n):
-            monkeypatch.setattr(mose.kernel, "_block_rows", lambda nmax, width: rows_per_block)
-            for slots in (group, DenseSlots(group.padded_adjacency(np.uint8), group.xu,
-                                            group.local)):
-                got = evaluate(slots, False)
+            for slots in (group, DenseSlots(group.padded_adjacency(np.uint8), xu, group.local)):
+                got = evaluate(slots, False, rows_per_block)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_padded_run_keeps_no_distinct_rows_for_backward(self, monkeypatch):
@@ -811,15 +846,15 @@ class TestGatheredKernel:
     def test_only_the_moment_path_builds_the_padded_features(self, monkeypatch):
         # the moment order in the identity basis gathers (rows, width, f)
         # features per size bucket; the padded order gathers none
-        import mose.moe
-        slot_basis, gathered = mose.moe._slot_basis, []
+        import mose.kernel
+        basis_of, gathered = mose.kernel._slot_basis, []
 
         def recorded(group, local):
-            out = slot_basis(group, local)
+            out = basis_of(group, local)
             gathered.append(out.shape)
             return out
 
-        monkeypatch.setattr(mose.moe, "_slot_basis", recorded)
+        monkeypatch.setattr(mose.kernel, "_slot_basis", recorded)
         for f, moments in ((64, False), (2, True)):
             gathered.clear()
             g, records = self.wide_group(f)
@@ -828,7 +863,7 @@ class TestGatheredKernel:
             run = group_forward(model, group, train_mode=True, rng=substream(0, 1),
                                 dropout=0.1)
             run.backward(np.ones_like(run.h), model.zero_grads())
-            assert (run.kernel_in.moments is not None) == moments
+            assert (run.moments is not None) == moments
             assert bool(gathered) == moments
             assert all(shape[2] == f for shape in gathered)
 
@@ -858,8 +893,8 @@ class TestClassBasis:
             dvals = np.random.default_rng(40 + m).normal(
                 size=(group.count, expert.hidden_count, p_max))
             out = {}
-            for name, basis, rows in (("class", group.basis, group.basis_rows),
-                                      ("identity", group.feats, np.eye(group.xu.shape[1]))):
+            for name, basis, rows in (("class", slot_basis(group), group.basis_rows),
+                                      ("identity", group.feats, np.eye(group.width))):
                 moments = group_moments(group.adj, basis, p_max)
                 vals, state = _moment_forward(expert.Z, r_pows, moments, rows)
                 out[name] = (vals,) + _moment_backward(expert.Z, moments, dvals, state, rows)
@@ -872,7 +907,7 @@ class TestClassBasis:
         group = build_group(g, Records.from_lists(records), node_ids)
         adj, sizes, feats, _ = loop_group(g, records, node_ids)
         assert 1 in sizes.tolist() and len(set(sizes.tolist())) > 2
-        assert group.basis_rows.shape == (3, 12) and group.basis.shape[2] == 3
+        assert group.basis_rows.shape == (3, 12) and slot_basis(group).shape[2] == 3
         model = tiny_model(f=12, experts=3, seed=5)
         for expert, r_pows, dvals, out in self.expert_passes(model, group, p_max):
             want = longdouble_kernel(expert, r_pows, adj, feats, sizes, dvals)
@@ -897,11 +932,12 @@ class TestClassBasis:
     def test_fits_moments_counts_the_smaller_basis(self, f, distinct, p_max):
         g, records = self.repeated_group(f, distinct)
         group = build_group(g, Records.from_lists(records), range(10))
-        u, nmax = len(group.xu) - 1, group.adj.shape[1]
+        u, nmax = len(distinct_rows(group)) - 1, group.adj.shape[1]
         assert (u, nmax) == (3, 5)
         assert group.fits_moments(p_max) == (p_max * min(u, f) ** 2 <= nmax ** 2)
-        assert group.basis.shape[2] == min(u, f)
-        assert np.array_equal(group.basis_rows, group.xu[:-1] if u < f else np.eye(f))
+        assert slot_basis(group).shape[2] == min(u, f)
+        assert np.array_equal(group.basis_rows,
+                              distinct_rows(group)[:-1] if u < f else np.eye(f))
 
     def test_signed_zeros_keep_the_moments_exact(self):
         # -0.0 and +0.0 split a feature row into two classes; on small integer
@@ -915,18 +951,18 @@ class TestClassBasis:
         g = Graph.from_edges(n, edges, features=x)
         records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
         group = build_group(g, Records.from_lists(records), range(n))
-        assert len(group.xu) - 1 == 4     # two classes for the rows (0, 1, 0, ...)
+        assert len(distinct_rows(group)) - 1 == 4     # two classes for the rows (0, 1, 0, ...)
         e = group.basis_rows
-        for q, k in enumerate(group_moments(group.adj, group.basis, 4)):
+        for q, k in enumerate(group_moments(group.adj, slot_basis(group), 4)):
             want = group_moments(group.adj, group.feats, 4)[q]
             assert np.array_equal(e.T @ k @ e, want)
 
     def test_group_keeps_each_distinct_row_once(self):
         g, records = self.repeated_group()
         group = build_group(g, Records.from_lists(records), range(10))
-        rows = group.xu[:-1]
+        rows = distinct_rows(group)[:-1]
         assert len(np.unique(rows, axis=0)) == len(rows) == 3
-        assert not group.xu[-1].any()
+        assert not distinct_rows(group)[-1].any()
 
 
 class TestBankValidation:

@@ -19,7 +19,7 @@ from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig, _RouteStash,
                           train, _cv_squared, _cv_squared_grad)
 from mose.util import FormatError, substream
 from mose.walks import WalkConfig, extract_dataset
-from reference import Route, importance_loss
+from reference import Route, importance_loss, slot_basis
 
 
 def tri_tail(label=0):
@@ -322,19 +322,20 @@ class TestUnitLifetime:
         # pass starts
         import collections
         import weakref
-        import mose.moe
+        import mose.kernel
         import mose.trainer
         built, dense = collections.Counter(), []
-        adjacency, group_moments = mose.moe.NodeGroup.adjacency, mose.moe.group_moments
+        adjacency = mose.kernel.NodeGroup.padded_adjacency
+        group_moments = mose.kernel.group_moments
         group_forward = mose.trainer.group_forward
 
         def planned(g, records, node_ids):
             built[id(g)] += 1
             return build_group(g, records, node_ids)
 
-        def padded(group, rows):
-            adj = adjacency(group, rows)
-            dense.append(("padded", weakref.ref(adj)))
+        def padded(group, dtype, rows=None, width=None):
+            adj = adjacency(group, dtype, rows, width)
+            dense.append(("padded" if width is None else "bucket", weakref.ref(adj)))
             return adj
 
         def bucketed(adj, basis, max_step):
@@ -346,8 +347,8 @@ class TestUnitLifetime:
             return group_forward(*args, **kwargs)
 
         monkeypatch.setattr(mose.trainer, "build_group", planned)
-        monkeypatch.setattr(mose.moe.NodeGroup, "adjacency", padded)
-        monkeypatch.setattr(mose.moe, "group_moments", bucketed)
+        monkeypatch.setattr(mose.kernel.NodeGroup, "padded_adjacency", padded)
+        monkeypatch.setattr(mose.kernel, "group_moments", bucketed)
         monkeypatch.setattr(mose.trainer, "group_forward", forward)
         data = toy_dataset(2)
         cache = toy_cache(data)
@@ -400,7 +401,7 @@ class TestGradCheck:
         model = toy_model(data, max_step=2)
         groups = [build_group(g, recs, range(g.node_count))
                   for g, recs in zip(data.graphs[:3], cache.records)]
-        assert [gr.basis.shape[2] < gr.xu.shape[1] and gr.fits_moments(2) for gr in groups] == \
+        assert [slot_basis(gr).shape[2] < gr.width and gr.fits_moments(2) for gr in groups] == \
             [False, True, True]
         err = grad_check(model, data, cache, [0, 1, 2],
                          TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
