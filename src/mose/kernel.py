@@ -246,15 +246,18 @@ def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:
 
     The engine's padded order on a one-row plan of the whole (sub)graph, its
     edges encoded from the graph's CSR. The rectifier contributes subgradient 0
-    at its kink, and the forced-zero diagonal never receives gradient.
+    at its kink, and the forced-zero diagonal never receives gradient. A graph
+    with no nodes has value 0 and zero gradients, as ``rwk_hidden`` has.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    n = g.node_count
-    edges, offsets = encode_edges(np.zeros(len(g.neighbors), dtype=np.int64),
-                                  np.repeat(np.arange(n), g.degrees), g.neighbors, 1, n)
-    group = NodeGroup(_checked_features(g, hidden), np.arange(n),
-                      np.arange(n, dtype=np.int32)[None], np.array([n]), edges, offsets)
+    features, n = _checked_features(g, hidden), g.node_count
+    if n == 0:
+        return KernelGrad(0.0, np.zeros_like(hidden.W), np.zeros_like(hidden.Z))
+    edges = encode_edges(np.repeat(np.arange(n) * n, g.degrees) + g.neighbors, n)
+    group = NodeGroup(features, np.arange(n),
+                      np.arange(n, dtype=np.int32)[None], np.array([n]), edges,
+                      np.array([0, len(edges)]))
     w = hidden.W[None]
     r_pows = _rectified_powers(w, p)
     vals, state = _padded_forward(hidden.Z[None], r_pows, group)
@@ -352,13 +355,10 @@ def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
     return c
 
 
-def encode_edges(row: np.ndarray, i: np.ndarray, j: np.ndarray, count: int, nmax: int):
-    """(edges, edge_offsets) of a NodeGroup of ``count`` rows, from the entries
-    (row, i, j) of their adjacencies listed row after row: i * nmax + j in the
-    smallest unsigned dtype that holds nmax^2 - 1, and each row's first entry."""
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=count), out=offsets[1:])
-    return (i * nmax + j).astype(np.min_scalar_type(nmax * nmax - 1)), offsets
+def encode_edges(codes: np.ndarray, nmax: int) -> np.ndarray:
+    """A NodeGroup's ``edges`` from the codes i * nmax + j of its rows' adjacency
+    entries, row after row: in the smallest unsigned dtype that holds nmax^2 - 1."""
+    return codes.astype(np.min_scalar_type(nmax * nmax - 1))
 
 
 @dataclass

@@ -193,10 +193,12 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 
 def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
     """The plan of the given nodes of one graph, from its records. The
-    adjacency entries come from the record nodes' CSR rows, with no n x n
-    array; the features are the distinct rows of ``g.feature_rows`` the records
-    hold. No array it allocates is sized by n or by U: the gate aggregate
-    reads the slots' feature rows a block of rows at a time."""
+    adjacency entries come from the record nodes' CSR rows, each neighbour's
+    slot read from a (row, node) table of one block of rows; the features are
+    the distinct rows of ``g.feature_rows`` the records hold. No array it
+    allocates is sized by B x n or by U: the slot table and the gate aggregate,
+    which reads the slots' feature rows, each take a block of rows at a time,
+    under ``kernel._BLOCK_BYTES``."""
     node_ids = np.asarray(node_ids, dtype=np.int64)
     at = records.offsets[node_ids]
     sizes = records.offsets[node_ids + 1] - at
@@ -224,23 +226,33 @@ def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
 def _record_edges(g: Graph, flat: np.ndarray, valid: np.ndarray):
     """(edges, edge_offsets) of NodeGroup: the ones of each row's adjacency, from
     the CSR rows of the record nodes ``flat``, which fill the slots ``valid`` in
-    row order."""
+    row order. Each neighbour's slot is read from a dense (row, node) table of
+    slot positions, -1 off the row's record, filled for one block of rows at a
+    time so that it stays under ``_BLOCK_BYTES``."""
     b, nmax = valid.shape
     row, pos = np.nonzero(valid)            # the slots, in ``flat``'s order
-    # the slots' (row, node) keys, sorted: a neighbour's slot is one search away
-    keys = row * g.node_count + flat
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
     # the CSR rows of the slots' nodes, concatenated
-    starts, deg = g.offsets[flat], g.degrees[flat]
+    deg = g.degrees[flat]
     ends = np.cumsum(deg)
-    nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(starts - ends + deg, deg)]
-    at = np.repeat(row, deg)
-    wanted = at * g.node_count + nbr
-    hit = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    inside = keys[hit] == wanted
-    return encode_edges(at[inside], np.repeat(pos, deg)[inside], pos[by_key[hit[inside]]],
-                        b, nmax)
+    nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(g.offsets[flat] - ends + deg, deg)]
+    slots = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])    # row r: slots[r]:slots[r + 1]
+    entries = np.concatenate([[0], ends])[slots]                   # its neighbours, likewise
+    found = np.empty(len(nbr), dtype=np.min_scalar_type(-nmax))    # -1 and every position
+    blocks = list(_row_blocks(b, g.node_count * found.itemsize))
+    table = np.full(blocks[0][1] * g.node_count, -1, dtype=found.dtype)  # the largest block
+    for lo, hi in blocks:
+        s0, s1, e0, e1 = slots[lo], slots[hi], entries[lo], entries[hi]
+        at = (row[s0:s1] - lo) * g.node_count          # each slot's row of the table
+        cells = at + flat[s0:s1]
+        table[cells] = pos[s0:s1]
+        cell_of = np.repeat(at, deg[s0:s1])
+        cell_of += nbr[e0:e1]
+        np.take(table, cell_of, out=found[e0:e1])
+        table[cells] = -1
+    del table, cell_of                      # freed before the phase's largest arrays
+    kept = np.flatnonzero(found >= 0)       # the neighbours in their row's record
+    codes = np.repeat(pos * nmax, deg)[kept] + found[kept]
+    return encode_edges(codes, nmax), np.searchsorted(kept, entries)   # rows' first kept
 
 
 def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .util import BudgetError, FormatError, atomic_write, read_text_lines, substream
+from .util import (BudgetError, FormatError, atomic_write, read_text_lines, substream,
+                   substream_words)
 
 
 @dataclass(frozen=True)
@@ -423,8 +424,8 @@ def _extract_one_graph(g: Graph, graph_idx: int, cfg: WalkConfig):
     table = []
     if len(nodes):
         count = -(-length * cfg.walks_per_node // 2)
-        words = np.stack([substream(cfg.seed, graph_idx, v).bit_generator.random_raw(count)
-                          for v in nodes.tolist()])
+        words = substream_words(cfg.seed, np.stack([np.full_like(nodes, graph_idx), nodes], 1),
+                                count)
         walks = _walks_from_words(g, graph_idx, cfg, nodes, words).reshape(-1, length + 1)
         bits = _label_bits(g, length)
         keys, inverse, counts = np.unique(_pack(_anonymize(walks)[:, 1:], bits),

@@ -332,6 +332,16 @@ class TestHiddenGradients:
         hg = HiddenGraph(W=-1.0 - rng.random((3, 3)), Z=rng.normal(size=(3, 2)))
         assert np.all(rwk_hidden_grad(sub, hg, 3).d_W == 0)
 
+    def test_graph_without_nodes_has_value_and_gradients_zero(self):
+        g = Graph.from_edges(0, [], features=np.zeros((0, 3)))
+        rng = np.random.default_rng(6)
+        hg = HiddenGraph(W=rng.normal(size=(4, 4)), Z=rng.normal(size=(4, 3)))
+        assert rwk_hidden(g, hg, 2) == 0.0
+        got = rwk_hidden_grad(g, hg, 2)
+        assert got.value == 0.0
+        assert got.d_W.shape == (4, 4) and not got.d_W.any()
+        assert got.d_Z.shape == (4, 3) and not got.d_Z.any()
+
     def test_step_zero_is_refused(self):
         rng = np.random.default_rng(5)
         sub = random_subgraph(rng, 4, 2)

@@ -395,10 +395,11 @@ class TestGroupBuild:
     def test_peak_holds_the_gate_aggregate_and_little_else(self):
         # a 512-row chunk of a 1500-node graph with 512-wide features, as a
         # node task plans it. The bound holds the (B, f) aggregate, 8 int64
-        # arrays per neighbour of a slot for the edge phase's search and 16 per
-        # slot; the aggregate's row blocks fit in the slots' share. Measured
-        # with numpy 2.4: 10.4 MB (bound 15.7 MB); 17.4 MB with the (B, U + 1)
-        # lookup table, scores and weights.
+        # arrays per neighbour of a slot for the edge phase and 16 per slot;
+        # the aggregate's row blocks fit in the slots' share. Measured with
+        # numpy 2.4: 6.8 MB (bound 15.7 MB); 10.4 MB with a sorted key search
+        # for the neighbours' slots, 17.4 MB with the (B, U + 1) lookup table,
+        # scores and weights.
         rng = np.random.default_rng(60)
         n, f, cap = 1500, 512, 64
         edges = [(i, int(j)) for i in range(1, n) for j in rng.integers(0, i, 3)]
@@ -412,6 +413,46 @@ class TestGroupBuild:
         assert u > 1000 and nmax == cap
         neighbours = g.degrees[np.concatenate([records[v] for v in node_ids])].sum()
         assert peak <= 8 * (b * f + 8 * neighbours + 16 * b * nmax)
+
+    @staticmethod
+    def wide_records(n=400, nmax=150, seed=71):
+        """A sparse n-node graph, and records of up to nmax nodes (> 127, so the
+        slot table needs int16) for every node: a plan wider than int8 slots."""
+        rng = np.random.default_rng(seed)
+        edges = [(i, i + 1) for i in range(n - 1)] + [tuple(e) for e in
+                                                      rng.integers(0, n, (2 * n, 2))]
+        g = Graph.from_edges(n, edges, features=rng.normal(size=(n, 3)))
+        lists = [[v] + [u for u in rng.permutation(n)[:nmax].tolist() if u != v][
+            :int(rng.integers(1, nmax))] for v in range(n)]
+        lists[0] = list(range(nmax))
+        return g, Records.from_lists(lists), np.arange(0, n, 4)
+
+    @pytest.mark.parametrize("chunk", ["outside-neighbours", "wide-slots"])
+    def test_one_row_blocks_give_the_same_edges(self, chunk, monkeypatch):
+        # the slot table filled one row at a time: the same bits as one block
+        import mose.kernel
+        g, records, node_ids = (self.scaled_chunk(2000) if chunk == "outside-neighbours"
+                                else self.wide_records())
+        want = build_group(g, records, node_ids)
+        nmax = want.local.shape[1]
+        neighbours = g.degrees[np.concatenate([records[v] for v in node_ids])].sum()
+        if chunk == "outside-neighbours":
+            assert len(want.edges) < neighbours
+        else:
+            assert nmax > 128 and np.min_scalar_type(-nmax) == np.int16
+            rows = np.array([0, 5, len(node_ids) - 1])     # row 0 holds nmax nodes
+            dense = [induced_subgraph(g, records[node_ids[r]].tolist()).adjacency_dense()
+                     for r in rows]
+            for adj, ref in zip(want.padded_adjacency(np.float64, rows), dense):
+                assert np.array_equal(adj[:len(ref), :len(ref)], ref) and adj.sum() == ref.sum()
+        table_row = g.node_count * np.min_scalar_type(-nmax).itemsize
+        assert len(list(mose.kernel._row_blocks(len(node_ids), table_row))) == 1
+        monkeypatch.setattr(mose.kernel, "_BLOCK_BYTES", 1)
+        assert len(list(mose.kernel._row_blocks(len(node_ids), table_row))) == len(node_ids)
+        got = build_group(g, records, node_ids)
+        for name in ("edges", "edge_offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     @staticmethod
     def scaled_chunk(n, f=64, nmax=48, seed=70):

@@ -595,6 +595,32 @@ class TestBatchedExtraction:
             assert [tuple(w) for w in walks[v].tolist()] == \
                 sample_walks(g, v, c, substream(5, 7, v))
 
+    def test_only_rejected_nodes_build_a_generator(self, monkeypatch):
+        # extraction draws every node's words in one array pass; a node builds
+        # its own substream only when its draws hit a rejection
+        g = gen_graph_cycle(2, seed=4).graphs[0]
+        calls, rejected = [], []
+
+        def counted(seed, *key):
+            calls.append(key)
+            return substream(seed, *key)
+
+        def noted(stream, ptr, high):
+            out = _replay_bounded(stream, ptr, high)
+            rejected.append(out[2])
+            return out
+
+        monkeypatch.setattr(walks, "substream", counted)
+        monkeypatch.setattr(walks, "_replay_bounded", noted)
+        c = WalkConfig(seed=3)
+        got = extract_dataset([g], "GraphCycle", c)
+        nodes = np.flatnonzero(g.degrees > 0)
+        hit = nodes[np.logical_or.reduce(rejected)]
+        assert len(nodes) > 10 and len(rejected) == c.walk_length
+        assert sorted(calls) == [(0, v) for v in hit.tolist()]
+        monkeypatch.undo()
+        assert got.records == extract_dataset([g], "GraphCycle", c).records
+
     def test_pattern_counts_are_unique_rows(self):
         rng = np.random.default_rng(3)
         for width in (1, 2, 9, 17, 300):
