@@ -418,6 +418,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_hidden(args) -> int:
+    if not 0.0 <= args.prune_threshold < np.inf:      # NaN fails both
+        raise UsageError(f"--prune-threshold must be finite and >= 0, got {args.prune_threshold}")
     model, _, _, data_hash = load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
     count = 0

@@ -5,12 +5,12 @@ form sums entries of powers of the product-graph adjacency; the
 feature-weighted form contracts those counts against node-feature dot
 products without ever materializing the product graph; the hidden-graph
 form evaluates the same bilinear form against a small learnable graph and
-comes with analytic gradients: the batched engine's two orders, subgraph
-moments and the padded order, over the subgraphs of one plan (``NodeGroup``).
-A plan stores each subgraph's adjacency entries as a row CSR (``edges``,
-``edge_offsets``, written by ``encode_edges``), and both orders read them
-through ``NodeGroup.padded_adjacency``; ``rwk_hidden_grad`` runs the padded
-order on a one-row plan of a whole graph.
+comes with analytic gradients. Its batched engine is here whole: the plan
+of a group of subgraphs (``NodeGroup``, made only by ``NodeGroup.build``,
+each subgraph's adjacency entries kept as a row CSR) and one pair,
+``group_values`` and ``group_values_backward``, that runs either order,
+subgraph moments or padded, from W and Z to dW and dZ. ``rwk_hidden_grad``
+runs it on the plan of one record that holds every node of a graph.
 
 All kernel math runs in double precision.
 """
@@ -50,15 +50,19 @@ class KernelConfig:
         lam = tuple(float(x) for x in lam)
         if len(lam) != self.max_step + 1:
             raise ValueError("lambdas must have length max_step + 1")
-        if any(x < 0 for x in lam):
-            raise ValueError("lambdas must be non-negative")
+        if not all(0.0 <= x < np.inf for x in lam):     # NaN fails both
+            raise ValueError("lambdas must be finite and non-negative")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"step_mode must be one of {STEP_MODES}")
         object.__setattr__(self, "lambdas", lam)
 
     @staticmethod
     def geometric(max_step: int, decay: float, step_mode: str = "concat-over-p") -> "KernelConfig":
-        return KernelConfig(max_step, tuple(decay ** p for p in range(max_step + 1)), step_mode)
+        try:
+            lam = tuple(decay ** p for p in range(max_step + 1))
+        except OverflowError:       # a power past the float range
+            raise ValueError("lambdas must be finite and non-negative") from None
+        return KernelConfig(max_step, lam, step_mode)
 
     @property
     def feature_width(self) -> int:
@@ -244,27 +248,22 @@ def rwk_hidden(g: Graph, hidden: HiddenGraph, p: int) -> float:
 def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:
     """Kernel value plus d/dW and d/dZ through rectification and symmetrization.
 
-    The engine's padded order on a one-row plan of the whole (sub)graph, its
-    edges encoded from the graph's CSR. The rectifier contributes subgradient 0
-    at its kink, and the forced-zero diagonal never receives gradient. A graph
-    with no nodes has value 0 and zero gradients, as ``rwk_hidden`` has.
+    The engine's pair in the padded order, on the plan of one record that
+    holds every node of the (sub)graph. The rectifier contributes subgradient
+    0 at its kink, and the forced-zero diagonal never receives gradient. A
+    graph with no nodes has value 0 and zero gradients, as ``rwk_hidden`` has.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    features, n = _checked_features(g, hidden), g.node_count
+    _checked_features(g, hidden)
+    n = g.node_count
     if n == 0:
         return KernelGrad(0.0, np.zeros_like(hidden.W), np.zeros_like(hidden.Z))
-    edges = encode_edges(np.repeat(np.arange(n) * n, g.degrees) + g.neighbors, n)
-    group = NodeGroup(features, np.arange(n),
-                      np.arange(n, dtype=np.int32)[None], np.array([n]), edges,
-                      np.array([0, len(edges)]))
-    w = hidden.W[None]
-    r_pows = _rectified_powers(w, p)
-    vals, state = _padded_forward(hidden.Z[None], r_pows, group)
+    group = NodeGroup.build(g, np.arange(n, dtype=np.int32), np.array([0, n]), [0])
+    vals, cache = group_values(hidden.W[None], hidden.Z[None], group, p)
     dvals = np.eye(p)[-1].reshape(vals.shape)       # e_p: the step-p value alone
-    d_z, d_rq = _padded_backward(r_pows, group, dvals, state)
-    return KernelGrad(value=float(vals[0, 0, -1]),
-                      d_W=_weight_backward(w, r_pows, d_rq)[0], d_Z=d_z[0])
+    d_w, d_z = group_values_backward(group, dvals, cache)
+    return KernelGrad(value=float(vals[0, 0, -1]), d_W=d_w[0], d_Z=d_z[0])
 
 
 # -- the batched engine's two orders: N hidden graphs, raw weights W (N, s, s)
@@ -333,15 +332,6 @@ def _row_blocks(count: int, row_bytes: int):
 BUCKET = 8      # the moment order pads each row to its size rounded up to this
 
 
-def _gather_rows(features: np.ndarray, row_nodes: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Rows ``ids`` of X_u (any shape of ids) gathered straight from ``features``:
-    id U reads the zero row."""
-    u = len(row_nodes)
-    rows = features[row_nodes[np.minimum(ids, u - 1)]]      # one allocation
-    rows[ids >= u] = 0.0
-    return rows
-
-
 def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
     """(rows, width, min(U, f)) slot coordinates in the moment basis of the slots
     ``local`` indexes: the one-hot C of each slot's row when U < f, else the
@@ -353,12 +343,6 @@ def _slot_basis(group: NodeGroup, local: np.ndarray) -> np.ndarray:
     slots = np.flatnonzero(local < u)
     c.reshape(-1)[slots * u + local.reshape(-1)[slots]] = 1.0
     return c
-
-
-def encode_edges(codes: np.ndarray, nmax: int) -> np.ndarray:
-    """A NodeGroup's ``edges`` from the codes i * nmax + j of its rows' adjacency
-    entries, row after row: in the smallest unsigned dtype that holds nmax^2 - 1."""
-    return codes.astype(np.min_scalar_type(nmax * nmax - 1))
 
 
 @dataclass
@@ -383,6 +367,51 @@ class NodeGroup:
     edge_offsets: np.ndarray  # (B + 1,) row b's entries: edges[offsets[b]:offsets[b + 1]]
     agg: np.ndarray | None = None   # (B, f) gate aggregates (moe.build_group)
 
+    @staticmethod
+    def build(g: Graph, ids: np.ndarray, offsets: np.ndarray, node_ids) -> "NodeGroup":
+        """The plan of records ``node_ids`` of ``g``, from its records as a CSR:
+        record v, which fills row v's slots in order, is ``ids[offsets[v]:offsets[v
+        + 1]]``; its features are the distinct rows of ``g.feature_rows``. Each
+        record node's CSR neighbours read their slots from a (row, node) table of
+        slot positions, -1 off the row's record, filled a block of rows at a time
+        under ``_BLOCK_BYTES``, so no array is sized by B x n or by U. The codes i
+        * nmax + j are kept in the smallest unsigned dtype that holds nmax^2 - 1."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        starts = offsets[node_ids]
+        sizes = offsets[node_ids + 1] - starts
+        b, nmax = len(sizes), int(sizes.max())
+        valid = np.arange(nmax)[None, :] < sizes[:, None]
+        slots = np.concatenate([[0], np.cumsum(sizes)])     # row r: slots[r]:slots[r + 1]
+        flat = ids[np.arange(slots[-1]) + np.repeat(starts - slots[:-1], sizes)]
+        first, row_of = g.feature_rows
+        classes, cls_of = np.unique(row_of[flat], return_inverse=True)
+        local = np.full((b, nmax), len(classes), dtype=np.int32)
+        local[valid] = cls_of
+        row, pos = np.nonzero(valid)            # the slots, in ``flat``'s order
+        # the CSR rows of the slots' nodes, concatenated
+        deg = g.degrees[flat]
+        ends = np.cumsum(deg)
+        nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(g.offsets[flat] - ends + deg, deg)]
+        entries = np.concatenate([[0], ends])[slots]                   # row r's neighbours
+        found = np.empty(len(nbr), dtype=np.min_scalar_type(-nmax))    # -1 and every position
+        blocks = list(_row_blocks(b, g.node_count * found.itemsize))
+        table = np.full(blocks[0][1] * g.node_count, -1, dtype=found.dtype)  # the largest block
+        for lo, hi in blocks:
+            s0, s1, e0, e1 = slots[lo], slots[hi], entries[lo], entries[hi]
+            at = (row[s0:s1] - lo) * g.node_count          # each slot's row of the table
+            cells = at + flat[s0:s1]
+            table[cells] = pos[s0:s1]
+            cell_of = np.repeat(at, deg[s0:s1])
+            cell_of += nbr[e0:e1]
+            np.take(table, cell_of, out=found[e0:e1])
+            table[cells] = -1
+        del table, cell_of                      # freed before the phase's largest arrays
+        kept = np.flatnonzero(found >= 0)       # the neighbours in their row's record
+        codes = np.repeat(pos * nmax, deg)[kept] + found[kept]
+        return NodeGroup(features=g.features, row_nodes=first[classes], local=local,
+                         sizes=sizes, edges=codes.astype(np.min_scalar_type(nmax * nmax - 1)),
+                         edge_offsets=np.searchsorted(kept, entries))   # rows' first kept
+
     @property
     def count(self) -> int:
         return len(self.sizes)
@@ -397,8 +426,12 @@ class NodeGroup:
         return self.features.shape[1]
 
     def feature_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Rows ``ids`` of X_u, gathered from ``features``."""
-        return _gather_rows(self.features, self.row_nodes, ids)
+        """Rows ``ids`` of X_u (any shape of ids), gathered straight from
+        ``features``: id U reads the zero row."""
+        u = len(self.row_nodes)
+        rows = self.features[self.row_nodes[np.minimum(ids, u - 1)]]      # one allocation
+        rows[ids >= u] = 0.0
+        return rows
 
     def buckets(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """(widths, rows): each row's bucket width, its size rounded up to a
@@ -591,6 +624,36 @@ def _moment_backward(z: np.ndarray, moments: np.ndarray, dvals: np.ndarray, rz,
     dz = np.matmul(rz, mbar + mbar.transpose(0, 1, 3, 2)).sum(axis=0)
     d_rq = np.matmul(np.matmul(zp, mbar), zp.transpose(0, 2, 1))
     return np.matmul(dz, basis_rows), d_rq
+
+
+# -- the engine's one forward/backward pair ------------------------------------
+
+def group_values(W: np.ndarray, Z: np.ndarray, group: NodeGroup, max_step: int,
+                 moments: np.ndarray | None = None, rows: np.ndarray | None = None):
+    """(vals, cache): vals[b, i, q-1], the q-step kernel values of rows ``rows``
+    of ``group`` (default: all) against the N hidden graphs of raw weights W (N,
+    s, s) and features Z (N, s, f), for q = 1..max_step, and what
+    ``group_values_backward`` reads. The values come from the group's
+    ``moments`` (``NodeGroup.moments``) when given, else in the padded order;
+    both orders give the same values up to rounding."""
+    rows = np.arange(group.count) if rows is None else rows
+    r_pows = _rectified_powers(W, max_step)
+    if moments is None:
+        vals, state = _padded_forward(Z, r_pows, group, rows)
+    else:
+        vals, state = _moment_forward(Z, r_pows, moments[:, rows], group.basis_rows)
+    return vals, (W, Z, r_pows, moments, rows, state)
+
+
+def group_values_backward(group: NodeGroup, dvals: np.ndarray, cache):
+    """(dW, dZ) from the gradient ``dvals`` on the values of the
+    ``group_values`` call that returned ``cache``."""
+    w, z, r_pows, moments, rows, state = cache
+    if moments is None:
+        dz, d_rq = _padded_backward(r_pows, group, dvals, state, rows)
+    else:
+        dz, d_rq = _moment_backward(z, moments[:, rows], dvals, state, group.basis_rows)
+    return _weight_backward(w, r_pows, d_rq), dz
 
 
 # -- DOT export ------------------------------------------------------------

@@ -3,15 +3,15 @@
 The batched group engine here gates, routes and embeds many nodes at once
 with analytic backprop; the trainer is built on it. The tests pin it to a
 single-node reference pipeline (tests/reference.py) that computes the same
-quantities one subgraph at a time. ``build_group`` plans an engine unit: a
-kernel.NodeGroup of compact index arrays (each subgraph's adjacency entries
-as a row CSR, the slots' distinct feature rows) and the gate aggregate
-before the model's activation, so the trainer builds it once and reuses it
-in every pass. Per pass, the engine picks one of the two orders of the
-hidden-graph kernel from the plan's shapes (NodeGroup.fits_moments): the
-subgraph moments shared by all experts, taken in size buckets in the basis
-of the group's rows E (NodeGroup.basis_rows), or the padded order, which
-reads the plan a block of rows at a time.
+quantities one subgraph at a time. ``build_group`` plans an engine unit:
+the kernel's plan of its records (``kernel.NodeGroup.build``) plus the gate
+aggregate before the model's activation, so the trainer builds it once and
+reuses it in every pass. Per pass, ``group_forward`` picks one of the two
+orders of the hidden-graph kernel from the plan's shapes
+(``NodeGroup.fits_moments``): the subgraph moments shared by all experts,
+or the padded order. Each expert's values and gradients come from the
+kernel's one pair, ``group_values`` and ``group_values_backward``; this
+module maps them to and from features through ``KernelConfig.step_weights``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .kernel import (HiddenGraph, KernelConfig, NodeGroup, _gather_rows, _moment_backward,
-                     _moment_forward, _padded_backward, _padded_forward, _rectified_powers,
-                     _row_blocks, _weight_backward, encode_edges)
+from .kernel import (HiddenGraph, KernelConfig, NodeGroup, _row_blocks, group_values,
+                     group_values_backward)
 from .nn import Mlp, relu, sigmoid, softmax, softplus
 from .util import substream
 from .walks import Records
@@ -113,6 +112,9 @@ class ModelConfig:
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) != self.experts:
             raise ValueError("need one hidden-graph size per expert")
+        if min(sizes) < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"hidden-graph sizes must be >= 1 and strictly increasing, "
+                             f"got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
 
@@ -192,97 +194,22 @@ def new_model(cfg: ModelConfig, kernel_cfg: KernelConfig, seed: int = 0) -> Mose
 # -- batched group engine -------------------------------------------------
 
 def build_group(g: Graph, records: Records, node_ids) -> NodeGroup:
-    """The plan of the given nodes of one graph, from its records. The
-    adjacency entries come from the record nodes' CSR rows, each neighbour's
-    slot read from a (row, node) table of one block of rows; the features are
-    the distinct rows of ``g.feature_rows`` the records hold. No array it
-    allocates is sized by B x n or by U: the slot table and the gate aggregate,
-    which reads the slots' feature rows, each take a block of rows at a time,
-    under ``kernel._BLOCK_BYTES``."""
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    at = records.offsets[node_ids]
-    sizes = records.offsets[node_ids + 1] - at
-    b, nmax = len(sizes), int(sizes.max())
-    valid = np.arange(nmax)[None, :] < sizes[:, None]
-    bounds = np.cumsum(sizes) - sizes       # each row's start in ``flat``
-    flat = records.ids[np.arange(int(sizes.sum())) + np.repeat(at - bounds, sizes)]
-    first, row_of = g.feature_rows
-    classes, cls_of = np.unique(row_of[flat], return_inverse=True)
-    row_nodes = first[classes]
-    local = np.full((b, nmax), len(classes), dtype=np.int32)
-    local[valid] = cls_of
-    edges, edge_offsets = _record_edges(g, flat, valid)
-    agg = np.empty((b, g.feature_dim))
+    """The plan of the given nodes of one graph, from its records
+    (``NodeGroup.build``), with the gate aggregate of each row, which reads the
+    slots' feature rows a block of rows at a time, under
+    ``kernel._BLOCK_BYTES``."""
+    group = NodeGroup.build(g, records.ids, records.offsets, node_ids)
+    b, nmax = group.local.shape
+    group.agg = np.empty((b, g.feature_dim))
     for lo, hi in _row_blocks(b, 8 * nmax * g.feature_dim):
-        x = _gather_rows(g.features, row_nodes, local[lo:hi])      # (B_k, nmax, f)
+        local = group.local[lo:hi]
+        x = group.feature_rows(local)                       # (B_k, nmax, f)
         center = x[:, 0]
-        scores = np.where(valid[lo:hi], np.matmul(x, center[:, :, None])[..., 0], -np.inf)
-        np.matmul(softmax(scores, axis=1)[:, None], x, out=agg[lo:hi, None])
-        agg[lo:hi] += center
-    return NodeGroup(features=g.features, row_nodes=row_nodes, local=local, sizes=sizes,
-                     edges=edges, edge_offsets=edge_offsets, agg=agg)
-
-
-def _record_edges(g: Graph, flat: np.ndarray, valid: np.ndarray):
-    """(edges, edge_offsets) of NodeGroup: the ones of each row's adjacency, from
-    the CSR rows of the record nodes ``flat``, which fill the slots ``valid`` in
-    row order. Each neighbour's slot is read from a dense (row, node) table of
-    slot positions, -1 off the row's record, filled for one block of rows at a
-    time so that it stays under ``_BLOCK_BYTES``."""
-    b, nmax = valid.shape
-    row, pos = np.nonzero(valid)            # the slots, in ``flat``'s order
-    # the CSR rows of the slots' nodes, concatenated
-    deg = g.degrees[flat]
-    ends = np.cumsum(deg)
-    nbr = g.neighbors[np.arange(ends[-1]) + np.repeat(g.offsets[flat] - ends + deg, deg)]
-    slots = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])    # row r: slots[r]:slots[r + 1]
-    entries = np.concatenate([[0], ends])[slots]                   # its neighbours, likewise
-    found = np.empty(len(nbr), dtype=np.min_scalar_type(-nmax))    # -1 and every position
-    blocks = list(_row_blocks(b, g.node_count * found.itemsize))
-    table = np.full(blocks[0][1] * g.node_count, -1, dtype=found.dtype)  # the largest block
-    for lo, hi in blocks:
-        s0, s1, e0, e1 = slots[lo], slots[hi], entries[lo], entries[hi]
-        at = (row[s0:s1] - lo) * g.node_count          # each slot's row of the table
-        cells = at + flat[s0:s1]
-        table[cells] = pos[s0:s1]
-        cell_of = np.repeat(at, deg[s0:s1])
-        cell_of += nbr[e0:e1]
-        np.take(table, cell_of, out=found[e0:e1])
-        table[cells] = -1
-    del table, cell_of                      # freed before the phase's largest arrays
-    kept = np.flatnonzero(found >= 0)       # the neighbours in their row's record
-    codes = np.repeat(pos * nmax, deg)[kept] + found[kept]
-    return encode_edges(codes, nmax), np.searchsorted(kept, entries)   # rows' first kept
-
-
-def _expert_kernel_forward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
-                           moments: np.ndarray | None, rows: np.ndarray):
-    """Kernel feature rows of the given group rows against one expert: from the
-    group's ``moments``, or in the padded order when they are None. Both
-    orders give the same values up to rounding."""
-    r_pows = _rectified_powers(expert.W, kcfg.max_step)
-    if moments is None:
-        vals, state = _padded_forward(expert.Z, r_pows, group, rows)
-    else:
-        vals, state = _moment_forward(expert.Z, r_pows, moments[:, rows], group.basis_rows)
-    phi = (vals.reshape(-1, kcfg.max_step) @ kcfg.step_weights).reshape(len(rows), -1)
-    return phi, (r_pows, state)
-
-
-def _expert_kernel_backward(expert: Expert, kcfg: KernelConfig, group: NodeGroup,
-                            moments: np.ndarray | None, rows: np.ndarray, dphi: np.ndarray,
-                            cache, grads: dict, key: str):
-    r_pows, state = cache
-    weights = kcfg.step_weights
-    dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
-        len(dphi), expert.hidden_count, -1)
-    if moments is None:
-        dz, d_rq = _padded_backward(r_pows, group, dvals, state, rows)
-    else:
-        dz, d_rq = _moment_backward(expert.Z, moments[:, rows], dvals, state,
-                                    group.basis_rows)
-    grads[f"{key}.Z"] += dz
-    grads[f"{key}.W"] += _weight_backward(expert.W, r_pows, d_rq)
+        scores = np.where(local < len(group.row_nodes),
+                          np.matmul(x, center[:, :, None])[..., 0], -np.inf)
+        np.matmul(softmax(scores, axis=1)[:, None], x, out=group.agg[lo:hi, None])
+        group.agg[lo:hi] += center
+    return group
 
 
 def gate_backward(eta: np.ndarray, eps: np.ndarray | None, sig: np.ndarray | None,
@@ -329,16 +256,21 @@ class GroupRun:
             dwide = np.broadcast_to(dh[:, None, :], (group.count, model.expert_count,
                                                      model.embed_dim))
         dzeta = np.zeros_like(self.zeta)
+        weights = model.kernel_cfg.step_weights
         for m in sorted(self.expert_rows):
             rows, pos = self.expert_rows[m]
-            phi, kcache, mlp_cache, hm = self.expert_caches[m]
+            kcache, mlp_cache, hm = self.expert_caches[m]
             block = dwide[rows, m]
             dhm = self.zeta[rows, pos][:, None] * block
             dzeta[rows, pos] += (hm * block).sum(axis=1)
             expert = model.bank.experts[m]
             dphi = expert.transform.backward(dhm, mlp_cache, grads)
-            _expert_kernel_backward(expert, model.kernel_cfg, group, self.moments, rows,
-                                    dphi, kcache, grads, f"expert{m}")
+            dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(
+                len(rows), expert.hidden_count, -1)
+            dw, dz = group_values_backward(group, dvals, kcache)
+            grads[f"expert{m}.W"] += dw
+            grads[f"expert{m}.Z"] += dz
+            del dw, dz          # before the next expert's are computed
         gate_backward(self.eta, self.eps, self.sig, self.idx, self.zeta,
                       dzeta, model.expert_count, grads)
 
@@ -358,7 +290,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
-    p = model.kernel_cfg.max_step
+    p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
     moments = group.moments(p) if group.fits_moments(p) else None
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
@@ -368,11 +300,12 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
         if len(rows) == 0:
             continue
         expert = model.bank.experts[m]
-        phi, kcache = _expert_kernel_forward(expert, model.kernel_cfg, group, moments, rows)
+        vals, kcache = group_values(expert.W, expert.Z, group, p, moments, rows)
+        phi = (vals.reshape(-1, p) @ weights).reshape(len(rows), -1)
         hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
                                                  dropout=dropout, rng=rng)
         expert_rows[m] = (rows, pos)
-        expert_caches[m] = (phi, kcache, mlp_cache, hm)
+        expert_caches[m] = (kcache, mlp_cache, hm)
         wide[rows, m] = zeta[rows, pos][:, None] * hm
     concat_cache = None
     if model.cfg.combine_mode == "concat":

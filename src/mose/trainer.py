@@ -284,7 +284,8 @@ def _carve_validation(train_ids, labels, fraction: float, seed: int):
 
 def train(model: MoseModel, data: Dataset, cache: SubgraphCache, split,
           cfg: TrainConfig, start_state: dict | None = None):
-    """Run the optimization loop on one split; returns (model, Metrics).
+    """Run the optimization loop on one split; returns (model, Metrics, state),
+    ``state`` what ``save_checkpoint`` writes and ``start_state`` resumes.
 
     ``split`` is (train ids, test ids) for graph tasks or (train, val, test)
     masks for node tasks. Two runs with the same seed and config produce

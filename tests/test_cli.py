@@ -408,6 +408,16 @@ BAD_FLAGS = {
                    "usage error: {cfg}:1: adam_beta2 must lie in [0, 1)\n"),
     "patience": (["train", "--config", "patience = -3"],
                  "usage error: {cfg}:1: patience must be >= 0\n"),
+    "lambda-decay-nan": (["train", "--config", "lambda_decay = nan"],
+                         "usage error: {cfg}:1: lambdas must be finite and non-negative\n"),
+    # 1e200 ** 3 overflows the float range
+    "lambda-decay-overflow": (["train", "--config", "lambda_decay = 1e200"],
+                              "usage error: {cfg}:1: lambdas must be finite and non-negative\n"),
+    # checked before the checkpoint is read, so no file need exist
+    "prune-threshold-nan": (["export-hidden", "--checkpoint", "x.npz", "--prune-threshold",
+                             "nan"],
+                            "usage error: --prune-threshold must be finite and >= 0, "
+                            "got nan\n"),
     # flags of settings the command does not read
     "gen-data-dir": (["gen", "--dataset", "GraphCycle", "--count", "6", "--data-dir", "x"],
                      "usage error: unrecognized arguments: --data-dir x\n"),

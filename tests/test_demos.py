@@ -1,5 +1,5 @@
-"""Each demo runs to completion in a fresh interpreter against the source tree,
-under the suite's rule that a numpy RuntimeWarning is an error."""
+"""Each demo under demos/ runs to completion in a fresh interpreter against the
+source tree, under the suite's rule that a numpy RuntimeWarning is an error."""
 
 import os
 import subprocess
@@ -11,8 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_kernels", "02_anonymous_walks", "03_expressivity",
-                                  "04_training"])
+@pytest.mark.parametrize("demo", sorted(path.stem for path in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",

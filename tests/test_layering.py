@@ -54,3 +54,30 @@ def test_no_module_imports_itself_through_others():
 
 def test_the_kernel_imports_neither_the_engine_nor_the_trainer():
     assert not {"moe", "trainer"} & reachable(package_imports(), "kernel")
+
+
+# the kernel's private steps of its one forward/backward pair
+ENGINE_STEPS = {"_padded_forward", "_padded_backward", "_moment_forward", "_moment_backward",
+                "_rectified_powers", "_weight_backward"}
+
+
+def test_only_the_kernel_runs_its_engine_steps_and_builds_plans():
+    # names of the steps anywhere outside the kernel (an import or an attribute),
+    # and every NodeGroup(...) call outside NodeGroup.build
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the nodes inside the kernel's NodeGroup.build
+        built = {id(inner) for fn in ast.walk(tree) if path.stem == "kernel"
+                 and isinstance(fn, ast.FunctionDef) and fn.name == "build"
+                 for inner in ast.walk(fn)}
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if path.stem != "kernel":
+                found += [(path.stem, name) for name in ENGINE_STEPS & set(names)]
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called == "NodeGroup" and id(node) not in built:
+                found.append((path.stem, "NodeGroup(...)"))
+    assert not found

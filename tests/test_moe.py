@@ -9,10 +9,10 @@ from mose.datasets import Dataset
 from mose.graph import Graph, cycle_graph, degree_features, induced_subgraph
 from mose.kernel import (BUCKET, STEP_MODES, KernelConfig, _moment_backward,
                          _moment_forward, _padded_backward, _padded_forward,
-                         _rectified_powers, group_moments)
+                         _rectified_powers, group_moments, group_values,
+                         group_values_backward)
 from mose.moe import (GATE_ACTIVATIONS, ExpertBank, ModelConfig, build_group,
-                      group_forward, new_model, _expert_kernel_backward,
-                      _expert_kernel_forward)
+                      group_forward, new_model)
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import TrainConfig, frozen_loss
 from mose.util import substream
@@ -216,12 +216,13 @@ class TestForward:
         rows = np.array([0, 2, 3, 5, 8])
         moments = group_moments(group.adj, group.feats, kcfg.max_step)
         out = {}
+        weights = kcfg.step_weights
         for name, kin in (("padded", None), ("moments", moments)):
-            phi, cache = _expert_kernel_forward(expert, kcfg, group, kin, rows)
-            grads = {"e.W": np.zeros_like(expert.W), "e.Z": np.zeros_like(expert.Z)}
+            vals, cache = group_values(expert.W, expert.Z, group, kcfg.max_step, kin, rows)
+            phi = (vals.reshape(-1, kcfg.max_step) @ weights).reshape(len(rows), -1)
             dphi = np.random.default_rng(12).normal(size=phi.shape)
-            _expert_kernel_backward(expert, kcfg, group, kin, rows, dphi, cache, grads, "e")
-            out[name] = (phi, grads["e.W"], grads["e.Z"])
+            dvals = (dphi.reshape(-1, weights.shape[1]) @ weights.T).reshape(vals.shape)
+            out[name] = (phi, *group_values_backward(group, dvals, cache))
         for a, b in zip(out["padded"], out["moments"]):
             assert np.any(a != 0)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()

@@ -573,6 +573,29 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"ckpt.npz: best/head.b1: missing$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("sizes", [[0, 1, 2], [2, 2, 3]])
+    def test_refuses_hidden_graph_sizes_the_bank_cannot_hold(self, tmp_path, sizes):
+        # the expert arrays reshaped to the sizes, so only the sizes are wrong
+        data = toy_dataset(3)
+        ids = np.arange(len(data.graphs))
+        cfg = TrainConfig(epochs=0, seed=0, patience=0)
+        model, _, state = train(toy_model(data), data, toy_cache(data), (ids, ids), cfg)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, model, state, cfg, "abc")
+        with np.load(path) as f:
+            arrays = {k: f[k] for k in f.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["model_config"]["sizes"] = sizes
+        arrays["meta"] = json.dumps(meta)
+        for k, s in enumerate(sizes):
+            arrays[f"param/expert{k}.W"] = np.zeros((2, s, s))
+            arrays[f"param/expert{k}.Z"] = np.zeros((2, s, data.feature_dim))
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError, match=re.escape(
+                "ckpt.npz: not a mose checkpoint: hidden-graph sizes must be >= 1 and "
+                f"strictly increasing, got {tuple(sizes)}")):
+            load_checkpoint(path)
+
     def test_load_snapshot_refuses_another_shape(self):
         model = toy_model(toy_dataset(3))
         before = model.snapshot()
