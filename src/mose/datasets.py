@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, degree_features
-from .util import FormatError, atomic_write, read_text_lines, substream
+from .util import FormatError, atomic_write, read_text_lines, substream, unique
 
 
 @dataclass
@@ -172,10 +172,10 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
     edge_bounds = np.searchsorted(edges[:, 0], first_node)
 
     task = "node" if (graph_count == 1 and node_labels is not None) else "graph"
-    label_names, graph_labels = np.unique(raw_graph_labels, return_inverse=True)
+    label_names, graph_labels = unique(raw_graph_labels, return_inverse=True)
     feats = [np.zeros((n_total, 0)) if attributes is None else attributes]
     if node_labels is not None:
-        node_label_names, node_labels = np.unique(node_labels, return_inverse=True)
+        node_label_names, node_labels = unique(node_labels, return_inverse=True)
         if task == "graph":
             feats.append(np.eye(len(node_label_names))[node_labels])
     features = np.hstack(feats)
@@ -375,7 +375,7 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> SplitPlan:
     rng = substream(seed, 600)
     fold_members: list[list[int]] = [[] for _ in range(k)]
     loads = np.zeros(k, dtype=np.int64)
-    for c in np.unique(labels):
+    for c in unique(labels):
         members = rng.permutation(np.nonzero(labels == c)[0])
         if len(members) < k:
             import warnings
@@ -415,7 +415,7 @@ def make_node_splits(dataset: Dataset, ratios: tuple[float, float, float],
     n = len(labels)
     rng = substream(seed, 601)
     masks = [np.zeros(n, dtype=bool) for _ in range(3)]
-    for c in np.unique(labels):
+    for c in unique(labels):
         members = rng.permutation(np.nonzero(labels == c)[0])
         if len(members) == 0:
             raise ValueError(f"class {c} is empty")

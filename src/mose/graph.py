@@ -8,16 +8,25 @@ iteration order is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .util import unique
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=16)
+def _row_hash_weights(width: int) -> np.ndarray:
+    """The (width,) uint64 weights of ``Graph.feature_rows``' row hash, drawn
+    once per width from a generator seeded 0 (building one costs ~30 us)."""
+    return _frozen(np.random.default_rng(0).integers(1, 2**63, width, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -132,15 +141,14 @@ class Graph:
         if f == 0:      # every row is the empty row
             return np.zeros(min(n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64)
         # wrapping integer dot products: a hash of the row's 64-bit words
-        hashes = self.features.view(np.uint64) @ np.random.default_rng(0).integers(
-            1, 2**63, f, dtype=np.uint64)
-        _, at, counts = np.unique(hashes, return_inverse=True, return_counts=True)
+        hashes = self.features.view(np.uint64) @ _row_hash_weights(f)
+        _, at, counts = unique(hashes, return_inverse=True, return_counts=True)
         shared = np.flatnonzero(counts[at] > 1)
         keys = self.features[shared].view(np.dtype((np.void, self.features.itemsize * f)))
-        _, lowest, same = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        _, lowest, same = unique(keys.ravel(), return_index=True, return_inverse=True)
         owner = np.arange(n)        # the lowest node holding each node's row
         owner[shared] = shared[lowest][same]
-        _, first, row_of = np.unique(owner, return_index=True, return_inverse=True)
+        _, first, row_of = unique(owner, return_index=True, return_inverse=True)
         return first, row_of
 
     def neighbors_of(self, v: int) -> np.ndarray:
@@ -189,7 +197,7 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
         u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
         # u·n + v keys sort by node, then by neighbor: the distinct keys are the CSR
-        src, dst = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
+        src, dst = np.divmod(unique(np.concatenate([u * n + v, v * n + u])), n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         if features is None:
@@ -205,7 +213,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     ids = np.asarray(list(nodes), dtype=np.int64)
     if len(ids) == 0:
         raise ValueError("node set must be non-empty")
-    if len(np.unique(ids)) != len(ids):
+    if len(unique(ids)) != len(ids):
         raise ValueError("node set contains duplicates")
     if ids.min() < 0 or ids.max() >= g.node_count:
         raise ValueError("node id out of range")

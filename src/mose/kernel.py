@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, direct_product
-from .util import BudgetError
+from .util import BudgetError, unique
 
 STEP_MODES = ("single-p", "sum-over-p", "concat-over-p")
 
@@ -384,7 +384,7 @@ class NodeGroup:
         slots = np.concatenate([[0], np.cumsum(sizes)])     # row r: slots[r]:slots[r + 1]
         flat = ids[np.arange(slots[-1]) + np.repeat(starts - slots[:-1], sizes)]
         first, row_of = g.feature_rows
-        classes, cls_of = np.unique(row_of[flat], return_inverse=True)
+        classes, cls_of = unique(row_of[flat], return_inverse=True)
         local = np.full((b, nmax), len(classes), dtype=np.int32)
         local[valid] = cls_of
         row, pos = np.nonzero(valid)            # the slots, in ``flat``'s order
@@ -438,7 +438,7 @@ class NodeGroup:
         multiple of BUCKET and at most nmax, and the rows of each bucket in
         ascending width, each in row order."""
         widths = np.minimum(-(-self.sizes // BUCKET) * BUCKET, self.local.shape[1])
-        return widths, [np.flatnonzero(widths == w) for w in np.unique(widths)]
+        return widths, [np.flatnonzero(widths == w) for w in unique(widths)]
 
     @property
     def adj(self) -> np.ndarray:
@@ -474,12 +474,15 @@ class NodeGroup:
         u = len(self.row_nodes)
         return self.features[self.row_nodes] if u < self.width else np.eye(self.width)
 
-    def fits_moments(self, max_step: int) -> bool:
-        """Whether the group's moments (max_step * min(U, f)^2 values per node)
-        are no larger than its padded adjacency (nmax^2 values per node)."""
+    def fits_moments(self, max_step: int, hidden: int) -> bool:
+        """Whether the moment order holds no more per row than the padded order:
+        max_step * min(U, f)^2 moment values against nmax * (nmax + hidden), a
+        row's padded adjacency and its T = Z X_b^T for ``hidden`` = N * s hidden
+        nodes (``group_forward`` passes the largest expert's,
+        ``ExpertBank.hidden_nodes``)."""
         nmax = self.local.shape[1]
         width = min(len(self.row_nodes), self.width)
-        return max_step * width * width <= nmax * nmax
+        return max_step * width * width <= nmax * (nmax + hidden)
 
     def moments(self, max_step: int) -> np.ndarray:
         """group_moments of every row, (max_step, B, r, r), bucket by bucket:

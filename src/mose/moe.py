@@ -7,11 +7,12 @@ quantities one subgraph at a time. ``build_group`` plans an engine unit:
 the kernel's plan of its records (``kernel.NodeGroup.build``) plus the gate
 aggregate before the model's activation, so the trainer builds it once and
 reuses it in every pass. Per pass, ``group_forward`` picks one of the two
-orders of the hidden-graph kernel from the plan's shapes
-(``NodeGroup.fits_moments``): the subgraph moments shared by all experts,
-or the padded order. Each expert's values and gradients come from the
-kernel's one pair, ``group_values`` and ``group_values_backward``; this
-module maps them to and from features through ``KernelConfig.step_weights``.
+orders of the hidden-graph kernel from the plan's shapes and the hidden
+nodes of the model's largest expert (``NodeGroup.fits_moments``): the
+subgraph moments shared by all experts, or the padded order. Each expert's
+values and gradients come from the kernel's one pair, ``group_values`` and
+``group_values_backward``; this module maps them to and from features
+through ``KernelConfig.step_weights``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ class ExpertBank:
     @property
     def expert_count(self) -> int:
         return len(self.experts)
+
+    @property
+    def hidden_nodes(self) -> int:
+        """N * s of the largest expert: the hidden nodes a padded row meets."""
+        return max(e.hidden_count * e.size for e in self.experts)
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
     p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
-    moments = group.moments(p) if group.fits_moments(p) else None
+    moments = group.moments(p) if group.fits_moments(p, model.bank.hidden_nodes) else None
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
     wide = np.zeros((group.count, model.expert_count, model.embed_dim))
@@ -318,13 +324,15 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
 
 
 def pool_rows(h: np.ndarray, mode: str):
-    """Graph readout of a group's node rows: (1, d) plus the max positions."""
+    """Graph readout of a group's node rows: (1, d) plus the max positions.
+    A stack (G, k, d) of G graphs' rows reads out as (G, 1, d), each graph
+    as its (k, d) rows alone would."""
     if mode == "mean":
-        return h.mean(axis=0, keepdims=True), None
+        return h.mean(axis=-2, keepdims=True), None
     if mode == "sum":
-        return h.sum(axis=0, keepdims=True), None
-    arg = h.argmax(axis=0)[None]
-    return np.take_along_axis(h, arg, axis=0), arg
+        return h.sum(axis=-2, keepdims=True), None
+    arg = h.argmax(axis=-2)[..., None, :]
+    return np.take_along_axis(h, arg, axis=-2), arg
 
 
 def pool_rows_backward(dpooled: np.ndarray, h_shape, mode: str, arg) -> np.ndarray:

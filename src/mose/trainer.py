@@ -25,7 +25,7 @@ from .kernel import KernelConfig
 from .moe import (ModelConfig, MoseModel, build_group, group_forward, new_model,
                   pool_rows, pool_rows_backward)
 from .nn import Adam, log_softmax, softmax
-from .util import FormatError, atomic_write, substream
+from .util import FormatError, atomic_write, substream, unique
 from .walks import SubgraphCache
 
 CV_GUARD = 1e-10
@@ -272,7 +272,7 @@ def _carve_validation(train_ids, labels, fraction: float, seed: int):
     rng = substream(seed, 300)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     val = []
-    for c in np.unique(labels[train_ids]):
+    for c in unique(labels[train_ids]):
         members = train_ids[labels[train_ids] == c]
         members = rng.permutation(members)
         take = int(np.floor(fraction * len(members)))

@@ -154,6 +154,41 @@ def substream_words(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
     return x >> rot | x << (-rot & np.uint64(63))
 
 
+def unique(values, return_index: bool = False, return_inverse: bool = False,
+           return_counts: bool = False):
+    """``np.unique`` of the flattened integer or void ``values``: the same
+    arrays, in the same order and dtypes, from one sort.
+
+    numpy 2.x answers a plain ``np.unique`` through a hash table and one with
+    ``return_index`` through a stable argsort, each several times slower than
+    one sort of int64 keys. Here plain keys take one ``np.sort``; with an index
+    or an inverse they take one argsort (void keys sort by their bytes either
+    way), and a key's first index is the least position in its run of equal
+    keys, so the argsort need not be stable.
+    """
+    values = np.asarray(values)
+    flat = values.ravel()
+    if return_index or return_inverse:
+        order = np.argsort(flat)
+        keys = flat[order]
+    else:
+        keys = np.sort(flat)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    out = [keys[starts]]
+    if return_index:
+        out.append(np.minimum.reduceat(order, starts) if len(starts) else starts)
+    if return_inverse:
+        inverse = np.empty(len(flat), dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        out.append(inverse.reshape(values.shape))
+    if return_counts:
+        out.append(np.diff(np.append(starts, len(keys))))
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def hash_arrays(arrays: Iterable[np.ndarray]) -> str:
     """Stable content hash over an ordered collection of arrays."""
     h = hashlib.sha256()

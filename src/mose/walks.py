@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph
 from .util import (BudgetError, FormatError, atomic_write, read_text_lines, substream,
-                   substream_words)
+                   substream_words, unique)
 
 
 @dataclass(frozen=True)
@@ -157,14 +157,19 @@ def _first_visits(n: int, centers: np.ndarray, visit_center: np.ndarray,
     """Each center's record: itself, then the nodes it visits, first visits only.
 
     ``centers`` is ascending; every visit's center is one of them, and visits
-    are listed in order within each center. A record keeps at most ``cap``
-    nodes, the earliest visited.
+    are listed center by center (``visit_center`` is non-decreasing), in visit
+    order within each. A record keeps at most ``cap`` nodes, the earliest
+    visited.
     """
-    c = np.concatenate([centers, visit_center])
-    x = np.concatenate([centers, visit_node])
-    order = np.argsort(c, kind="stable")       # (center, visit order), center itself first
-    c, x = c[order], x[order]
-    _, first = np.unique(c * n + x, return_index=True)
+    # each center goes just before its visits: after the visits of the centers
+    # below it, and after the centers up to it before a visit
+    at_center = np.searchsorted(visit_center, centers) + np.arange(len(centers))
+    at_visit = np.arange(len(visit_center)) + np.searchsorted(centers, visit_center, "right")
+    c = np.empty(len(centers) + len(visit_center), dtype=np.int64)
+    x = np.empty_like(c)
+    c[at_center], x[at_center] = centers, centers
+    c[at_visit], x[at_visit] = visit_center, visit_node
+    _, first = unique(c * n + x, return_index=True)
     first.sort()
     c, x = c[first], x[first]
     starts = np.searchsorted(c, centers, side="left")
@@ -285,7 +290,7 @@ def _unpack(keys: np.ndarray, length: int, bits: int) -> np.ndarray:
 def _merge(table, leaves: list) -> tuple[np.ndarray, np.ndarray]:
     """Count the keys of ``leaves`` (emptied) into the sorted (key, count) table.
     The table is copied once to insert the new keys, never sorted again."""
-    keys, counts = np.unique(np.concatenate(leaves), return_counts=True)
+    keys, counts = unique(np.concatenate(leaves), return_counts=True)
     leaves.clear()
     at = np.searchsorted(table[0], keys)
     old = at < np.searchsorted(table[0], keys, side="right")
@@ -403,11 +408,20 @@ def _walks_from_words(g: Graph, graph_idx: int, cfg: WalkConfig, nodes: np.ndarr
 
 
 def _anonymize(walks: np.ndarray) -> np.ndarray:
-    """``to_anonymous`` of every row of a (m, L + 1) walk array."""
-    first = (walks[:, :, None] == walks[:, None, :]).argmax(axis=2)
-    fresh = first == np.arange(walks.shape[1])
-    rank = np.cumsum(fresh, axis=1) - 1
-    return np.take_along_axis(rank, first, axis=1)
+    """``to_anonymous`` of every row of a (m, L + 1) walk array, column by
+    column: a node met in an earlier column takes that column's label, a new
+    one the count of distinct nodes before it. Column t is compared with the
+    t before it only, so no (m, L + 1, L + 1) table is formed."""
+    cols = np.ascontiguousarray(walks.T)
+    labels = np.zeros(cols.shape, dtype=np.int64)
+    distinct = np.ones(cols.shape[1], dtype=np.int64)
+    for t in range(1, len(cols)):
+        label = distinct.copy()
+        for j in range(t):
+            np.copyto(label, labels[j], where=cols[j] == cols[t])
+        labels[t] = label
+        distinct += label == distinct
+    return labels.T
 
 
 def _extract_one_graph(g: Graph, graph_idx: int, cfg: WalkConfig):
@@ -428,7 +442,7 @@ def _extract_one_graph(g: Graph, graph_idx: int, cfg: WalkConfig):
                                 count)
         walks = _walks_from_words(g, graph_idx, cfg, nodes, words).reshape(-1, length + 1)
         bits = _label_bits(g, length)
-        keys, inverse, counts = np.unique(_pack(_anonymize(walks)[:, 1:], bits),
+        keys, inverse, counts = unique(_pack(_anonymize(walks)[:, 1:], bits),
                                           return_inverse=True, return_counts=True)
         # keys sort like their patterns, so a stable sort by count breaks
         # ties as top_patterns does
@@ -461,6 +475,8 @@ def extract_dataset(graphs: list[Graph], dataset_name: str, cfg: WalkConfig,
 
 
 def save_cache(path: str, cache: SubgraphCache) -> None:
+    """Write ``cache`` as text: a header, then per graph its 'g' line, its
+    pattern table as 'p' lines and its records as 'v' lines (``_v_lines``)."""
     buf = io.StringIO()
     c = cache.cfg
     buf.write(CACHE_MAGIC + "\n")
@@ -471,12 +487,42 @@ def save_cache(path: str, cache: SubgraphCache) -> None:
         buf.write(f"g {gi}\n")
         for pat, cnt in cache.pattern_tables[gi]:
             buf.write("p " + ",".join(str(x) for x in pat) + f" {cnt}\n")
-        ids, bounds = recs.ids.tolist(), recs.offsets.tolist()
-        buf.write("".join(["v " + " ".join(map(str, ids[a:b])) + "\n"
-                           for a, b in zip(bounds, bounds[1:])]))
+        buf.write(_v_lines(recs))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with atomic_write(path) as f:
         f.write(buf.getvalue())
+
+
+_NL, _SPACE, _MINUS, _ZERO, _NINE, _V = b"\n -09v"
+_TENS = 10 ** np.arange(1, 10)     # an int32 id has at most 10 digits
+
+
+def _v_lines(records: Records) -> str:
+    """The 'v' lines of one graph's records, each "v " and its ids joined by
+    single spaces, written in one uint8 pass: line after line, a "v", a space
+    and the id's digits (after a "-" when negative) per id, or a space when the
+    record is empty, then a newline. Positions come from cumulative widths and
+    the digits from repeated divmod, last digit first."""
+    ids = records.ids.astype(np.int64)
+    q = np.abs(ids)
+    digits = np.searchsorted(_TENS, q, side="right") + 1
+    widths = np.concatenate([[0], np.cumsum(1 + (ids < 0) + digits)])
+    sizes = records.sizes
+    spans = widths[records.offsets[1:]] - widths[records.offsets[:-1]]
+    lines = 2 + spans + (sizes == 0)                 # "v", the ids or a space, "\n"
+    starts = np.concatenate([[0], np.cumsum(lines)])
+    buf = np.full(starts[-1], _SPACE, dtype=np.uint8)
+    buf[starts[:-1]] = _V
+    buf[starts[1:] - 1] = _NL
+    # each id's last digit: its line's start plus the widths before it and its own
+    at = np.repeat(starts[:-1] - widths[records.offsets[:-1]], sizes) + widths[1:]
+    buf[(at - digits)[ids < 0]] = _MINUS
+    while len(at):
+        q, r = np.divmod(q, 10)
+        buf[at] = r + _ZERO
+        more = q > 0
+        at, q = at[more] - 1, q[more]
+    return buf.tobytes().decode("ascii")
 
 
 _INT = "(?:0|[1-9][0-9]*)"
@@ -535,9 +581,6 @@ def load_cache(path: str) -> SubgraphCache:
         raise FormatError(f"{path}:{problem}")
     return SubgraphCache(dataset_name=header["dataset"], cfg=cfg,
                          records=records, pattern_tables=tables)
-
-
-_NL, _SPACE, _MINUS, _ZERO, _NINE, _V = b"\n -09v"
 
 
 def _read_records(path: str, lines: list[str], numbers: list[int]) -> Records:

@@ -19,7 +19,7 @@ import numpy as np
 from .graph import Graph, degree_features
 from .kernel import NodeGroup
 from .moe import MoseModel, build_group, group_forward, pool_rows
-from .util import BudgetError
+from .util import BudgetError, unique
 from .walks import Records, _label_bits, _pattern_table, top_patterns
 
 CANON_CAP = 8
@@ -264,11 +264,20 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
 
 def embed_group(model: MoseModel, group: NodeGroup, starts) -> np.ndarray:
     """Eval-mode readouts, one row per graph, of a group holding every node
-    of several graphs in turn; graph i's rows begin at ``starts[i]``."""
+    of several graphs in turn; graph i's rows begin at ``starts[i]``. Graphs
+    of one row count read out in one ``pool_rows`` call on their stacked
+    rows, each as it would alone; a graph with no rows raises ValueError."""
     h = group_forward(model, group).h
-    ends = list(starts[1:]) + [len(h)]
-    return np.concatenate([pool_rows(h[a:b], model.cfg.readout_mode)[0]
-                           for a, b in zip(starts, ends)])
+    bounds = np.append(np.asarray(starts, dtype=np.int64), len(h))
+    counts = np.diff(bounds)
+    if counts.min(initial=1) < 1:
+        raise ValueError(f"graph {int(np.argmin(counts))} has no rows")
+    out = np.empty((len(counts), h.shape[1]))
+    for k in unique(counts):
+        graphs = np.flatnonzero(counts == k)
+        out[graphs] = pool_rows(h[bounds[graphs, None] + np.arange(k)],
+                                model.cfg.readout_mode)[0][:, 0]
+    return out
 
 
 def mose_distinguish(g: Graph, h: Graph, model: MoseModel, policy=None,

@@ -1,6 +1,7 @@
 """The package's import graph, read from the source with ``ast``: the modules
 import each other in layers with no cycle, and the kernel sits below the
-engine, so the plan format that both kernel orders read stays behind it."""
+engine, so the plan format that both kernel orders read stays behind it.
+The same reading keeps numpy's hash-table ``unique`` out of the package."""
 
 import ast
 import pathlib
@@ -80,4 +81,27 @@ def test_only_the_kernel_runs_its_engine_steps_and_builds_plans():
             called = getattr(func, "id", None) or getattr(func, "attr", None)
             if called == "NodeGroup" and id(node) not in built:
                 found.append((path.stem, "NodeGroup(...)"))
+    assert not found
+
+
+def test_numpy_unique_is_called_only_through_util_unique():
+    # numpy 2.x answers a plain np.unique from a hash table and one with
+    # return_index from a stable argsort, each several times slower than the
+    # one sort of util.unique; any np.unique, numpy.unique or from-numpy import
+    # of it outside util.unique is reported
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(inner) for fn in ast.walk(tree) if path.stem == "util"
+                  and isinstance(fn, ast.FunctionDef) and fn.name == "unique"
+                  for inner in ast.walk(fn)}
+        for node in ast.walk(tree):
+            attribute = (isinstance(node, ast.Attribute) and node.attr == "unique"
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id in ("np", "numpy"))
+            imported = (isinstance(node, ast.ImportFrom) and not node.level
+                        and (node.module or "").split(".")[0] == "numpy"
+                        and any(alias.name == "unique" for alias in node.names))
+            if (attribute or imported) and id(node) not in helper:
+                found.append((path.stem, node.lineno))
     assert not found

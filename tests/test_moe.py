@@ -165,20 +165,22 @@ class TestForward:
         assert logits.shape == (3,)
         assert len(r.indices) == 2
 
-    # f = 2 puts the group on the moment side of the rule p*f^2 <= nmax^2,
-    # f = 6 on the padded side
+    # with 12 distinct rows, f = 2 puts the group on the moment side of the rule
+    # p*min(U, f)^2 <= nmax*(nmax + N*s) (N*s = 10), f = 12 on the padded side
+    # (2*144 against at most 12*22)
     def test_engine_matches_reference(self):
         for step_mode, (f, moments) in itertools.product(STEP_MODES,
-                                                         [(2, True), (6, False)]):
+                                                         [(2, True), (12, False)]):
             model = tiny_model(f=f, experts=4, k_ept=2, seed=3, step_mode=step_mode)
+            hidden = model.bank.hidden_nodes
             rng = np.random.default_rng(5)
-            n = 6
+            n = 12
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.5]
             g = Graph.from_edges(n, edges, features=rng.normal(size=(n, f)))
             records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
             group = build_group(g, Records.from_lists(records), range(n))
-            assert group.fits_moments(model.kernel_cfg.max_step) == moments
+            assert group.fits_moments(model.kernel_cfg.max_step, hidden) == moments
             run = group_forward(model, group)
             assert (run.moments is not None) == moments
             for v in range(n):
@@ -186,16 +188,18 @@ class TestForward:
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
                 assert tuple(run.idx[v]) == r_ref.indices
 
+    # nmax = 3 and N*s = 8: f = 5 (5 distinct rows) takes the padded order
     def test_concat_combine_engine_matches_reference(self):
         for step_mode, (f, moments) in itertools.product(STEP_MODES,
-                                                         [(2, True), (4, False)]):
+                                                         [(2, True), (5, False)]):
             model = tiny_model(f=f, experts=3, k_ept=2, seed=9, combine_mode="concat",
                                step_mode=step_mode)
+            hidden = model.bank.hidden_nodes
             rng = np.random.default_rng(6)
             g = cycle_graph(5).with_features(rng.normal(size=(5, f)))
             records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(5)]
             group = build_group(g, Records.from_lists(records), range(5))
-            assert group.fits_moments(model.kernel_cfg.max_step) == moments
+            assert group.fits_moments(model.kernel_cfg.max_step, hidden) == moments
             run = group_forward(model, group)
             for v in range(5):
                 h_ref, _ = node_embedding(model, induced_subgraph(g, records[v]))
@@ -657,7 +661,8 @@ class TestGatheredKernel:
         assert len(set(group.sizes.tolist())) > 2
         assert rel_err(relu(group.agg), eta) <= 1e-12
         model = tiny_model(f=64, experts=3, seed=5)
-        assert not group.fits_moments(model.kernel_cfg.max_step)
+        assert not group.fits_moments(model.kernel_cfg.max_step,
+                                      model.bank.hidden_nodes)
         expert = model.bank.experts[2]
         r_pows = _rectified_powers(expert.W, model.kernel_cfg.max_step)
         vals, state = _padded_forward(expert.Z, r_pows, group, rows)
@@ -704,7 +709,8 @@ class TestGatheredKernel:
         records[5] = [5]
         group = build_group(g, Records.from_lists(records), range(n))
         model = tiny_model(f=f, experts=3, seed=5)
-        assert not group.fits_moments(model.kernel_cfg.max_step)
+        assert not group.fits_moments(model.kernel_cfg.max_step,
+                                      model.bank.hidden_nodes)
         run = group_forward(model, group, train_mode=True, rng=substream(0, 1), dropout=0.1)
         nmax = group.adj.shape[1]
         assert nmax > model.kernel_cfg.max_step * max(model.cfg.sizes)
@@ -727,11 +733,12 @@ class TestGatheredKernel:
         # dense uint8 adjacency, one row, three rows or every row per block:
         # each gives the bits of the unblocked call on the dense float64 arrays
         # sliced to the expert's rows. _BLOCK_BYTES also blocks the distinct
-        # rows projected into P and summed into dZ; at f = 10 they stay one
-        # block at every size forced here, so only the row blocking varies
+        # rows projected into P and summed into dZ; at f = 11 they stay one
+        # block at every size forced here, so only the row blocking varies, and
+        # the group takes the padded order (2*11^2 against nmax*(nmax + 8) = 240)
         import mose.kernel
         rng = np.random.default_rng(31)
-        n, f = 16, 10
+        n, f = 16, 11
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
         g = Graph.from_edges(n, edges, features=np.random.default_rng(32).normal(size=(n, f)))
         records = [[v] + [u for u in rng.permutation(n).tolist() if u != v][:rng.integers(12)]
@@ -740,7 +747,8 @@ class TestGatheredKernel:
         nmax = group.local.shape[1]
         assert nmax > BUCKET
         model = tiny_model(f=f, experts=3, seed=5)
-        assert not group.fits_moments(model.kernel_cfg.max_step)
+        assert not group.fits_moments(model.kernel_cfg.max_step,
+                                      model.bank.hidden_nodes)
         routes = [np.arange(n), np.array([0, 3, 4, 9, 15]), np.array([2, 5, 7, 8, 11, 12, 14])]
         block_bytes = mose.kernel._BLOCK_BYTES
         assert 8 * f * group.distinct <= 8 * nmax * (nmax + 4)     # one block: N*s >= 4
@@ -795,7 +803,8 @@ class TestGatheredKernel:
             records[c] = list(range(c, c + nmax))
         group = build_group(g, Records.from_lists(records), centers)
         model = tiny_model(f=f, experts=3, seed=5)
-        assert not group.fits_moments(model.kernel_cfg.max_step)
+        assert not group.fits_moments(model.kernel_cfg.max_step,
+                                      model.bank.hidden_nodes)
         assert group.local.shape == (b, nmax) and len(group.row_nodes) == n
         distinct = 8 * (len(group.row_nodes) + 1) * f
         bound = min(distinct, 8 * b * nmax * nmax) / 2
@@ -857,7 +866,7 @@ class TestGatheredKernel:
         group = build_group(g, Records.from_lists(records), range(n))
         model = tiny_model(f=f, experts=3, seed=5)
         p = model.kernel_cfg.max_step
-        assert not group.fits_moments(p) and group.local.shape[1] == nmax
+        assert not group.fits_moments(p, model.bank.hidden_nodes) and group.local.shape[1] == nmax
         run = group_forward(model, group)
         grads, dh = model.zero_grads(), np.ones_like(run.h)
         tracing = tracemalloc.is_tracing()
@@ -976,7 +985,9 @@ class TestClassBasis:
         group = build_group(g, Records.from_lists(records), range(10))
         u, nmax = len(distinct_rows(group)) - 1, group.adj.shape[1]
         assert (u, nmax) == (3, 5)
-        assert group.fits_moments(p_max) == (p_max * min(u, f) ** 2 <= nmax ** 2)
+        for hidden in (0, 2, 16):
+            assert group.fits_moments(p_max, hidden) == (
+                p_max * min(u, f) ** 2 <= nmax * (nmax + hidden))
         assert slot_basis(group).shape[2] == min(u, f)
         assert np.array_equal(group.basis_rows,
                               distinct_rows(group)[:-1] if u < f else np.eye(f))

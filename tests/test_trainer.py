@@ -350,9 +350,16 @@ class TestUnitLifetime:
         monkeypatch.setattr(mose.kernel.NodeGroup, "padded_adjacency", padded)
         monkeypatch.setattr(mose.kernel, "group_moments", bucketed)
         monkeypatch.setattr(mose.trainer, "group_forward", forward)
-        data = toy_dataset(2)
+        # even graphs hold five distinct 6-wide rows and take the padded order at
+        # p = 3 (3*5^2 against at most nmax*(nmax + N*s) = 5*13); odd graphs hold
+        # three distinct degree rows and take the moment order's buckets
+        rng = np.random.default_rng(8)
+        graphs = [g.with_features(rng.normal(size=(g.node_count, 6)) if i % 2 == 0
+                                  else np.pad(g.features, ((0, 0), (0, 6 - g.feature_dim))))
+                  for i, g in enumerate(toy_dataset(2).graphs)]
+        data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
         cache = toy_cache(data)
-        model = toy_model(data, max_step=2)
+        model = toy_model(data, max_step=3)
         ids = np.arange(len(data.graphs))
         cfg = TrainConfig(epochs=3, batch_size=2, seed=0, patience=2, val_fraction=0.5)
         for phase in ("train", "evaluate", "grad_check"):
@@ -375,34 +382,38 @@ class TestUnitLifetime:
 
 class TestGradCheck:
     def test_small_model_passes(self):
-        # 4-wide features, one distinct row per node (U = 5 >= f), keep every
-        # group on the padded kernel path; 2-wide features put every group on
-        # the moment path
+        # 6-wide features, one distinct row per node (U = 5), keep every group
+        # on the padded kernel path at p = 3 (3*5^2 against at most nmax*(nmax +
+        # N*s) = 5*13); 2-wide features put every group on the moment path
         rng = np.random.default_rng(8)
-        for width, moments in ((4, False), (2, True)):
+        for width, moments in ((6, False), (2, True)):
             data = toy_dataset(2)
             graphs = [g.with_features(rng.normal(size=(g.node_count, width)))
                       for g in data.graphs]
             data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
             cache = toy_cache(data)
-            model = toy_model(data, max_step=2)
+            model = toy_model(data, max_step=3)
             for g, recs in zip(data.graphs[:3], cache.records):
                 group = build_group(g, recs, range(g.node_count))
-                assert group.fits_moments(2) == moments
+                assert group.fits_moments(3, model.bank.hidden_nodes) == moments
             err = grad_check(model, data, cache, [0, 1, 2],
                              TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
             assert err < 1e-4
 
     def test_class_basis_passes(self):
-        # degree one-hot features (f = 4) hold 3 distinct rows per graph, so a
-        # group whose records reach 5 nodes takes the moment order in their basis
+        # degree one-hot features (f = 4) hold 3 distinct rows per graph, so its
+        # groups take the moment order in their basis; graph 0's five distinct
+        # rows (U = 5 >= f) take it in the identity basis
         data = toy_dataset(2)
+        graphs = [data.graphs[0].with_features(np.eye(5, 4))] + data.graphs[1:]
+        data = Dataset(graphs=graphs, task="graph", class_count=2, name="toy")
         cache = toy_cache(data)
         model = toy_model(data, max_step=2)
+        hidden = model.bank.hidden_nodes
         groups = [build_group(g, recs, range(g.node_count))
                   for g, recs in zip(data.graphs[:3], cache.records)]
-        assert [slot_basis(gr).shape[2] < gr.width and gr.fits_moments(2) for gr in groups] == \
-            [False, True, True]
+        assert [slot_basis(gr).shape[2] < gr.width and gr.fits_moments(2, hidden)
+                for gr in groups] == [False, True, True]
         err = grad_check(model, data, cache, [0, 1, 2],
                          TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
         assert err < 1e-4

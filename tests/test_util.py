@@ -1,11 +1,15 @@
+import itertools
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mose.util import atomic_write, substream, substream_words, write_manifest
+from mose.util import atomic_write, substream, substream_words, unique, write_manifest
 
 
 class TestAtomicWrite:
@@ -74,3 +78,38 @@ class TestSubstreamWords:
         # SeedSequence would take 2**32 as two words: a different stream
         with pytest.raises(ValueError, match="keys must lie in"):
             substream_words(0, np.array([[0, 1], [3, key]]), 4)
+
+
+@st.composite
+def key_arrays(draw):
+    """Integer keys of int32, int64 or uint64 (1-d, or 2-d to be flattened), or
+    void rows of 1-3 int64 words, drawn from their full range or from 0-2, so
+    that keys repeat."""
+    kind = draw(st.sampled_from(["int32", "int64", "uint64", "void"]))
+    n = draw(st.integers(0, 40))
+    info = np.iinfo(np.int64 if kind == "void" else kind)
+    few = draw(st.booleans())
+    elements = st.integers(0, 2) if few else st.integers(int(info.min), int(info.max))
+    if kind == "void":
+        width = draw(st.integers(1, 3))
+        return draw(hnp.arrays(np.int64, (n, width), elements=elements)).view(
+            f"V{8 * width}").ravel()
+    shape = draw(st.sampled_from([(n,), (-(-n // 3), 3)]))
+    return draw(hnp.arrays(kind, shape, elements=elements))
+
+
+class TestUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(key_arrays())
+    @example(np.zeros(0, dtype=np.int64))
+    @example(np.array([7], dtype=np.int32))
+    @example(np.full(6, 2**64 - 1, dtype=np.uint64))
+    @example(np.zeros((4, 2), dtype=np.int64).view("V16").ravel())
+    def test_matches_numpy_for_every_flag_combination(self, values):
+        for flags in itertools.product([False, True], repeat=3):
+            want, got = np.unique(values, *flags), unique(values, *flags)
+            if not any(flags):      # the keys alone, not in a tuple
+                want, got = (want,), (got,)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), flags

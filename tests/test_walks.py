@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mose import walks
 from mose.datasets import gen_graph_cycle, gen_graph_five
 from mose.graph import (Graph, cycle_graph, disjoint_union, induced_subgraph, path_graph,
                         star_graph)
 from mose.util import BudgetError, FormatError, substream
-from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _label_bits, _pack, _replay_bounded,
-                        _uint32_stream, _unpack, _walks_from_words, enumerate_anonymous_walks,
+from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _anonymize, _label_bits, _pack,
+                        _replay_bounded, _uint32_stream, _unpack, _v_lines, _walks_from_words,
+                        enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
@@ -87,6 +89,31 @@ class TestToAnonymous:
             assert 0 <= x <= running_max + 1
             running_max = max(running_max, x)
         assert len(pat) == len(walk)
+
+    @given(st.integers(1, 9).flatmap(lambda length: hnp.arrays(
+        np.int64, st.tuples(st.integers(0, 30), st.just(length + 1)),
+        elements=st.integers(0, 4))))
+    @settings(max_examples=200, deadline=None)
+    def test_array_pass_labels_each_row_as_to_anonymous(self, walks_):
+        # five node ids over 2-10 steps: most rows revisit a node
+        want = [list(to_anonymous(tuple(w))) for w in walks_.tolist()]
+        assert _anonymize(walks_).tolist() == want
+
+
+# an id of 1 to 10 digits, of either sign, within int32
+ids_of_any_width = st.integers(1, 10).flatmap(lambda d: st.integers(
+    10 ** (d - 1) if d > 1 else 0, min(10 ** d - 1, 2**31 - 1))).flatmap(
+    lambda v: st.sampled_from([v, -v]) if v else st.just(0))
+
+
+class TestVLines:
+    @given(st.lists(st.lists(ids_of_any_width, max_size=5), max_size=8))
+    @example([[], [], [0]])
+    @example([[-2**31, 2**31 - 1, 5]])
+    @settings(max_examples=200, deadline=None)
+    def test_byte_pass_equals_the_per_record_join(self, lists):
+        want = "".join("v " + " ".join(map(str, ids)) + "\n" for ids in lists)
+        assert _v_lines(Records.from_lists(lists)) == want
 
 
 class TestTopPatterns:

@@ -287,6 +287,46 @@ class TestEmbedGroup:
         whole = pool_rows(group_forward(model, group).h, "max")[0][0]
         assert np.array_equal(embed_group(model, group, [0])[0], whole)
 
+    @pytest.mark.parametrize("mode", ["mean", "sum", "max"])
+    def test_readouts_are_pool_rows_of_each_graph_bit_for_bit(self, mode):
+        # graphs of 1-5 nodes in corpus order, sizes interleaved, so each
+        # size's graphs are read out from rows scattered over the group
+        corpus = graph_corpus(5)
+        corpus = corpus[::2] + corpus[1::2]
+        mcfg = ModelConfig(feature_dim=5, class_count=2, experts=3, hidden_per_expert=4,
+                           embed_dim=16, k_ept=2, readout_mode=mode)
+        model = new_model(mcfg, KernelConfig(max_step=3), seed=3)
+        union = disjoint_union(*corpus)
+        union = union.with_features(degree_features(union, 4))
+        group = build_group(union, Records.from_lists(EgoPolicy(1).node_sets(union)),
+                            range(union.node_count))
+        bounds = np.cumsum([0] + [g.node_count for g in corpus])
+        h = group_forward(model, group).h
+        want = np.concatenate([pool_rows(h[a:b], mode)[0] for a, b in zip(bounds, bounds[1:])])
+        assert np.array_equal(embed_group(model, group, bounds[:-1]), want)
+
+    @pytest.mark.parametrize("mode", ["mean", "sum", "max"])
+    @settings(max_examples=30, deadline=None)
+    @given(rows=st.lists(st.integers(1, 7), min_size=1, max_size=12), seed=st.integers(0, 99))
+    def test_ties_and_signed_zeros_read_out_as_pool_rows(self, mode, rows, seed):
+        # rows of few values, zeros of both signs among them, so maxima tie
+        rng = np.random.default_rng(seed)
+        h = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(sum(rows), 3))
+        bounds = np.cumsum([0] + rows)
+        mcfg = ModelConfig(feature_dim=1, class_count=2, readout_mode=mode)
+        model = new_model(mcfg, KernelConfig(max_step=1), seed=0)
+        with mock.patch.object(mose.wl, "group_forward", return_value=mock.Mock(h=h)):
+            got = embed_group(model, None, bounds[:-1])
+        want = np.concatenate([pool_rows(h[a:b], mode)[0] for a, b in zip(bounds, bounds[1:])])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_graph_without_rows_is_refused(self):
+        mcfg = ModelConfig(feature_dim=1, class_count=2)
+        model = new_model(mcfg, KernelConfig(max_step=1), seed=0)
+        with mock.patch.object(mose.wl, "group_forward", return_value=mock.Mock(h=np.ones((4, 2)))):
+            with pytest.raises(ValueError, match="graph 1 has no rows"):
+                embed_group(model, None, [0, 2, 2])
+
 
 @pytest.fixture(scope="module")
 def counted_wl_suite():
