@@ -607,6 +607,37 @@ class TestCheckpoint:
                 f"strictly increasing, got {tuple(sizes)}")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["model_config"].pop("k_ept"), "meta: model_config.k_ept is missing"),
+        (lambda m: m["rows"][0].update(split=1.5), "meta: rows[0].split must be a string, got 1.5"),
+        (lambda m: m["kernel_config"]["lambdas"].__setitem__(0, "x"),
+         "meta: kernel_config.lambdas must be a number, got 'x'"),
+        (lambda m: m["model_config"]["sizes"].__setitem__(1, 2.5),
+         "meta: model_config.sizes must be an integer, got 2.5"),
+        (lambda m: m["rows"].__setitem__(0, 3), "meta: rows[0] must be an object, got 3"),
+        (lambda m: m["rows"][1]["expert_load"].__setitem__(2, None),
+         "meta: rows[1].expert_load must be a number, got None"),
+        (lambda m: m.update(seed=True), "meta: seed must be an integer, got True"),
+        (lambda m: m.update(train_config=[1]), "meta: train_config must be an object, got [1]"),
+        (lambda m: m.pop("rows"), "not a mose checkpoint: missing 'rows'"),
+    ])
+    def test_meta_edit_is_refused_naming_its_path(self, tmp_path, edit, message):
+        data = toy_dataset(3)
+        ids = np.arange(len(data.graphs))
+        cfg = TrainConfig(epochs=1, seed=0, patience=0)
+        model, _, state = train(toy_model(data), data, toy_cache(data), (ids, ids), cfg)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, model, state, cfg, "abc")
+        with np.load(path) as f:
+            arrays = {k: f[k] for k in f.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = json.dumps(meta)
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == f"{path}: {message}"
+
     def test_load_snapshot_refuses_another_shape(self):
         model = toy_model(toy_dataset(3))
         before = model.snapshot()
