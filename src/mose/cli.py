@@ -342,9 +342,25 @@ def _node_split(data: Dataset, cfg: dict, args):
     return masks
 
 
+def _finite_features(data: Dataset, args):
+    """Refuse a non-finite feature before anything is extracted or written,
+    naming its node's line of the attributes file, the only source of one
+    (label and degree features are one-hot)."""
+    first = 0           # the graph's first node, over the dataset
+    for g in data.graphs:
+        bad = ~np.isfinite(g.features)
+        if bad.any():
+            node, col = np.argwhere(bad)[0]
+            path = os.path.join(args.data_dir, args.dataset, f"{args.dataset}_node_attributes.txt")
+            raise FormatError(f"{path}:{first + node + 1}: non-finite attribute "
+                              f"{g.features[node, col]}")
+        first += g.node_count
+
+
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     data = load_tu_dataset(os.path.join(args.data_dir, args.dataset), args.dataset)
+    _finite_features(data, args)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.npz")
     # hashed once per run: here when a checkpoint is checked, else after training
     data_hash = dataset_hash(data) if os.path.exists(ckpt_path) else None

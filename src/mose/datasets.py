@@ -106,6 +106,17 @@ def _read_table(path: str, lines: list[str], kind: type, what: str, width: int |
         return np.array(rows, dtype=dtype).reshape(len(rows), width or widths.pop())
 
 
+def _node_lines(path: str, lines: list[str], n: int, what: str) -> list[str]:
+    """The first ``n`` lines of a file with one line per node; fewer lines, or
+    a non-blank line after them, raise FormatError (the latter naming its line)."""
+    if len(lines) < n:
+        raise FormatError(f"{path}: expected {n} {what}")
+    for ln, line in enumerate(lines[n:], start=n + 1):
+        if line.strip():
+            raise FormatError(f"{path}:{ln}: expected {n} {what}, got more")
+    return lines[:n]
+
+
 def load_tu_dataset(directory: str, name: str) -> Dataset:
     """Load a TU-layout dataset directory.
 
@@ -139,16 +150,13 @@ def load_tu_dataset(directory: str, name: str) -> Dataset:
 
     node_labels = None
     if nl_lines is not None:
-        if len(nl_lines) < n_total:
-            raise FormatError(f"{nl_path}: expected {n_total} node labels")
-        node_labels = _read_table(nl_path, nl_lines[:n_total], int, "bad node label", 1)[:, 0]
+        nl_lines = _node_lines(nl_path, nl_lines, n_total, "node labels")
+        node_labels = _read_table(nl_path, nl_lines, int, "bad node label", 1)[:, 0]
 
     attributes = None
     if na_lines is not None:
-        if len(na_lines) < n_total:
-            raise FormatError(f"{na_path}: expected {n_total} attribute rows")
-        attributes = _read_table(na_path, na_lines[:n_total], float, "bad attribute row",
-                                 commas=True)
+        na_lines = _node_lines(na_path, na_lines, n_total, "attribute rows")
+        attributes = _read_table(na_path, na_lines, float, "bad attribute row", commas=True)
 
     # edges; node blocks are contiguous, so sorting by the first end groups them per graph
     if np.any(np.diff(node_graph) < 0):

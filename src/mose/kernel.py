@@ -375,8 +375,11 @@ class NodeGroup:
         record node's CSR neighbours read their slots from a (row, node) table of
         slot positions, -1 off the row's record, filled a block of rows at a time
         under ``_BLOCK_BYTES``, so no array is sized by B x n or by U. The codes i
-        * nmax + j are kept in the smallest unsigned dtype that holds nmax^2 - 1."""
+        * nmax + j are kept in the smallest unsigned dtype that holds nmax^2 - 1.
+        A plan of no records raises ValueError."""
         node_ids = np.asarray(node_ids, dtype=np.int64)
+        if len(node_ids) == 0:
+            raise ValueError("the plan has no records")
         starts = offsets[node_ids]
         sizes = offsets[node_ids + 1] - starts
         b, nmax = len(sizes), int(sizes.max())

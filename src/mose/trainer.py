@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -398,16 +398,9 @@ CHECKPOINT_VERSION = 3
 
 def save_checkpoint(path: str, model: MoseModel, state: dict,
                     train_cfg: TrainConfig, data_hash: str):
-    arrays = {}
-    for k, v in state["params"].items():
-        arrays["param/" + k] = v
-    for k, v in state["adam_m"].items():
-        arrays["adam_m/" + k] = v
-    for k, v in state["adam_v"].items():
-        arrays["adam_v/" + k] = v
-    if state["best"]["snapshot"] is not None:
-        for k, v in state["best"]["snapshot"].items():
-            arrays["best/" + k] = v
+    groups = {"param": state["params"], "adam_m": state["adam_m"],
+              "adam_v": state["adam_v"], "best": state["best"]["snapshot"] or {}}
+    arrays = {f"{g}/{k}": v for g, group in groups.items() for k, v in group.items()}
     meta = {
         "version": CHECKPOINT_VERSION,
         "seed": model.seed,
@@ -440,61 +433,41 @@ def load_checkpoint(path: str):
         raise FormatError(f"{path}: not a mose checkpoint: {e}") from None
 
 
-# the JSON types of the meta record's keys and of each of its rows' keys,
-# as save_checkpoint writes them
-_META_TYPES = {"model_config": dict, "kernel_config": dict, "seed": int, "adam_t": int,
-               "epoch_next": int, "rows": list, "best_metric": float, "best_epoch": int,
-               "train_config": dict, "dataset_hash": str}
-_ROW_TYPES = {"epoch": int, "split": str, "loss_task": float, "loss_importance": float,
-              "accuracy": float, "macro_f1": float, "expert_load": (list, float)}
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
-               dict: "an object"}
-# the configs the meta record holds, and the JSON type of each annotation of
-# their fields: (list, t) is a list of t, KernelConfig.lambdas of numbers and
-# ModelConfig.sizes of integers
-_CONFIGS = {"model_config": ModelConfig, "kernel_config": KernelConfig,
-            "train_config": TrainConfig}
+# the meta record as save_checkpoint writes it: each key's JSON type is int,
+# float (any number) or str, never a bool; (list, t) is a list of t, a dict
+# of keys an object, and a config dataclass an object whose fields take the
+# _FIELD_TYPES of their annotations (KernelConfig.lambdas holds numbers,
+# ModelConfig.sizes integers)
+_ROW = {"epoch": int, "split": str, "loss_task": float, "loss_importance": float,
+        "accuracy": float, "macro_f1": float, "expert_load": (list, float)}
+_META = {"model_config": ModelConfig, "kernel_config": KernelConfig, "seed": int,
+         "adam_t": int, "epoch_next": int, "rows": (list, _ROW), "best_metric": float,
+         "best_epoch": int, "train_config": TrainConfig, "dataset_hash": str}
 _FIELD_TYPES = {"int": int, "float": float, "str": str, "tuple": (list, float),
                 "tuple | None": (list, int)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
 
 
-def _json_defect(value, kind) -> str | None:
-    """Why ``value`` is not of JSON type ``kind`` (float: any number), if it is not."""
-    fits = isinstance(value, (int, float) if kind is float else kind)
-    if fits and not isinstance(value, bool):
-        return None
-    return f"must be {_TYPE_NAMES[kind]}, got {value!r}"
-
-
-def _fields_defect(record: dict, types: dict, name: str) -> str | None:
-    """What is wrong with the keys of ``record`` that ``types`` names, if
-    anything: a key missing, or a value (or a list's entry) of another type."""
-    for key, kind in types.items():
-        kind, item_kind = kind if isinstance(kind, tuple) else (kind, None)
-        if key not in record:
-            return f"{name}{key} is missing"
-        if (why := _json_defect(record[key], kind)):
-            return f"{name}{key} {why}"
-        for item in record[key] if item_kind else ():
-            if (why := _json_defect(item, item_kind)):
-                return f"{name}{key} {why}"
-    return None
-
-
-def _meta_defect(meta: dict) -> str | None:
-    """What is wrong with the types of a checkpoint's meta record, if anything;
-    a missing top-level key raises KeyError."""
-    for key, kind in _META_TYPES.items():
-        if (why := _json_defect(meta[key], kind)):
-            return f"{key} {why}"
-    for key, cls in _CONFIGS.items():
-        types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
-        if (why := _fields_defect(meta[key], types, f"{key}.")):
-            return why
-    for i, row in enumerate(meta["rows"]):
-        if (why := _json_defect(row, dict)):
-            return f"rows[{i}] {why}"
-        if (why := _fields_defect(row, _ROW_TYPES, f"rows[{i}].")):
+def _defect(value, kind, path: str = "") -> str | None:
+    """The first thing that keeps ``value`` from being of JSON type ``kind``,
+    named by its path (``rows[0].split``; a list of non-objects by the list's),
+    if any. A key missing from the top-level record raises KeyError."""
+    if is_dataclass(kind):
+        kind = {f.name: _FIELD_TYPES[f.type] for f in fields(kind)}
+    base = dict if isinstance(kind, dict) else list if isinstance(kind, tuple) else kind
+    if not isinstance(value, (int, float) if base is float else base) \
+            or isinstance(value, bool):
+        return f"{path} must be {_TYPE_NAMES[base]}, got {value!r}"
+    if base is list:
+        for i, item in enumerate(value):
+            inner = f"{path}[{i}]" if isinstance(kind[1], dict) else path
+            if (why := _defect(item, kind[1], inner)):
+                return why
+    for key, item_kind in kind.items() if base is dict else ():
+        if path and key not in value:
+            return f"{path}.{key} is missing"
+        if (why := _defect(value[key], item_kind, f"{path}.{key}" if path else key)):
             return why
     return None
 
@@ -516,26 +489,24 @@ def _read_checkpoint(path: str):
         raise FormatError(f"{path}: meta: must be an object, got {meta!r}")
     if meta["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {meta['version']}")
-    if (why := _meta_defect(meta)):
+    if (why := _defect(meta, _META)):
         raise FormatError(f"{path}: meta: {why}")
     model = new_model(ModelConfig(**meta["model_config"]),
                       KernelConfig(**meta["kernel_config"]), seed=meta["seed"])
-    shapes = {k: v.shape for k, v in model.parameters().items()}
-    # Adam's moments exist once it has stepped, the best snapshot once a
-    # validation pass has set it; each holds every parameter
-    wanted = {"param": True, "adam_m": meta["adam_t"] > 0, "adam_v": meta["adam_t"] > 0,
-              "best": meta["best_epoch"] >= 0}
+    # every member's shape: Adam's moments exist once it has stepped, the best
+    # snapshot once a validation pass has set it, and each holds every parameter
+    groups = ["param"] + ["adam_m", "adam_v"] * (meta["adam_t"] > 0) \
+        + ["best"] * (meta["best_epoch"] >= 0)
+    shapes = {f"{g}/{k}": v.shape for g in groups for k, v in model.parameters().items()}
     for member, arr in arrays.items():
-        kind, _, name = member.partition("/")
-        if not wanted.get(kind) or name not in shapes:
+        if member not in shapes:
             raise FormatError(f"{path}: {member}: not a member of this model's checkpoint")
-        if arr.dtype.kind != "f" or arr.shape != shapes[name]:
+        if arr.dtype.kind != "f" or arr.shape != shapes[member]:
             raise FormatError(f"{path}: {member}: {arr.dtype} array of shape {arr.shape}, "
-                              f"expected floats of shape {shapes[name]}")
-    for kind in (k for k, w in wanted.items() if w):
-        for name in shapes:
-            if f"{kind}/{name}" not in arrays:
-                raise FormatError(f"{path}: {kind}/{name}: missing")
+                              f"expected floats of shape {shapes[member]}")
+    for member in shapes:
+        if member not in arrays:
+            raise FormatError(f"{path}: {member}: missing")
 
     def group(name):
         return {k[len(name) + 1:]: v for k, v in arrays.items() if k.startswith(name + "/")}

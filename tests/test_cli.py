@@ -173,6 +173,31 @@ class TestTrain:
         assert not (out / "GraphCycle.cache").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("graphs, line, value", [(1, 7, "nan"), (2, 13, "-inf")])
+    def test_non_finite_attribute_is_refused_before_extraction(self, tmp_path, capsys,
+                                                               graphs, line, value):
+        # 20 nodes in rings of 20 / 10: one graph with node labels is a node task,
+        # two graphs a graph task whose second graph holds the named line
+        data, out = tmp_path / "data" / "ring", tmp_path / "out"
+        data.mkdir(parents=True)
+        n = 20 // graphs
+        edges = [f"{g * n + i + 1}, {g * n + (i + 1) % n + 1}"
+                 for g in range(graphs) for i in range(n)]
+        attrs = [f"{i % 3}, 0.5" for i in range(20)]
+        attrs[line - 1] = f"1, {value}"
+        for suffix, lines in (("A", edges),
+                              ("graph_indicator", [str(i // n + 1) for i in range(20)]),
+                              ("graph_labels", [str(g) for g in range(graphs)]),
+                              ("node_labels", [str(i % 2) for i in range(20)]),
+                              ("node_attributes", attrs)):
+            (data / f"ring_{suffix}.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["train", "--data-dir", str(data.parent), "--dataset", "ring", *BASE,
+                    "--epochs", "1", "--folds", "2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {data / 'ring_node_attributes.txt'}:{line}: "
+                                           f"non-finite attribute {value}\n")
+        assert not out.exists()
+
     def test_cache_built_with_other_settings_is_usage_error(self, workspace, tmp_path,
                                                             capsys):
         ext = tmp_path / "ext"

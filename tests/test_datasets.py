@@ -255,6 +255,18 @@ class TestLoaderSpellingsAndLines:
         with pytest.raises(FormatError, match=message):
             load_tu_dataset(d, "fz")
 
+    @pytest.mark.parametrize("suffix, extra, what", [
+        ("node_labels", "2", "node labels"), ("node_attributes", "1, 1", "attribute rows")])
+    def test_rows_past_the_node_count_are_refused(self, tmp_path, suffix, extra, what):
+        # trailing blank lines load as before; a row after the 5th node's is named
+        lines = FUZZ_FILES[suffix] + ["", " "]
+        plain = load_tu_dataset(write_files(tmp_path, FUZZ_FILES), "fz")
+        assert dataset_hash(load_tu_dataset(write_files(tmp_path, FUZZ_FILES | {suffix: lines}),
+                                            "fz")) == dataset_hash(plain)
+        d = write_files(tmp_path, FUZZ_FILES | {suffix: lines + [extra]})
+        with pytest.raises(FormatError, match=rf"fz_{suffix}.txt:8: expected 5 {what}, got more$"):
+            load_tu_dataset(d, "fz")
+
     def test_graph_label_outside_int64_reports_line(self, tmp_path):
         d = write_files(tmp_path, FUZZ_FILES | {"graph_labels": ["0", "", "9" * 25]})
         with pytest.raises(FormatError, match=r"fz_graph_labels.txt:3: bad graph label '9+'"):

@@ -1,7 +1,8 @@
 """The package's import graph, read from the source with ``ast``: the modules
 import each other in layers with no cycle, and the kernel sits below the
 engine, so the plan format that both kernel orders read stays behind it.
-The same reading keeps numpy's hash-table ``unique`` out of the package."""
+The same reading keeps numpy's hash-table ``unique`` out of the package and
+pins the few private names one module imports from another."""
 
 import ast
 import pathlib
@@ -11,6 +12,14 @@ import mose
 SOURCE = pathlib.Path(mose.__file__).parent
 
 
+def imported_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from`` import reads: "x" for ``from .x import y`` or
+    ``from mose.x import y``, "" for ``from . import x`` or ``from mose import x``,
+    None outside the package."""
+    parts = (("mose." if node.level else "") + (node.module or "")).split(".")
+    return (parts[1] if len(parts) > 1 else "") if parts[0] == "mose" else None
+
+
 def package_imports() -> dict:
     """{module: the package modules it imports}, function-level imports included."""
     modules = {path.stem for path in SOURCE.glob("*.py")}
@@ -18,17 +27,25 @@ def package_imports() -> dict:
     for name in modules:
         deps = set()
         for node in ast.walk(ast.parse((SOURCE / f"{name}.py").read_text())):
-            if isinstance(node, ast.ImportFrom):
-                # from .x import y, from . import x, from mose(.x) import y
-                parts = (("mose." if node.level else "") + (node.module or "")).split(".")
-                if parts[0] == "mose":
-                    deps.update([parts[1]] if len(parts) > 1 and parts[1]
-                                else [alias.name for alias in node.names])
+            if isinstance(node, ast.ImportFrom) and (dep := imported_module(node)) is not None:
+                deps.update([dep] if dep else [alias.name for alias in node.names])
             elif isinstance(node, ast.Import):
                 deps.update(alias.name.split(".")[1] for alias in node.names
                             if alias.name.startswith("mose."))
         graph[name] = deps & modules - {name}
     return graph
+
+
+def private_imports() -> set:
+    """(module, package module, name) for every underscore name a package module
+    imports from another one, function-level imports included."""
+    found = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (dep := imported_module(node)):
+                found.update((path.stem, dep, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    return found
 
 
 def reachable(graph: dict, start: str) -> set:
@@ -105,3 +122,14 @@ def test_numpy_unique_is_called_only_through_util_unique():
             if (attribute or imported) and id(node) not in helper:
                 found.append((path.stem, node.lineno))
     assert not found
+
+
+# the private names one module may take from another: the engine's row blocking,
+# the oracle count that bench/layers.py traces by name, and the walk tables that
+# wl's refinement reads
+PRIVATE_IMPORTS = {("moe", "kernel", "_row_blocks"), ("verify", "kernel", "_oracle_counts"),
+                   ("wl", "walks", "_label_bits"), ("wl", "walks", "_pattern_table")}
+
+
+def test_modules_import_no_other_private_names():
+    assert private_imports() == PRIVATE_IMPORTS

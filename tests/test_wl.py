@@ -327,6 +327,16 @@ class TestEmbedGroup:
             with pytest.raises(ValueError, match="graph 1 has no rows"):
                 embed_group(model, None, [0, 2, 2])
 
+    def test_a_graph_without_nodes_has_no_plan(self):
+        # the plan builder refuses no records before numpy reduces an empty array
+        model = new_model(ModelConfig(feature_dim=3, class_count=2), KernelConfig(max_step=2),
+                          seed=0)
+        empty = Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="^the plan has no records$"):
+            mose_distinguish(empty, cycle_graph(3), model)
+        with pytest.raises(ValueError, match="^the plan has no records$"):
+            embed_graph(model, empty, [])
+
 
 @pytest.fixture(scope="module")
 def counted_wl_suite():
