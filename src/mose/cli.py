@@ -28,7 +28,7 @@ from .trainer import (NonFiniteLossError, TrainConfig, load_checkpoint, metrics_
                       save_checkpoint, train)
 from .util import (BudgetError, FormatError, atomic_write, hash_arrays, read_text_lines,
                    write_manifest)
-from .verify import SUITES, run_suite
+from .verify import BUDGET, SUITES, exhaustive_walk_pairs, run_suite
 from .walks import (Records, SubgraphCache, WalkConfig, extract_dataset, load_cache,
                     save_cache)
 
@@ -414,6 +414,12 @@ def cmd_verify(args) -> int:
         if value < low:
             raise UsageError(f"{flag} must be >= {low}, got {value}")
     suites = [args.suite] if args.suite else sorted(SUITES)
+    if "kernel-oracle" in suites:
+        pairs, by = exhaustive_walk_pairs(args.max_nodes, args.max_p)
+        if pairs > BUDGET:
+            raise UsageError(f"--max-p {args.max_p}: the exhaustive kernel-oracle case would "
+                             f"enumerate {pairs} walk pairs by p = {by}, over the budget of "
+                             f"{BUDGET}")
     all_ok = True
     os.makedirs(args.out_dir, exist_ok=True)
     report_lines = []

@@ -164,20 +164,29 @@ def _oracle_counts(g: Graph, h: Graph, max_p: int, budget: int) -> list[int]:
     Walks both graphs in tandem: every walk pair is a row (u, u') that
     expands to its children in nbr_g[u] x nbr_h[u'] through the two CSRs,
     level by level, depth-first over blocks of at most ``_BLOCK`` children.
-    No product graph, adjacency or power anywhere. Raises BudgetError once
-    the rows made over all depths exceed ``budget``; pending rows bound
-    nothing, since a pair with an isolated factor node has no children.
+    A block of rows adds its children's count, deg_g(u) deg_h(u') summed, to
+    the next level's when it is made; rows at depth max_p - 1 stop there, as
+    their children would expand no further. No product graph, adjacency or
+    power anywhere. Raises BudgetError once the rows over all depths exceed
+    ``budget``: the counts only grow, so that is iff their final sum does.
     """
     n, m = g.node_count, h.node_count
     deg_g, deg_h = g.degrees, h.degrees
     counts = [n * m] + [0] * max_p
     if n * m > budget:
         raise BudgetError("walk-pair enumeration exceeded its budget")
+    if max_p == 0:
+        return counts
     stack = []
 
     def push(u, up, depth):
-        if depth < max_p and len(u):
-            stack.append((depth, u, up, np.cumsum(deg_g[u] * deg_h[up]), 0))
+        kids = deg_g[u] * deg_h[up]
+        made = int(kids.sum())
+        counts[depth + 1] += made
+        if sum(counts) > budget:
+            raise BudgetError("walk-pair enumeration exceeded its budget")
+        if depth + 1 < max_p and made:
+            stack.append((depth, u, up, np.cumsum(kids), 0))
 
     push(np.repeat(np.arange(n), m), np.tile(np.arange(m), n), 0)
     while stack:
@@ -191,9 +200,6 @@ def _oracle_counts(g: Graph, h: Graph, max_p: int, budget: int) -> list[int]:
         # child k of row r steps to neighbor k // deg_h(u'_r) of u_r and k % deg_h(u'_r) of u'_r
         k = np.arange(len(src)) - np.repeat(cum[lo:hi] - base - kids, kids)
         i, j = np.divmod(k, deg_h[up[src]])
-        counts[depth + 1] += len(src)
-        if sum(counts) > budget:
-            raise BudgetError("walk-pair enumeration exceeded its budget")
         push(g.neighbors[g.offsets[u[src]] + i], h.neighbors[h.offsets[up[src]] + j], depth + 1)
     return counts
 

@@ -6,10 +6,11 @@ single-node reference pipeline (tests/reference.py) that computes the same
 quantities one subgraph at a time. ``build_group`` plans an engine unit:
 the kernel's plan of its records (``kernel.NodeGroup.build``) plus the gate
 aggregate before the model's activation, so the trainer builds it once and
-reuses it in every pass. Per pass, ``group_forward`` picks one of the two
-orders of the hidden-graph kernel from the plan's shapes and the hidden
-nodes of the model's largest expert (``NodeGroup.fits_moments``): the
-subgraph moments shared by all experts, or the padded order. Each expert's
+reuses it in every pass. ``kernel_moments`` picks one of the two orders of
+the hidden-graph kernel from the plan's shapes and the hidden nodes of the
+model's largest expert (``NodeGroup.fits_moments``): the subgraph moments
+shared by all experts, or the padded order. ``group_forward`` computes them
+per pass unless it is given those of an earlier run on the plan. Each expert's
 values and gradients come from the kernel's one pair, ``group_values`` and
 ``group_values_backward``; this module maps them to and from features
 through ``KernelConfig.step_weights``.
@@ -281,9 +282,33 @@ class GroupRun:
                       dzeta, model.expert_count, grads)
 
 
+def kernel_moments(model: MoseModel, group: NodeGroup) -> np.ndarray | None:
+    """The moments the model's kernel reads on ``group``: its ``NodeGroup.moments``
+    when the moment order fits (``NodeGroup.fits_moments`` at the hidden nodes
+    of the model's largest expert), else None, the padded order. They hold no
+    parameter, so every model of the same kernel config and expert shapes may
+    reuse them on the same plan."""
+    p = model.kernel_cfg.max_step
+    return group.moments(p) if group.fits_moments(p, model.bank.hidden_nodes) else None
+
+
 def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
-                  rng=None, dropout: float = 0.0) -> GroupRun:
-    """Gate, route, and embed every node of the group in expert-id order."""
+                  rng=None, dropout: float = 0.0,
+                  moments: np.ndarray | None = None) -> GroupRun:
+    """Gate, route, and embed every node of the group in expert-id order.
+
+    ``moments`` are the ``GroupRun.moments`` of an earlier run on the same plan
+    and kernel config, reused as they are; moments of another shape than the
+    plan's raise ValueError. Without them, ``kernel_moments`` computes them.
+    """
+    p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
+    if moments is None:
+        moments = kernel_moments(model, group)
+    else:
+        r = min(len(group.row_nodes), group.width)
+        if moments.shape != (p, group.count, r, r):
+            raise ValueError(f"moments of shape {moments.shape}, expected "
+                             f"{(p, group.count, r, r)} for this plan")
     eta = model.gate_act()(group.agg)
     psi = eta @ model.W_g
     eps = sig = None
@@ -296,8 +321,6 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
     order = np.argsort(-psi, axis=1, kind="stable")
     idx = np.sort(order[:, :k], axis=1)
     zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
-    p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
-    moments = group.moments(p) if group.fits_moments(p, model.bank.hidden_nodes) else None
     expert_rows, expert_caches = {}, {}
     # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
     wide = np.zeros((group.count, model.expert_count, model.embed_dim))

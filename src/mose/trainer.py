@@ -6,7 +6,10 @@ one loss pass over engine units: a whole graph, pooled to one row, or a
 chunk of NODE_CHUNK nodes. A unit's plan (moe.build_group) holds no
 parameter, so ``train``, ``evaluate`` and ``grad_check`` build it at most
 once per call and reuse it in every later pass; only ``train`` on a node
-task plans its chunks anew in every pass. The expert-balance penalty is
+task plans its chunks anew in every pass. A plan's kernel moments hold no
+parameter either: ``grad_check`` computes them once per plan, while ``train``
+and ``evaluate`` compute them in every pass, as keeping them for a whole
+run would cost more memory than they save time. The expert-balance penalty is
 accumulated per batch so its gradient reaches the gating network at every
 step. All randomness is keyed by (seed, purpose, epoch, item), so results
 are independent of batch layout, thread count, and resume points.
@@ -184,14 +187,17 @@ def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
 
 def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
                rng_of=None, dropout: float = 0.0, grads: dict | None = None,
-               plans: dict | None = None):
+               plans: dict | None = None, moments: dict | None = None):
     """Forward the items one engine unit at a time; returns (logits, labels, stash).
 
     ``rng_of(key)`` gives a unit's routing-noise and dropout stream and
     turns on train mode. With ``grads``, each unit also backpropagates its
     share of the items' mean cross-entropy before the next unit runs.
     ``plans`` maps plan keys to the plans already built; a unit missing
-    from it is planned and added.
+    from it is planned and added. ``moments``, keyed like ``plans``, does the
+    same for each plan's kernel moments (``moe.kernel_moments``), which hold
+    no parameter either; a caller keeps them only for a model whose kernel
+    config and expert shapes do not change.
     """
     item_ids = np.asarray(item_ids, dtype=np.int64)
     if len(item_ids) == 0:
@@ -208,7 +214,10 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
             group = build_group(g, records, nodes)
             if plans is not None:
                 plans[plan_key] = group
-        run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout)
+        run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout,
+                            moments=None if moments is None else moments.get(plan_key))
+        if moments is not None:
+            moments[plan_key] = run.moments
         stash.add(run)
         h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
         out, head_cache = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
@@ -531,10 +540,12 @@ def _read_checkpoint(path: str):
 
 def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 item_ids, cfg: TrainConfig, rng, grads: dict | None,
-                train_mode: bool = True, plans: dict | None = None):
+                train_mode: bool = True, plans: dict | None = None,
+                moments: dict | None = None):
     """Loss (and, given ``grads``, its gradients) for a fixed batch: every
     unit draws its routing noise and dropout masks in turn from the one ``rng``.
-    ``plans`` keeps the units' plans for later calls.
+    ``plans`` and ``moments`` keep the units' plans and kernel moments for
+    later calls (``_loss_pass``).
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.
@@ -542,7 +553,7 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
     dropout = cfg.dropout_rate if train_mode else 0.0
     logits, truth, stash = _loss_pass(model, data, cache, item_ids,
                                       (lambda key: rng) if train_mode else None,
-                                      dropout, grads, plans)
+                                      dropout, grads, plans, moments)
     imp, _ = _apply_importance(stash, cfg.beta, grads)
     picks = [idx for idx, _ in stash.items]
     return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
@@ -561,11 +572,12 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
     step shrinks, and a persistent flip is an error. Returns the max
     relative error over every entry of every parameter tensor.
     """
-    plans = {}
+    plans, moments = {}, {}
 
     def run(grads=None):
         rng = substream(cfg.seed, 500) if train_mode else None
-        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode, plans)
+        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode, plans,
+                           moments)
 
     grads = model.zero_grads()
     base_loss, base_picks = run(grads)

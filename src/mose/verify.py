@@ -13,7 +13,7 @@ from .graph import (Graph, cycle_graph, degree_features, disjoint_union,
                     induced_subgraph, relabel)
 from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_hidden,
                      rwk_hidden_grad, walk_pair_counts, _oracle_counts)
-from .moe import ModelConfig, build_group, new_model
+from .moe import ModelConfig, build_group, kernel_moments, new_model
 from .trainer import TrainConfig, grad_check
 from .util import BudgetError, substream
 from .walks import (Records, WalkConfig, enumerate_anonymous_walks, extract_dataset,
@@ -70,6 +70,24 @@ def _random_connected_sparse(rng, n: int, extra: int) -> Graph:
 
 # -- kernel-oracle suite ------------------------------------------------------
 
+EXHAUSTIVE_NODES = 5    # the exhaustive case pairs every graph of at most this many nodes
+
+
+def exhaustive_walk_pairs(max_nodes: int, max_p: int) -> tuple[int, int]:
+    """(pairs, q): the walk pairs over lengths 0..q of the exhaustive case's
+    largest pair, K_n x K_n with n = min(EXHAUSTIVE_NODES, max_nodes), which has
+    n^2 ((n - 1)^2)^p at length p; q is max_p, or the first length at which the
+    pairs exceed BUDGET, so the count stays small for any max_p."""
+    n = min(EXHAUSTIVE_NODES, max_nodes)
+    pairs = level = n * n
+    for q in range(1, max_p + 1):
+        if pairs > BUDGET:
+            return pairs, q - 1
+        level *= (n - 1) ** 2
+        pairs += level
+    return pairs, max_p
+
+
 def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
                         random_pairs: int = 200, identity_instances: int = 500) -> Report:
     """Discrete kernel vs simultaneous-enumeration oracle, plus the
@@ -77,7 +95,8 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
     rep = Report("kernel-oracle")
     rng = substream(seed, 1)
 
-    corpus = graph_corpus(min(5, max_nodes))
+    exhaustive = min(EXHAUSTIVE_NODES, max_nodes)
+    corpus = graph_corpus(exhaustive)
     mismatches = 0
     checked = 0
     for i in range(len(corpus)):
@@ -87,7 +106,7 @@ def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,
             got = walk_pair_counts(g, h, max_p)
             checked += max_p
             mismatches += sum(got[p] != counts[p] for p in range(1, max_p + 1))
-    rep.add(f"exhaustive <=5-node pairs, p=1..{max_p}", mismatches == 0,
+    rep.add(f"exhaustive <={exhaustive}-node pairs, p=1..{max_p}", mismatches == 0,
             f"{checked} checks, {mismatches} mismatches")
 
     bad = 0
@@ -378,10 +397,13 @@ def wl_suite(seed: int = 0, inits: int = 100, required: int = 99,
     kcfg = KernelConfig(max_step=3)
     first, second = np.array(sorted(swl_set), dtype=np.int64).reshape(-1, 2).T
     successes = np.zeros(len(first), dtype=np.int64)
+    moments = None      # every init shares the kernel config and expert shapes
     for trial in range(inits):
         model = new_model(mcfg, kcfg, seed=int(
             np.random.SeedSequence(seed, spawn_key=(7, trial)).generate_state(1)[0]))
-        embeds = embed_group(model, group, starts)
+        if trial == 0:
+            moments = kernel_moments(model, group)
+        embeds = embed_group(model, group, starts, moments)
         successes += np.abs(embeds[first] - embeds[second]).max(axis=1) > 1e-8
     worst = successes.min() if len(successes) else inits
     rep.add(f"random-init embeddings separate subgraph-hash-separated pairs "

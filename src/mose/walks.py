@@ -191,7 +191,7 @@ def _label_bits(g: Graph, length: int) -> int:
 
 
 def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
-                   keep: list | None = None):
+                   keep: list | None = None, within: np.ndarray | None = None):
     """Sorted distinct pattern keys and their counts over all length-l walks from v.
 
     Walks are expanded level by level through the CSR, depth-first over
@@ -204,6 +204,9 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
     walk count from below: BudgetError is raised once that exceeds ``budget``.
     Given ``keep``, each block of completed walks appends its (keys, first-visit
     table) to it, so the nodes on the walks of a pattern can be read back.
+    Given ``within``, sorted distinct keys, the walks are counted against those
+    keys alone, and the first completed block that holds a key outside them
+    ends the enumeration: the result is then None.
     """
     if not (0 <= v < g.node_count):
         raise ValueError("start node out of range")
@@ -218,12 +221,21 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
     done = pending = 0
     if length > 0 and g.degrees[v] == 0:
         return table
+    tally = None if within is None else np.zeros(len(within), dtype=np.int64)
 
     def add(block, depth):
-        nonlocal table, done, pending
+        """Stack or count one block; False when it holds a key outside ``within``."""
+        nonlocal table, tally, done, pending
         if depth < length:
             stack.append((depth, block, np.cumsum(g.degrees[block[0]]), 0))
             pending += len(block[0])
+        elif within is not None:
+            keys = _as_keys(block[3])
+            at = np.searchsorted(within, keys)
+            if not np.all(at < np.searchsorted(within, keys, side="right")):
+                return False
+            tally += np.bincount(at, minlength=len(within))
+            done += len(keys)
         else:
             leaves.append(_as_keys(block[3]))
             if keep is not None:
@@ -233,8 +245,10 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
                 table = _merge(table, leaves)
         if done + pending > budget:
             raise BudgetError("walk enumeration exceeded its budget")
+        return True
 
-    add((seen[:, 0].copy(), seen, np.ones(1, dtype=node), words), 0)
+    if not add((seen[:, 0].copy(), seen, np.ones(1, dtype=node), words), 0):
+        return None
     while stack:
         depth, block, cum, lo = stack.pop()
         base = cum[lo - 1] if lo else 0
@@ -255,7 +269,10 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
         nseen += fresh
         word, slot = divmod(depth, per_word)
         words[:, word] |= label << np.uint64(bits * (per_word - 1 - slot))
-        add((nxt, seen, nseen, words), depth + 1)
+        if not add((nxt, seen, nseen, words), depth + 1):
+            return None
+    if within is not None:
+        return within[tally > 0], tally[tally > 0]
     return _merge(table, leaves) if leaves else table
 
 
@@ -312,21 +329,50 @@ def enumerate_anonymous_walks(g: Graph, v: int, length: int,
     return Counter(dict(zip(patterns, counts.tolist())))
 
 
+def _walk_counts(g: Graph, length: int, budget: int) -> np.ndarray:
+    """The length-l walks from every node, A^length 1, in int64, each count
+    saturating at ``budget + 1`` (object ints when a step's sums could pass int64)."""
+    cap = budget + 1
+    exact = cap * max(1, len(g.neighbors)) < 2**63
+    x = np.ones(g.node_count, dtype=np.int64 if exact else object)
+    for _ in range(length):
+        c = np.concatenate([[0], np.cumsum(x[g.neighbors])])
+        x = np.minimum(c[g.offsets[1:]] - c[g.offsets[:-1]], cap)
+    return x
+
+
 def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
                                    length: int, budget: int = 10**7) -> bool:
     """True iff the normalized anonymous-walk distributions differ exactly.
 
     Compares by integer cross-multiplication, so there is no tolerance to
-    tune; isomorphic rooted graphs always compare equal.
+    tune; isomorphic rooted graphs always compare equal. BudgetError is
+    raised iff either root has more than ``budget`` walks. The root with
+    fewer walks is enumerated in full, the other against its patterns
+    alone, and that enumeration ends at the first pattern the first lacks.
     """
-    bits = max(_label_bits(g, length), _label_bits(h, length))
-    k1, c1 = _pattern_table(g, v, length, budget, bits)
-    k2, c2 = _pattern_table(h, vp, length, budget, bits)
-    t1, t2 = int(c1.sum()), int(c2.sum())
+    if not (0 <= v < g.node_count):
+        raise ValueError("start node out of range")
+    if length < 0:
+        raise ValueError(f"walk length must be >= 0, got {length}")
+    if not (0 <= vp < h.node_count):
+        raise ValueError("start node out of range")
+    t1 = int(_walk_counts(g, length, budget)[v])
+    t2 = int(_walk_counts(h, length, budget)[vp])
+    if max(t1, t2) > budget:
+        raise BudgetError("walk enumeration exceeded its budget")
     if t1 == 0 or t2 == 0:
         return (t1 == 0) != (t2 == 0)
+    bits = max(_label_bits(g, length), _label_bits(h, length))
+    if t2 < t1:
+        g, v, t1, h, vp, t2 = h, vp, t2, g, v, t1
+    k1, c1 = _pattern_table(g, v, length, budget, bits)
+    rest = _pattern_table(h, vp, length, budget, bits, within=k1)
+    if rest is None:
+        return True
     # both tables are sorted and hold only positive counts, so the
     # distributions agree only where the keys agree one for one
+    k2, c2 = rest
     if not np.array_equal(k1, k2):
         return True
     if max(t1, t2) ** 2 < 2**63:
@@ -368,19 +414,24 @@ def _replay_bounded(stream: np.ndarray, ptr: np.ndarray, high: np.ndarray):
     numpy draws each value below a bound d < 2^32 by Lemire's method from
     the uint32 stream: d = 1 consumes nothing; otherwise one value u gives
     (u·d) >> 32, unless the low 32 bits of u·d fall below (2^32 - d) mod d,
-    where numpy rejects u and draws again. ``ptr`` (r,) is each row's next
-    unread index into ``stream`` (r, k). Returns the draws, the advanced
-    pointers, and which rows hit a rejection (their draws are then wrong
-    from that value on).
+    where numpy rejects u and draws again. That threshold is below d, so it is
+    computed only for the draws whose low bits fall below d, about d in 2^32.
+    ``ptr`` (r,) is each row's next unread index into ``stream`` (r, k).
+    Returns the draws, the advanced pointers, and which rows hit a rejection
+    (their draws are then wrong from that value on).
     """
     used = high > 1
     idx = ptr[:, None] + np.cumsum(used, axis=1) - used
     # a d = 1 position may point one past the end; its value is never used
-    u = np.take_along_axis(stream, np.minimum(idx, stream.shape[1] - 1), axis=1)
+    k = stream.shape[1]
+    u = stream.ravel()[np.minimum(idx, k - 1) + (np.arange(len(ptr)) * k)[:, None]]
     d = high.astype(np.uint64)
     m = u * d
-    threshold = (np.uint64(2**32) - d) % d
-    rejected = np.any(used & ((m & _LOW32) < threshold), axis=1)
+    low, d = (m & _LOW32).ravel(), d.ravel()
+    near = np.flatnonzero(used.ravel() & (low < d))
+    near = near[low[near] < (np.uint64(2**32) - d[near]) % d[near]]
+    rejected = np.zeros(len(ptr), dtype=bool)
+    rejected[near // high.shape[1]] = True
     return (m >> np.uint64(32)).astype(np.int64), ptr + used.sum(axis=1), rejected
 
 

@@ -262,12 +262,14 @@ def embed_graph(model: MoseModel, g: Graph, node_sets: list[list[int]]) -> np.nd
     return embed_group(model, group, [0])[0]
 
 
-def embed_group(model: MoseModel, group: NodeGroup, starts) -> np.ndarray:
+def embed_group(model: MoseModel, group: NodeGroup, starts,
+                moments: np.ndarray | None = None) -> np.ndarray:
     """Eval-mode readouts, one row per graph, of a group holding every node
     of several graphs in turn; graph i's rows begin at ``starts[i]``. Graphs
     of one row count read out in one ``pool_rows`` call on their stacked
-    rows, each as it would alone; a graph with no rows raises ValueError."""
-    h = group_forward(model, group).h
+    rows, each as it would alone; a graph with no rows raises ValueError.
+    ``moments`` are the group's kernel moments, as ``group_forward`` reuses them."""
+    h = group_forward(model, group, moments=moments).h
     bounds = np.append(np.asarray(starts, dtype=np.int64), len(h))
     counts = np.diff(bounds)
     if counts.min(initial=1) < 1:

@@ -417,6 +417,10 @@ BAD_FLAGS = {
               "usage error: --max-p must be >= 1, got 0\n"),
     "max-nodes": (["verify", "--suite", "kernel-oracle", "--max-nodes", "1"],
                   "usage error: --max-nodes must be >= 2, got 1\n"),
+    # K5 x K5 has 25 * (1 + 16 + ... + 16^5) walk pairs up to p = 5
+    "max-p-budget": (["verify", "--suite", "kernel-oracle", "--max-p", "5"],
+                     "usage error: --max-p 5: the exhaustive kernel-oracle case would enumerate "
+                     "27962025 walk pairs by p = 5, over the budget of 10000000\n"),
     "count": (["gen", "--dataset", "GraphCycle", "--count", "1"],
               "usage error: --count must be >= 2, one graph per GraphCycle class, got 1\n"),
     "seed": (["train", "--seed", "-1"], "usage error: --seed -1: seed must be >= 0\n"),
@@ -593,6 +597,16 @@ class TestVerifyAndExport:
         assert code == 0
         assert "[PASS]" in printed
         assert (workspace / "v" / "verify-report.txt").exists()
+
+    def test_exhaustive_case_is_bounded_by_max_nodes(self, tmp_path):
+        # K4 x K4 has 1,062,880 walk pairs up to p = 5, within the budget, and the
+        # case names the corpus's real bound; other suites ignore --max-p
+        assert run(["verify", "--suite", "kernel-oracle", "--max-nodes", "4", "--max-p", "5",
+                    "--out-dir", str(tmp_path / "k")]) == 0
+        report = (tmp_path / "k" / "verify-report.txt").read_text()
+        assert report.startswith("[PASS] kernel-oracle/exhaustive <=4-node pairs, p=1..5  (")
+        assert run(["verify", "--suite", "wl", "--max-p", "5",
+                    "--out-dir", str(tmp_path / "w")]) == 0
 
     def test_verify_walks_suite_report_is_pinned(self, tmp_path):
         # the full walks suite at seed 0: every check's verdict and detail,

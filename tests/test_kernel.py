@@ -196,6 +196,17 @@ class TestLevelOracle:
         assert peak < 2 * 2**20
 
 
+    def test_budget_holds_the_counted_last_level(self):
+        # the last level is counted from its parents' degrees, never built, and
+        # still counts against the budget
+        k5 = complete_graph(5)
+        counts = _oracle_counts(k5, k5, 4, 10**7)
+        assert counts[4] == 1_638_400
+        assert _oracle_counts(k5, k5, 4, sum(counts)) == counts
+        with pytest.raises(BudgetError):
+            _oracle_counts(k5, k5, 4, sum(counts) - 1)
+
+
 class TestFeatureWeightedKernel:
     def test_unit_features_reduce_to_walk_counts(self):
         g = cycle_graph(4).with_features(np.ones((4, 1)))

@@ -188,6 +188,34 @@ class TestForward:
                 assert np.allclose(run.h[v], h_ref, atol=1e-12)
                 assert tuple(run.idx[v]) == r_ref.indices
 
+    def test_reused_moments_give_the_same_bits(self, monkeypatch):
+        # a run given an earlier run's moments computes none and matches a
+        # fresh run bit for bit, forward and backward
+        import mose.kernel
+        model = tiny_model(f=2, experts=4, k_ept=2, seed=3)
+        rng = np.random.default_rng(5)
+        n = 12
+        g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < 0.5], features=rng.normal(size=(n, 2)))
+        records = [[v] + [int(u) for u in g.neighbors_of(v)] for v in range(n)]
+        group = build_group(g, Records.from_lists(records), range(n))
+        dh = rng.normal(size=(n, model.embed_dim))
+        runs, grads = [], []
+        for moments in (None, "reused"):
+            if moments is not None:
+                moments = runs[0].moments
+                monkeypatch.setattr(mose.kernel.NodeGroup, "moments", None)
+            runs.append(group_forward(model, group, train_mode=True, rng=substream(1, 2),
+                                      dropout=0.2, moments=moments))
+            grads.append(model.zero_grads())
+            runs[-1].backward(dh, grads[-1])
+        assert runs[0].moments is not None and runs[1].moments is runs[0].moments
+        assert np.array_equal(runs[0].h, runs[1].h)
+        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+        for other in (runs[0].moments[:1], runs[0].moments[:, :-1]):
+            with pytest.raises(ValueError, match="moments of shape"):
+                group_forward(model, group, moments=other)
+
     # nmax = 3 and N*s = 8: f = 5 (5 distinct rows) takes the padded order
     def test_concat_combine_engine_matches_reference(self):
         for step_mode, (f, moments) in itertools.product(STEP_MODES,

@@ -380,6 +380,32 @@ class TestUnitLifetime:
             assert all(ref() is None for _, ref in dense), phase
 
 
+    def test_only_grad_check_keeps_moments_across_passes(self, monkeypatch):
+        # grad_check's perturbed passes reuse each plan's moments; evaluate
+        # computes them in every pass, even on plans it keeps
+        import collections
+        import mose.kernel
+        calls = collections.Counter()
+        moments = mose.kernel.NodeGroup.moments
+
+        def counted(group, max_step):
+            calls[id(group)] += 1
+            return moments(group, max_step)
+
+        monkeypatch.setattr(mose.kernel.NodeGroup, "moments", counted)
+        data = toy_dataset(2)
+        cache = toy_cache(data)
+        model = toy_model(data, max_step=2)
+        grad_check(model, data, cache, [0, 1, 2],
+                   TrainConfig(seed=4, beta=0.2, dropout_rate=0.1))
+        assert len(calls) == 3 and set(calls.values()) == {1}
+        calls.clear()
+        plans = {}
+        for _ in range(2):
+            evaluate(model, data, cache, [0, 1, 2], plans)
+        assert len(calls) == 3 and set(calls.values()) == {2}
+
+
 class TestGradCheck:
     def test_small_model_passes(self):
         # 6-wide features, one distinct row per node (U = 5), keep every group

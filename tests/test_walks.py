@@ -12,11 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from mose import walks
 from mose.datasets import gen_graph_cycle, gen_graph_five
-from mose.graph import (Graph, cycle_graph, disjoint_union, induced_subgraph, path_graph,
-                        star_graph)
+from mose.graph import (Graph, complete_graph, cycle_graph, disjoint_union, induced_subgraph,
+                        path_graph, star_graph)
 from mose.util import BudgetError, FormatError, substream
 from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _anonymize, _label_bits, _pack,
-                        _replay_bounded, _uint32_stream, _unpack, _v_lines, _walks_from_words,
+                        _pattern_table, _replay_bounded, _uint32_stream, _unpack, _v_lines, _walks_from_words,
                         enumerate_anonymous_walks,
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
@@ -363,6 +363,37 @@ class TestArrayEnumeration:
             enumerate_anonymous_walks(g, v, length, budget=count - 1)
         with pytest.raises(BudgetError):
             walk_distributions_distinguish(g, v, g, v, length, budget=count - 1)
+
+    def test_budget_bounds_the_larger_side_too(self):
+        # P2's one walk pattern (0, 1, 0, 1) is a pattern of K4's 27 walks, which
+        # also hold patterns P2 lacks: the budget is checked before any walk of
+        # either side is enumerated, not at the first such pattern
+        k4 = complete_graph(4)
+        assert walk_distributions_distinguish(path_graph(2), 0, k4, 0, 3, budget=27)
+        for a, b in (((path_graph(2), 0), (k4, 0)), ((k4, 0), (path_graph(2), 0))):
+            with pytest.raises(BudgetError):
+                walk_distributions_distinguish(*a, *b, 3, budget=26)
+
+    def test_comparison_ends_at_its_first_witness(self):
+        # the larger side's first block of completed walks holds a pattern P2
+        # lacks, so its full table of 957,459 patterns is never built
+        g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 6), (2, 3), (2, 5), (4, 6)])
+        keys, counts = _pattern_table(g, 0, 15, 10**7, _label_bits(g, 15))
+        assert (int(counts.sum()), len(keys)) == (1587095, 957459)
+        table = keys.nbytes + counts.nbytes
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert walk_distributions_distinguish(path_graph(2), 0, g, 0, 15)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # Measured with numpy 2.4: the comparison peaks at 1.7 MB, the enumeration's
+        # stack of blocks, against a 14.6 MB table.
+        assert peak < table / 4
 
     def test_comparison_holds_no_pattern_tuples(self):
         g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 6), (2, 3), (2, 5), (4, 6)])
