@@ -10,10 +10,13 @@ reuses it in every pass. ``kernel_moments`` picks one of the two orders of
 the hidden-graph kernel from the plan's shapes and the hidden nodes of the
 model's largest expert (``NodeGroup.fits_moments``): the subgraph moments
 shared by all experts, or the padded order. ``group_forward`` computes them
-per pass unless it is given those of an earlier run on the plan. Each expert's
-values and gradients come from the kernel's one pair, ``group_values`` and
-``group_values_backward``; this module maps them to and from features
-through ``KernelConfig.step_weights``.
+per pass unless it is given those of an earlier run on the plan. It chains
+three stages, each of which a caller may rerun alone: ``gate`` (scores,
+top-k, routing weights), ``expert_forward`` (one expert's kernel values,
+features and MLP) and ``combine``. Each expert's values and gradients come
+from the kernel's one pair, ``group_values`` and ``group_values_backward``;
+this module maps them to and from features through
+``KernelConfig.step_weights``.
 """
 
 from __future__ import annotations
@@ -292,16 +295,64 @@ def kernel_moments(model: MoseModel, group: NodeGroup) -> np.ndarray | None:
     return group.moments(p) if group.fits_moments(p, model.bank.hidden_nodes) else None
 
 
+def gate(model: MoseModel, eta: np.ndarray, eps: np.ndarray | None):
+    """(idx, zeta, sig) of activated gate aggregates ``eta`` (B, f) under the
+    routing noise ``eps`` (B, E), None in eval mode: the scores psi, their
+    top-k picks, ascending, and the softmax zeta over the picked scores; sig
+    is the sigmoid of the noise-scale scores, None without noise."""
+    psi = eta @ model.W_g
+    sig = None
+    if eps is not None:
+        arg = eta @ model.W_n
+        psi = psi + eps * softplus(arg)
+        sig = sigmoid(arg)
+    k = min(model.cfg.k_ept, model.expert_count)
+    order = np.argsort(-psi, axis=1, kind="stable")
+    idx = np.sort(order[:, :k], axis=1)
+    zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
+    return idx, zeta, sig
+
+
+def expert_forward(model: MoseModel, m: int, group: NodeGroup,
+                   moments: np.ndarray | None, rows: np.ndarray, train_mode: bool = False,
+                   rng=None, dropout: float = 0.0, masks: list | None = None):
+    """(kcache, mlp_cache, hm): expert m on rows ``rows`` of the plan, its
+    kernel values (``group_values``), their step-weighted features phi and
+    its MLP's output hm; ``masks`` replays an earlier run's dropout
+    (``Mlp.forward``)."""
+    p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
+    expert = model.bank.experts[m]
+    vals, kcache = group_values(expert.W, expert.Z, group, p, moments, rows)
+    phi = (vals.reshape(-1, p) @ weights).reshape(len(rows), -1)
+    hm, mlp_cache = expert.transform.forward(phi, train=train_mode, dropout=dropout,
+                                             rng=rng, masks=masks)
+    return kcache, mlp_cache, hm
+
+
+def combine(model: MoseModel, zeta: np.ndarray, expert_rows: dict, outputs: dict):
+    """(h, concat_cache): the rows' embeddings from each routed expert's
+    output ``outputs[m]`` on its ``expert_rows[m]``, weighted by zeta, and the
+    combine MLP's cache in concat mode (else None)."""
+    # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
+    wide = np.zeros((len(zeta), model.expert_count, model.embed_dim))
+    for m, (rows, pos) in expert_rows.items():
+        wide[rows, m] = zeta[rows, pos][:, None] * outputs[m]
+    if model.cfg.combine_mode == "concat":
+        return model.combine_mlp.forward(wide.reshape(len(zeta), -1))
+    return wide.sum(axis=1), None
+
+
 def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
                   rng=None, dropout: float = 0.0,
                   moments: np.ndarray | None = None) -> GroupRun:
-    """Gate, route, and embed every node of the group in expert-id order.
+    """Gate, route, and embed every node of the group in expert-id order:
+    ``gate``, then ``expert_forward`` for each routed expert, then ``combine``.
 
     ``moments`` are the ``GroupRun.moments`` of an earlier run on the same plan
     and kernel config, reused as they are; moments of another shape than the
     plan's raise ValueError. Without them, ``kernel_moments`` computes them.
     """
-    p, weights = model.kernel_cfg.max_step, model.kernel_cfg.step_weights
+    p = model.kernel_cfg.max_step
     if moments is None:
         moments = kernel_moments(model, group)
     else:
@@ -310,37 +361,20 @@ def group_forward(model: MoseModel, group: NodeGroup, train_mode: bool = False,
             raise ValueError(f"moments of shape {moments.shape}, expected "
                              f"{(p, group.count, r, r)} for this plan")
     eta = model.gate_act()(group.agg)
-    psi = eta @ model.W_g
-    eps = sig = None
+    eps = None
     if train_mode:
         eps = np.asarray(rng.standard_normal((group.count, model.expert_count)))
-        arg = eta @ model.W_n
-        psi = psi + eps * softplus(arg)
-        sig = sigmoid(arg)
-    k = min(model.cfg.k_ept, model.expert_count)
-    order = np.argsort(-psi, axis=1, kind="stable")
-    idx = np.sort(order[:, :k], axis=1)
-    zeta = softmax(np.take_along_axis(psi, idx, axis=1), axis=1)
+    idx, zeta, sig = gate(model, eta, eps)
     expert_rows, expert_caches = {}, {}
-    # block m of a row holds zeta * h_m when the row is routed to expert m, else zeros
-    wide = np.zeros((group.count, model.expert_count, model.embed_dim))
     for m in range(model.expert_count):
         rows, pos = np.nonzero(idx == m)
         if len(rows) == 0:
             continue
-        expert = model.bank.experts[m]
-        vals, kcache = group_values(expert.W, expert.Z, group, p, moments, rows)
-        phi = (vals.reshape(-1, p) @ weights).reshape(len(rows), -1)
-        hm, mlp_cache = expert.transform.forward(phi, train=train_mode,
-                                                 dropout=dropout, rng=rng)
         expert_rows[m] = (rows, pos)
-        expert_caches[m] = (kcache, mlp_cache, hm)
-        wide[rows, m] = zeta[rows, pos][:, None] * hm
-    concat_cache = None
-    if model.cfg.combine_mode == "concat":
-        h, concat_cache = model.combine_mlp.forward(wide.reshape(group.count, -1))
-    else:
-        h = wide.sum(axis=1)
+        expert_caches[m] = expert_forward(model, m, group, moments, rows, train_mode, rng,
+                                          dropout)
+    h, concat_cache = combine(model, zeta, expert_rows,
+                              {m: c[2] for m, c in expert_caches.items()})
     return GroupRun(model=model, group=group, eta=eta, h=h, idx=idx, zeta=zeta, eps=eps,
                     sig=sig, moments=moments, expert_rows=expert_rows,
                     expert_caches=expert_caches, concat_cache=concat_cache)

@@ -70,26 +70,30 @@ class Mlp:
         return out
 
     def forward(self, x: np.ndarray, train: bool = False, dropout: float = 0.0,
-                rng: np.random.Generator | None = None):
-        """x is (batch, in); dropout applies to hidden activations."""
+                rng: np.random.Generator | None = None, masks: list | None = None):
+        """x is (batch, in); dropout applies to hidden activations. ``masks``,
+        the masks of an earlier forward's cache on a batch of the same size,
+        are applied again instead of drawing new ones."""
         if x.ndim != 2:
             raise ValueError(f"{self.name}: input must be (batch, in), got shape {x.shape}")
         acts = [x]
-        masks = []
+        applied = []
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
             if i < last:
                 h = relu(h)
-                if train and dropout > 0.0:
+                mask = None
+                if masks is not None:
+                    mask = masks[i]
+                elif train and dropout > 0.0:
                     mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+                if mask is not None:
                     h = h * mask
-                    masks.append(mask)
-                else:
-                    masks.append(None)
+                applied.append(mask)
                 acts.append(h)
-        return h, (acts, masks)
+        return h, (acts, applied)
 
     def backward(self, dh: np.ndarray, cache, grads: dict):
         acts, masks = cache

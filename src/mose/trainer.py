@@ -7,9 +7,11 @@ chunk of NODE_CHUNK nodes. A unit's plan (moe.build_group) holds no
 parameter, so ``train``, ``evaluate`` and ``grad_check`` build it at most
 once per call and reuse it in every later pass; only ``train`` on a node
 task plans its chunks anew in every pass. A plan's kernel moments hold no
-parameter either: ``grad_check`` computes them once per plan, while ``train``
-and ``evaluate`` compute them in every pass, as keeping them for a whole
-run would cost more memory than they save time. The expert-balance penalty is
+parameter either, but ``train`` and ``evaluate`` compute them in every pass,
+as keeping them for a whole run would cost more memory than they save time.
+``grad_check`` runs one full pass and keeps each unit's state, moments
+included; a perturbed evaluation reruns from it only the stages the
+perturbed tensor feeds, replaying that pass's draws. The expert-balance penalty is
 accumulated per batch so its gradient reaches the gating network at every
 step. All randomness is keyed by (seed, purpose, epoch, item), so results
 are independent of batch layout, thread count, and resume points.
@@ -25,8 +27,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .kernel import KernelConfig
-from .moe import (ModelConfig, MoseModel, build_group, group_forward, new_model,
-                  pool_rows, pool_rows_backward)
+from .moe import (ModelConfig, MoseModel, build_group, combine, expert_forward, gate,
+                  group_forward, new_model, pool_rows, pool_rows_backward)
 from .nn import Adam, log_softmax, softmax
 from .util import FormatError, atomic_write, substream, unique
 from .walks import SubgraphCache
@@ -187,17 +189,15 @@ def _units(data: Dataset, cache: SubgraphCache, item_ids: np.ndarray):
 
 def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
                rng_of=None, dropout: float = 0.0, grads: dict | None = None,
-               plans: dict | None = None, moments: dict | None = None):
+               plans: dict | None = None, keep: list | None = None):
     """Forward the items one engine unit at a time; returns (logits, labels, stash).
 
     ``rng_of(key)`` gives a unit's routing-noise and dropout stream and
     turns on train mode. With ``grads``, each unit also backpropagates its
     share of the items' mean cross-entropy before the next unit runs.
     ``plans`` maps plan keys to the plans already built; a unit missing
-    from it is planned and added. ``moments``, keyed like ``plans``, does the
-    same for each plan's kernel moments (``moe.kernel_moments``), which hold
-    no parameter either; a caller keeps them only for a model whose kernel
-    config and expert shapes do not change.
+    from it is planned and added. ``keep`` receives each unit's
+    (``GroupRun``, head cache, logits, labels), which ``_staged_loss`` reruns from.
     """
     item_ids = np.asarray(item_ids, dtype=np.int64)
     if len(item_ids) == 0:
@@ -214,15 +214,14 @@ def _loss_pass(model: MoseModel, data: Dataset, cache: SubgraphCache, item_ids,
             group = build_group(g, records, nodes)
             if plans is not None:
                 plans[plan_key] = group
-        run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout,
-                            moments=None if moments is None else moments.get(plan_key))
-        if moments is not None:
-            moments[plan_key] = run.moments
+        run = group_forward(model, group, train_mode=train_mode, rng=rng, dropout=dropout)
         stash.add(run)
         h, arg = pool_rows(run.h, mode) if pooled else (run.h, None)
         out, head_cache = model.head.forward(h, train=train_mode, dropout=dropout, rng=rng)
         logits.append(out)
         labels.append(y)
+        if keep is not None:
+            keep.append((run, head_cache, out, y))
         if grads is not None:
             dout = softmax(out)
             dout[np.arange(len(y)), y] -= 1.0
@@ -540,12 +539,10 @@ def _read_checkpoint(path: str):
 
 def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
                 item_ids, cfg: TrainConfig, rng, grads: dict | None,
-                train_mode: bool = True, plans: dict | None = None,
-                moments: dict | None = None):
+                train_mode: bool = True, keep: list | None = None):
     """Loss (and, given ``grads``, its gradients) for a fixed batch: every
     unit draws its routing noise and dropout masks in turn from the one ``rng``.
-    ``plans`` and ``moments`` keep the units' plans and kernel moments for
-    later calls (``_loss_pass``).
+    ``keep`` receives the units' state (``_loss_pass``).
 
     Returns (loss, picks) where picks records the top-k selections so
     callers can detect selection flips under perturbation.
@@ -553,10 +550,53 @@ def frozen_loss(model: MoseModel, data: Dataset, cache: SubgraphCache,
     dropout = cfg.dropout_rate if train_mode else 0.0
     logits, truth, stash = _loss_pass(model, data, cache, item_ids,
                                       (lambda key: rng) if train_mode else None,
-                                      dropout, grads, plans, moments)
+                                      dropout, grads, keep=keep)
     imp, _ = _apply_importance(stash, cfg.beta, grads)
     picks = [idx for idx, _ in stash.items]
     return total_loss(_mean_ce(logits, truth), imp, cfg.beta), picks
+
+
+def _staged_loss(model: MoseModel, units: list, truth: np.ndarray, name: str,
+                 beta: float, imp: float, pooled: bool) -> float | None:
+    """The loss of a ``frozen_loss`` pass after a change to parameter ``name``
+    alone, rerunning from the ``units`` a base pass kept only the stages that
+    read it: ``head.*`` the head; ``combine.*`` also the combine step;
+    ``expert{m}.mlp.*`` also expert m's MLP, and ``expert{m}.W``/``.Z`` its
+    kernel values too, on the units routed to m; ``gating.*`` the gate, the
+    combine step, the head and the balance penalty, which is ``imp`` for any
+    other name. The stages replay the base pass's noise and masks, which a
+    full rerun draws again as long as no unit's picks change; None when the
+    gate picks other experts in a unit.
+    """
+    stage = name.split(".")[0]
+    stash = _RouteStash(model.expert_count, maps=False)
+    logits = []
+    for run, (head_acts, head_masks), out, _ in units:
+        zeta, outputs = run.zeta, {m: c[2] for m, c in run.expert_caches.items()}
+        if stage == "gating":
+            idx, zeta, _ = gate(model, run.eta, run.eps)
+            if not np.array_equal(idx, run.idx):
+                return None
+            stash.items.append((idx, zeta))
+        elif stage.startswith("expert"):
+            m = int(stage[len("expert"):])
+            if m not in outputs:
+                logits.append(out)
+                continue
+            _, (acts, masks), _ = run.expert_caches[m]
+            if name.startswith(stage + ".mlp."):
+                outputs[m] = model.bank.experts[m].transform.forward(acts[0], masks=masks)[0]
+            else:
+                outputs[m] = expert_forward(model, m, run.group, run.moments,
+                                            run.expert_rows[m][0], masks=masks)[2]
+        x = head_acts[0]
+        if stage != "head":
+            h = combine(model, zeta, run.expert_rows, outputs)[0]
+            x = pool_rows(h, model.cfg.readout_mode)[0] if pooled else h
+        logits.append(model.head.forward(x, masks=head_masks)[0])
+    if stage == "gating":
+        imp = _cv_squared(stash.totals())
+    return total_loss(_mean_ce(np.concatenate(logits), truth), imp, beta)
 
 
 def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
@@ -564,25 +604,32 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
                train_mode: bool = True) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Each evaluation re-keys its routing noise and dropout from
-    ``substream(seed, 500)``. A unit draws the noise (B x E), then one mask
-    per routed expert in expert-id order, then the head's mask, so the
-    shapes depend only on the top-k picks: an evaluation with the base picks
-    draws the base values. If a perturbation flips a top-k selection the
-    step shrinks, and a persistent flip is an error. Returns the max
-    relative error over every entry of every parameter tensor.
+    One base pass (``frozen_loss``) keys its routing noise and dropout from
+    ``substream(seed, 500)`` and keeps every unit's state; each perturbed
+    evaluation reruns from it only the stages downstream of the perturbed
+    tensor (``_staged_loss``), with the base pass's draws. A unit draws the
+    noise (B x E), then one mask per routed expert in expert-id order, then
+    the head's mask, so the shapes depend only on the top-k picks: a full
+    rerun with the base picks draws the base values, and the staged loss is
+    the full rerun's bit for bit. If a perturbation flips a top-k selection
+    the step shrinks, and a persistent flip is an error. Returns the max
+    relative error over every entry of every parameter tensor, NaN if any
+    entry's is NaN. ``step`` must be finite and > 0.
     """
-    plans, moments = {}, {}
-
-    def run(grads=None):
-        rng = substream(cfg.seed, 500) if train_mode else None
-        return frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode, plans,
-                           moments)
-
-    grads = model.zero_grads()
-    base_loss, base_picks = run(grads)
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    rng = substream(cfg.seed, 500) if train_mode else None
+    grads, units = model.zero_grads(), []
+    base_loss, _ = frozen_loss(model, data, cache, item_ids, cfg, rng, grads, train_mode,
+                               keep=units)
     if not np.isfinite(base_loss):
         raise NonFiniteLossError(0, 0, _param_norms(model))
+    truth = np.concatenate([y for *_, y in units])
+    base = _RouteStash(model.expert_count, maps=False)
+    for run, *_ in units:
+        base.add(run)
+    imp = _cv_squared(base.totals())
+    pooled = data.task == "graph"
     params = model.parameters()
     worst = 0.0
     for name in sorted(params):
@@ -595,13 +642,12 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
             for _attempt in range(3):
                 try:
                     arr[ix] = orig + h
-                    lp, picks_p = run()
+                    lp = _staged_loss(model, units, truth, name, cfg.beta, imp, pooled)
                     arr[ix] = orig - h
-                    lm, picks_m = run()
+                    lm = _staged_loss(model, units, truth, name, cfg.beta, imp, pooled)
                 finally:
                     arr[ix] = orig
-                if all(np.array_equal(a, b) for picks in (picks_p, picks_m)
-                       for a, b in zip(base_picks, picks)):
+                if lp is not None and lm is not None:
                     break
                 h /= 10.0
             else:
@@ -609,5 +655,5 @@ def grad_check(model: MoseModel, data: Dataset, cache: SubgraphCache,
             numeric = (lp - lm) / (2 * h)
             analytic = grads[name][ix]
             scale = max(abs(numeric), abs(analytic), 1.0)
-            worst = max(worst, abs(numeric - analytic) / scale)
-    return worst
+            worst = np.maximum(worst, abs(numeric - analytic) / scale)   # keeps a NaN
+    return float(worst)

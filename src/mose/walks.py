@@ -91,22 +91,22 @@ def sample_walks(g: Graph, v: int, cfg: WalkConfig,
 
     Every step picks a neighbor uniformly; an isolated start yields the
     empty list (a walker elsewhere can always backtrack, so it never
-    strands mid-walk on an undirected graph).
+    strands mid-walk on an undirected graph). The picks are scalar
+    ``rng.integers(0, degree)`` draws, step by step and walk by walk within
+    a step: the stream and the walks of one ``rng.integers(0, degrees)``
+    array call per step, at a fraction of its cost for a few walks.
     """
     if not (0 <= v < g.node_count):
         raise ValueError("start node out of range")
-    if g.offsets[v] == g.offsets[v + 1]:
+    offsets, neighbors = g.offsets, g.neighbors
+    if offsets[v] == offsets[v + 1]:
         return []
-    n_w, length = cfg.walks_per_node, cfg.walk_length
-    walks = np.empty((n_w, length + 1), dtype=np.int64)
-    walks[:, 0] = v
-    pos = walks[:, 0]
-    deg = g.degrees
-    for step in range(1, length + 1):
-        pick = rng.integers(0, deg[pos])
-        pos = g.neighbors[g.offsets[pos] + pick]
-        walks[:, step] = pos
-    return [tuple(int(x) for x in row) for row in walks]
+    walks = [[int(v)] for _ in range(cfg.walks_per_node)]
+    for _ in range(cfg.walk_length):
+        for walk in walks:
+            lo = offsets[walk[-1]]
+            walk.append(int(neighbors[lo + rng.integers(0, offsets[walk[-1] + 1] - lo)]))
+    return [tuple(walk) for walk in walks]
 
 
 def to_anonymous(walk: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ its transform, the combination and the class head. ``mose.moe``'s group
 engine computes the same quantities for many nodes at once with analytic
 backprop; tests/test_moe.py holds the two to each other at 1e-12. The last
 section holds a plan's arrays densely, the oracle of the padded order's
-row blocking.
+row blocking. Beside them: random walks drawn with one array call per step,
+the oracle of ``mose.walks.sample_walks``, and finite differences that
+rerun the whole loss pass, the oracle of ``mose.trainer.grad_check``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from mose.graph import Graph
 from mose.kernel import HiddenGraph, KernelConfig, NodeGroup, _slot_basis, rwk_hidden
 from mose.moe import MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
-from mose.trainer import _cv_squared
+from mose.trainer import _apply_importance, _cv_squared, _loss_pass, _mean_ce, total_loss
+from mose.util import substream
 
 
 # -- kernel features --------------------------------------------------------
@@ -248,3 +251,75 @@ class DenseSlots:
 
     def feature_rows(self, ids: np.ndarray) -> np.ndarray:
         return self.xu[ids]
+
+
+# -- random walks, one array draw per step -----------------------------------
+
+def sample_walks_by_array(g: Graph, v: int, cfg, rng) -> list[tuple[int, ...]]:
+    """``walks_per_node`` walks of ``walk_length`` steps, each step one
+    ``rng.integers(0, degrees)`` call over every walk's position."""
+    if g.offsets[v] == g.offsets[v + 1]:
+        return []
+    walks = np.empty((cfg.walks_per_node, cfg.walk_length + 1), dtype=np.int64)
+    walks[:, 0] = v
+    pos = walks[:, 0]
+    for step in range(1, cfg.walk_length + 1):
+        pick = rng.integers(0, g.degrees[pos])
+        pos = g.neighbors[g.offsets[pos] + pick]
+        walks[:, step] = pos
+    return [tuple(int(x) for x in row) for row in walks]
+
+
+# -- finite differences by full reruns ----------------------------------------
+
+def full_rerun_grad_check(model: MoseModel, data, cache, item_ids, cfg,
+                          step: float = 1e-5, train_mode: bool = True):
+    """(worst, losses): ``grad_check``'s loop with every perturbed evaluation a
+    whole ``frozen_loss`` pass, its routing noise and dropout drawn afresh from
+    ``substream(seed, 500)``. ``losses`` lists each evaluation's (parameter
+    name, loss) in order, the loss None when a unit's picks differ from the
+    base pass's."""
+    plans = {}
+
+    def run(grads=None):      # frozen_loss, with each unit planned once
+        rng = substream(cfg.seed, 500)
+        logits, truth, stash = _loss_pass(model, data, cache, item_ids,
+                                          (lambda key: rng) if train_mode else None,
+                                          cfg.dropout_rate if train_mode else 0.0, grads,
+                                          plans)
+        imp, _ = _apply_importance(stash, cfg.beta, grads)
+        return total_loss(_mean_ce(logits, truth), imp, cfg.beta), [i for i, _ in stash.items]
+
+    grads = model.zero_grads()
+    _, base_picks = run(grads)
+    params = model.parameters()
+    losses = []
+    worst = 0.0
+    for name in sorted(params):
+        arr = params[name]
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            orig = arr[ix]
+            h = step
+            for _attempt in range(3):
+                pair = []
+                for sign in (1, -1):
+                    try:
+                        arr[ix] = orig + sign * h
+                        loss, picks = run()
+                    finally:
+                        arr[ix] = orig
+                    same = all(np.array_equal(a, b) for a, b in zip(base_picks, picks))
+                    pair.append(loss if same else None)
+                    losses.append((name, pair[-1]))
+                if None not in pair:
+                    break
+                h /= 10.0
+            else:
+                raise RuntimeError(f"top-k selection keeps flipping at {name}{ix}")
+            numeric = (pair[0] - pair[1]) / (2 * h)
+            analytic = grads[name][ix]
+            scale = max(abs(numeric), abs(analytic), 1.0)
+            worst = max(worst, abs(numeric - analytic) / scale)
+    return worst, losses

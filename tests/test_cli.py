@@ -629,6 +629,38 @@ class TestVerifyAndExport:
         report = (tmp_path / "verify-report.txt").read_bytes()
         assert hashlib.sha256(report).hexdigest() == digest
 
+    @pytest.mark.parametrize("suite, target, case", [
+        ("grad", "trainer.frozen_loss", "end-to-end graph-task gradients"),
+        ("grad", "verify.rwk_hidden_grad", "kernel gradients on 120 instances"),
+        ("kernel-oracle", "verify.rwk_hidden", "hidden-graph identity on 500 instances")])
+    def test_nan_error_fails_its_case(self, tmp_path, monkeypatch, suite, target, case):
+        # a NaN error is the worst error: the case fails and verify exits 1
+        import mose.trainer
+        import mose.verify
+        module, name = target.split(".")
+        module = {"trainer": mose.trainer, "verify": mose.verify}[module]
+        real = getattr(module, name)
+
+        def nan_loss_grads(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if args[6] is not None:         # the analytic pass's gradients
+                args[6]["head.b1"][0] = np.nan
+            return out
+
+        def nan_kernel_grad(*args):
+            out = real(*args)
+            out.d_W[0, 0] = np.nan
+            return out
+
+        patched = {"frozen_loss": nan_loss_grads, "rwk_hidden_grad": nan_kernel_grad,
+                   "rwk_hidden": lambda *args: float("nan")}[name]
+        monkeypatch.setattr(module, name, patched)
+        assert run(["verify", "--suite", suite, "--max-nodes", "3", "--max-p", "2",
+                    "--out-dir", str(tmp_path)]) == 1
+        lines = (tmp_path / "verify-report.txt").read_text().splitlines()
+        assert f"[FAIL] {suite}/{case}  (max rel " in "\n".join(lines)
+        assert [line for line in lines if case in line][0].endswith(" nan)")
+
     def test_export_hidden(self, workspace):
         out = workspace / "t1"
         dots = workspace / "dots"

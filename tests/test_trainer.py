@@ -19,7 +19,7 @@ from mose.trainer import (Metrics, NonFiniteLossError, TrainConfig, _RouteStash,
                           train, _cv_squared, _cv_squared_grad)
 from mose.util import FormatError, substream
 from mose.walks import WalkConfig, extract_dataset
-from reference import Route, importance_loss, slot_basis
+from reference import Route, full_rerun_grad_check, importance_loss, slot_basis
 
 
 def tri_tail(label=0):
@@ -487,13 +487,13 @@ class TestGradCheck:
         # of W_g overturns and a 1e-7 step does not
         import mose.trainer
         calls = []
-        frozen = mose.trainer.frozen_loss
+        staged = mose.trainer._staged_loss
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return frozen(*args, **kwargs)
+            return staged(*args, **kwargs)
 
-        monkeypatch.setattr(mose.trainer, "frozen_loss", counted)
+        monkeypatch.setattr(mose.trainer, "_staged_loss", counted)
         data = toy_dataset(2)
         cache = toy_cache(data)
         model = toy_model(data, max_step=2)
@@ -503,7 +503,7 @@ class TestGradCheck:
                          train_mode=False)
         assert err < 1e-4
         size = sum(v.size for v in model.parameters().values())
-        assert len(calls) > 1 + 2 * size   # some entries were evaluated again
+        assert len(calls) > 2 * size   # some entries were evaluated again
 
     def test_exact_tie_keeps_flipping(self):
         data = toy_dataset(2)
@@ -528,6 +528,127 @@ class TestGradCheck:
                                         seed=0, patience=0))
         for k, v in model.parameters().items():
             assert np.allclose(v, before[k], atol=1e-200)
+
+
+def staged_losses(monkeypatch) -> list:
+    """The (parameter name, loss) of every staged evaluation grad_check makes
+    from now on, in order."""
+    import mose.trainer
+    log = []
+    staged = mose.trainer._staged_loss
+
+    def logged(model, units, truth, name, *args):
+        loss = staged(model, units, truth, name, *args)
+        log.append((name, loss))
+        return loss
+
+    monkeypatch.setattr(mose.trainer, "_staged_loss", logged)
+    return log
+
+
+def staged_case(kind):
+    """(model, data, cache, item ids, TrainConfig, train_mode) of one grad_check
+    setting; the padded and moments cases pin the kernel order they take."""
+    data = toy_dataset(2)
+    ids = [0, 1, 2]
+    cfg = TrainConfig(seed=4, beta=0.2, dropout_rate=0.1)
+    if kind in ("padded", "moments"):
+        width = 6 if kind == "padded" else 2
+        rng = np.random.default_rng(8)
+        data = Dataset(graphs=[g.with_features(rng.normal(size=(g.node_count, width)))
+                               for g in data.graphs], task="graph", class_count=2,
+                       name="toy")
+    if kind == "node":
+        data, cache = TestNodeTask().make()
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2, experts=2,
+                           hidden_per_expert=2, embed_dim=6, k_ept=1, task="node")
+        return (new_model(mcfg, KernelConfig(max_step=2), seed=1), data, cache,
+                list(range(12)), cfg, True)
+    cache = toy_cache(data)
+    if kind == "max-readout":
+        mcfg = ModelConfig(feature_dim=data.feature_dim, class_count=2, experts=3,
+                           hidden_per_expert=2, embed_dim=8, k_ept=2, readout_mode="max")
+        model = new_model(mcfg, KernelConfig(max_step=2), seed=0)
+    else:
+        model = toy_model(data, max_step=3 if kind in ("padded", "moments") else 2,
+                          combine_mode="concat" if kind == "concat" else "weighted-sum")
+    if kind in ("padded", "moments"):
+        for g, recs in zip(data.graphs[:3], cache.records):
+            group = build_group(g, recs, range(g.node_count))
+            assert group.fits_moments(3, model.bank.hidden_nodes) == (kind == "moments")
+    return model, data, cache, ids, cfg, kind != "eval"
+
+
+class TestStagedEvaluation:
+    @pytest.mark.parametrize("kind", ["padded", "moments", "concat", "max-readout",
+                                      "node", "eval"])
+    def test_every_loss_matches_a_full_rerun(self, monkeypatch, kind):
+        # each perturbed evaluation reruns only the stages the tensor feeds and
+        # replays the base pass's draws; its loss is the full rerun's bit for bit
+        model, data, cache, ids, cfg, train_mode = staged_case(kind)
+        log = staged_losses(monkeypatch)
+        err = grad_check(model, data, cache, ids, cfg, train_mode=train_mode)
+        full_err, full = full_rerun_grad_check(model, data, cache, ids, cfg,
+                                               train_mode=train_mode)
+        assert len(log) == 2 * sum(v.size for v in model.parameters().values())
+        assert log == full and err == full_err < 1e-4
+
+    def test_near_tie_shrinks_the_step_as_a_full_rerun_does(self, monkeypatch):
+        model, data, cache, ids, cfg, _ = staged_case("eval")
+        w_g = model.W_g
+        w_g[:, 0], w_g[:, 1], w_g[:, 2] = 1.0, 0.0, 3e-7
+        log = staged_losses(monkeypatch)
+        err = grad_check(model, data, cache, ids, cfg, train_mode=False)
+        full_err, full = full_rerun_grad_check(model, data, cache, ids, cfg,
+                                               train_mode=False)
+        assert any(loss is None for _, loss in log) and log == full and err == full_err
+
+    def test_exact_tie_raises_as_a_full_rerun_does(self):
+        model, data, cache, ids, cfg, _ = staged_case("eval")
+        model.W_g[...] = 0.0
+        raised = []
+        for check in (grad_check, full_rerun_grad_check):
+            with pytest.raises(RuntimeError, match="keeps flipping") as e:
+                check(model, data, cache, ids, cfg, train_mode=False)
+            raised.append(str(e.value))
+        assert raised[0] == raised[1]
+
+    def test_a_stage_reruns_only_what_the_tensor_feeds(self, monkeypatch):
+        # kernel values are recomputed only for an expert's own W or Z, once per
+        # unit routed to it, on the base rows
+        import mose.moe
+        from mose.trainer import _staged_loss, frozen_loss
+        model, data, cache, ids, cfg, _ = staged_case("concat")
+        units = []
+        frozen_loss(model, data, cache, ids, cfg, substream(4, 500), None, keep=units)
+        truth = np.concatenate([y for *_, y in units])
+        rows = []
+        values = mose.moe.group_values
+
+        def counted(W, Z, group, max_step, moments, rows_):
+            rows.append(rows_)
+            return values(W, Z, group, max_step, moments, rows_)
+
+        monkeypatch.setattr(mose.moe, "group_values", counted)
+        for name in model.parameters():
+            rows.clear()
+            assert np.isfinite(_staged_loss(model, units, truth, name, 0.2, 0.0, True))
+            stage, _, rest = name.partition(".")
+            if stage.startswith("expert") and rest in ("W", "Z"):
+                m = int(stage[len("expert"):])
+                routed = [run.expert_rows[m][0] for run, *_ in units if m in run.expert_rows]
+                assert len(rows) == len(routed) and all(
+                    a is b for a, b in zip(rows, routed)), name
+            else:
+                assert rows == [], name
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, monkeypatch, step):
+        import mose.trainer
+        model, data, cache, ids, cfg, _ = staged_case("eval")
+        monkeypatch.setattr(mose.trainer, "frozen_loss", None)   # no pass may run
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            grad_check(model, data, cache, ids, cfg, step=step)
 
 
 class TestCrossValidate:

@@ -21,7 +21,7 @@ from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _anonymize, _label_bit
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
-from reference import cache_text
+from reference import cache_text, sample_walks_by_array
 
 
 HEADER = "dataset=t seed=0 walk_length=4 walks_per_node=5 pattern_budget=3 cap=8\n"
@@ -65,6 +65,25 @@ class TestSampleWalks:
         a = sample_walks(g, 1, cfg(), substream(3, 9))
         b = sample_walks(g, 1, cfg(), substream(3, 9))
         assert a == b
+
+
+    @pytest.mark.parametrize("walks_per_node", [1, 2, 5, 17])
+    def test_scalar_draws_match_one_array_call_per_step(self, walks_per_node):
+        # the walks and the stream left behind equal those of one
+        # rng.integers(0, degrees) call per step, on graphs whose leaves (degree
+        # 1) draw from a range of one and starts that are leaves themselves
+        rng = np.random.default_rng(walks_per_node)
+        graphs = [path_graph(4), star_graph(5), cycle_graph(5)]
+        for n in rng.integers(2, 12, size=12):
+            parents = [int(rng.integers(0, i)) for i in range(1, n)]
+            graphs.append(Graph.from_edges(int(n), list(enumerate(parents, start=1))))
+        for i, g in enumerate(graphs):
+            assert g.degrees.min() == 1 or g is graphs[2]
+            for v in range(g.node_count):
+                c = cfg(walk_length=int(rng.integers(1, 8)), walks_per_node=walks_per_node)
+                ours, theirs = substream(i, v), substream(i, v)
+                assert sample_walks(g, v, c, ours) == sample_walks_by_array(g, v, c, theirs)
+                assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
 
 
 class TestToAnonymous:
