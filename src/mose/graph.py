@@ -180,29 +180,34 @@ class Graph:
                    features: np.ndarray | None = None,
                    graph_label: int | None = None,
                    node_labels: np.ndarray | None = None) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs or an (m, 2) array.
-
-        Edges are symmetrized and deduplicated; self-loops are dropped.
+        """Build a graph from an iterable of (u, v) pairs or an (m, 2) array of
+        integer ids, where an empty sequence means no edges. Edges are
+        symmetrized and deduplicated; self-loops are dropped.
         """
         n = node_count
         if n < 0:
             raise ValueError("node_count must be non-negative")
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
-                         dtype=np.int64)
-        pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
-        if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"edge ids must be integers, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
+        # a negative id reads as a huge unsigned one: one comparison checks both ends
+        if pairs.size and pairs.view(np.uint64).max() >= n:
             u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
             raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
         u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
         # u·n + v keys sort by node, then by neighbor: the distinct keys are the CSR
-        src, dst = np.divmod(unique(np.concatenate([u * n + v, v * n + u])), n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        offsets = np.searchsorted(keys, np.arange(n + 1) * n)
         if features is None:
             features = np.zeros((node_count, 0))
-        return Graph._on_valid_csr(n, offsets, dst, features, graph_label, node_labels)
+        return Graph._on_valid_csr(n, offsets, keys % n, features, graph_label, node_labels)
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

@@ -10,9 +10,11 @@ stable colorings comparable across graphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ def _induced_bitmasks(g: Graph, nodes: list[int]) -> list[int]:
     return rows
 
 
-def _canonical_raw(n: int, adj: list[int], keys: list) -> tuple:
+def _canonical_raw(n: int, adj: Sequence[int], keys: Sequence) -> tuple:
     """Minimum encoding over permutations that sort the node keys.
 
     The encoding is (sorted key sequence, upper-triangle adjacency bits);
@@ -221,16 +223,18 @@ def swl_refine_many(graphs: list[Graph], policy, inits=None) -> list[Coloring]:
                     f"policy produced a {len(nodes)}-node subgraph in graph {gi}; "
                     f"canonicalization is capped at {CANON_CAP}")
     # each node set's induced adjacency is the same in every round
-    masks = [[_induced_bitmasks(g, nodes) for nodes in per_graph]
+    masks = [[tuple(_induced_bitmasks(g, nodes)) for nodes in per_graph]
              for g, per_graph in zip(graphs, sets)]
+    # one memo of searches for this call's rounds and graphs, gone when it returns
+    search = functools.cache(_canonical_raw)
 
     def swl_round(_graphs, colors):
         sigs = []
         for col, per_graph, per_masks in zip(colors, sets, masks):
             row = []
             for v, (nodes, adj) in enumerate(zip(per_graph, per_masks)):
-                keys = [(0 if p == v else 1, int(col[p])) for p in nodes]
-                row.append(_canonical_raw(len(nodes), adj, keys))
+                keys = tuple((0 if p == v else 1, int(col[p])) for p in nodes)
+                row.append(search(len(nodes), adj, keys))
             sigs.append(row)
         return sigs
     return _refine_many(graphs, inits, swl_round)

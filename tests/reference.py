@@ -10,6 +10,11 @@ section holds a plan's arrays densely, the oracle of the padded order's
 row blocking. Beside them: random walks drawn with one array call per step,
 the oracle of ``mose.walks.sample_walks``, and finite differences that
 rerun the whole loss pass, the oracle of ``mose.trainer.grad_check``.
+Last, three exact builders the library replaced with cheaper ones: the
+edge-list builder with ``unique`` and ``bincount`` (of ``Graph.from_edges``),
+the subgraph-hash round that searches every node's subgraph afresh (of
+``mose.wl.swl_refine_many``'s memo) and the product-graph power chain (of
+``mose.kernel.walk_pair_counts``).
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mose.graph import Graph
+from mose.graph import Graph, direct_product
 from mose.kernel import HiddenGraph, KernelConfig, NodeGroup, _slot_basis, rwk_hidden
 from mose.moe import MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
 from mose.trainer import _apply_importance, _cv_squared, _loss_pass, _mean_ce, total_loss
-from mose.util import substream
+from mose.util import substream, unique
+from mose.wl import _canonical_raw, _induced_bitmasks, _refine_many
 
 
 # -- kernel features --------------------------------------------------------
@@ -323,3 +329,56 @@ def full_rerun_grad_check(model: MoseModel, data, cache, item_ids, cfg,
             scale = max(abs(numeric), abs(analytic), 1.0)
             worst = max(worst, abs(numeric - analytic) / scale)
     return worst, losses
+
+
+# -- exact builders the library replaced --------------------------------------
+
+def from_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, neighbors) of ``Graph.from_edges(n, edges)`` by the builder it
+    replaced: the range checked by two comparisons, the symmetric keys
+    deduplicated by ``unique`` and the offsets counted by ``bincount``. Raises
+    the ValueError it raises for a negative count or an out-of-range edge."""
+    if n < 0:
+        raise ValueError("node_count must be non-negative")
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2) if pairs.size == 0 else pairs
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+    u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+    src, dst = np.divmod(unique(np.concatenate([u * n + v, v * n + u])), n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst
+
+
+def swl_refine_many(graphs: list[Graph], policy, inits=None):
+    """Subgraph-hash refinement with every node's colored subgraph searched
+    afresh in every round, as ``mose.wl.swl_refine_many`` computes it."""
+    sets = [policy.node_sets(g) for g in graphs]
+    masks = [[_induced_bitmasks(g, nodes) for nodes in per_graph]
+             for g, per_graph in zip(graphs, sets)]
+
+    def swl_round(_graphs, colors):
+        sigs = []
+        for col, per_graph, per_masks in zip(colors, sets, masks):
+            row = []
+            for v, (nodes, adj) in enumerate(zip(per_graph, per_masks)):
+                keys = [(0 if p == v else 1, int(col[p])) for p in nodes]
+                row.append(_canonical_raw(len(nodes), adj, keys))
+            sigs.append(row)
+        return sigs
+    return _refine_many(graphs, inits, swl_round)
+
+
+def walk_pair_counts(g: Graph, h: Graph, max_p: int) -> list[int]:
+    """Total p-step walk-pair counts for p = 0..max_p from one chain of int64
+    powers of the direct product's adjacency; a count past int64 wraps."""
+    prod = direct_product(g, h)
+    a = prod.adjacency_dense(dtype=np.int64)
+    power = np.eye(prod.node_count, dtype=np.int64)
+    counts = [prod.node_count]
+    for _ in range(max_p):
+        power = power @ a
+        counts.append(int(power.sum()))
+    return counts

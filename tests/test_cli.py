@@ -661,6 +661,22 @@ class TestVerifyAndExport:
         assert f"[FAIL] {suite}/{case}  (max rel " in "\n".join(lines)
         assert [line for line in lines if case in line][0].endswith(" nan)")
 
+    def test_nan_embedding_fails_the_wl_case(self, tmp_path, monkeypatch):
+        # one graph's NaN embedding separates none of its pairs in any init
+        import mose.verify
+        real = mose.verify.embed_group
+
+        def nan_last_graph(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(mose.verify, "embed_group", nan_last_graph)
+        assert run(["verify", "--suite", "wl", "--out-dir", str(tmp_path)]) == 1
+        lines = (tmp_path / "verify-report.txt").read_text().splitlines()
+        assert lines[-1].startswith("[FAIL] wl/random-init embeddings separate ")
+        assert lines[-1].endswith("(worst pair separated in 0/100 inits)")
+
     def test_export_hidden(self, workspace):
         out = workspace / "t1"
         dots = workspace / "dots"

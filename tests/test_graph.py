@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mose.graph import (Graph, complete_graph, cycle_graph, degree_features,
                         direct_product, disjoint_union, induced_subgraph,
                         path_graph, relabel, star_graph)
+import reference
 
 
 def product_edges_oracle(g, h):
@@ -132,6 +133,67 @@ class TestFromEdgesMatchesSetReference:
         offsets, neighbors = set_from_edges(n, [(perm[u], perm[v]) for u, v in loop_edges])
         assert (moved.offsets.tolist(), moved.neighbors.tolist()) == (offsets.tolist(), neighbors)
         assert all(moved.features[perm[i]].tolist() == [2.0 * i, 2.0 * i + 1] for i in range(n))
+
+
+# ids may repeat, come reversed, be self-loops, negative or past the node count
+RAW_EDGE_LISTS = st.tuples(
+    st.integers(-1, 12), st.lists(st.tuples(st.integers(-3, 15), st.integers(-3, 15)),
+                                  max_size=30),
+    st.sampled_from(["list", "int64", "int32", "uint8", "iter"]))
+
+
+class TestFromEdgesMatchesItsOldBuilder:
+    @settings(max_examples=400, deadline=None)
+    @given(RAW_EDGE_LISTS)
+    def test_same_csr_bytes_or_same_message(self, case):
+        n, edges, kind = case
+        if kind == "uint8":
+            edges = [(u, v) for u, v in edges if u >= 0 and v >= 0]
+
+        def given_edges():
+            if kind in ("list", "iter"):
+                return edges if kind == "list" else iter(edges)
+            return np.array(edges, dtype=kind).reshape(-1, 2)
+
+        try:
+            offsets, neighbors = reference.from_edges(n, given_edges())
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                Graph.from_edges(n, given_edges())
+            assert str(err.value) == str(e)
+            return
+        g = Graph.from_edges(n, given_edges())
+        assert (g.offsets.dtype, g.neighbors.dtype) == (offsets.dtype, neighbors.dtype)
+        assert g.offsets.tobytes() == offsets.tobytes()
+        assert g.neighbors.tobytes() == neighbors.tobytes()
+
+
+class TestFromEdgesRefusesMalformedInput:
+    @pytest.mark.parametrize("edges", [np.zeros((0, 3), dtype=np.int64),
+                                       np.zeros((2, 0), dtype=np.int64),
+                                       np.zeros((0, 0)), [[]], [(), ()]])
+    def test_empty_input_of_another_width(self, edges):
+        with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs$"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("edges", [[[0.5, 1.0]], [(0, 1), (1.0, 2)],
+                                       np.array([[0.0, 1.0]]), [(True, False)],
+                                       [("0", "1")]])
+    def test_ids_that_are_not_integers(self, edges):
+        with pytest.raises(ValueError, match="^edge ids must be integers, got "):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], (), iter([]), np.zeros(0), np.zeros((0, 2)),
+                                       np.zeros((0, 2), dtype=np.uint16)])
+    def test_no_edges_still_builds_an_edgeless_graph(self, edges):
+        g = Graph.from_edges(3, edges)
+        assert (g.offsets.tolist(), g.neighbors.tolist()) == ([0, 0, 0, 0], [])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_integer_dtypes_build_the_same_graph(self, dtype):
+        g = Graph.from_edges(4, np.array([[0, 1], [3, 1], [1, 0]], dtype=dtype))
+        assert g.edges() == [(0, 1), (1, 3)]
+        assert g.neighbors.dtype == np.int64
 
 
 def csr(rows):

@@ -19,6 +19,7 @@ from mose.util import BudgetError
 from mose.walks import Records
 from mose.wl import graph_corpus
 from reference import expert_embed, kernel_features, slot_basis
+from reference import walk_pair_counts as product_power_counts
 
 
 def count_walk_pairs(g, h, p):
@@ -64,6 +65,20 @@ class TestDiscreteKernel:
                 assert counts[0] == g.node_count * h.node_count
                 for p in range(1, 5):
                     assert rwk_discrete(g, h, KernelConfig(4, lam_basis(4, p))) == counts[p]
+
+    def test_factor_counts_match_the_product_power_chain(self):
+        corpus = graph_corpus(4)
+        for i, g in enumerate(corpus):
+            for h in corpus[i:]:
+                assert walk_pair_counts(g, h, 6) == product_power_counts(g, h, 6)
+
+    @pytest.mark.parametrize("n, m, p", [(8, 8, 20), (5, 7, 30), (2, 9, 25)])
+    def test_complete_graph_counts_stay_exact_past_int64(self, n, m, p):
+        # K_n has n (n - 1)^q walks of q steps, so K_n x K_m has their product
+        counts = walk_pair_counts(complete_graph(n), complete_graph(m), p)
+        assert counts == [n * (n - 1) ** q * m * (m - 1) ** q for q in range(p + 1)]
+        assert counts[p] > 2**63 - 1
+        assert product_power_counts(complete_graph(n), complete_graph(m), p)[p] != counts[p]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -22,6 +23,7 @@ from mose.wl import (AnonymousWalkPolicy, EgoPolicy, all_nonisomorphic_graphs,
                      embed_group, graph_corpus, lemma1_check, mose_distinguish,
                      same_size_pairs, swl_refine, swl_refine_many, wl1_refine,
                      wl1_refine_many)
+import reference
 
 C6 = cycle_graph(6)
 TRI2 = disjoint_union(cycle_graph(3), cycle_graph(3))
@@ -97,6 +99,55 @@ class TestSwl:
 
     def test_walk_policy_distinguishes_triangles(self):
         assert distinguish(C6, TRI2, "swl", AnonymousWalkPolicy(3, 4))
+
+
+@st.composite
+def colored_graphs(draw):
+    """A graph of at most 7 nodes, so every ego set fits the canonical-form cap,
+    with initial colors from three values."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k]), colors
+
+
+def same_colorings(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a.colors, b.colors) and a.histogram == b.histogram
+        and a.rounds == b.rounds for a, b in zip(got, want))
+
+
+class TestSwlMemo:
+    """The memoized subgraph-hash round against the round that searches every
+    node's subgraph afresh (tests/reference.py)."""
+
+    def test_matches_fresh_searches_on_the_small_corpus(self):
+        corpus = graph_corpus(5)
+        assert same_colorings(swl_refine_many(corpus, EgoPolicy(1)),
+                              reference.swl_refine_many(corpus, EgoPolicy(1)))
+
+    @given(st.lists(colored_graphs(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fresh_searches_with_initial_colors(self, cases):
+        graphs = [g for g, _ in cases]
+        inits = [colors for _, colors in cases]
+        assert same_colorings(swl_refine_many(graphs, EgoPolicy(1), inits),
+                              reference.swl_refine_many(graphs, EgoPolicy(1), inits))
+
+    def test_holds_nothing_between_calls(self, monkeypatch):
+        real, calls = mose.wl._canonical_raw, []
+        monkeypatch.setattr(mose.wl, "_canonical_raw",
+                            lambda *args: calls.append(args) or real(*args))
+        g, h = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)]), cycle_graph(5)
+        runs = []
+        for x in (g, h, g):
+            calls.clear()
+            runs.append((swl_refine_many([x], EgoPolicy(1)), len(calls)))
+        # a memo kept between calls would leave the second g nothing to search
+        assert runs[2][1] == runs[0][1] > 0
+        for x, (got, _) in zip((g, h, g), runs):
+            assert same_colorings(got, reference.swl_refine_many([x], EgoPolicy(1)))
 
 
 def dfs_walk_node_sets(policy: AnonymousWalkPolicy, g: Graph) -> list[list[int]]:
@@ -340,28 +391,93 @@ class TestEmbedGroup:
 
 @pytest.fixture(scope="module")
 def counted_wl_suite():
-    """A two-init wl suite run with canonical_form counted where it is looked up."""
-    calls = []
+    """A two-init wl suite run with canonical_form counted where it is looked up,
+    and every canonical search (``_canonical_raw``) recorded with its arguments."""
+    calls, searches = [], []
+    real_search = mose.wl._canonical_raw
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return canonical_form(*args, **kwargs)
 
+    def recorded(n, adj, keys):
+        searches.append((tuple(adj), tuple(keys)))
+        return real_search(n, adj, keys)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mose.wl, "canonical_form", counted)
         mp.setattr(mose.verify, "canonical_form", counted)
+        mp.setattr(mose.wl, "_canonical_raw", recorded)
         rep = wl_suite(inits=2, required=2)
-    return rep, calls
+    return rep, calls, searches
 
 
 class TestWlSuite:
     def test_all_cases_pass(self, counted_wl_suite):
-        rep, _ = counted_wl_suite
+        rep, _, _ = counted_wl_suite
         assert len(rep.cases) == 3
         assert rep.ok, rep.lines()
 
     def test_canonicalizes_only_graphs_of_the_witness_size(self, counted_wl_suite):
-        _, calls = counted_wl_suite
+        _, calls, _ = counted_wl_suite
         same_size = sum(1 for g in graph_corpus(6)
                         if (g.node_count, g.edge_count) == (6, 6))
         assert len(calls) <= 2 + same_size
+        # of those, only the two 2-regular graphs share the targets' degrees
+        two_regular = sum(1 for g in graph_corpus(6) if g.degrees.tolist() == [2] * 6)
+        assert len(calls) == 2 + two_regular == 4
+
+    def test_searches_each_rooted_signature_once(self, counted_wl_suite):
+        # the refinement's searches carry a root key (0, color); canonical_form's
+        # unrooted ones are counted above
+        _, _, searches = counted_wl_suite
+        rooted = [s for s in searches if any(key[0] == 0 for key in s[1])]
+        assert rooted and len(rooted) == len(set(rooted))
+
+
+def reference_separated(a, b, tol=1e-8):
+    with np.errstate(all="ignore"):
+        return np.abs(a - b).max(axis=1) > tol
+
+
+SPECIAL = [0.0, 1e-8, -1e-8, 2e-8, 1.0, -1.0, 1e308, -1e308,
+           np.nan, np.inf, -np.inf]
+
+
+class TestSeparated:
+    """``verify._separated`` against the full-row max-norm check, row for row."""
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.sampled_from(SPECIAL) | st.floats(-2.0, 2.0), min_size=3,
+                          max_size=3), min_size=k, max_size=k),
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=12))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_max_norm_check(self, case):
+        rows, pairs = case
+        embeds = np.array(rows)
+        first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mose.verify._separated(embeds, first, second)
+        assert got.tolist() == reference_separated(embeds[first], embeds[second]).tolist()
+
+    def test_special_rows(self):
+        nan, inf = np.nan, np.inf
+        embeds = np.array([
+            [0.0, 0.0, 0.0],
+            [1e-8, 0.0, 0.0],       # first coordinate exactly tol away: undecided
+            [1e-8, 1e-8, 0.0],      # every coordinate exactly tol away: not separated
+            [1e-8, 2e-8, 0.0],      # decided by a later coordinate
+            [1.0, nan, 0.0],        # a NaN difference anywhere: not separated
+            [inf, 0.0, 0.0],
+            [inf, 1.0, 0.0],        # inf - inf is NaN: not separated
+            [-inf, 0.0, 0.0],
+            [nan, 0.0, 0.0]])
+        first = np.array([0, 0, 0, 0, 0, 5, 5, 7, 8, 8])
+        second = np.array([1, 2, 3, 4, 5, 6, 7, 0, 0, 8])
+        want = [False, False, True, False, True, False, True, True, False, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mose.verify._separated(embeds, first, second)
+        assert got.tolist() == want
+        assert reference_separated(embeds[first], embeds[second]).tolist() == want
