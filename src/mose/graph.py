@@ -200,10 +200,7 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
         u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
         # u·n + v keys sort by node, then by neighbor: the distinct keys are the CSR
-        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-        keep = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keys = keys[keep]
+        keys = unique(np.concatenate([u * n + v, v * n + u]))
         offsets = np.searchsorted(keys, np.arange(n + 1) * n)
         if features is None:
             features = np.zeros((node_count, 0))

@@ -357,15 +357,15 @@ def _histogram_ids(colorings) -> np.ndarray:
     return np.array([ids.setdefault(frozenset(c.histogram.items()), len(ids)) for c in colorings])
 
 
-def _separated(embeds: np.ndarray, first, second, tol: float = 1e-8) -> np.ndarray:
-    """``np.abs(embeds[first] - embeds[second]).max(axis=1) > tol`` without a
+def _separated(embeds: np.ndarray, first, second) -> np.ndarray:
+    """``np.abs(embeds[first] - embeds[second]).max(axis=1) > 1e-8`` without a
     RuntimeWarning: the full-row check runs only on the pairs whose first
-    coordinates differ by at most tol (or NaN) or whose rows are not finite."""
+    coordinates differ by at most 1e-8 (or NaN) or whose rows are not finite."""
     with np.errstate(invalid="ignore", over="ignore"):
-        out = np.abs(embeds[first, 0] - embeds[second, 0]) > tol
+        out = np.abs(embeds[first, 0] - embeds[second, 0]) > 1e-8
         finite = np.isfinite(embeds).all(axis=1)
         check = np.flatnonzero(~out | ~finite[first] | ~finite[second])
-        out[check] = np.abs(embeds[first[check]] - embeds[second[check]]).max(axis=1) > tol
+        out[check] = np.abs(embeds[first[check]] - embeds[second[check]]).max(axis=1) > 1e-8
     return out
 
 
