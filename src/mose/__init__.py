@@ -8,8 +8,8 @@ scale.
 """
 
 from .graph import (Graph, complete_graph, cycle_graph, degree_features,
-                    direct_product, disjoint_union, induced_subgraph, path_graph,
-                    relabel, star_graph)
+                    disjoint_union, induced_subgraph, path_graph, relabel,
+                    star_graph, walk_counts)
 from .datasets import (Dataset, SplitPlan, gen_graph_cycle, gen_graph_five,
                        load_tu_dataset, make_folds, make_node_splits,
                        save_tu_dataset)

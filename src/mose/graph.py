@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -228,23 +228,21 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     return Graph.from_edges(len(ids), pairs[pairs[:, 1] >= 0], features=g.features[ids].copy())
 
 
-def direct_product(g: Graph, h: Graph) -> Graph:
-    """Tensor (direct) product graph on node pairs, row-major pairing.
-
-    Node (u, u') maps to index ``u * h.node_count + u'``; a product edge
-    exists iff both coordinates step along an edge of their factor.
-    Features are ignored (structure only). The CSR is valid by construction.
-    """
-    n, m = g.node_count, h.node_count
-    deg_g, deg_h = g.degrees, h.degrees
-    counts = np.repeat(deg_g, m) * np.tile(deg_h, n)
-    offsets = np.zeros(n * m + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # entry k of node (u, u')'s slice pairs neighbor k // deg(u') of u with k % deg(u') of u'
-    u, up = np.divmod(np.repeat(np.arange(n * m), counts), m)
-    i, j = np.divmod(np.arange(offsets[-1]) - offsets[:-1].repeat(counts), deg_h[up])
-    nbrs = g.neighbors[g.offsets[u] + i] * m + h.neighbors[h.offsets[up] + j]
-    return Graph._on_valid_csr(n * m, offsets, nbrs, np.zeros((n * m, 0)))
+def walk_counts(g: Graph, cap: int | None = None) -> Iterator[list[int]]:
+    """Each node's p-step walk count, A^p·1, for p = 0, 1, 2, … without end, in
+    exact Python ints, one CSR pass a level. A count past ``cap`` is held at
+    ``cap``: a sum holding a held term is at least ``cap`` too, so every held
+    level is still the least of ``cap`` and the true counts."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    nbrs, at = g.neighbors.tolist(), g.offsets.tolist()
+    rows = [nbrs[at[v]:at[v + 1]] for v in range(g.node_count)]
+    ends = [1] * g.node_count
+    while True:
+        if cap is not None:
+            ends = [min(c, cap) for c in ends]
+        yield ends
+        ends = [sum(map(ends.__getitem__, row)) for row in rows]
 
 
 def degree_features(g: Graph, max_degree: int) -> np.ndarray:

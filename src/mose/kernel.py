@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, walk_counts
 from .util import BudgetError, unique
 
 STEP_MODES = ("single-p", "sum-over-p", "concat-over-p")
@@ -114,8 +114,7 @@ class HiddenGraph:
 
     def as_graph(self) -> Graph:
         """Materialize the rectified adjacency as a graph (weights > 0 become edges)."""
-        r = self.effective_adjacency()
-        edges = [(i, j) for i in range(self.size) for j in range(i + 1, self.size) if r[i, j] > 0]
+        edges = np.argwhere(np.triu(self.effective_adjacency(), 1) > 0)
         return Graph.from_edges(self.size, edges, features=self.Z.copy())
 
 
@@ -130,21 +129,12 @@ class KernelGrad:
 
 # -- discrete kernel and its enumeration oracle -------------------------
 
-def _walk_totals(g: Graph, max_p: int) -> list[int]:
-    """1ᵀA^p·1 for p = 0..max_p in Python ints, from A^p·1 by one CSR pass a step."""
-    nbrs, at = g.neighbors.tolist(), g.offsets.tolist()
-    ends, totals = [1] * g.node_count, [g.node_count]
-    for _ in range(max_p):
-        ends = [sum([ends[u] for u in nbrs[at[v]:at[v + 1]]]) for v in range(g.node_count)]
-        totals.append(sum(ends))
-    return totals
-
-
 def walk_pair_counts(g: Graph, h: Graph, max_p: int) -> list[int]:
     """Total p-step walk-pair counts for p = 0..max_p, exact in Python ints:
     (A ⊗ B)^p = A^p ⊗ B^p, so 1ᵀ(A ⊗ B)^p 1 = (1ᵀA^p 1)(1ᵀB^p 1), the product of
     the factors' walk totals. No product graph or (nm) x (nm) power is built."""
-    return [a * b for a, b in zip(_walk_totals(g, max_p), _walk_totals(h, max_p))]
+    levels = zip(range(max_p + 1), walk_counts(g), walk_counts(h))
+    return [sum(a) * sum(b) for _, a, b in levels]
 
 
 def rwk_discrete(g: Graph, h: Graph, cfg: KernelConfig) -> float:
@@ -226,12 +216,14 @@ def rwk_diff(g: Graph, h: Graph, p: int) -> float:
     """
     if g.feature_dim != h.feature_dim:
         raise ValueError("feature dimensions must match")
-    t = g.features @ h.features.T
-    a = g.adjacency_dense()
-    b = h.adjacency_dense()
+    return _walk_form(g.features @ h.features.T, g.adjacency_dense(), h.adjacency_dense(), p)
+
+
+def _walk_form(t: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> float:
+    """sum(T ⊙ L^p T R^p), applying L and R a step at a time, no power formed."""
     m = t
     for _ in range(p):
-        m = a @ m @ b
+        m = left @ m @ right
     return float(np.sum(t * m))
 
 
@@ -249,11 +241,8 @@ def rwk_hidden(g: Graph, hidden: HiddenGraph, p: int) -> float:
     Evaluates sum(T * (R^p T A^p)) with R the rectified hidden adjacency,
     applying A step by step rather than forming its power.
     """
-    a, r = g.adjacency_dense(), hidden.effective_adjacency()
-    m = t = hidden.Z @ _checked_features(g, hidden).T
-    for _ in range(p):
-        m = r @ m @ a
-    return float(np.sum(t * m))
+    t = hidden.Z @ _checked_features(g, hidden).T
+    return _walk_form(t, hidden.effective_adjacency(), g.adjacency_dense(), p)
 
 
 def rwk_hidden_grad(g: Graph, hidden: HiddenGraph, p: int) -> KernelGrad:

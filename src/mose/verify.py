@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset
-from .graph import (Graph, cycle_graph, degree_features, disjoint_union,
-                    induced_subgraph, relabel)
+from .graph import (Graph, complete_graph, cycle_graph, degree_features, disjoint_union,
+                    induced_subgraph, relabel, walk_counts)
 from .kernel import (HiddenGraph, KernelConfig, rwk_diff, rwk_hidden,
                      rwk_hidden_grad, walk_pair_counts, _oracle_counts)
 from .moe import ModelConfig, build_group, kernel_moments, new_model
@@ -75,17 +75,16 @@ EXHAUSTIVE_NODES = 5    # the exhaustive case pairs every graph of at most this 
 
 def exhaustive_walk_pairs(max_nodes: int, max_p: int) -> tuple[int, int]:
     """(pairs, q): the walk pairs over lengths 0..q of the exhaustive case's
-    largest pair, K_n x K_n with n = min(EXHAUSTIVE_NODES, max_nodes), which has
-    n^2 ((n - 1)^2)^p at length p; q is max_p, or the first length at which the
-    pairs exceed BUDGET, so the count stays small for any max_p."""
-    n = min(EXHAUSTIVE_NODES, max_nodes)
-    pairs = level = n * n
-    for q in range(1, max_p + 1):
-        if pairs > BUDGET:
-            return pairs, q - 1
-        level *= (n - 1) ** 2
-        pairs += level
-    return pairs, max_p
+    largest pair, K_n x K_n with n = min(EXHAUSTIVE_NODES, max_nodes), whose
+    pairs at length p are the square of K_n's exact walk total; q is max_p,
+    or the first length at which the pairs exceed BUDGET, where the levels
+    stop, so a huge max_p costs a few. ``mose verify`` refuses the case before
+    it starts iff these exact pairs exceed the budget."""
+    pairs = 0
+    for q, ends in enumerate(walk_counts(complete_graph(min(EXHAUSTIVE_NODES, max_nodes)))):
+        pairs += sum(ends) ** 2
+        if q >= max_p or pairs > BUDGET:
+            return pairs, q
 
 
 def kernel_oracle_suite(max_nodes: int = 6, max_p: int = 4, seed: int = 0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, walk_counts
 from .util import (BudgetError, FormatError, atomic_write, read_text_lines, substream,
                    substream_words, unique)
 
@@ -190,6 +190,15 @@ def _label_bits(g: Graph, length: int) -> int:
     return max(1, (min(g.node_count, length + 1) - 1).bit_length())
 
 
+def _root_walks(g: Graph, v: int, length: int, budget: int) -> int:
+    """The length-l walks from v, exact when at most ``budget`` (counts are held
+    at ``budget + 1``, or at 0 for a negative budget); BudgetError otherwise."""
+    total = next(itertools.islice(walk_counts(g, max(budget + 1, 0)), length, None))[v]
+    if total > budget:
+        raise BudgetError("walk enumeration exceeded its budget")
+    return total
+
+
 def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
                    keep: list | None = None, within: np.ndarray | None = None):
     """Sorted distinct pattern keys and their counts over all length-l walks from v.
@@ -199,9 +208,8 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
     table (``seen[r, j]`` is the node labelled j) and its labels after the
     leading 0, packed most significant first, ``bits`` each, into uint64
     words. Keys are one word, or big-endian byte rows of several; either way
-    they sort in lexicographic pattern order. Every prefix from a non-isolated
-    root extends to a full walk, so completed plus pending rows bound the
-    walk count from below: BudgetError is raised once that exceeds ``budget``.
+    they sort in lexicographic pattern order. BudgetError is raised before
+    anything is expanded iff the root's exact walk count exceeds ``budget``.
     Given ``keep``, each block of completed walks appends its (keys, first-visit
     table) to it, so the nodes on the walks of a pattern can be read back.
     Given ``within``, sorted distinct keys, the walks are counted against those
@@ -212,39 +220,34 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
         raise ValueError("start node out of range")
     if length < 0:
         raise ValueError(f"walk length must be >= 0, got {length}")
+    total = _root_walks(g, v, length, budget)
     per_word = 64 // bits
     node = np.min_scalar_type(-g.node_count - 1)  # holds -1 and every node id and count
     seen = np.full((1, min(g.node_count, length + 1)), -1, dtype=node)
     seen[0, 0] = v
     words = np.zeros((1, max(1, -(-length // per_word))), dtype=np.uint64)
     table, stack, leaves = (_as_keys(words[:0]), np.zeros(0, dtype=np.int64)), [], []
-    done = pending = 0
-    if length > 0 and g.degrees[v] == 0:
+    if total == 0:
         return table
     tally = None if within is None else np.zeros(len(within), dtype=np.int64)
 
     def add(block, depth):
         """Stack or count one block; False when it holds a key outside ``within``."""
-        nonlocal table, tally, done, pending
+        nonlocal table, tally
         if depth < length:
             stack.append((depth, block, np.cumsum(g.degrees[block[0]]), 0))
-            pending += len(block[0])
         elif within is not None:
             keys = _as_keys(block[3])
             at = np.searchsorted(within, keys)
             if not np.all(at < np.searchsorted(within, keys, side="right")):
                 return False
             tally += np.bincount(at, minlength=len(within))
-            done += len(keys)
         else:
             leaves.append(_as_keys(block[3]))
             if keep is not None:
                 keep.append((leaves[-1], block[1]))
-            done += len(block[0])
             if sum(map(len, leaves)) >= max(_MERGE, len(table[0]) // 2):
                 table = _merge(table, leaves)
-        if done + pending > budget:
-            raise BudgetError("walk enumeration exceeded its budget")
         return True
 
     if not add((seen[:, 0].copy(), seen, np.ones(1, dtype=node), words), 0):
@@ -255,7 +258,6 @@ def _pattern_table(g: Graph, v: int, length: int, budget: int, bits: int,
         hi = max(lo + 1, int(np.searchsorted(cum, base + _BLOCK, side="right")))
         if hi < len(cum):
             stack.append((depth, block, cum, hi))
-        pending -= hi - lo
         deg = g.degrees[block[0][lo:hi]]
         src = np.repeat(np.arange(lo, hi), deg)
         nxt = g.neighbors[np.arange(len(src)) + np.repeat(
@@ -320,25 +322,13 @@ def enumerate_anonymous_walks(g: Graph, v: int, length: int,
                               budget: int = 10**7) -> Counter:
     """Exact anonymous-pattern multiset over all length-l walks from v.
 
-    Exhaustive enumeration in array passes; raises BudgetError when the
-    walk count would exceed ``budget``.
+    Exhaustive enumeration in array passes; raises BudgetError before it
+    starts iff the walk count exceeds ``budget``.
     """
     bits = _label_bits(g, length)
     keys, counts = _pattern_table(g, v, length, budget, bits)
     patterns = map(tuple, _unpack(keys, length, bits).tolist())
     return Counter(dict(zip(patterns, counts.tolist())))
-
-
-def _walk_counts(g: Graph, length: int, budget: int) -> np.ndarray:
-    """The length-l walks from every node, A^length 1, in int64, each count
-    saturating at ``budget + 1`` (object ints when a step's sums could pass int64)."""
-    cap = budget + 1
-    exact = cap * max(1, len(g.neighbors)) < 2**63
-    x = np.ones(g.node_count, dtype=np.int64 if exact else object)
-    for _ in range(length):
-        c = np.concatenate([[0], np.cumsum(x[g.neighbors])])
-        x = np.minimum(c[g.offsets[1:]] - c[g.offsets[:-1]], cap)
-    return x
 
 
 def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
@@ -347,9 +337,10 @@ def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
 
     Compares by integer cross-multiplication, so there is no tolerance to
     tune; isomorphic rooted graphs always compare equal. BudgetError is
-    raised iff either root has more than ``budget`` walks. The root with
-    fewer walks is enumerated in full, the other against its patterns
-    alone, and that enumeration ends at the first pattern the first lacks.
+    raised before either enumeration starts iff either root's exact walk
+    count exceeds ``budget``. The root with fewer walks is enumerated in
+    full, the other against its patterns alone, and that enumeration ends
+    at the first pattern the first lacks.
     """
     if not (0 <= v < g.node_count):
         raise ValueError("start node out of range")
@@ -357,10 +348,7 @@ def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
         raise ValueError(f"walk length must be >= 0, got {length}")
     if not (0 <= vp < h.node_count):
         raise ValueError("start node out of range")
-    t1 = int(_walk_counts(g, length, budget)[v])
-    t2 = int(_walk_counts(h, length, budget)[vp])
-    if max(t1, t2) > budget:
-        raise BudgetError("walk enumeration exceeded its budget")
+    t1, t2 = _root_walks(g, v, length, budget), _root_walks(h, vp, length, budget)
     if t1 == 0 or t2 == 0:
         return (t1 == 0) != (t2 == 0)
     bits = max(_label_bits(g, length), _label_bits(h, length))
@@ -375,8 +363,6 @@ def walk_distributions_distinguish(g: Graph, v: int, h: Graph, vp: int,
     k2, c2 = rest
     if not np.array_equal(k1, k2):
         return True
-    if max(t1, t2) ** 2 < 2**63:
-        return bool(np.any(c1 * t2 != c2 * t1))
     return any(a * t2 != b * t1 for a, b in zip(c1.tolist(), c2.tolist()))
 
 

@@ -10,11 +10,12 @@ section holds a plan's arrays densely, the oracle of the padded order's
 row blocking. Beside them: random walks drawn with one array call per step,
 the oracle of ``mose.walks.sample_walks``, and finite differences that
 rerun the whole loss pass, the oracle of ``mose.trainer.grad_check``.
-Last, three exact builders the library replaced with cheaper ones: the
+Last, four exact builders the library replaced with other ones: the
 edge-list builder with ``unique`` and ``bincount`` (of ``Graph.from_edges``),
 the subgraph-hash round that searches every node's subgraph afresh (of
-``mose.wl.swl_refine_many``'s memo) and the product-graph power chain (of
-``mose.kernel.walk_pair_counts``).
+``mose.wl.swl_refine_many``'s memo), the product-graph power chain (of
+``mose.kernel.walk_pair_counts``) and the K_n x K_n closed form (of
+``mose.verify.exhaustive_walk_pairs``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mose.graph import Graph, direct_product
+from mose.graph import Graph
 from mose.kernel import HiddenGraph, KernelConfig, NodeGroup, _slot_basis, rwk_hidden
 from mose.moe import MoseModel
 from mose.nn import Mlp, relu, softmax, softplus
@@ -373,12 +374,25 @@ def swl_refine_many(graphs: list[Graph], policy, inits=None):
 
 def walk_pair_counts(g: Graph, h: Graph, max_p: int) -> list[int]:
     """Total p-step walk-pair counts for p = 0..max_p from one chain of int64
-    powers of the direct product's adjacency; a count past int64 wraps."""
-    prod = direct_product(g, h)
-    a = prod.adjacency_dense(dtype=np.int64)
-    power = np.eye(prod.node_count, dtype=np.int64)
-    counts = [prod.node_count]
+    powers of the direct product's adjacency, the Kronecker product of the two
+    factors' with pair (u, u') at u·m + u'; a count past int64 wraps."""
+    a = np.kron(g.adjacency_dense(dtype=np.int64), h.adjacency_dense(dtype=np.int64))
+    power = np.eye(len(a), dtype=np.int64)
+    counts = [len(a)]
     for _ in range(max_p):
         power = power @ a
         counts.append(int(power.sum()))
     return counts
+
+
+def exhaustive_walk_pairs(max_nodes: int, max_p: int, budget: int = 10**7) -> tuple[int, int]:
+    """(pairs, q) of ``mose.verify.exhaustive_walk_pairs`` from the closed form:
+    K_n x K_n, n = min(5, max_nodes), has n^2 ((n - 1)^2)^p walk pairs at length p."""
+    n = min(5, max_nodes)
+    pairs = level = n * n
+    for q in range(1, max_p + 1):
+        if pairs > budget:
+            return pairs, q - 1
+        level *= (n - 1) ** 2
+        pairs += level
+    return pairs, max_p

@@ -6,15 +6,18 @@ import json
 import os
 import re
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mose import cli
+from mose import cli, verify
 from mose.cli import main
+from mose.graph import walk_counts
 from mose.trainer import CHECKPOINT_VERSION, load_checkpoint
+import reference
 
 
 def run(args):
@@ -607,6 +610,26 @@ class TestVerifyAndExport:
         assert report.startswith("[PASS] kernel-oracle/exhaustive <=4-node pairs, p=1..5  (")
         assert run(["verify", "--suite", "wl", "--max-p", "5",
                     "--out-dir", str(tmp_path / "w")]) == 0
+
+    @pytest.mark.parametrize("max_nodes", range(2, 9))
+    def test_exhaustive_pairs_match_the_closed_form(self, max_nodes):
+        for max_p in range(41):
+            assert verify.exhaustive_walk_pairs(max_nodes, max_p) == \
+                reference.exhaustive_walk_pairs(max_nodes, max_p)
+
+    @pytest.mark.parametrize("max_nodes", range(3, 9))
+    def test_huge_max_p_walks_a_few_levels(self, max_nodes):
+        levels = []
+
+        def counted(g, cap=None):
+            for ends in walk_counts(g, cap):
+                levels.append(ends)
+                yield ends
+        with mock.patch.object(verify, "walk_counts", counted):
+            pairs, by = verify.exhaustive_walk_pairs(max_nodes, 10**6)
+        assert (pairs, by) == reference.exhaustive_walk_pairs(max_nodes, 10**6)
+        # K3 x K3 has 9 * 4^p pairs at length p, past the budget by p = 10
+        assert pairs > verify.BUDGET and len(levels) == by + 1 <= 11
 
     def test_verify_walks_suite_report_is_pinned(self, tmp_path):
         # the full walks suite at seed 0: every check's verdict and detail,

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,21 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mose.graph import (Graph, complete_graph, cycle_graph, degree_features,
-                        direct_product, disjoint_union, induced_subgraph,
-                        path_graph, relabel, star_graph)
+                        disjoint_union, induced_subgraph, path_graph, relabel,
+                        star_graph, walk_counts)
 import reference
-
-
-def product_edges_oracle(g, h):
-    """Exhaustive pair enumeration of tensor-product edges."""
-    out = set()
-    for u, v in g.edges():
-        for up, vp in h.edges():
-            m = h.node_count
-            for a, b in (((u, up), (v, vp)), ((u, vp), (v, up))):
-                za, zb = a[0] * m + a[1], b[0] * m + b[1]
-                out.add((min(za, zb), max(za, zb)))
-    return out
 
 
 class TestGraphConstruction:
@@ -73,9 +62,13 @@ def set_from_edges(n, edges):
 
 
 # pairs may repeat, come reversed, be self-loops or leave nodes isolated
-EDGE_LISTS = st.integers(0, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                         max_size=40) if n else st.just([])))
+def edge_lists(max_nodes: int):
+    return st.integers(0, max_nodes).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40) if n else st.just([])))
+
+
+EDGE_LISTS = edge_lists(12)
 
 
 class TestFromEdgesMatchesSetReference:
@@ -357,63 +350,26 @@ class TestInducedSubgraph:
         assert sub.edges() == g.edges()
 
 
-class TestDirectProduct:
-    def test_p2_times_p2(self):
-        prod = direct_product(path_graph(2), path_graph(2))
-        assert prod.node_count == 4
-        assert set(prod.edges()) == product_edges_oracle(path_graph(2), path_graph(2))
-        assert prod.edge_count == 2
+class TestWalkCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(9), st.none() | st.integers(0, 300))
+    def test_levels_are_adjacency_powers_held_at_the_cap(self, g_edges, cap):
+        g = Graph.from_edges(*g_edges)
+        a = g.adjacency_dense(dtype=np.int64)
+        for p, ends in zip(range(9), walk_counts(g, cap)):
+            exact = (np.linalg.matrix_power(a, p) @ np.ones(g.node_count, dtype=np.int64)).tolist()
+            assert ends == (exact if cap is None else [min(c, cap) for c in exact])
+            assert all(type(c) is int for c in ends)
 
-    def test_product_with_isolated_node(self):
-        single = Graph.from_edges(1, [])
-        prod = direct_product(cycle_graph(4), single)
-        assert prod.node_count == 4
-        assert prod.edge_count == 0
+    def test_cap_holds_a_count_at_the_cap(self):
+        # K4 has 3^p walks from each node: 1, 3, 9, 27, 81, ...
+        levels = list(itertools.islice(walk_counts(complete_graph(4), cap=10), 6))
+        assert levels == [[1] * 4, [3] * 4, [9] * 4, [10] * 4, [10] * 4, [10] * 4]
+        assert next(itertools.islice(walk_counts(complete_graph(4), cap=9), 2, None)) == [9] * 4
 
-    def test_c3_times_c3(self):
-        prod = direct_product(cycle_graph(3), cycle_graph(3))
-        assert prod.node_count == 9
-        assert set(prod.edges()) == product_edges_oracle(cycle_graph(3), cycle_graph(3))
-        assert prod.edge_count == 18
-        assert prod.adjacency_dense().sum() == 36
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_adjacency_sum_multiplies(self, seed):
-        rng = np.random.default_rng(seed)
-        g = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)
-                                 if rng.random() < 0.6])
-        h = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)
-                                 if rng.random() < 0.4])
-        prod = direct_product(g, h)
-        assert prod.adjacency_dense().sum() == \
-            g.adjacency_dense().sum() * h.adjacency_dense().sum()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_relabeling_factor_relabels_product(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        g = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)
-                                 if rng.random() < 0.5])
-        h = cycle_graph(4)
-        perm = rng.permutation(5)
-        prod_perm = direct_product(relabel(g, perm), h)
-        # the induced permutation on pairs witnesses the isomorphism exactly
-        m = h.node_count
-        pair_perm = [int(perm[u]) * m + up for u in range(5) for up in range(m)]
-        # node u*m+up of direct_product(g, h) maps to perm[u]*m+up
-        base = direct_product(g, h)
-        expected = {(min(pair_perm[a], pair_perm[b]), max(pair_perm[a], pair_perm[b]))
-                    for a, b in base.edges()}
-        assert set(prod_perm.edges()) == expected
-
-    @settings(max_examples=150, deadline=None)
-    @given(EDGE_LISTS, EDGE_LISTS)
-    def test_built_csr_passes_every_check(self, g_edges, h_edges):
-        # direct_product skips the CSR checks, as its CSR is valid by
-        # construction; this checks that claim
-        g, h = (Graph.from_edges(n, edges) for n, edges in (g_edges, h_edges))
-        prod = direct_product(g, h)
-        prod._validate()
-        assert set(prod.edges()) == product_edges_oracle(g, h)
+    def test_negative_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="got -1$"):
+            next(walk_counts(path_graph(3), cap=-1))
 
 
 class TestDegreeFeatures:

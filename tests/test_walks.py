@@ -21,6 +21,7 @@ from mose.walks import (CACHE_MAGIC, Records, WalkConfig, _anonymize, _label_bit
                         extract_dataset, extract_subgraph, load_cache, sample_walks,
                         save_cache, to_anonymous, top_patterns,
                         walk_distributions_distinguish)
+from mose.wl import AnonymousWalkPolicy
 from reference import cache_text, sample_walks_by_array
 
 
@@ -382,6 +383,22 @@ class TestArrayEnumeration:
             enumerate_anonymous_walks(g, v, length, budget=count - 1)
         with pytest.raises(BudgetError):
             walk_distributions_distinguish(g, v, g, v, length, budget=count - 1)
+
+    @pytest.mark.parametrize("g, length", [
+        (path_graph(2), 0), (cycle_graph(5), 6), (complete_graph(4), 5),
+        (star_graph(9), 5)])                                 # the hub has the most walks
+    def test_budget_is_refused_before_any_block(self, g, length):
+        count = int(np.linalg.matrix_power(g.adjacency_dense(), length)[0].sum())
+        assert sum(enumerate_anonymous_walks(g, 0, length, budget=count).values()) == count
+        assert AnonymousWalkPolicy(length, 2, budget=count).node_sets(g) == \
+            AnonymousWalkPolicy(length, 2, budget=10**7).node_sets(g)
+        # no block of walks is ever turned into keys: the root's count refuses it first
+        with mock.patch.object(walks, "_as_keys", side_effect=AssertionError) as as_keys:
+            with pytest.raises(BudgetError, match="^walk enumeration exceeded its budget$"):
+                enumerate_anonymous_walks(g, 0, length, budget=count - 1)
+            with pytest.raises(BudgetError, match="^walk enumeration exceeded its budget$"):
+                AnonymousWalkPolicy(length, 2, budget=count - 1).node_sets(g)
+        as_keys.assert_not_called()
 
     def test_budget_bounds_the_larger_side_too(self):
         # P2's one walk pattern (0, 1, 0, 1) is a pattern of K4's 27 walks, which
